@@ -155,7 +155,7 @@ int main() {
 
   const Profile profile = make_profile();
   const SemanticMessage message = make_message();
-  const serde::SharedBytes wire = message.encode();
+  const serde::ByteChain wire(message.encode());
 
   std::vector<Measurement> results;
   results.push_back(time_workload("selector_match_compiled", [&] {

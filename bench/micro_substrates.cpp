@@ -72,7 +72,7 @@ void BM_MessageCodec(benchmark::State& state) {
   message.payload = serde::ByteChain(
       serde::Bytes(static_cast<std::size_t>(state.range(0)), 0x5A));
   for (auto _ : state) {
-    const serde::SharedBytes bytes = message.encode();
+    const serde::ByteChain bytes(message.encode());
     auto decoded = pubsub::SemanticMessage::decode(bytes);
     benchmark::DoNotOptimize(decoded);
   }
@@ -81,7 +81,8 @@ void BM_MessageCodec(benchmark::State& state) {
 BENCHMARK(BM_MessageCodec)->Arg(256)->Arg(4096)->Arg(65536);
 
 void BM_RtpPacketizeReassemble(benchmark::State& state) {
-  const serde::Bytes object(static_cast<std::size_t>(state.range(0)), 0xAB);
+  const serde::SharedBytes object(
+      serde::Bytes(static_cast<std::size_t>(state.range(0)), 0xAB));
   std::uint32_t timestamp = 0;
   net::RtpPacketizer packetizer(1, 1400);
   for (auto _ : state) {
@@ -89,8 +90,9 @@ void BM_RtpPacketizeReassemble(benchmark::State& state) {
     std::size_t delivered = 0;
     receiver.on_object(
         [&delivered](const net::RtpObject& o) { delivered += o.fragments_received; });
-    for (const auto& packet : packetizer.packetize(object, 96, ++timestamp)) {
-      (void)receiver.ingest(packet.encode(), {});
+    for (const auto& packet :
+         packetizer.packetize_views(object, 96, ++timestamp)) {
+      (void)receiver.ingest(packet.wire(), {});
     }
     benchmark::DoNotOptimize(delivered);
   }

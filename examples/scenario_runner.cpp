@@ -302,8 +302,7 @@ int main(int argc, char** argv) {
     // once (at message encode), so copied bytes/s tracks the publish
     // rate, far below the carried-traffic rate. A sustained climb means
     // some layer went back to re-materialising payloads (gather
-    // fallbacks, legacy span paths) — copy amplification (DESIGN.md
-    // §11).
+    // fallbacks) — copy amplification (DESIGN.md §11).
     rule = observatory::SloRule{};
     rule.name = "copy-amplification";
     rule.metric = "pipeline.bytes_copied.total";

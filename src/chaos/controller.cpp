@@ -18,22 +18,7 @@ ChaosController::ChaosController(net::Network& network, std::uint64_t seed)
              std::size_t payload_bytes) {
         return on_datagram(source, destination, payload_bytes);
       });
-  auto& registry = telemetry::MetricsRegistry::global();
-  auto& regs = stats_.registrations;
-  regs.push_back(
-      registry.attach("chaos.faults_injected", stats_.faults_injected));
-  regs.push_back(
-      registry.attach("chaos.faults_cleared", stats_.faults_cleared));
-  regs.push_back(
-      registry.attach("chaos.datagrams_dropped", stats_.datagrams_dropped));
-  regs.push_back(
-      registry.attach("chaos.datagrams_delayed", stats_.datagrams_delayed));
-  regs.push_back(registry.attach("chaos.datagrams_duplicated",
-                                 stats_.datagrams_duplicated));
-  regs.push_back(registry.attach("chaos.datagrams_corrupted",
-                                 stats_.datagrams_corrupted));
-  regs.push_back(
-      registry.attach("chaos.unresolved_names", stats_.unresolved_names));
+  stats_.attach(telemetry::MetricsRegistry::global());
 }
 
 ChaosController::~ChaosController() {

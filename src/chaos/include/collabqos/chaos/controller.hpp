@@ -23,19 +23,23 @@
 
 #include "collabqos/chaos/schedule.hpp"
 #include "collabqos/net/network.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::chaos {
 
+/// The controller's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_CHAOS_COUNTERS(X)                                            \
+  X(faults_injected, "chaos.faults_injected")                                  \
+  X(faults_cleared, "chaos.faults_cleared")                                    \
+  X(datagrams_dropped, "chaos.datagrams_dropped") /* partition verdicts */     \
+  X(datagrams_delayed, "chaos.datagrams_delayed") /* reorder verdicts */       \
+  X(datagrams_duplicated, "chaos.datagrams_duplicated") /* duplicate */        \
+  X(datagrams_corrupted, "chaos.datagrams_corrupted") /* corrupt verdicts */   \
+  X(unresolved_names, "chaos.unresolved_names") /* names with no node */
+
 /// Point-in-time controller counters (registry families "chaos.*").
 struct ChaosStats {
-  std::uint64_t faults_injected = 0;
-  std::uint64_t faults_cleared = 0;
-  std::uint64_t datagrams_dropped = 0;    ///< partition verdicts
-  std::uint64_t datagrams_delayed = 0;    ///< reorder verdicts
-  std::uint64_t datagrams_duplicated = 0; ///< duplicate verdicts
-  std::uint64_t datagrams_corrupted = 0;  ///< corrupt verdicts
-  std::uint64_t unresolved_names = 0;     ///< schedule names with no node
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_CHAOS_COUNTERS)
 };
 
 class ChaosController {
@@ -67,14 +71,7 @@ class ChaosController {
   [[nodiscard]] std::size_t active_faults() const noexcept {
     return active_.size();
   }
-  [[nodiscard]] ChaosStats stats() const noexcept {
-    return ChaosStats{
-        stats_.faults_injected.value(),     stats_.faults_cleared.value(),
-        stats_.datagrams_dropped.value(),   stats_.datagrams_delayed.value(),
-        stats_.datagrams_duplicated.value(),
-        stats_.datagrams_corrupted.value(), stats_.unresolved_names.value(),
-    };
-  }
+  [[nodiscard]] ChaosStats stats() const noexcept { return stats_.view(); }
 
  private:
   /// One fault inside its active window.
@@ -109,16 +106,7 @@ class ChaosController {
   std::map<std::uint64_t, std::unique_ptr<Active>> active_;
   std::map<std::string, TargetHandler, std::less<>> targets_;
 
-  struct Counters {
-    telemetry::Counter faults_injected;
-    telemetry::Counter faults_cleared;
-    telemetry::Counter datagrams_dropped;
-    telemetry::Counter datagrams_delayed;
-    telemetry::Counter datagrams_duplicated;
-    telemetry::Counter datagrams_corrupted;
-    telemetry::Counter unresolved_names;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, ChaosStats, COLLABQOS_CHAOS_COUNTERS);
   Counters stats_;
 };
 

@@ -64,22 +64,7 @@ BaseStationPeer::BaseStationPeer(net::Network& network, net::NodeId node,
   });
   radio_ = std::make_unique<wireless::RadioResourceManager>(options_.channel,
                                                             options_.radio);
-  auto& registry = telemetry::MetricsRegistry::global();
-  auto& regs = stats_.registrations;
-  regs.push_back(registry.attach("core.base_station.uplink_events",
-                                 stats_.uplink_events));
-  regs.push_back(registry.attach("core.base_station.multicast_relayed",
-                                 stats_.multicast_relayed));
-  regs.push_back(registry.attach("core.base_station.downlink_unicasts",
-                                 stats_.downlink_unicasts));
-  regs.push_back(registry.attach("core.base_station.suppressed_by_grade",
-                                 stats_.suppressed_by_grade));
-  regs.push_back(registry.attach("core.base_station.suppressed_by_profile",
-                                 stats_.suppressed_by_profile));
-  regs.push_back(registry.attach("core.base_station.adaptation_failures",
-                                 stats_.adaptation_failures));
-  regs.push_back(registry.attach("core.base_station.outage_dropped",
-                                 stats_.outage_dropped));
+  stats_.attach(telemetry::MetricsRegistry::global());
 }
 
 BaseStationPeer::~BaseStationPeer() = default;

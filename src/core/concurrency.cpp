@@ -37,7 +37,7 @@ Result<Operation> Operation::decode(std::span<const std::uint8_t> bytes) {
 
 Result<Operation> Operation::decode(const serde::ByteChain& bytes) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      bytes, telemetry::PipelineCounters::global().gather());
+      bytes, telemetry::PipelineCounters::global().gather);
   return decode(flat);
 }
 

@@ -27,6 +27,7 @@
 #include "collabqos/core/inference.hpp"
 #include "collabqos/core/session.hpp"
 #include "collabqos/pubsub/peer.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 #include "collabqos/wireless/basestation.hpp"
 
 namespace collabqos::core {
@@ -42,15 +43,20 @@ struct AttachRequest {
   wireless::BatteryState battery{};
 };
 
+/// The base station's counters, declared once
+/// (telemetry/counter_set.hpp).
+#define COLLABQOS_BASE_STATION_COUNTERS(X)                                     \
+  X(uplink_events, "core.base_station.uplink_events")                          \
+  X(multicast_relayed, "core.base_station.multicast_relayed")                  \
+  X(downlink_unicasts, "core.base_station.downlink_unicasts")                  \
+  X(suppressed_by_grade, "core.base_station.suppressed_by_grade")              \
+  X(suppressed_by_profile, "core.base_station.suppressed_by_profile")          \
+  X(adaptation_failures, "core.base_station.adaptation_failures")              \
+  X(outage_dropped, "core.base_station.outage_dropped") /* injected outage */
+
 /// Point-in-time view (registry families "core.base_station.*").
 struct BaseStationStats {
-  std::uint64_t uplink_events = 0;
-  std::uint64_t multicast_relayed = 0;
-  std::uint64_t downlink_unicasts = 0;
-  std::uint64_t suppressed_by_grade = 0;
-  std::uint64_t suppressed_by_profile = 0;
-  std::uint64_t adaptation_failures = 0;
-  std::uint64_t outage_dropped = 0;  ///< traffic hit an injected outage
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_BASE_STATION_COUNTERS)
 };
 
 struct BaseStationOptions {
@@ -106,12 +112,7 @@ class BaseStationPeer {
     return *radio_;
   }
   [[nodiscard]] BaseStationStats stats() const noexcept {
-    return BaseStationStats{
-        stats_.uplink_events.value(),       stats_.multicast_relayed.value(),
-        stats_.downlink_unicasts.value(),   stats_.suppressed_by_grade.value(),
-        stats_.suppressed_by_profile.value(),
-        stats_.adaptation_failures.value(), stats_.outage_dropped.value(),
-    };
+    return stats_.view();
   }
   [[nodiscard]] net::Address address() const noexcept {
     return peer_->address();
@@ -136,16 +137,8 @@ class BaseStationPeer {
   };
 
   /// Registry-backed counters; BaseStationStats is the cheap view.
-  struct Counters {
-    telemetry::Counter uplink_events;
-    telemetry::Counter multicast_relayed;
-    telemetry::Counter downlink_unicasts;
-    telemetry::Counter suppressed_by_grade;
-    telemetry::Counter suppressed_by_profile;
-    telemetry::Counter adaptation_failures;
-    telemetry::Counter outage_dropped;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, BaseStationStats,
+                        COLLABQOS_BASE_STATION_COUNTERS);
 
   void on_multicast(const pubsub::SemanticMessage& message);
   /// Adapt and unicast `message` to one wireless client if its profile

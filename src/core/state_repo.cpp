@@ -37,7 +37,7 @@ Result<StateEntry> StateEntry::decode(std::span<const std::uint8_t> bytes) {
 
 Result<StateEntry> StateEntry::decode(const serde::ByteChain& bytes) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      bytes, telemetry::PipelineCounters::global().gather());
+      bytes, telemetry::PipelineCounters::global().gather);
   return decode(flat);
 }
 

@@ -74,7 +74,7 @@ Result<MediaObject> MediaObject::decode(const serde::ByteChain& bytes) {
   // Materialise at most once, at the pipeline's edge: a coalesced chain
   // is already contiguous and decodes in place.
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      bytes, telemetry::PipelineCounters::global().media());
+      bytes, telemetry::PipelineCounters::global().media);
   return decode(flat);
 }
 

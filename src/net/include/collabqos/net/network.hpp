@@ -17,7 +17,7 @@
 #include "collabqos/serde/chain.hpp"
 #include "collabqos/serde/wire.hpp"
 #include "collabqos/sim/simulator.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 #include "collabqos/util/result.hpp"
 
 namespace collabqos::net {
@@ -117,26 +117,34 @@ using FaultHook =
     std::function<FaultDecision(Address source, Address destination,
                                 std::size_t payload_bytes)>;
 
-/// Point-in-time view of the network's counters (registry families
-/// "net.datagrams.*" / "net.bytes.*"; see DESIGN.md §9).
-struct NetworkStats {
-  std::uint64_t datagrams_sent = 0;
-  std::uint64_t datagrams_delivered = 0;
-  std::uint64_t datagrams_dropped_loss = 0;
-  std::uint64_t datagrams_dropped_unbound = 0;
-  std::uint64_t bytes_delivered = 0;
-  std::uint64_t datagrams_dropped_fault = 0;  ///< chaos drop / partition
-  std::uint64_t datagrams_duplicated = 0;     ///< extra chaos copies
-  std::uint64_t datagrams_corrupted = 0;      ///< chaos bit-flip copies
-};
+/// The network's counters, declared once (telemetry/counter_set.hpp;
+/// registry families "net.datagrams.*" / "net.bytes.*", DESIGN.md §9).
+#define COLLABQOS_NETWORK_COUNTERS(X)                                          \
+  X(datagrams_sent, "net.datagrams.sent")                                      \
+  X(datagrams_delivered, "net.datagrams.delivered")                            \
+  X(datagrams_dropped_loss, "net.datagrams.dropped_loss")                      \
+  X(datagrams_dropped_unbound, "net.datagrams.dropped_unbound")                \
+  X(bytes_delivered, "net.bytes.delivered")                                    \
+  X(datagrams_dropped_fault, "net.datagrams.dropped_fault") /* chaos drop */   \
+  X(datagrams_duplicated, "net.datagrams.duplicated") /* extra chaos copies */ \
+  X(datagrams_corrupted, "net.datagrams.corrupted") /* chaos bit-flips */
 
 /// Per-node interface counters (what a MIB-II interfaces-group agent on
 /// the node would expose: octets/packets in and out).
+#define COLLABQOS_NODE_COUNTERS(X)                                             \
+  X(datagrams_in, "net.node.datagrams_in")                                     \
+  X(datagrams_out, "net.node.datagrams_out")                                   \
+  X(bytes_in, "net.node.bytes_in")                                             \
+  X(bytes_out, "net.node.bytes_out")
+
+/// Point-in-time view of the network's counters.
+struct NetworkStats {
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_NETWORK_COUNTERS)
+};
+
+/// Point-in-time view of one node's interface counters.
 struct NodeStats {
-  std::uint64_t datagrams_in = 0;
-  std::uint64_t datagrams_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_NODE_COUNTERS)
 };
 
 class Network {
@@ -171,18 +179,7 @@ class Network {
   [[nodiscard]] Result<std::unique_ptr<Endpoint>> bind(NodeId node,
                                                        Port port = 0);
 
-  [[nodiscard]] NetworkStats stats() const noexcept {
-    return NetworkStats{
-        stats_.datagrams_sent.value(),
-        stats_.datagrams_delivered.value(),
-        stats_.datagrams_dropped_loss.value(),
-        stats_.datagrams_dropped_unbound.value(),
-        stats_.bytes_delivered.value(),
-        stats_.datagrams_dropped_fault.value(),
-        stats_.datagrams_duplicated.value(),
-        stats_.datagrams_corrupted.value(),
-    };
-  }
+  [[nodiscard]] NetworkStats stats() const noexcept { return stats_.view(); }
   [[nodiscard]] Result<NodeStats> node_stats(NodeId node) const;
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
   [[nodiscard]] Result<std::string> node_name(NodeId node) const;
@@ -195,27 +192,11 @@ class Network {
   friend class Endpoint;
 
   /// Registry-backed network totals; NetworkStats is the cheap view.
-  struct NetworkCounters {
-    telemetry::Counter datagrams_sent;
-    telemetry::Counter datagrams_delivered;
-    telemetry::Counter datagrams_dropped_loss;
-    telemetry::Counter datagrams_dropped_unbound;
-    telemetry::Counter bytes_delivered;
-    telemetry::Counter datagrams_dropped_fault;
-    telemetry::Counter datagrams_duplicated;
-    telemetry::Counter datagrams_corrupted;
-    std::vector<telemetry::Registration> registrations;
-  };
-
+  COLLABQOS_COUNTER_SET(NetworkCounters, NetworkStats,
+                        COLLABQOS_NETWORK_COUNTERS);
   /// Per-node interface counters. Heap-allocated so their addresses (and
   /// the attached registry entries) survive Node being moved into the map.
-  struct NodeCounters {
-    telemetry::Counter datagrams_in;
-    telemetry::Counter datagrams_out;
-    telemetry::Counter bytes_in;
-    telemetry::Counter bytes_out;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(NodeCounters, NodeStats, COLLABQOS_NODE_COUNTERS);
 
   struct Node {
     std::string name;

@@ -26,7 +26,7 @@
 #include "collabqos/serde/chain.hpp"
 #include "collabqos/serde/wire.hpp"
 #include "collabqos/sim/time.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 #include "collabqos/util/result.hpp"
 #include "collabqos/util/stats.hpp"
 
@@ -48,16 +48,9 @@ struct RtpPacket {
   /// Zero-copy wire form: a freshly written ~24-byte header slice
   /// chained with the payload view. What the datagram layer transmits.
   [[nodiscard]] serde::ByteChain wire() const;
-  /// Legacy contiguous wire form; copies the payload into the header
-  /// buffer (charged to pipeline.bytes_copied.packet_encode).
-  [[nodiscard]] serde::Bytes encode() const;
   /// Zero-copy decode: header fields are read across the chain's slices
   /// and the payload comes out as a view of the input's storage.
   [[nodiscard]] static Result<RtpPacket> decode(const serde::ByteChain& bytes);
-  /// Legacy decode from a borrowed contiguous buffer; the payload is
-  /// copied out (charged to pipeline.bytes_copied.packet_decode).
-  [[nodiscard]] static Result<RtpPacket> decode(
-      std::span<const std::uint8_t> bytes);
 };
 
 /// Fragments application objects into RTP packets.
@@ -67,15 +60,9 @@ class RtpPacketizer {
 
   /// Zero-copy fragmentation: split one encode buffer into packets whose
   /// payloads are slices of `object` — no fragment materialises bytes.
+  /// `timestamp` identifies the object (monotonically increasing).
   [[nodiscard]] std::vector<RtpPacket> packetize_views(
       const serde::SharedBytes& object, std::uint8_t payload_type,
-      std::uint32_t timestamp);
-
-  /// Legacy copying fragmentation over a borrowed span (each fragment
-  /// materialises; charged to pipeline.bytes_copied.fragment).
-  /// `timestamp` identifies the object (monotonically increasing).
-  [[nodiscard]] std::vector<RtpPacket> packetize(
-      std::span<const std::uint8_t> object, std::uint8_t payload_type,
       std::uint32_t timestamp);
 
   /// Packetize pre-cut fragments (e.g. the progressive codec's packets,
@@ -114,10 +101,6 @@ struct RtpObject {
   /// slice of one sender-side encode, the chain coalesces back to a
   /// single contiguous slice.
   [[nodiscard]] serde::ByteChain payload_chain() const;
-
-  /// Legacy reassembly: concatenate the received fragments into a fresh
-  /// buffer (charged to pipeline.bytes_copied.reassemble).
-  [[nodiscard]] serde::Bytes reassemble() const;
 };
 
 /// RFC 3550-shaped receiver statistics for one source.
@@ -129,6 +112,15 @@ struct ReceiverReport {
   double fraction_lost = 0.0;        ///< over the last report interval
   double interarrival_jitter_us = 0.0;
   std::uint16_t highest_sequence = 0;
+};
+
+/// The receiver's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_RTP_RECEIVER_COUNTERS(X)                                     \
+  X(evicted, "rtp.reassembly.evicted") /* pending objects budget-flushed */
+
+/// Point-in-time view of one receiver's counters.
+struct RtpReceiverStats {
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_RTP_RECEIVER_COUNTERS)
 };
 
 /// Per-source reassembly and statistics. Objects are delivered to the
@@ -159,10 +151,8 @@ class RtpReceiver {
 
   /// Feed one raw datagram payload; returns malformed for undecodable
   /// bytes, ok otherwise (duplicates and stale packets are absorbed).
-  /// The chain form is zero-copy: the stored fragment is a view of the
-  /// datagram's storage.
+  /// Zero-copy: the stored fragment is a view of the datagram's storage.
   Status ingest(const serde::ByteChain& bytes, sim::TimePoint now);
-  Status ingest(std::span<const std::uint8_t> bytes, sim::TimePoint now);
   /// Feed an already-decoded packet (callers that need the header for
   /// source bookkeeping decode once and pass it through).
   Status ingest(RtpPacket packet, sim::TimePoint now);
@@ -204,9 +194,8 @@ class RtpReceiver {
   [[nodiscard]] std::size_t pending_bytes() const noexcept {
     return pending_bytes_;
   }
-  /// Pending objects force-flushed by the byte budget so far.
-  [[nodiscard]] std::uint64_t evicted() const noexcept {
-    return counters_.evicted.value();
+  [[nodiscard]] RtpReceiverStats stats() const noexcept {
+    return counters_.view();
   }
 
  private:
@@ -234,12 +223,9 @@ class RtpReceiver {
     std::size_t stored_bytes = 0;  ///< payload bytes held (budget share)
   };
 
-  /// Registry-backed reassembly instruments ("rtp.reassembly.*").
-  struct Counters {
-    telemetry::Counter evicted;
-    telemetry::Gauge pending_bytes;
-    std::vector<telemetry::Registration> registrations;
-  };
+  /// Registry-backed reassembly counters; RtpReceiverStats is the view.
+  COLLABQOS_COUNTER_SET(Counters, RtpReceiverStats,
+                        COLLABQOS_RTP_RECEIVER_COUNTERS);
 
   void update_stats(SourceState& state, const RtpPacket& packet,
                     sim::TimePoint now);
@@ -252,6 +238,9 @@ class RtpReceiver {
   Options options_;
   std::size_t pending_bytes_ = 0;
   Counters counters_;
+  /// Live reassembly footprint ("rtp.reassembly.pending_bytes").
+  telemetry::Gauge pending_bytes_gauge_;
+  telemetry::Registration pending_bytes_registration_;
   std::map<std::uint32_t, SourceState> sources_;
   std::map<PendingKey, PendingObject> pending_;
   /// At-most-once delivery: recently completed objects absorb late

@@ -63,23 +63,7 @@ bool Endpoint::member_of(GroupId group) const {
 
 Network::Network(sim::Simulator& simulator, std::uint64_t seed)
     : simulator_(simulator), seed_(seed) {
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations.push_back(
-      registry.attach("net.datagrams.sent", stats_.datagrams_sent));
-  stats_.registrations.push_back(
-      registry.attach("net.datagrams.delivered", stats_.datagrams_delivered));
-  stats_.registrations.push_back(registry.attach(
-      "net.datagrams.dropped_loss", stats_.datagrams_dropped_loss));
-  stats_.registrations.push_back(registry.attach(
-      "net.datagrams.dropped_unbound", stats_.datagrams_dropped_unbound));
-  stats_.registrations.push_back(
-      registry.attach("net.bytes.delivered", stats_.bytes_delivered));
-  stats_.registrations.push_back(registry.attach(
-      "net.datagrams.dropped_fault", stats_.datagrams_dropped_fault));
-  stats_.registrations.push_back(registry.attach(
-      "net.datagrams.duplicated", stats_.datagrams_duplicated));
-  stats_.registrations.push_back(registry.attach(
-      "net.datagrams.corrupted", stats_.datagrams_corrupted));
+  stats_.attach(telemetry::MetricsRegistry::global());
 }
 
 Network::~Network() {
@@ -101,15 +85,7 @@ NodeId Network::add_node(const std::string& name, LinkParams params) {
   node.downlink =
       std::make_unique<LinkModel>(params, Rng(derive_seed(link_seed, 2)));
   node.counters = std::make_unique<NodeCounters>();
-  auto& registry = telemetry::MetricsRegistry::global();
-  node.counters->registrations.push_back(
-      registry.attach("net.node.datagrams_in", node.counters->datagrams_in));
-  node.counters->registrations.push_back(
-      registry.attach("net.node.datagrams_out", node.counters->datagrams_out));
-  node.counters->registrations.push_back(
-      registry.attach("net.node.bytes_in", node.counters->bytes_in));
-  node.counters->registrations.push_back(
-      registry.attach("net.node.bytes_out", node.counters->bytes_out));
+  node.counters->attach(telemetry::MetricsRegistry::global());
   nodes_.emplace(id, std::move(node));
   return make_node(id);
 }
@@ -167,13 +143,7 @@ Result<NodeStats> Network::node_stats(NodeId node) const {
   if (it == nodes_.end()) {
     return Error{Errc::no_such_object, "unknown node"};
   }
-  const NodeCounters& counters = *it->second.counters;
-  return NodeStats{
-      counters.datagrams_in.value(),
-      counters.datagrams_out.value(),
-      counters.bytes_in.value(),
-      counters.bytes_out.value(),
-  };
+  return it->second.counters->view();
 }
 
 Result<std::string> Network::node_name(NodeId node) const {
@@ -294,7 +264,7 @@ void Network::route(Address source, Address destination, bool via_multicast,
     serde::Bytes damaged = payload.gather();
     damaged[fault.corrupt_offset % damaged.size()] ^= fault.corrupt_xor;
     auto& copies = telemetry::PipelineCounters::global();
-    copies.charge(copies.chaos_corrupt(), damaged.size());
+    copies.charge(copies.chaos_corrupt, damaged.size());
     datagram.payload = serde::ByteChain(std::move(damaged));
     ++stats_.datagrams_corrupted;
   }

@@ -56,10 +56,7 @@ serde::Bytes encode_header(const RtpPacket& p) {
   return std::move(w).take();
 }
 
-/// Shared field decode; `read_payload` supplies the layer-appropriate
-/// payload extraction (copy for the legacy span path, view for chains).
-template <typename ReaderT, typename PayloadFn>
-Result<RtpPacket> decode_fields(ReaderT& r, PayloadFn read_payload) {
+Result<RtpPacket> decode_fields(serde::ChainReader& r) {
   auto magic = r.u8();
   if (!magic) return magic.error();
   if (magic.value() != kMagic) {
@@ -89,7 +86,12 @@ Result<RtpPacket> decode_fields(ReaderT& r, PayloadFn read_payload) {
   }
   auto checksum = r.u32();
   if (!checksum) return checksum.error();
-  if (auto status = read_payload(r, p); !status.ok()) return status.error();
+  auto view = r.view_blob();
+  if (!view) return view.error();
+  // A packet's wire form is [header][payload view], so the view is one
+  // slice on the nominal path; a genuinely fragmented payload gathers.
+  p.payload = telemetry::flatten_counted(
+      view.value(), telemetry::PipelineCounters::global().packet_decode);
   if (!r.exhausted()) {
     return Error{Errc::malformed, "trailing bytes after RTP payload"};
   }
@@ -107,37 +109,9 @@ serde::ByteChain RtpPacket::wire() const {
   return chain;
 }
 
-serde::Bytes RtpPacket::encode() const {
-  serde::Bytes out = encode_header(*this);
-  out.insert(out.end(), payload.begin(), payload.end());
-  auto& copies = telemetry::PipelineCounters::global();
-  copies.charge(copies.packet_encode(), payload.size());
-  return out;
-}
-
 Result<RtpPacket> RtpPacket::decode(const serde::ByteChain& bytes) {
   serde::ChainReader r(bytes);
-  return decode_fields(r, [](serde::ChainReader& reader, RtpPacket& p) {
-    auto view = reader.view_blob();
-    if (!view) return Status(view.error());
-    // A packet's wire form is [header][payload view], so the view is one
-    // slice on the nominal path; a genuinely fragmented payload gathers.
-    p.payload = telemetry::flatten_counted(
-        view.value(), telemetry::PipelineCounters::global().packet_decode());
-    return Status{};
-  });
-}
-
-Result<RtpPacket> RtpPacket::decode(std::span<const std::uint8_t> bytes) {
-  serde::Reader r(bytes);
-  return decode_fields(r, [](serde::Reader& reader, RtpPacket& p) {
-    auto payload = reader.blob();
-    if (!payload) return Status(payload.error());
-    auto& copies = telemetry::PipelineCounters::global();
-    copies.charge(copies.packet_decode(), payload.value().size());
-    p.payload = std::move(payload).take();
-    return Status{};
-  });
+  return decode_fields(r);
 }
 
 RtpPacketizer::RtpPacketizer(std::uint32_t ssrc,
@@ -161,34 +135,6 @@ std::vector<RtpPacket> RtpPacketizer::packetize_views(
     p.fragment_index = static_cast<std::uint16_t>(i);
     p.fragment_count = static_cast<std::uint16_t>(count);
     p.payload = object.slice(i * mtu_payload_, mtu_payload_);
-    packets.push_back(std::move(p));
-  }
-  return packets;
-}
-
-std::vector<RtpPacket> RtpPacketizer::packetize(
-    std::span<const std::uint8_t> object, std::uint8_t payload_type,
-    std::uint32_t timestamp) {
-  const std::size_t count =
-      object.empty() ? 1 : (object.size() + mtu_payload_ - 1) / mtu_payload_;
-  assert(count <= UINT16_MAX);
-  std::vector<RtpPacket> packets;
-  packets.reserve(count);
-  auto& copies = telemetry::PipelineCounters::global();
-  for (std::size_t i = 0; i < count; ++i) {
-    RtpPacket p;
-    p.ssrc = ssrc_;
-    p.sequence = sequence_++;
-    p.timestamp = timestamp;
-    p.payload_type = payload_type;
-    p.fragment_index = static_cast<std::uint16_t>(i);
-    p.fragment_count = static_cast<std::uint16_t>(count);
-    const std::size_t begin = i * mtu_payload_;
-    const std::size_t end = std::min(begin + mtu_payload_, object.size());
-    p.payload = serde::SharedBytes(
-        serde::Bytes(object.begin() + static_cast<std::ptrdiff_t>(begin),
-                     object.begin() + static_cast<std::ptrdiff_t>(end)));
-    copies.charge(copies.fragment(), end - begin);
     packets.push_back(std::move(p));
   }
   return packets;
@@ -221,33 +167,14 @@ serde::ByteChain RtpObject::payload_chain() const {
   return chain;
 }
 
-serde::Bytes RtpObject::reassemble() const {
-  serde::Bytes out;
-  std::size_t total = 0;
-  for (const auto& f : fragments) total += f.size();
-  out.reserve(total);
-  for (const auto& f : fragments) out.insert(out.end(), f.begin(), f.end());
-  auto& copies = telemetry::PipelineCounters::global();
-  copies.charge(copies.reassemble(), total);
-  return out;
-}
-
 RtpReceiver::RtpReceiver(Options options) : options_(options) {
   auto& registry = telemetry::MetricsRegistry::global();
-  counters_.registrations.push_back(
-      registry.attach("rtp.reassembly.evicted", counters_.evicted));
-  counters_.registrations.push_back(registry.attach(
-      "rtp.reassembly.pending_bytes", counters_.pending_bytes));
+  counters_.attach(registry);
+  pending_bytes_registration_ =
+      registry.attach("rtp.reassembly.pending_bytes", pending_bytes_gauge_);
 }
 
 Status RtpReceiver::ingest(const serde::ByteChain& bytes, sim::TimePoint now) {
-  auto decoded = RtpPacket::decode(bytes);
-  if (!decoded) return decoded.error();
-  return ingest(std::move(decoded).take(), now);
-}
-
-Status RtpReceiver::ingest(std::span<const std::uint8_t> bytes,
-                           sim::TimePoint now) {
   auto decoded = RtpPacket::decode(bytes);
   if (!decoded) return decoded.error();
   return ingest(std::move(decoded).take(), now);
@@ -286,7 +213,7 @@ Status RtpReceiver::ingest(RtpPacket packet, sim::TimePoint now) {
   ++pending.object.fragments_received;
   pending.stored_bytes += fragment_bytes;
   pending_bytes_ += fragment_bytes;
-  counters_.pending_bytes.set(static_cast<double>(pending_bytes_));
+  pending_bytes_gauge_.set(static_cast<double>(pending_bytes_));
   pending.last_update = now;
 
   if (pending.object.fragments_received == pending.object.fragment_count) {
@@ -303,7 +230,7 @@ Status RtpReceiver::ingest(RtpPacket packet, sim::TimePoint now) {
 
 void RtpReceiver::forget_bytes(const PendingObject& pending) noexcept {
   pending_bytes_ -= pending.stored_bytes;
-  counters_.pending_bytes.set(static_cast<double>(pending_bytes_));
+  pending_bytes_gauge_.set(static_cast<double>(pending_bytes_));
 }
 
 void RtpReceiver::enforce_budget() {

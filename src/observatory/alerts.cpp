@@ -26,14 +26,7 @@ AlertEngine::AlertEngine(TimeSeriesSampler& sampler)
 AlertEngine::AlertEngine(TimeSeriesSampler& sampler, Options options)
     : sampler_(sampler), options_(options) {
   auto& registry = telemetry::MetricsRegistry::global();
-  auto& regs = stats_.registrations;
-  regs.push_back(
-      registry.attach("observatory.alerts.evaluations", stats_.evaluations));
-  regs.push_back(registry.attach("observatory.alerts.raised", stats_.raised));
-  regs.push_back(
-      registry.attach("observatory.alerts.cleared", stats_.cleared));
-  regs.push_back(
-      registry.attach("observatory.alerts.published", stats_.published));
+  stats_.attach(registry);
   active_gauge_ = &registry.gauge("observatory.alerts.active");
   sampler.on_tick([this](sim::TimePoint now) { evaluate(now); });
 }
@@ -207,11 +200,6 @@ std::size_t AlertEngine::active() const {
     if (instance.state > Severity::ok) ++n;
   }
   return n;
-}
-
-AlertEngineStats AlertEngine::stats() const noexcept {
-  return AlertEngineStats{stats_.evaluations.value(), stats_.raised.value(),
-                          stats_.cleared.value(), stats_.published.value()};
 }
 
 }  // namespace collabqos::observatory

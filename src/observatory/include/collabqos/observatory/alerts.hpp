@@ -19,6 +19,7 @@
 
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/pubsub/peer.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::observatory {
 
@@ -73,12 +74,16 @@ struct AlertTransition {
   double value = 0.0;  ///< the signal that drove the transition
 };
 
+/// The engine's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_ALERT_COUNTERS(X)                                            \
+  X(evaluations, "observatory.alerts.evaluations")                             \
+  X(raised, "observatory.alerts.raised") /* to a higher severity */            \
+  X(cleared, "observatory.alerts.cleared") /* back to ok */                    \
+  X(published, "observatory.alerts.published")
+
 /// Point-in-time engine counters (registry families "observatory.alerts.*").
 struct AlertEngineStats {
-  std::uint64_t evaluations = 0;
-  std::uint64_t raised = 0;   ///< transitions to a higher severity
-  std::uint64_t cleared = 0;  ///< transitions back to ok
-  std::uint64_t published = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_ALERT_COUNTERS)
 };
 
 class AlertEngine {
@@ -115,7 +120,9 @@ class AlertEngine {
   [[nodiscard]] const std::deque<AlertTransition>& history() const noexcept {
     return history_;
   }
-  [[nodiscard]] AlertEngineStats stats() const noexcept;
+  [[nodiscard]] AlertEngineStats stats() const noexcept {
+    return stats_.view();
+  }
 
  private:
   struct InstanceKey {
@@ -155,13 +162,7 @@ class AlertEngine {
   std::map<InstanceKey, Instance, std::less<>> instances_;
   std::deque<AlertTransition> history_;
 
-  struct Counters {
-    telemetry::Counter evaluations;
-    telemetry::Counter raised;
-    telemetry::Counter cleared;
-    telemetry::Counter published;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, AlertEngineStats, COLLABQOS_ALERT_COUNTERS);
   Counters stats_;
   telemetry::Gauge* active_gauge_ = nullptr;  ///< registry-owned
 };

@@ -26,6 +26,7 @@
 
 #include "collabqos/sim/simulator.hpp"
 #include "collabqos/snmp/manager.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 #include "collabqos/telemetry/metrics.hpp"
 
 namespace collabqos::observatory {
@@ -99,13 +100,17 @@ struct SamplerOptions {
   std::uint32_t bulk_repetitions = 16;
 };
 
+/// The sampler's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_SAMPLER_COUNTERS(X)                                          \
+  X(ticks, "observatory.sampler.ticks")                                        \
+  X(local_points, "observatory.sampler.local_points")                          \
+  X(remote_walks, "observatory.sampler.remote_walks")                          \
+  X(remote_points, "observatory.sampler.remote_points")                        \
+  X(remote_failures, "observatory.sampler.remote_failures")
+
 /// Point-in-time sampler counters (registry families "observatory.sampler.*").
 struct SamplerStats {
-  std::uint64_t ticks = 0;
-  std::uint64_t local_points = 0;
-  std::uint64_t remote_walks = 0;
-  std::uint64_t remote_points = 0;
-  std::uint64_t remote_failures = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_SAMPLER_COUNTERS)
 };
 
 class TimeSeriesSampler {
@@ -153,7 +158,7 @@ class TimeSeriesSampler {
 
   void on_tick(TickHook hook) { hooks_.push_back(std::move(hook)); }
 
-  [[nodiscard]] SamplerStats stats() const noexcept;
+  [[nodiscard]] SamplerStats stats() const noexcept { return stats_.view(); }
   [[nodiscard]] const SamplerOptions& options() const noexcept {
     return options_;
   }
@@ -194,14 +199,7 @@ class TimeSeriesSampler {
   std::deque<Remote> remotes_;  ///< stable addresses for walk callbacks
   std::vector<TickHook> hooks_;
 
-  struct Counters {
-    telemetry::Counter ticks;
-    telemetry::Counter local_points;
-    telemetry::Counter remote_walks;
-    telemetry::Counter remote_points;
-    telemetry::Counter remote_failures;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, SamplerStats, COLLABQOS_SAMPLER_COUNTERS);
   Counters stats_;
 };
 

@@ -89,17 +89,7 @@ TimeSeriesSampler::TimeSeriesSampler(sim::Simulator& simulator,
       registry_(registry),
       options_(options),
       timer_(simulator, options.period, [this] { sample_now(); }) {
-  auto& global = telemetry::MetricsRegistry::global();
-  auto& regs = stats_.registrations;
-  regs.push_back(global.attach("observatory.sampler.ticks", stats_.ticks));
-  regs.push_back(
-      global.attach("observatory.sampler.local_points", stats_.local_points));
-  regs.push_back(
-      global.attach("observatory.sampler.remote_walks", stats_.remote_walks));
-  regs.push_back(global.attach("observatory.sampler.remote_points",
-                               stats_.remote_points));
-  regs.push_back(global.attach("observatory.sampler.remote_failures",
-                               stats_.remote_failures));
+  stats_.attach(telemetry::MetricsRegistry::global());
 }
 
 void TimeSeriesSampler::add_remote(std::string host, snmp::Manager& manager,
@@ -259,13 +249,6 @@ void TimeSeriesSampler::visit(
 
 void TimeSeriesSampler::run_hooks(sim::TimePoint now) {
   for (const TickHook& hook : hooks_) hook(now);
-}
-
-SamplerStats TimeSeriesSampler::stats() const noexcept {
-  return SamplerStats{stats_.ticks.value(), stats_.local_points.value(),
-                      stats_.remote_walks.value(),
-                      stats_.remote_points.value(),
-                      stats_.remote_failures.value()};
 }
 
 }  // namespace collabqos::observatory

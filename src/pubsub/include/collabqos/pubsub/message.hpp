@@ -44,16 +44,10 @@ struct SemanticMessage {
   /// comes out as a view of the input's storage.
   [[nodiscard]] static Result<SemanticMessage> decode(
       const serde::ByteChain& bytes);
-  [[nodiscard]] static Result<SemanticMessage> decode(
-      const serde::ByteChain& bytes, SelectorCache& cache);
-  /// Legacy decode from a borrowed contiguous buffer; the payload is
-  /// copied out (charged to pipeline.bytes_copied.message_decode).
-  [[nodiscard]] static Result<SemanticMessage> decode(
-      std::span<const std::uint8_t> bytes);
   /// As above, but the selector decode is served through `cache` —
   /// steady-state streams skip the selector decode + compile entirely.
   [[nodiscard]] static Result<SemanticMessage> decode(
-      std::span<const std::uint8_t> bytes, SelectorCache& cache);
+      const serde::ByteChain& bytes, SelectorCache& cache);
 };
 
 /// Receiver-side semantic interpretation outcome (Figure 3).

@@ -22,23 +22,27 @@
 #include "collabqos/pubsub/message.hpp"
 #include "collabqos/pubsub/profile.hpp"
 #include "collabqos/pubsub/selector_cache.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::pubsub {
 
-/// Point-in-time view of one peer's counters (registry families
-/// "pubsub.peer.*" sum these across all live peers).
+/// The peer's counters, declared once (telemetry/counter_set.hpp):
+/// registry families "pubsub.peer.*" sum these across all live peers.
+#define COLLABQOS_PEER_COUNTERS(X)                                             \
+  X(published, "pubsub.peer.published")                                        \
+  X(received_objects, "pubsub.peer.received_objects")                          \
+  X(undecodable, "pubsub.peer.undecodable")                                    \
+  X(incomplete_dropped, "pubsub.peer.incomplete_dropped")                      \
+  X(rejected, "pubsub.peer.rejected")                                          \
+  X(accepted, "pubsub.peer.accepted")                                          \
+  X(accepted_with_transformation, "pubsub.peer.accepted_with_transformation")  \
+  X(nacks_sent, "pubsub.peer.nacks_sent") /* repair requests issued */         \
+  X(nacks_received, "pubsub.peer.nacks_received") /* requests served */        \
+  X(retransmissions, "pubsub.peer.retransmissions") /* fragments resent */
+
+/// Point-in-time view of one peer's counters.
 struct PeerStats {
-  std::uint64_t published = 0;
-  std::uint64_t received_objects = 0;
-  std::uint64_t undecodable = 0;
-  std::uint64_t incomplete_dropped = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t accepted_with_transformation = 0;
-  std::uint64_t nacks_sent = 0;        ///< repair requests issued
-  std::uint64_t nacks_received = 0;    ///< repair requests served
-  std::uint64_t retransmissions = 0;   ///< fragments resent on request
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_PEER_COUNTERS)
 };
 
 struct PeerOptions {
@@ -105,20 +109,7 @@ class SemanticPeer {
     return endpoint_->address();
   }
   [[nodiscard]] net::GroupId group() const noexcept { return group_; }
-  [[nodiscard]] PeerStats stats() const noexcept {
-    return PeerStats{
-        stats_.published.value(),
-        stats_.received_objects.value(),
-        stats_.undecodable.value(),
-        stats_.incomplete_dropped.value(),
-        stats_.rejected.value(),
-        stats_.accepted.value(),
-        stats_.accepted_with_transformation.value(),
-        stats_.nacks_sent.value(),
-        stats_.nacks_received.value(),
-        stats_.retransmissions.value(),
-    };
-  }
+  [[nodiscard]] PeerStats stats() const noexcept { return stats_.view(); }
   [[nodiscard]] SelectorCache::Stats selector_cache_stats() const noexcept {
     return selector_cache_.stats();
   }
@@ -138,21 +129,8 @@ class SemanticPeer {
 
  private:
   /// Registry-backed counters; PeerStats is the cheap view.
-  struct PeerCounters {
-    telemetry::Counter published;
-    telemetry::Counter received_objects;
-    telemetry::Counter undecodable;
-    telemetry::Counter incomplete_dropped;
-    telemetry::Counter rejected;
-    telemetry::Counter accepted;
-    telemetry::Counter accepted_with_transformation;
-    telemetry::Counter nacks_sent;
-    telemetry::Counter nacks_received;
-    telemetry::Counter retransmissions;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(PeerCounters, PeerStats, COLLABQOS_PEER_COUNTERS);
 
-  void register_counters();
   void on_datagram(const net::Datagram& datagram);
   void on_object(const net::RtpObject& object);
   /// `transport_timestamp` keys RTP reassembly; it must be unique per

@@ -25,6 +25,7 @@
 #include "collabqos/net/network.hpp"
 #include "collabqos/pubsub/attribute.hpp"
 #include "collabqos/pubsub/selector.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::pubsub::baseline {
 
@@ -45,11 +46,16 @@ struct NamedMessage {
   serde::Bytes payload;
 };
 
+/// The naming server's counters, declared once
+/// (telemetry/counter_set.hpp).
+#define COLLABQOS_NAMING_SERVER_COUNTERS(X)                                    \
+  X(registrations, "baseline.naming_server.registrations")                     \
+  X(roster_pushes, "baseline.naming_server.roster_pushes") /* datagrams */     \
+  X(roster_bytes, "baseline.naming_server.roster_bytes")
+
 /// Point-in-time view (registry families "baseline.naming_server.*").
 struct NamingServerStats {
-  std::uint64_t registrations = 0;
-  std::uint64_t roster_pushes = 0;      ///< datagrams carrying rosters
-  std::uint64_t roster_bytes = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_NAMING_SERVER_COUNTERS)
 };
 
 /// The central naming server (well-known port 7000 on its node).
@@ -66,18 +72,12 @@ class NamingServer {
     return roster_.size();
   }
   [[nodiscard]] NamingServerStats stats() const noexcept {
-    return NamingServerStats{stats_.registrations.value(),
-                             stats_.roster_pushes.value(),
-                             stats_.roster_bytes.value()};
+    return stats_.view();
   }
 
  private:
-  struct Counters {
-    telemetry::Counter registrations;
-    telemetry::Counter roster_pushes;
-    telemetry::Counter roster_bytes;
-    std::vector<telemetry::Registration> registrations_handles;
-  };
+  COLLABQOS_COUNTER_SET(Counters, NamingServerStats,
+                        COLLABQOS_NAMING_SERVER_COUNTERS);
 
   void handle(const net::Datagram& datagram);
   void broadcast_roster();
@@ -88,12 +88,16 @@ class NamingServer {
   Counters stats_;
 };
 
+/// A named client's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_NAMED_CLIENT_COUNTERS(X)                                     \
+  X(sent_unicasts, "baseline.named_client.sent_unicasts")                      \
+  X(sent_bytes, "baseline.named_client.sent_bytes")                            \
+  X(delivered, "baseline.named_client.delivered")                              \
+  X(roster_updates, "baseline.named_client.roster_updates")
+
 /// Point-in-time view (registry families "baseline.named_client.*").
 struct NamedClientStats {
-  std::uint64_t sent_unicasts = 0;
-  std::uint64_t sent_bytes = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t roster_updates = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_NAMED_CLIENT_COUNTERS)
 };
 
 /// A client of the naming service.
@@ -120,23 +124,15 @@ class NamedClient {
     return roster_.size();
   }
   [[nodiscard]] NamedClientStats stats() const noexcept {
-    return NamedClientStats{stats_.sent_unicasts.value(),
-                            stats_.sent_bytes.value(),
-                            stats_.delivered.value(),
-                            stats_.roster_updates.value()};
+    return stats_.view();
   }
   [[nodiscard]] net::Address address() const noexcept {
     return endpoint_->address();
   }
 
  private:
-  struct Counters {
-    telemetry::Counter sent_unicasts;
-    telemetry::Counter sent_bytes;
-    telemetry::Counter delivered;
-    telemetry::Counter roster_updates;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, NamedClientStats,
+                        COLLABQOS_NAMED_CLIENT_COUNTERS);
 
   void handle(const net::Datagram& datagram);
 

@@ -14,10 +14,18 @@
 
 #include "collabqos/pubsub/selector.hpp"
 #include "collabqos/serde/wire.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 #include "collabqos/util/result.hpp"
 
 namespace collabqos::pubsub {
+
+/// The cache's counters, declared once (telemetry/counter_set.hpp;
+/// registry families "pubsub.selector_cache.*").
+#define COLLABQOS_SELECTOR_CACHE_COUNTERS(X)                                   \
+  X(hits, "pubsub.selector_cache.hits")                                        \
+  X(misses, "pubsub.selector_cache.misses")                                    \
+  X(collisions, "pubsub.selector_cache.collisions") /* same hash, new bytes */ \
+  X(evictions, "pubsub.selector_cache.evictions")
 
 /// Bounded LRU map from selector-encoding fingerprint to compiled
 /// Selector. Fingerprints can collide; every hit is confirmed by a byte
@@ -29,13 +37,9 @@ class SelectorCache {
   /// so tests can force collisions with a constant hash.
   using HashFn = std::uint64_t (*)(std::span<const std::uint8_t>);
 
-  /// Point-in-time view of the cache's counters (registry families
-  /// "pubsub.selector_cache.*").
+  /// Point-in-time view of the cache's counters.
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t collisions = 0;  ///< same fingerprint, different bytes
-    std::uint64_t evictions = 0;
+    COLLABQOS_COUNTER_FIELDS(COLLABQOS_SELECTOR_CACHE_COUNTERS)
   };
 
   static constexpr std::size_t kDefaultCapacity = 128;
@@ -52,10 +56,7 @@ class SelectorCache {
   /// FNV-1a (64-bit) — the default HashFn.
   static std::uint64_t fingerprint(std::span<const std::uint8_t> bytes);
 
-  [[nodiscard]] Stats stats() const noexcept {
-    return Stats{stats_.hits.value(), stats_.misses.value(),
-                 stats_.collisions.value(), stats_.evictions.value()};
-  }
+  [[nodiscard]] Stats stats() const noexcept { return stats_.view(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
@@ -67,13 +68,7 @@ class SelectorCache {
   };
 
   /// Registry-backed counters; Stats is the cheap view.
-  struct Counters {
-    telemetry::Counter hits;
-    telemetry::Counter misses;
-    telemetry::Counter collisions;
-    telemetry::Counter evictions;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, Stats, COLLABQOS_SELECTOR_CACHE_COUNTERS);
 
   std::size_t capacity_;
   HashFn hash_;

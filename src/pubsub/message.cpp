@@ -22,7 +22,7 @@ serde::SharedBytes SemanticMessage::encode() const {
   w.varint(sequence);
   w.blob(payload);
   auto& copies = telemetry::PipelineCounters::global();
-  copies.charge(copies.encode(), payload.size());
+  copies.charge(copies.encode, payload.size());
   return serde::SharedBytes(std::move(w).take());
 }
 
@@ -55,24 +55,6 @@ Status decode_head(serde::Reader& r, SemanticMessage& message,
   return {};
 }
 
-Result<SemanticMessage> decode_message(std::span<const std::uint8_t> bytes,
-                                       SelectorCache* cache) {
-  serde::Reader r(bytes);
-  SemanticMessage message;
-  if (auto head = decode_head(r, message, cache); !head.ok()) {
-    return head.error();
-  }
-  auto payload = r.blob();
-  if (!payload) return payload.error();
-  auto& copies = telemetry::PipelineCounters::global();
-  copies.charge(copies.message_decode(), payload.value().size());
-  message.payload = serde::ByteChain(std::move(payload).take());
-  if (!r.exhausted()) {
-    return Error{Errc::malformed, "trailing bytes after message"};
-  }
-  return message;
-}
-
 Result<SemanticMessage> decode_message_chain(const serde::ByteChain& bytes,
                                              SelectorCache* cache) {
   const auto contiguous = bytes.contiguous();
@@ -81,7 +63,7 @@ Result<SemanticMessage> decode_message_chain(const serde::ByteChain& bytes,
     // through it): gather once — charged — then take the fast path on
     // the now-contiguous chain.
     serde::SharedBytes flat = telemetry::flatten_counted(
-        bytes, telemetry::PipelineCounters::global().message_decode());
+        bytes, telemetry::PipelineCounters::global().message_decode);
     return decode_message_chain(serde::ByteChain(std::move(flat)), cache);
   }
   // Contiguous fast path: the selector cache fingerprints the selector's
@@ -115,16 +97,6 @@ Result<SemanticMessage> SemanticMessage::decode(const serde::ByteChain& bytes) {
 Result<SemanticMessage> SemanticMessage::decode(const serde::ByteChain& bytes,
                                                 SelectorCache& cache) {
   return decode_message_chain(bytes, &cache);
-}
-
-Result<SemanticMessage> SemanticMessage::decode(
-    std::span<const std::uint8_t> bytes) {
-  return decode_message(bytes, nullptr);
-}
-
-Result<SemanticMessage> SemanticMessage::decode(
-    std::span<const std::uint8_t> bytes, SelectorCache& cache) {
-  return decode_message(bytes, &cache);
 }
 
 MatchDecision match(const Profile& profile, const SemanticMessage& message) {

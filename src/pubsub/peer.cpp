@@ -59,7 +59,7 @@ SemanticPeer::SemanticPeer(net::Network& network, net::NodeId node,
                                status.error().message);
     }
   }
-  register_counters();
+  stats_.attach(telemetry::MetricsRegistry::global());
   endpoint_->on_receive(
       [this](const net::Datagram& datagram) { on_datagram(datagram); });
   receiver_.on_object(
@@ -75,32 +75,11 @@ SemanticPeer::SemanticPeer(net::Network& network, net::NodeId node,
 
 SemanticPeer::~SemanticPeer() = default;
 
-void SemanticPeer::register_counters() {
-  auto& registry = telemetry::MetricsRegistry::global();
-  auto& regs = stats_.registrations;
-  regs.push_back(registry.attach("pubsub.peer.published", stats_.published));
-  regs.push_back(
-      registry.attach("pubsub.peer.received_objects", stats_.received_objects));
-  regs.push_back(
-      registry.attach("pubsub.peer.undecodable", stats_.undecodable));
-  regs.push_back(registry.attach("pubsub.peer.incomplete_dropped",
-                                 stats_.incomplete_dropped));
-  regs.push_back(registry.attach("pubsub.peer.rejected", stats_.rejected));
-  regs.push_back(registry.attach("pubsub.peer.accepted", stats_.accepted));
-  regs.push_back(registry.attach("pubsub.peer.accepted_with_transformation",
-                                 stats_.accepted_with_transformation));
-  regs.push_back(registry.attach("pubsub.peer.nacks_sent", stats_.nacks_sent));
-  regs.push_back(
-      registry.attach("pubsub.peer.nacks_received", stats_.nacks_received));
-  regs.push_back(
-      registry.attach("pubsub.peer.retransmissions", stats_.retransmissions));
-}
-
 Status SemanticPeer::transmit(
     const SemanticMessage& message, std::uint32_t transport_timestamp,
     const std::function<Status(serde::ByteChain)>& sink) {
   auto& copies = telemetry::PipelineCounters::global();
-  const std::uint64_t copied_before = copies.total();
+  const std::uint64_t copied_before = copies.total.value();
   const serde::SharedBytes encoded = message.encode();
   const auto packets =
       packetizer_.packetize_views(encoded, kSemanticPayloadType,
@@ -114,8 +93,8 @@ Status SemanticPeer::transmit(
     span.start = span.end = network_.simulator().now();
     span.tags.emplace_back("fragments", std::to_string(packets.size()));
     span.tags.emplace_back("bytes", std::to_string(encoded.size()));
-    span.tags.emplace_back("bytes_copied",
-                           std::to_string(copies.total() - copied_before));
+    span.tags.emplace_back(
+        "bytes_copied", std::to_string(copies.total.value() - copied_before));
     tracer.record(std::move(span));
   }
   for (const net::RtpPacket& packet : packets) {
@@ -242,7 +221,7 @@ void SemanticPeer::handle_nack(const net::Datagram& datagram) {
   // NACKs are single-buffer control datagrams, so this flatten is free;
   // a pathological multi-slice one gathers (charged).
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      datagram.payload, telemetry::PipelineCounters::global().gather());
+      datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
   (void)r.u8();  // magic, already checked
   auto ssrc = r.u32();
@@ -295,7 +274,7 @@ void SemanticPeer::on_object(const net::RtpObject& object) {
   const std::uint64_t trace_id =
       telemetry::make_trace_id(object.ssrc, object.timestamp);
   auto& copies = telemetry::PipelineCounters::global();
-  const std::uint64_t copied_before = copies.total();
+  const std::uint64_t copied_before = copies.total.value();
   const serde::ByteChain bytes = object.payload_chain();
   const std::uint64_t cache_hits_before =
       tracing ? selector_cache_.stats().hits : 0;
@@ -311,8 +290,8 @@ void SemanticPeer::on_object(const net::RtpObject& object) {
                            std::to_string(object.fragment_count));
     // Bytes materialised turning this object's fragments into a decoded
     // message — 0 when the views coalesced (the zero-copy fast path).
-    span.tags.emplace_back("bytes_copied",
-                           std::to_string(copies.total() - copied_before));
+    span.tags.emplace_back(
+        "bytes_copied", std::to_string(copies.total.value() - copied_before));
     tracer.record(std::move(span));
   }
   if (!decoded) {

@@ -46,20 +46,14 @@ NamingServer::NamingServer(net::Network& network, net::NodeId node)
                              endpoint.error().message);
   }
   endpoint_ = std::move(endpoint).take();
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations_handles.push_back(registry.attach(
-      "baseline.naming_server.registrations", stats_.registrations));
-  stats_.registrations_handles.push_back(registry.attach(
-      "baseline.naming_server.roster_pushes", stats_.roster_pushes));
-  stats_.registrations_handles.push_back(registry.attach(
-      "baseline.naming_server.roster_bytes", stats_.roster_bytes));
+  stats_.attach(telemetry::MetricsRegistry::global());
   endpoint_->on_receive(
       [this](const net::Datagram& datagram) { handle(datagram); });
 }
 
 void NamingServer::handle(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      datagram.payload, telemetry::PipelineCounters::global().gather());
+      datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
   auto tag = r.u8();
   if (!tag || tag.value() != kRegister) return;
@@ -97,15 +91,7 @@ NamedClient::NamedClient(net::Network& network, net::NodeId node,
                              endpoint.error().message);
   }
   endpoint_ = std::move(endpoint).take();
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations.push_back(registry.attach(
-      "baseline.named_client.sent_unicasts", stats_.sent_unicasts));
-  stats_.registrations.push_back(
-      registry.attach("baseline.named_client.sent_bytes", stats_.sent_bytes));
-  stats_.registrations.push_back(
-      registry.attach("baseline.named_client.delivered", stats_.delivered));
-  stats_.registrations.push_back(registry.attach(
-      "baseline.named_client.roster_updates", stats_.roster_updates));
+  stats_.attach(telemetry::MetricsRegistry::global());
   endpoint_->on_receive(
       [this](const net::Datagram& datagram) { handle(datagram); });
 }
@@ -142,7 +128,7 @@ Status NamedClient::publish(AttributeSet content, serde::Bytes payload) {
 
 void NamedClient::handle(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      datagram.payload, telemetry::PipelineCounters::global().gather());
+      datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
   auto tag = r.u8();
   if (!tag) return;

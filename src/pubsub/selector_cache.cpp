@@ -7,15 +7,7 @@ namespace collabqos::pubsub {
 
 SelectorCache::SelectorCache(std::size_t capacity, HashFn hash)
     : capacity_(capacity), hash_(hash) {
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations.push_back(
-      registry.attach("pubsub.selector_cache.hits", stats_.hits));
-  stats_.registrations.push_back(
-      registry.attach("pubsub.selector_cache.misses", stats_.misses));
-  stats_.registrations.push_back(
-      registry.attach("pubsub.selector_cache.collisions", stats_.collisions));
-  stats_.registrations.push_back(
-      registry.attach("pubsub.selector_cache.evictions", stats_.evictions));
+  stats_.attach(telemetry::MetricsRegistry::global());
 }
 
 std::uint64_t SelectorCache::fingerprint(std::span<const std::uint8_t> bytes) {

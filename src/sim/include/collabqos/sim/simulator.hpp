@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <vector>
 
@@ -64,7 +65,11 @@ class Simulator : public Clock {
     }
   };
 
-  bool pop_next(Entry& out);
+  /// Pop the next live event due at or before `horizon`, discarding
+  /// cancelled entries on the way; false when there is none.
+  static constexpr TimePoint kEndOfTime =
+      TimePoint::from_micros(std::numeric_limits<std::int64_t>::max());
+  bool pop_next(Entry& out, TimePoint horizon = kEndOfTime);
 
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
   std::vector<EventId> cancelled_;  // small; linear scan on pop

@@ -40,8 +40,11 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-bool Simulator::pop_next(Entry& out) {
+bool Simulator::pop_next(Entry& out, TimePoint horizon) {
   while (!queue_.empty()) {
+    // Checked on every pass, so a cancelled entry before the horizon
+    // never lets a live one after it through.
+    if (queue_.top().when > horizon) return false;
     // priority_queue::top is const; move via const_cast is the standard
     // workaround, safe because we pop immediately after.
     out = std::move(const_cast<Entry&>(queue_.top()));
@@ -57,9 +60,7 @@ bool Simulator::pop_next(Entry& out) {
 std::size_t Simulator::run_until(TimePoint horizon) {
   std::size_t ran = 0;
   Entry entry;
-  while (!queue_.empty()) {
-    if (queue_.top().when > horizon) break;
-    if (!pop_next(entry)) break;
+  while (pop_next(entry, horizon)) {
     now_ = entry.when;
     entry.action();
     ++ran;

@@ -22,17 +22,7 @@ Agent::Agent(net::Network& network, net::NodeId node,
                              endpoint.error().message);
   }
   endpoint_ = std::move(endpoint).take();
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations.push_back(
-      registry.attach("snmp.agent.requests", stats_.requests));
-  stats_.registrations.push_back(
-      registry.attach("snmp.agent.auth_failures", stats_.auth_failures));
-  stats_.registrations.push_back(
-      registry.attach("snmp.agent.malformed", stats_.malformed));
-  stats_.registrations.push_back(
-      registry.attach("snmp.agent.responses", stats_.responses));
-  stats_.registrations.push_back(
-      registry.attach("snmp.agent.traps_sent", stats_.traps_sent));
+  stats_.attach(telemetry::MetricsRegistry::global());
   endpoint_->on_receive(
       [this](const net::Datagram& datagram) { handle(datagram); });
 }
@@ -48,7 +38,7 @@ bool Agent::authorized(const Pdu& request) const {
 void Agent::handle(const net::Datagram& datagram) {
   ++stats_.requests;
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      datagram.payload, telemetry::PipelineCounters::global().gather());
+      datagram.payload, telemetry::PipelineCounters::global().gather);
   auto decoded = Pdu::decode(flat);
   if (!decoded) {
     ++stats_.malformed;

@@ -10,16 +10,21 @@
 #include "collabqos/net/network.hpp"
 #include "collabqos/snmp/mib.hpp"
 #include "collabqos/snmp/pdu.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::snmp {
 
+/// The agent's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_AGENT_COUNTERS(X)                                            \
+  X(requests, "snmp.agent.requests")                                           \
+  X(auth_failures, "snmp.agent.auth_failures")                                 \
+  X(malformed, "snmp.agent.malformed")                                         \
+  X(responses, "snmp.agent.responses")                                         \
+  X(traps_sent, "snmp.agent.traps_sent")
+
 /// Point-in-time view (registry families "snmp.agent.*").
 struct AgentStats {
-  std::uint64_t requests = 0;
-  std::uint64_t auth_failures = 0;
-  std::uint64_t malformed = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t traps_sent = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_AGENT_COUNTERS)
 };
 
 /// Edge-triggered threshold watch: when the object's value crosses
@@ -43,11 +48,7 @@ class Agent {
   [[nodiscard]] net::Address address() const noexcept {
     return endpoint_->address();
   }
-  [[nodiscard]] AgentStats stats() const noexcept {
-    return AgentStats{stats_.requests.value(), stats_.auth_failures.value(),
-                      stats_.malformed.value(), stats_.responses.value(),
-                      stats_.traps_sent.value()};
-  }
+  [[nodiscard]] AgentStats stats() const noexcept { return stats_.view(); }
 
   /// Artificial per-request processing delay (models agent latency).
   void set_processing_delay(sim::Duration delay) noexcept { delay_ = delay; }
@@ -63,14 +64,7 @@ class Agent {
 
  private:
   /// Registry-backed counters; AgentStats is the cheap view.
-  struct Counters {
-    telemetry::Counter requests;
-    telemetry::Counter auth_failures;
-    telemetry::Counter malformed;
-    telemetry::Counter responses;
-    telemetry::Counter traps_sent;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, AgentStats, COLLABQOS_AGENT_COUNTERS);
 
   void handle(const net::Datagram& datagram);
   [[nodiscard]] Pdu service(const Pdu& request);

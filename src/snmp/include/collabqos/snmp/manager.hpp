@@ -13,16 +13,21 @@
 
 #include "collabqos/net/network.hpp"
 #include "collabqos/snmp/pdu.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
 
 namespace collabqos::snmp {
 
+/// The manager's counters, declared once (telemetry/counter_set.hpp).
+#define COLLABQOS_MANAGER_COUNTERS(X)                                          \
+  X(requests, "snmp.manager.requests")                                         \
+  X(responses, "snmp.manager.responses")                                       \
+  X(timeouts, "snmp.manager.timeouts")                                         \
+  X(retries, "snmp.manager.retries")                                           \
+  X(traps_received, "snmp.manager.traps_received")
+
 /// Point-in-time view (registry families "snmp.manager.*").
 struct ManagerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t traps_received = 0;
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_MANAGER_COUNTERS)
 };
 
 struct ManagerOptions {
@@ -66,11 +71,7 @@ class Manager {
                  const Oid& root, std::uint32_t max_repetitions,
                  std::function<void(Result<std::vector<VarBind>>)> callback);
 
-  [[nodiscard]] ManagerStats stats() const noexcept {
-    return ManagerStats{stats_.requests.value(), stats_.responses.value(),
-                        stats_.timeouts.value(), stats_.retries.value(),
-                        stats_.traps_received.value()};
-  }
+  [[nodiscard]] ManagerStats stats() const noexcept { return stats_.view(); }
 
   /// Receive unsolicited traps. Opens the trap sink (node:162) on first
   /// use; fails with Errc::conflict if another listener holds the port.
@@ -79,14 +80,7 @@ class Manager {
 
  private:
   /// Registry-backed counters; ManagerStats is the cheap view.
-  struct Counters {
-    telemetry::Counter requests;
-    telemetry::Counter responses;
-    telemetry::Counter timeouts;
-    telemetry::Counter retries;
-    telemetry::Counter traps_received;
-    std::vector<telemetry::Registration> registrations;
-  };
+  COLLABQOS_COUNTER_SET(Counters, ManagerStats, COLLABQOS_MANAGER_COUNTERS);
 
   struct Outstanding {
     Pdu request;

@@ -19,17 +19,7 @@ Manager::Manager(net::Network& network, net::NodeId node, Options options)
                              endpoint.error().message);
   }
   endpoint_ = std::move(endpoint).take();
-  auto& registry = telemetry::MetricsRegistry::global();
-  stats_.registrations.push_back(
-      registry.attach("snmp.manager.requests", stats_.requests));
-  stats_.registrations.push_back(
-      registry.attach("snmp.manager.responses", stats_.responses));
-  stats_.registrations.push_back(
-      registry.attach("snmp.manager.timeouts", stats_.timeouts));
-  stats_.registrations.push_back(
-      registry.attach("snmp.manager.retries", stats_.retries));
-  stats_.registrations.push_back(
-      registry.attach("snmp.manager.traps_received", stats_.traps_received));
+  stats_.attach(telemetry::MetricsRegistry::global());
   endpoint_->on_receive(
       [this](const net::Datagram& datagram) { on_datagram(datagram); });
 }
@@ -42,7 +32,7 @@ Status Manager::listen_for_traps(TrapHandler handler) {
     trap_endpoint_ = std::move(endpoint).take();
     trap_endpoint_->on_receive([this](const net::Datagram& datagram) {
       const serde::SharedBytes flat = telemetry::flatten_counted(
-          datagram.payload, telemetry::PipelineCounters::global().gather());
+          datagram.payload, telemetry::PipelineCounters::global().gather);
       auto decoded = Pdu::decode(flat);
       if (!decoded || decoded.value().type != PduType::trap) return;
       ++stats_.traps_received;
@@ -235,7 +225,7 @@ void Manager::on_timeout(std::uint32_t request_id) {
 
 void Manager::on_datagram(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
-      datagram.payload, telemetry::PipelineCounters::global().gather());
+      datagram.payload, telemetry::PipelineCounters::global().gather);
   auto decoded = Pdu::decode(flat);
   if (!decoded) {
     CQ_DEBUG(kComponent) << "undecodable response dropped";

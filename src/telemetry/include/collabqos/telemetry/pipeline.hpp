@@ -1,86 +1,72 @@
 // Copy accounting for the zero-copy payload pipeline (DESIGN.md §11).
 //
 // Every point where the delivery path still materialises payload bytes
-// — wire encode, legacy fragmentation, legacy per-packet encode, legacy
-// reassembly, payload copies at decode, gather fallbacks for
+// — wire encode, payload copies at decode, gather fallbacks for
 // non-contiguous chains, and media materialisation at the edge — charges
 // the bytes it copied to one family here. The registry families
 // ("pipeline.bytes_copied.<site>", plus the roll-up
 // "pipeline.bytes_copied.total") make copy amplification visible in
 // bench snapshots, trace span tags and observatory series: a healthy
 // zero-copy run grows `total` by roughly one payload size per published
-// message, while the pre-refactor path grew it at every layer boundary.
+// message.
 #pragma once
 
 #include <cstdint>
 
 #include "collabqos/serde/chain.hpp"
-#include "collabqos/telemetry/metrics.hpp"
+#include "collabqos/telemetry/counter_set.hpp"
+
+/// The copy sites, declared once (telemetry/counter_set.hpp):
+///  * encode: payload gathered into the contiguous wire-message buffer
+///    at message encode (the one copy the zero-copy path keeps);
+///  * packet_decode: an RTP payload view that was genuinely fragmented;
+///  * message_decode: the non-contiguous header fallback at semantic
+///    decode;
+///  * gather: non-contiguous chains outside the sites above (control
+///    datagrams, application flatten calls);
+///  * media: media materialisation at the pipeline edge;
+///  * chaos_corrupt: a chaos-faulted datagram's mutated copy (its buffers
+///    are shared with the sender and every other receiver, so in-place
+///    bit flips are forbidden);
+///  * total: the roll-up across all sites.
+#define COLLABQOS_PIPELINE_COUNTERS(X)                                         \
+  X(encode, "pipeline.bytes_copied.encode")                                    \
+  X(packet_decode, "pipeline.bytes_copied.packet_decode")                      \
+  X(message_decode, "pipeline.bytes_copied.message_decode")                    \
+  X(gather, "pipeline.bytes_copied.gather")                                    \
+  X(media, "pipeline.bytes_copied.media")                                      \
+  X(chaos_corrupt, "pipeline.bytes_copied.chaos_corrupt")                      \
+  X(total, "pipeline.bytes_copied.total")
 
 namespace collabqos::telemetry {
 
-/// Process-wide pipeline.bytes_copied.* counters. Charge through
-/// charge() so the `total` roll-up stays consistent.
-class PipelineCounters {
+/// Point-in-time view of the copy counters.
+struct PipelineStats {
+  COLLABQOS_COUNTER_FIELDS(COLLABQOS_PIPELINE_COUNTERS)
+};
+
+COLLABQOS_COUNTER_SET(PipelineCounterSet, PipelineStats,
+                      COLLABQOS_PIPELINE_COUNTERS);
+
+/// Process-wide pipeline.bytes_copied.* counters, one public Counter per
+/// site. Charge through charge() so the `total` roll-up stays consistent.
+class PipelineCounters : public PipelineCounterSet {
  public:
   [[nodiscard]] static PipelineCounters& global();
-
-  /// Payload bytes gathered into a contiguous wire-message buffer at
-  /// message encode (the one copy the zero-copy path keeps).
-  Counter& encode() noexcept { return encode_; }
-  /// Legacy packetizer copies (span-based fragmentation).
-  Counter& fragment() noexcept { return fragment_; }
-  /// Legacy contiguous per-packet wire encode.
-  Counter& packet_encode() noexcept { return packet_encode_; }
-  /// Packet payload copies on the legacy span decode path.
-  Counter& packet_decode() noexcept { return packet_decode_; }
-  /// Legacy RtpObject::reassemble concatenation.
-  Counter& reassemble() noexcept { return reassemble_; }
-  /// Message payload copies at semantic decode (legacy span path and
-  /// the non-contiguous header fallback).
-  Counter& message_decode() noexcept { return message_decode_; }
-  /// Gathers of non-contiguous chains outside the sites above (control
-  /// datagrams, application flatten calls).
-  Counter& gather() noexcept { return gather_; }
-  /// Media materialisation at the pipeline edge (decode of a fragmented
-  /// media payload view).
-  Counter& media() noexcept { return media_; }
-  /// Chaos-plane corruption: a faulted datagram must materialise a
-  /// mutated copy (its buffers are shared with the sender and every
-  /// other receiver, so in-place bit-flips are forbidden).
-  Counter& chaos_corrupt() noexcept { return chaos_corrupt_; }
 
   /// Charge `bytes` to `site` (must be one of this instance's counters)
   /// and to the total roll-up. No-op for 0 bytes.
   void charge(Counter& site, std::uint64_t bytes) noexcept {
     if (bytes == 0) return;
     site += bytes;
-    total_ += bytes;
-  }
-
-  /// Sum across all sites — the value trace spans diff to tag an
-  /// operation with the bytes it copied.
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    return total_.value();
+    total += bytes;
   }
 
   PipelineCounters(const PipelineCounters&) = delete;
   PipelineCounters& operator=(const PipelineCounters&) = delete;
 
  private:
-  PipelineCounters();
-
-  Counter encode_;
-  Counter fragment_;
-  Counter packet_encode_;
-  Counter packet_decode_;
-  Counter reassemble_;
-  Counter message_decode_;
-  Counter gather_;
-  Counter media_;
-  Counter chaos_corrupt_;
-  Counter total_;
-  std::vector<Registration> registrations_;
+  PipelineCounters() { attach(MetricsRegistry::global()); }
 };
 
 /// Flatten `chain` to a contiguous view, charging any gather the chain

@@ -2,31 +2,6 @@
 
 namespace collabqos::telemetry {
 
-PipelineCounters::PipelineCounters() {
-  auto& registry = MetricsRegistry::global();
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.encode", encode_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.fragment", fragment_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.packet_encode", packet_encode_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.packet_decode", packet_decode_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.reassemble", reassemble_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.message_decode",
-                      message_decode_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.gather", gather_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.media", media_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.chaos_corrupt", chaos_corrupt_));
-  registrations_.push_back(
-      registry.attach("pipeline.bytes_copied.total", total_));
-}
-
 PipelineCounters& PipelineCounters::global() {
   // Leaked on purpose (like the registry): charged from layer
   // destructors that may run after static teardown begins.

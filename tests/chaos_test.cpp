@@ -459,8 +459,8 @@ TEST(ReassemblyBudget, EvictsStalestPendingObjectsPastByteBudget) {
   for (int i = 0; i < 5; ++i) {
     serde::Bytes object(300);
     for (auto& byte : object) byte = static_cast<std::uint8_t>(i);
-    const auto packets =
-        packetizer.packetize(object, 96, static_cast<std::uint32_t>(i + 1));
+    const auto packets = packetizer.packetize_views(
+        object, 96, static_cast<std::uint32_t>(i + 1));
     ASSERT_EQ(packets.size(), 3u);
     // Only the first fragment arrives: the object stays pending at 100
     // bytes each, so every third object pushes past the 250-byte budget.
@@ -468,8 +468,8 @@ TEST(ReassemblyBudget, EvictsStalestPendingObjectsPastByteBudget) {
     ASSERT_TRUE(receiver.ingest(packets[0], now).ok());
   }
 
-  EXPECT_GT(receiver.evicted(), 0u);
-  EXPECT_EQ(partials, static_cast<int>(receiver.evicted()));
+  EXPECT_GT(receiver.stats().evicted, 0u);
+  EXPECT_EQ(partials, static_cast<int>(receiver.stats().evicted));
   EXPECT_LE(receiver.pending_bytes(), options.pending_byte_budget);
 }
 
@@ -483,11 +483,11 @@ TEST(ReassemblyBudget, ChecksumRejectsBitFlippedPacket) {
   packet.payload_type = 96;
   serde::Bytes payload(64, 0xAB);
   packet.payload = payload;
-  serde::Bytes wire = packet.encode();
-  ASSERT_TRUE(net::RtpPacket::decode(wire).ok());
+  serde::Bytes wire = packet.wire().gather();
+  ASSERT_TRUE(net::RtpPacket::decode(serde::ByteChain(wire)).ok());
 
   wire[wire.size() - 1] ^= 0x04;  // one bit, deep in the payload
-  EXPECT_FALSE(net::RtpPacket::decode(wire).ok());
+  EXPECT_FALSE(net::RtpPacket::decode(serde::ByteChain(wire)).ok());
   EXPECT_GT(registry.read("rtp.corrupt_detected"), detected_before);
 }
 

@@ -126,8 +126,8 @@ TEST_F(FailureTest, TruncatedRtpFragmentsAreContained) {
                      const pubsub::MatchDecision&) { ++delivered; });
   // Craft a valid RTP packet then truncate its payload mid-blob.
   net::RtpPacketizer packetizer(1, 100);
-  auto packets = packetizer.packetize(serde::Bytes(300, 0x11), 96, 1);
-  serde::Bytes wire = packets[0].encode();
+  auto packets = packetizer.packetize_views(serde::Bytes(300, 0x11), 96, 1);
+  serde::Bytes wire = packets[0].wire().gather();
   wire.resize(wire.size() - 20);
   auto hose = network_.bind(a).take();
   ASSERT_TRUE(hose->send(bob.address(), std::move(wire)).ok());

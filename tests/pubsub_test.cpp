@@ -211,7 +211,7 @@ TEST(SemanticMessage, CodecRoundTrip) {
   message.sender_id = 9;
   message.sequence = 44;
   message.payload = {1, 2, 3, 4};
-  auto decoded = SemanticMessage::decode(message.encode());
+  auto decoded = SemanticMessage::decode(serde::ByteChain(message.encode()));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().selector.to_string(),
             message.selector.to_string());
@@ -224,7 +224,7 @@ TEST(SemanticMessage, CodecRoundTrip) {
 
 TEST(SemanticMessage, DecodeRejectsGarbage) {
   const serde::Bytes garbage = {0x12, 0x34};
-  EXPECT_FALSE(SemanticMessage::decode(garbage).ok());
+  EXPECT_FALSE(SemanticMessage::decode(serde::ByteChain(garbage)).ok());
 }
 
 // ------------------------------------------------------- selector cache
@@ -272,8 +272,8 @@ TEST(SelectorCacheTest, CachedDecodeMatchesUncachedDecisionExactly) {
 
   SelectorCache cache;
   for (int round = 0; round < 3; ++round) {
-    auto plain = SemanticMessage::decode(wire);
-    auto cached = SemanticMessage::decode(wire, cache);
+    auto plain = SemanticMessage::decode(serde::ByteChain(wire));
+    auto cached = SemanticMessage::decode(serde::ByteChain(wire), cache);
     ASSERT_TRUE(plain.ok());
     ASSERT_TRUE(cached.ok());
     const MatchDecision a = match(profile, plain.value());
@@ -533,11 +533,11 @@ TEST_F(PeerTest, NackGivesUpWhenRepairNeverAnswers) {
   SemanticMessage message = text_message(std::string(10'000, 'q'));
   message.sender_id = 77;
   message.sequence = 1;
-  auto packets = packetizer.packetize(message.encode(), 96, 1);
+  auto packets = packetizer.packetize_views(message.encode(), 96, 1);
   ASSERT_GT(packets.size(), 2u);
   packets.pop_back();  // withhold the tail forever
   for (const auto& packet : packets) {
-    ASSERT_TRUE(ghost->send(bob->address(), packet.encode()).ok());
+    ASSERT_TRUE(ghost->send(bob->address(), packet.wire()).ok());
   }
   sim_.run_until(sim_.now() + sim::Duration::seconds(10.0));
   EXPECT_EQ(delivered, 0);

@@ -25,7 +25,7 @@ TEST(RtpPacket, CodecRoundTrip) {
   p.fragment_index = 2;
   p.fragment_count = 5;
   p.payload = make_object(100);
-  auto decoded = RtpPacket::decode(p.encode());
+  auto decoded = RtpPacket::decode(p.wire());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().ssrc, p.ssrc);
   EXPECT_EQ(decoded.value().sequence, p.sequence);
@@ -38,19 +38,19 @@ TEST(RtpPacket, CodecRoundTrip) {
 
 TEST(RtpPacket, RejectsGarbage) {
   const serde::Bytes garbage = {0x00, 0x01, 0x02};
-  EXPECT_FALSE(RtpPacket::decode(garbage).ok());
+  EXPECT_FALSE(RtpPacket::decode(serde::ByteChain(garbage)).ok());
 }
 
 TEST(RtpPacket, RejectsBadFragmentFields) {
   RtpPacket p;
   p.fragment_index = 5;
   p.fragment_count = 5;  // index must be < count
-  EXPECT_FALSE(RtpPacket::decode(p.encode()).ok());
+  EXPECT_FALSE(RtpPacket::decode(p.wire()).ok());
 }
 
 TEST(RtpPacketizer, SplitsAtMtu) {
   RtpPacketizer packetizer(7, 100);
-  const auto packets = packetizer.packetize(make_object(250), 96, 1);
+  const auto packets = packetizer.packetize_views(make_object(250), 96, 1);
   ASSERT_EQ(packets.size(), 3u);
   EXPECT_EQ(packets[0].payload.size(), 100u);
   EXPECT_EQ(packets[1].payload.size(), 100u);
@@ -64,8 +64,8 @@ TEST(RtpPacketizer, SplitsAtMtu) {
 
 TEST(RtpPacketizer, SequenceNumbersAreContiguousAcrossObjects) {
   RtpPacketizer packetizer(7, 100);
-  const auto first = packetizer.packetize(make_object(150), 96, 1);
-  const auto second = packetizer.packetize(make_object(150), 96, 2);
+  const auto first = packetizer.packetize_views(make_object(150), 96, 1);
+  const auto second = packetizer.packetize_views(make_object(150), 96, 2);
   EXPECT_EQ(first[0].sequence, 0);
   EXPECT_EQ(first[1].sequence, 1);
   EXPECT_EQ(second[0].sequence, 2);
@@ -74,7 +74,7 @@ TEST(RtpPacketizer, SequenceNumbersAreContiguousAcrossObjects) {
 
 TEST(RtpPacketizer, EmptyObjectYieldsOnePacket) {
   RtpPacketizer packetizer(7, 100);
-  const auto packets = packetizer.packetize({}, 96, 1);
+  const auto packets = packetizer.packetize_views({}, 96, 1);
   ASSERT_EQ(packets.size(), 1u);
   EXPECT_TRUE(packets[0].payload.empty());
 }
@@ -93,7 +93,7 @@ TEST(RtpPacketizer, PrecutFragmentsKeepBoundaries) {
 class RtpReceiverTest : public ::testing::Test {
  protected:
   void deliver(const RtpPacket& packet, sim::TimePoint at = {}) {
-    ASSERT_TRUE(receiver_.ingest(packet.encode(), at).ok());
+    ASSERT_TRUE(receiver_.ingest(packet.wire(), at).ok());
   }
 
   RtpReceiver receiver_{sim::Duration::millis(100)};
@@ -108,28 +108,28 @@ class RtpReceiverTest : public ::testing::Test {
 TEST_F(RtpReceiverTest, ReassemblesInOrder) {
   RtpPacketizer packetizer(1, 64);
   const serde::Bytes original = make_object(200);
-  for (const auto& packet : packetizer.packetize(original, 96, 5)) {
+  for (const auto& packet : packetizer.packetize_views(original, 96, 5)) {
     deliver(packet);
   }
   ASSERT_EQ(objects_.size(), 1u);
   EXPECT_TRUE(objects_[0].complete);
-  EXPECT_EQ(objects_[0].reassemble(), original);
+  EXPECT_EQ(objects_[0].payload_chain(), original);
   EXPECT_EQ(objects_[0].timestamp, 5u);
 }
 
 TEST_F(RtpReceiverTest, ReassemblesOutOfOrder) {
   RtpPacketizer packetizer(1, 50);
   const serde::Bytes original = make_object(200, 9);
-  auto packets = packetizer.packetize(original, 96, 5);
+  auto packets = packetizer.packetize_views(original, 96, 5);
   std::reverse(packets.begin(), packets.end());
   for (const auto& packet : packets) deliver(packet);
   ASSERT_EQ(objects_.size(), 1u);
-  EXPECT_EQ(objects_[0].reassemble(), original);
+  EXPECT_EQ(objects_[0].payload_chain(), original);
 }
 
 TEST_F(RtpReceiverTest, DuplicatesAreAbsorbed) {
   RtpPacketizer packetizer(1, 64);
-  const auto packets = packetizer.packetize(make_object(100), 96, 5);
+  const auto packets = packetizer.packetize_views(make_object(100), 96, 5);
   for (const auto& packet : packets) {
     deliver(packet);
     deliver(packet);  // duplicate every fragment
@@ -141,7 +141,7 @@ TEST_F(RtpReceiverTest, CompletedObjectIsDeliveredAtMostOnce) {
   // A full duplicate set arriving after completion must be absorbed,
   // not re-deliver the object (found by the loss/reorder fuzzer).
   RtpPacketizer packetizer(1, 64);
-  const auto packets = packetizer.packetize(make_object(200), 96, 5);
+  const auto packets = packetizer.packetize_views(make_object(200), 96, 5);
   for (const auto& packet : packets) deliver(packet);
   ASSERT_EQ(objects_.size(), 1u);
   for (const auto& packet : packets) deliver(packet);  // full replay
@@ -154,16 +154,16 @@ TEST_F(RtpReceiverTest, InterleavedObjectsSortOut) {
   RtpPacketizer packetizer(1, 50);
   const serde::Bytes first = make_object(120, 1);
   const serde::Bytes second = make_object(120, 2);
-  const auto p1 = packetizer.packetize(first, 96, 1);
-  const auto p2 = packetizer.packetize(second, 96, 2);
+  const auto p1 = packetizer.packetize_views(first, 96, 1);
+  const auto p2 = packetizer.packetize_views(second, 96, 2);
   // Interleave fragments of the two objects.
   for (std::size_t i = 0; i < p1.size(); ++i) {
     deliver(p1[i]);
     deliver(p2[i]);
   }
   ASSERT_EQ(objects_.size(), 2u);
-  EXPECT_EQ(objects_[0].reassemble(), first);
-  EXPECT_EQ(objects_[1].reassemble(), second);
+  EXPECT_EQ(objects_[0].payload_chain(), first);
+  EXPECT_EQ(objects_[1].payload_chain(), second);
 }
 
 TEST_F(RtpReceiverTest, MultipleSourcesIndependent) {
@@ -171,8 +171,8 @@ TEST_F(RtpReceiverTest, MultipleSourcesIndependent) {
   RtpPacketizer bob(20, 64);
   const serde::Bytes a = make_object(100, 1);
   const serde::Bytes b = make_object(100, 2);
-  for (const auto& packet : alice.packetize(a, 96, 1)) deliver(packet);
-  for (const auto& packet : bob.packetize(b, 96, 1)) deliver(packet);
+  for (const auto& packet : alice.packetize_views(a, 96, 1)) deliver(packet);
+  for (const auto& packet : bob.packetize_views(b, 96, 1)) deliver(packet);
   ASSERT_EQ(objects_.size(), 2u);
   EXPECT_EQ(objects_[0].ssrc, 10u);
   EXPECT_EQ(objects_[1].ssrc, 20u);
@@ -180,7 +180,7 @@ TEST_F(RtpReceiverTest, MultipleSourcesIndependent) {
 
 TEST_F(RtpReceiverTest, LostFragmentFlushesPartial) {
   RtpPacketizer packetizer(1, 50);
-  auto packets = packetizer.packetize(make_object(200), 96, 7);
+  auto packets = packetizer.packetize_views(make_object(200), 96, 7);
   packets.erase(packets.begin() + 1);  // drop one fragment
   for (const auto& packet : packets) deliver(packet);
   EXPECT_TRUE(objects_.empty());
@@ -194,12 +194,12 @@ TEST_F(RtpReceiverTest, LostFragmentFlushesPartial) {
   EXPECT_EQ(objects_[0].fragments_received, 3);
   EXPECT_EQ(objects_[0].fragment_count, 4);
   // Reassembly skips the hole but keeps received bytes in order.
-  EXPECT_EQ(objects_[0].reassemble().size(), 150u);
+  EXPECT_EQ(objects_[0].payload_chain().size(), 150u);
 }
 
 TEST_F(RtpReceiverTest, FlushRespectsRecency) {
   RtpPacketizer packetizer(1, 50);
-  auto packets = packetizer.packetize(make_object(200), 96, 7);
+  auto packets = packetizer.packetize_views(make_object(200), 96, 7);
   packets.pop_back();
   for (const auto& packet : packets) {
     deliver(packet, sim::TimePoint::from_micros(50'000));
@@ -211,7 +211,7 @@ TEST_F(RtpReceiverTest, FlushRespectsRecency) {
 
 TEST_F(RtpReceiverTest, ReportCountsLoss) {
   RtpPacketizer packetizer(1, 50);
-  auto packets = packetizer.packetize(make_object(500), 96, 1);
+  auto packets = packetizer.packetize_views(make_object(500), 96, 1);
   ASSERT_EQ(packets.size(), 10u);
   // Drop 3 of 10 fragments.
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -228,10 +228,10 @@ TEST_F(RtpReceiverTest, ReportCountsLoss) {
 
 TEST_F(RtpReceiverTest, ReportIntervalResets) {
   RtpPacketizer packetizer(1, 50);
-  const auto first = packetizer.packetize(make_object(100), 96, 1);
+  const auto first = packetizer.packetize_views(make_object(100), 96, 1);
   for (const auto& packet : first) deliver(packet);
   (void)receiver_.report(1);
-  const auto second = packetizer.packetize(make_object(100), 96, 2);
+  const auto second = packetizer.packetize_views(make_object(100), 96, 2);
   for (const auto& packet : second) deliver(packet);
   auto report = receiver_.report(1);
   ASSERT_TRUE(report.ok());
@@ -248,10 +248,10 @@ TEST_F(RtpReceiverTest, SequenceWraparoundCountsForward) {
   RtpPacketizer packetizer(1, 50);
   // Advance the packetizer's sequence to 65530 by consuming packets.
   for (int i = 0; i < 6553; ++i) {
-    (void)packetizer.packetize(make_object(500), 96, 1000 + i);
+    (void)packetizer.packetize_views(make_object(500), 96, 1000 + i);
   }
   EXPECT_EQ(packetizer.next_sequence(), 65530);
-  const auto packets = packetizer.packetize(make_object(500), 96, 42);
+  const auto packets = packetizer.packetize_views(make_object(500), 96, 42);
   for (const auto& packet : packets) deliver(packet);
   auto report = receiver_.report(1);
   ASSERT_TRUE(report.ok());
@@ -264,7 +264,7 @@ TEST_F(RtpReceiverTest, JitterIsNonNegativeAndBounded) {
   Rng rng(3);
   sim::TimePoint now{};
   for (int object = 0; object < 20; ++object) {
-    const auto packets = packetizer.packetize(
+    const auto packets = packetizer.packetize_views(
         make_object(150), 96, static_cast<std::uint32_t>(object));
     for (const auto& packet : packets) {
       now = now + sim::Duration::micros(rng.uniform_int(100, 3000));
@@ -289,13 +289,13 @@ TEST_F(RtpReceiverTest, MismatchedFragmentCountRejected) {
   b.sequence = 1;
   b.fragment_index = 1;
   b.fragment_count = 3;  // inconsistent
-  ASSERT_TRUE(receiver_.ingest(a.encode(), {}).ok());
-  EXPECT_FALSE(receiver_.ingest(b.encode(), {}).ok());
+  ASSERT_TRUE(receiver_.ingest(a.wire(), {}).ok());
+  EXPECT_FALSE(receiver_.ingest(b.wire(), {}).ok());
 }
 
 TEST_F(RtpReceiverTest, GarbageIngestFails) {
   const serde::Bytes garbage = {1, 2, 3, 4};
-  EXPECT_FALSE(receiver_.ingest(garbage, {}).ok());
+  EXPECT_FALSE(receiver_.ingest(serde::ByteChain(garbage), {}).ok());
 }
 
 }  // namespace

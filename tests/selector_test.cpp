@@ -25,6 +25,12 @@ struct EvalCase {
   bool expected;
 };
 
+// Without this gtest prints the raw bytes of the case, pointer included,
+// so the discovered CTest names changed from one build or run to the next.
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << '"' << c.expression << "\" -> " << (c.expected ? "true" : "false");
+}
+
 class SelectorEval : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(SelectorEval, EvaluatesAgainstSampleProfile) {

@@ -61,6 +61,23 @@ TEST(Simulator, RunUntilRespectsHorizon) {
   EXPECT_EQ(sim.pending(), 1u);
 }
 
+TEST(Simulator, RunUntilHorizonHoldsPastCancelledHead) {
+  // A cancelled event before the horizon must not let a live event after
+  // it through: the horizon is checked against the next live event.
+  Simulator sim;
+  int ran = 0;
+  const EventId cancelled =
+      sim.schedule_at(TimePoint::from_micros(1'000'000), [&] { ++ran; });
+  sim.schedule_at(TimePoint::from_micros(5'000'000), [&] { ++ran; });
+  ASSERT_TRUE(sim.cancel(cancelled));
+  EXPECT_EQ(sim.run_until(TimePoint::from_micros(2'000'000)), 0u);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(sim.now().as_micros(), 2'000'000);
+  EXPECT_EQ(sim.pending(), 1u);
+  EXPECT_EQ(sim.run_until(TimePoint::from_micros(5'000'000)), 1u);
+  EXPECT_EQ(ran, 1);
+}
+
 TEST(Simulator, CancelPreventsExecution) {
   Simulator sim;
   int ran = 0;
