@@ -8,9 +8,9 @@
 // because the progressive image codec wants to decode *whatever subset of
 // fragments arrived* — each fragment is independently meaningful. Loss,
 // reordering and duplication handling plus the RFC 3550 jitter estimator
-// are otherwise faithful. Packets additionally carry a 32-bit FNV-1a
-// checksum over header fields and payload (real RTP leans on UDP/IP
-// checksums we do not model): decode rejects corrupted packets so a
+// are otherwise faithful. Packets additionally carry a CRC-32C
+// (util/crc32c.hpp) over header fields and payload (real RTP leans on
+// UDP/IP checksums we do not model): decode rejects corrupted packets so a
 // bit-flipped payload can never reach reassembly, counting them in the
 // "rtp.corrupt_detected" telemetry family.
 #pragma once
@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "collabqos/serde/chain.hpp"
@@ -65,11 +64,16 @@ class RtpPacketizer {
       const serde::SharedBytes& object, std::uint8_t payload_type,
       std::uint32_t timestamp);
 
-  /// Packetize pre-cut fragments (e.g. the progressive codec's packets,
-  /// which must not be re-split across codec packet boundaries).
-  [[nodiscard]] std::vector<RtpPacket> packetize_fragments(
-      std::span<const serde::Bytes> fragments, std::uint8_t payload_type,
-      std::uint32_t timestamp);
+  /// Packets an object of `object_bytes` splits into (one when empty).
+  /// packetize_views requires at most kMaxFragments; callers that take
+  /// objects from outside check this first.
+  [[nodiscard]] std::size_t fragments_for(
+      std::size_t object_bytes) const noexcept {
+    return object_bytes == 0 ? 1
+                             : (object_bytes + mtu_payload_ - 1) / mtu_payload_;
+  }
+  /// The 16-bit fragment fields' limit on packets per object.
+  static constexpr std::size_t kMaxFragments = UINT16_MAX;
 
   [[nodiscard]] std::uint16_t next_sequence() const noexcept {
     return sequence_;

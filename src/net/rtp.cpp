@@ -1,12 +1,13 @@
 #include "collabqos/net/rtp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <iterator>
 
 #include "collabqos/telemetry/pipeline.hpp"
-#include "collabqos/util/hash.hpp"
+#include "collabqos/util/crc32c.hpp"
 
 namespace collabqos::net {
 
@@ -19,20 +20,30 @@ int seq_distance(std::uint16_t a, std::uint16_t b) noexcept {
   return static_cast<std::int16_t>(static_cast<std::uint16_t>(b - a));
 }
 
-/// 32-bit FNV-1a over every header field plus the payload bytes. Covers
-/// what UDP/IP checksums would in a real stack: a chaos-plane bit flip
+/// Writes `value` as 8 little-endian bytes, whatever the host's order.
+void put_le64(std::uint8_t* out, std::uint64_t value) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// CRC-32C over every header field plus the payload bytes. Covers what
+/// UDP/IP checksums would in a real stack: a chaos-plane bit flip
 /// anywhere in the datagram fails verification at decode.
 std::uint32_t packet_checksum(const RtpPacket& p,
                               std::span<const std::uint8_t> payload) {
-  Fnv1a hash;
-  hash.update_u64(p.ssrc);
-  hash.update_u64((static_cast<std::uint64_t>(p.sequence) << 32) |
-                  p.timestamp);
-  hash.update_u64((static_cast<std::uint64_t>(p.payload_type) << 32) |
-                  (static_cast<std::uint64_t>(p.fragment_index) << 16) |
-                  p.fragment_count);
-  hash.update(payload);
-  return hash.value32();
+  std::array<std::uint8_t, 24> fields{};
+  put_le64(fields.data(), p.ssrc);
+  put_le64(fields.data() + 8,
+           (static_cast<std::uint64_t>(p.sequence) << 32) | p.timestamp);
+  put_le64(fields.data() + 16,
+           (static_cast<std::uint64_t>(p.payload_type) << 32) |
+               (static_cast<std::uint64_t>(p.fragment_index) << 16) |
+               p.fragment_count);
+  Crc32c crc;
+  crc.update(fields);
+  crc.update(payload);
+  return crc.value();
 }
 
 /// Cold-path counter for checksum rejects (the hot path never sees one).
@@ -121,9 +132,8 @@ RtpPacketizer::RtpPacketizer(std::uint32_t ssrc,
 std::vector<RtpPacket> RtpPacketizer::packetize_views(
     const serde::SharedBytes& object, std::uint8_t payload_type,
     std::uint32_t timestamp) {
-  const std::size_t count =
-      object.empty() ? 1 : (object.size() + mtu_payload_ - 1) / mtu_payload_;
-  assert(count <= UINT16_MAX);
+  const std::size_t count = fragments_for(object.size());
+  assert(count <= kMaxFragments);
   std::vector<RtpPacket> packets;
   packets.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -135,27 +145,6 @@ std::vector<RtpPacket> RtpPacketizer::packetize_views(
     p.fragment_index = static_cast<std::uint16_t>(i);
     p.fragment_count = static_cast<std::uint16_t>(count);
     p.payload = object.slice(i * mtu_payload_, mtu_payload_);
-    packets.push_back(std::move(p));
-  }
-  return packets;
-}
-
-std::vector<RtpPacket> RtpPacketizer::packetize_fragments(
-    std::span<const serde::Bytes> fragments, std::uint8_t payload_type,
-    std::uint32_t timestamp) {
-  assert(!fragments.empty());
-  assert(fragments.size() <= UINT16_MAX);
-  std::vector<RtpPacket> packets;
-  packets.reserve(fragments.size());
-  for (std::size_t i = 0; i < fragments.size(); ++i) {
-    RtpPacket p;
-    p.ssrc = ssrc_;
-    p.sequence = sequence_++;
-    p.timestamp = timestamp;
-    p.payload_type = payload_type;
-    p.fragment_index = static_cast<std::uint16_t>(i);
-    p.fragment_count = static_cast<std::uint16_t>(fragments.size());
-    p.payload = serde::SharedBytes(fragments[i]);
     packets.push_back(std::move(p));
   }
   return packets;

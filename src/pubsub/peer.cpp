@@ -81,6 +81,11 @@ Status SemanticPeer::transmit(
   auto& copies = telemetry::PipelineCounters::global();
   const std::uint64_t copied_before = copies.total.value();
   const serde::SharedBytes encoded = message.encode();
+  if (packetizer_.fragments_for(encoded.size()) >
+      net::RtpPacketizer::kMaxFragments) {
+    return Status(Errc::resource_limit,
+                  "message needs more RTP fragments than one object may span");
+  }
   const auto packets =
       packetizer_.packetize_views(encoded, kSemanticPayloadType,
                                   transport_timestamp);

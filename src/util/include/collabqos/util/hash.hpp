@@ -1,7 +1,8 @@
 // Small deterministic hashing helpers shared across layers: FNV-1a for
-// payload digests / wire checksums, and a SplitMix64-style finaliser for
-// deriving independent RNG seeds from (seed, id, ...) tuples without any
-// shared mutable state.
+// payload digests and run fingerprints (the chaos harness), and a
+// SplitMix64-style finaliser for deriving independent RNG seeds from
+// (seed, id, ...) tuples without any shared mutable state. The RTP wire
+// checksum is CRC-32C (crc32c.hpp), not FNV-1a.
 #pragma once
 
 #include <cstddef>

@@ -462,6 +462,37 @@ TEST_F(PeerTest, LargeMessageFragmentsAndReassembles) {
   EXPECT_GT(network_.stats().datagrams_sent, 10u);
 }
 
+TEST_F(PeerTest, MessageBeyondFragmentFieldsIsRefusedUnsent) {
+  // The 16-bit fragment fields cap an object at 65535 packets. Past that
+  // the packets' fragment_count would wrap and the receiver would
+  // deliver a truncated "complete" object, so every send path refuses.
+  PeerOptions mtu_one;
+  mtu_one.mtu_payload = 1;
+  auto alice = std::make_unique<SemanticPeer>(
+      network_, network_.add_node("alice"), kGroup, 1, mtu_one);
+  auto bob = std::make_unique<SemanticPeer>(
+      network_, network_.add_node("bob"), kGroup, 2, mtu_one);
+  int delivered = 0;
+  bob->on_message([&](const SemanticMessage&, const MatchDecision&) {
+    ++delivered;
+  });
+  const SemanticMessage big = text_message(std::string(65'536, 'x'));
+  ASSERT_GT(big.encode().size(), net::RtpPacketizer::kMaxFragments);
+  EXPECT_EQ(alice->publish(big).code(), Errc::resource_limit);
+  EXPECT_EQ(alice->send_to(bob->address(), big).code(),
+            Errc::resource_limit);
+  EXPECT_EQ(alice->relay_to(bob->address(), big).code(),
+            Errc::resource_limit);
+  sim_.run_all();
+  EXPECT_EQ(network_.stats().datagrams_sent, 0u);
+  EXPECT_EQ(delivered, 0);
+
+  // The refusals left the peer usable.
+  ASSERT_TRUE(alice->publish(text_message("small")).ok());
+  sim_.run_all();
+  EXPECT_EQ(delivered, 1);
+}
+
 TEST_F(PeerTest, LossyLinkDropsIncompleteMessagesBestEffort) {
   // Pure best-effort (repair disabled): incomplete messages are dropped.
   const net::NodeId a = network_.add_node("alice");

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "collabqos/net/rtp.hpp"
+#include "collabqos/telemetry/metrics.hpp"
 #include "collabqos/util/rng.hpp"
 
 namespace collabqos::net {
@@ -48,6 +52,148 @@ TEST(RtpPacket, RejectsBadFragmentFields) {
   EXPECT_FALSE(RtpPacket::decode(p.wire()).ok());
 }
 
+std::string to_hex(const serde::Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const std::uint8_t byte : bytes) {
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xf];
+  }
+  return hex;
+}
+
+serde::Bytes from_hex(std::string_view hex) {
+  serde::Bytes bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+// Golden wire bytes: magic, ssrc, sequence, timestamp, payload type,
+// fragment index and count (little-endian), the CRC-32C, the payload's
+// varint length and the payload. Any change to the header layout or to
+// the checksum changes every datagram, and must show up here.
+TEST(RtpPacket, WireBytesArePinned) {
+  RtpPacket empty;
+  empty.ssrc = 0x01020304;
+  empty.sequence = 0x0506;
+  empty.timestamp = 0x0708090A;
+  empty.payload_type = 96;
+  empty.fragment_index = 0;
+  empty.fragment_count = 1;
+
+  RtpPacket sixteen;
+  sixteen.ssrc = 0xCAFEBABE;
+  sixteen.sequence = 65534;
+  sixteen.timestamp = 123456;
+  sixteen.payload_type = 97;
+  sixteen.fragment_index = 2;
+  sixteen.fragment_count = 5;
+  serde::Bytes payload(16);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
+  }
+  sixteen.payload = payload;
+
+  const std::pair<const RtpPacket*, std::string_view> goldens[] = {
+      {&empty, "a70403020106050a0908076000000100ec92bc1a00"},
+      {&sixteen,
+       "a7bebafecafeff40e201006102000500435ddbc810"
+       "000102030405060708090a0b0c0d0e0f"},
+  };
+  for (const auto& [packet, hex] : goldens) {
+    EXPECT_EQ(to_hex(packet->wire().gather()), hex);
+    auto decoded = RtpPacket::decode(serde::ByteChain(from_hex(hex)));
+    ASSERT_TRUE(decoded.ok()) << hex;
+    EXPECT_EQ(decoded.value().ssrc, packet->ssrc);
+    EXPECT_EQ(decoded.value().sequence, packet->sequence);
+    EXPECT_EQ(decoded.value().timestamp, packet->timestamp);
+    EXPECT_EQ(decoded.value().payload_type, packet->payload_type);
+    EXPECT_EQ(decoded.value().fragment_index, packet->fragment_index);
+    EXPECT_EQ(decoded.value().fragment_count, packet->fragment_count);
+    EXPECT_EQ(decoded.value().payload, packet->payload);
+  }
+}
+
+// Byte offsets in the wire form (see WireBytesArePinned).
+constexpr std::size_t kFieldsBegin = 1;      // ssrc .. fragment count
+constexpr std::size_t kFragmentBegin = 12;   // fragment index and count
+constexpr std::size_t kChecksumBegin = 16;
+constexpr std::size_t kChecksumEnd = 20;
+
+// Whether a flip at `byte` must be charged to rtp.corrupt_detected: one
+// the structural checks cannot see, so only the checksum compare can.
+bool only_checksum_sees(std::size_t byte, std::size_t payload_begin) {
+  return (byte >= kFieldsBegin && byte < kFragmentBegin) ||
+         (byte >= kChecksumBegin && byte < kChecksumEnd) ||
+         byte >= payload_begin;
+}
+
+TEST(RtpPacket, EverySingleBitFlipIsRejected) {
+  auto& registry = telemetry::MetricsRegistry::global();
+  for (const std::size_t size : {0u, 1u, 7u, 64u, 1400u}) {
+    RtpPacket p;
+    p.ssrc = 0x5EED0000u + static_cast<std::uint32_t>(size);
+    p.sequence = 4242;
+    p.timestamp = 99;
+    p.payload_type = 96;
+    p.fragment_index = 1;
+    p.fragment_count = 3;
+    p.payload = make_object(size, static_cast<std::uint8_t>(size));
+    const serde::Bytes wire = p.wire().gather();
+    const std::size_t payload_begin = wire.size() - size;
+    for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
+      serde::Bytes flipped = wire;
+      flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const double before = registry.read("rtp.corrupt_detected");
+      EXPECT_FALSE(RtpPacket::decode(serde::ByteChain(flipped)).ok())
+          << "payload " << size << " bit " << bit;
+      if (only_checksum_sees(bit / 8, payload_begin)) {
+        EXPECT_EQ(registry.read("rtp.corrupt_detected"), before + 1)
+            << "payload " << size << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(RtpPacket, BurstErrorsUpTo32BitsAreRejected) {
+  Rng rng(21);
+  for (const std::size_t size : {0u, 1u, 7u, 64u, 1400u}) {
+    RtpPacket p;
+    p.ssrc = 0xB0B0B0B0u;
+    p.sequence = 7;
+    p.timestamp = static_cast<std::uint32_t>(size);
+    p.payload_type = 97;
+    p.fragment_index = 0;
+    p.fragment_count = 1;
+    p.payload = make_object(size, 3);
+    const serde::Bytes wire = p.wire().gather();
+    const std::size_t payload_begin = wire.size() - size;
+    for (std::size_t start = kFieldsBegin; start < wire.size(); ++start) {
+      if (start >= kChecksumBegin && start < payload_begin) continue;
+      for (int trial = 0; trial < 4; ++trial) {
+        // A burst of `length` bits: first and last set, the rest random,
+        // clipped to the end of the datagram.
+        const auto length = static_cast<std::size_t>(rng.uniform_int(2, 32));
+        const std::size_t first =
+            start * 8 + static_cast<std::size_t>(rng.uniform_int(0, 7));
+        const std::size_t last =
+            std::min(first + length - 1, wire.size() * 8 - 1);
+        serde::Bytes burst = wire;
+        for (std::size_t bit = first; bit <= last; ++bit) {
+          if (bit == first || bit == last || rng.chance(0.5)) {
+            burst[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+          }
+        }
+        EXPECT_FALSE(RtpPacket::decode(serde::ByteChain(burst)).ok())
+            << "payload " << size << " bits " << first << ".." << last;
+      }
+    }
+  }
+}
+
 TEST(RtpPacketizer, SplitsAtMtu) {
   RtpPacketizer packetizer(7, 100);
   const auto packets = packetizer.packetize_views(make_object(250), 96, 1);
@@ -77,17 +223,6 @@ TEST(RtpPacketizer, EmptyObjectYieldsOnePacket) {
   const auto packets = packetizer.packetize_views({}, 96, 1);
   ASSERT_EQ(packets.size(), 1u);
   EXPECT_TRUE(packets[0].payload.empty());
-}
-
-TEST(RtpPacketizer, PrecutFragmentsKeepBoundaries) {
-  RtpPacketizer packetizer(7, 10);
-  const std::vector<serde::Bytes> fragments = {make_object(500),
-                                               make_object(3), make_object(40)};
-  const auto packets = packetizer.packetize_fragments(fragments, 97, 9);
-  ASSERT_EQ(packets.size(), 3u);
-  EXPECT_EQ(packets[0].payload.size(), 500u);  // never re-split
-  EXPECT_EQ(packets[1].payload.size(), 3u);
-  EXPECT_EQ(packets[2].payload.size(), 40u);
 }
 
 class RtpReceiverTest : public ::testing::Test {

@@ -2,11 +2,15 @@
 
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collabqos/sim/time.hpp"
+#include "collabqos/util/crc32c.hpp"
 #include "collabqos/util/decibel.hpp"
+#include "collabqos/util/hash.hpp"
 #include "collabqos/util/logging.hpp"
 #include "collabqos/util/result.hpp"
 #include "collabqos/util/rng.hpp"
@@ -291,6 +295,83 @@ TEST(Errc, NamesAreStable) {
   EXPECT_EQ(to_string(Errc::timeout), "timeout");
   EXPECT_EQ(to_string(Errc::no_such_object), "no_such_object");
   EXPECT_EQ(to_string(Errc::malformed), "malformed");
+}
+
+// --------------------------------------------------------------- CRC-32C
+
+std::uint32_t crc32c(std::span<const std::uint8_t> bytes) {
+  Crc32c crc;
+  crc.update(bytes);
+  return crc.value();
+}
+
+std::uint32_t crc32c_portable(std::span<const std::uint8_t> bytes) {
+  return ~crc32c_extend_portable(~std::uint32_t{0}, bytes);
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  std::vector<std::uint8_t> ascending(32), descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::uint8_t>(i);
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  const std::string digits = "123456789";
+  const std::vector<std::pair<std::vector<std::uint8_t>, std::uint32_t>>
+      vectors = {
+          {std::vector<std::uint8_t>(32, 0x00), 0x8A9136AA},
+          {std::vector<std::uint8_t>(32, 0xFF), 0x62A8AB43},
+          {ascending, 0x46DD794E},
+          {descending, 0x113FDB5C},
+          {std::vector<std::uint8_t>(digits.begin(), digits.end()),
+           0xE3069283},
+      };
+  for (const auto& [bytes, expected] : vectors) {
+    EXPECT_EQ(crc32c(bytes), expected);
+    EXPECT_EQ(crc32c_portable(bytes), expected);
+  }
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+TEST(Crc32c, SplitFeedMatchesWholeBuffer) {
+  const auto bytes = random_bytes(100, 3);
+  const std::span<const std::uint8_t> all(bytes);
+  const std::uint32_t whole = crc32c(all);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    Crc32c crc;
+    crc.update(all.first(split));
+    crc.update(all.subspan(split));
+    EXPECT_EQ(crc.value(), whole) << "split at " << split;
+    const std::uint32_t head =
+        crc32c_extend_portable(~std::uint32_t{0}, all.first(split));
+    EXPECT_EQ(~crc32c_extend_portable(head, all.subspan(split)), whole)
+        << "portable split at " << split;
+  }
+}
+
+TEST(Crc32c, HardwarePathMatchesTable) {
+  if (!crc32c_hardware_available()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 crc32 instruction";
+  }
+  constexpr std::size_t kMaxLength = 4096;
+  const auto bytes = random_bytes(kMaxLength + 8, 11);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const auto chunk = all.subspan(offset, length);
+      const std::uint32_t seed = static_cast<std::uint32_t>(
+          mix64(offset * (kMaxLength + 1) + length));
+      ASSERT_EQ(crc32c_extend_hardware(seed, chunk),
+                crc32c_extend_portable(seed, chunk))
+          << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 // -------------------------------------------------------------- logging
