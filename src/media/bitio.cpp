@@ -1,81 +1,59 @@
 #include "collabqos/media/bitio.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cassert>
 
 namespace collabqos::media {
 
-void BitWriter::put(bool bit) {
-  current_ = static_cast<std::uint8_t>((current_ << 1) | (bit ? 1 : 0));
-  if (++filled_ == 8) {
-    buffer_.push_back(current_);
-    current_ = 0;
-    filled_ = 0;
+void BitWriter::put_bits_slow(std::uint64_t value, int count) {
+  assert(count <= 64 && count >= 64 - used_);
+  // Fill the accumulator to 64 bits, write it out, keep the rest.
+  const int rest = count - (64 - used_);
+  const std::uint64_t word =
+      (used_ == 0 ? 0 : acc_ << (64 - used_)) | (value >> rest);
+  std::uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(word >> (56 - 8 * i));
   }
-  ++bits_;
-}
-
-void BitWriter::put_bits(std::uint32_t value, int count) {
-  assert(count >= 0 && count <= 32);
-  for (int i = count - 1; i >= 0; --i) put(((value >> i) & 1u) != 0);
-}
-
-void BitWriter::put_gamma(std::uint64_t n) {
-  assert(n >= 1);
-  const int width = 64 - std::countl_zero(n);  // bits in n
-  for (int i = 0; i < width - 1; ++i) put(false);
-  for (int i = width - 1; i >= 0; --i) put(((n >> i) & 1u) != 0);
+  buffer_.insert(buffer_.end(), bytes, bytes + 8);
+  acc_ = rest == 0 ? 0 : value & (~std::uint64_t{0} >> (64 - rest));
+  used_ = rest;
 }
 
 std::vector<std::uint8_t> BitWriter::finish() {
-  if (filled_ > 0) {
-    buffer_.push_back(static_cast<std::uint8_t>(current_ << (8 - filled_)));
-    current_ = 0;
-    filled_ = 0;
+  int pending = used_;
+  while (pending >= 8) {
+    pending -= 8;
+    buffer_.push_back(static_cast<std::uint8_t>(acc_ >> pending));
   }
+  if (pending > 0) {
+    buffer_.push_back(static_cast<std::uint8_t>(acc_ << (8 - pending)));
+  }
+  acc_ = 0;
+  used_ = 0;
   return std::move(buffer_);
 }
 
-Result<bool> BitReader::get() {
-  if (exhausted()) return Error{Errc::malformed, "bitstream exhausted"};
-  const std::size_t byte = bit_ / 8;
-  const int offset = static_cast<int>(bit_ % 8);
-  ++bit_;
-  return ((data_[byte] >> (7 - offset)) & 1u) != 0;
-}
-
-Result<std::uint32_t> BitReader::get_bits(int count) {
-  assert(count >= 0 && count <= 32);
-  std::uint32_t value = 0;
-  for (int i = 0; i < count; ++i) {
-    auto bit = get();
-    if (!bit) return bit.error();
-    value = (value << 1) | (bit.value() ? 1u : 0u);
+void BitReader::refill_tail() noexcept {
+  while (avail_ <= 56 && next_ < data_.size()) {
+    acc_ |= static_cast<std::uint64_t>(data_[next_++]) << (56 - avail_);
+    avail_ += 8;
   }
-  return value;
 }
 
-Result<std::uint64_t> BitReader::get_gamma() {
+std::uint64_t BitReader::get_gamma_slow() {
   int zeros = 0;
-  while (true) {
-    auto bit = get();
-    if (!bit) return bit.error();
-    if (bit.value()) break;
-    if (++zeros > 63) return Error{Errc::malformed, "gamma code too long"};
+  while (!get()) {
+    if (!ok_) return 0;
+    if (++zeros > 63) return fail();  // gamma code too long
   }
   std::uint64_t value = 1;
-  for (int i = 0; i < zeros; ++i) {
-    auto bit = get();
-    if (!bit) return bit.error();
-    value = (value << 1) | (bit.value() ? 1u : 0u);
+  for (int left = zeros; left > 0;) {
+    const int chunk = std::min(left, 32);
+    value = (value << chunk) | get_bits(chunk);
+    left -= chunk;
   }
-  return value;
-}
-
-Result<std::uint64_t> BitReader::get_run() {
-  auto gamma = get_gamma();
-  if (!gamma) return gamma.error();
-  return gamma.value() - 1;
+  return ok_ ? value : 0;
 }
 
 }  // namespace collabqos::media

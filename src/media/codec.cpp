@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <limits>
 
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/haar.hpp"
@@ -22,16 +23,23 @@ struct CoefficientSet {
   int top_plane = 0;
 };
 
-/// Scan permutation for one channel plane.
-std::vector<std::uint32_t> scan_order_for(int width, int height, int levels,
-                                          CodecParams::Scan scan) {
-  if (scan == CodecParams::Scan::raster) {
-    std::vector<std::uint32_t> order(
-        static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    return order;
+/// The scan of one channel plane as rectangles walked row by row.
+std::vector<SubbandRect> scan_rects(int width, int height, int levels,
+                                    bool raster) {
+  if (raster) return {SubbandRect{0, 0, width, height}};
+  return subband_rects(width, height, levels);
+}
+
+/// Call f(scan position, plane index) for every coefficient of a plane.
+template <class F>
+void for_each_in_scan(const std::vector<SubbandRect>& rects, int width, F&& f) {
+  std::size_t k = 0;
+  for (const SubbandRect& r : rects) {
+    for (int y = r.y0; y < r.y1; ++y) {
+      const std::size_t row = static_cast<std::size_t>(y) * width;
+      for (int x = r.x0; x < r.x1; ++x) f(k++, row + static_cast<std::size_t>(x));
+    }
   }
-  return subband_scan_order(width, height, levels);
 }
 
 /// Reversible YCoCg-R forward lift on one RGB pixel.
@@ -46,16 +54,18 @@ inline void ycocg_forward(std::int32_t& r, std::int32_t& g,
   b = cg;
 }
 
-/// Exact inverse of ycocg_forward.
+/// Exact inverse of ycocg_forward, modulo 2^32 so that samples decoded
+/// from a corrupt stream cannot overflow.
 inline void ycocg_inverse(std::int32_t& y, std::int32_t& co,
                           std::int32_t& cg) noexcept {
-  const std::int32_t t = y - (cg >> 1);
-  const std::int32_t g = cg + t;
-  const std::int32_t b = t - (co >> 1);
-  const std::int32_t r = b + co;
-  y = r;
-  co = g;
-  cg = b;
+  const auto u = [](std::int32_t v) { return static_cast<std::uint32_t>(v); };
+  const std::uint32_t t = u(y) - u(cg >> 1);
+  const std::uint32_t g = u(cg) + t;
+  const std::uint32_t b = t - u(co >> 1);
+  const std::uint32_t r = b + u(co);
+  y = static_cast<std::int32_t>(r);
+  co = static_cast<std::int32_t>(g);
+  cg = static_cast<std::int32_t>(b);
 }
 
 /// Build the per-channel sample planes (after optional decorrelation).
@@ -64,15 +74,15 @@ std::vector<CoefficientPlane> build_planes(const Image& image, int levels,
   const int channels = image.channels();
   const std::size_t pixels = image.pixel_count();
   std::vector<CoefficientPlane> planes(static_cast<std::size_t>(channels));
-  for (int c = 0; c < channels; ++c) {
-    planes[static_cast<std::size_t>(c)].width = image.width();
-    planes[static_cast<std::size_t>(c)].height = image.height();
-    planes[static_cast<std::size_t>(c)].levels = levels;
-    planes[static_cast<std::size_t>(c)].data.resize(pixels);
+  for (CoefficientPlane& plane : planes) {
+    plane.width = image.width();
+    plane.height = image.height();
+    plane.levels = levels;
+    plane.data.resize(pixels);
   }
-  const auto& src = image.pixels();
-  for (std::size_t p = 0; p < pixels; ++p) {
-    if (channels == 3) {
+  const std::uint8_t* src = image.pixels().data();
+  if (channels == 3) {
+    for (std::size_t p = 0; p < pixels; ++p) {
       std::int32_t r = src[p * 3];
       std::int32_t g = src[p * 3 + 1];
       std::int32_t b = src[p * 3 + 2];
@@ -80,9 +90,9 @@ std::vector<CoefficientPlane> build_planes(const Image& image, int levels,
       planes[0].data[p] = r;
       planes[1].data[p] = g;
       planes[2].data[p] = b;
-    } else {
-      planes[0].data[p] = src[p];
     }
+  } else {
+    std::copy_n(src, pixels, planes[0].data.begin());
   }
   for (CoefficientPlane& plane : planes) forward_haar_inplace(plane);
   return planes;
@@ -92,61 +102,104 @@ CoefficientSet flatten(const Image& image, const CodecParams& params,
                        bool ycocg) {
   const std::vector<CoefficientPlane> planes =
       build_planes(image, params.levels, ycocg);
-  const auto order = scan_order_for(image.width(), image.height(),
-                                    params.levels, params.scan);
+  const auto rects =
+      scan_rects(image.width(), image.height(), params.levels,
+                 params.scan == CodecParams::Scan::raster);
+  const std::size_t per_channel = image.pixel_count();
   CoefficientSet set;
-  set.magnitudes.reserve(order.size() * planes.size());
-  set.signs.reserve(set.magnitudes.capacity());
-  std::uint32_t max_magnitude = 0;
-  for (const CoefficientPlane& plane : planes) {
-    for (const std::uint32_t index : order) {
-      const std::int32_t value = plane.data[index];
+  set.magnitudes.resize(per_channel * planes.size());
+  set.signs.resize(set.magnitudes.size());
+  std::uint32_t all_bits = 0;
+  for (std::size_t c = 0; c < planes.size(); ++c) {
+    const std::int32_t* data = planes[c].data.data();
+    std::uint32_t* magnitudes = set.magnitudes.data() + c * per_channel;
+    std::uint8_t* signs = set.signs.data() + c * per_channel;
+    for_each_in_scan(rects, image.width(), [&](std::size_t k, std::size_t i) {
+      const std::int32_t value = data[i];
       const auto magnitude =
           static_cast<std::uint32_t>(value < 0 ? -value : value);
-      set.magnitudes.push_back(magnitude);
-      set.signs.push_back(value < 0 ? 1 : 0);
-      max_magnitude = std::max(max_magnitude, magnitude);
-    }
+      magnitudes[k] = magnitude;
+      signs[k] = value < 0 ? 1 : 0;
+      all_bits |= magnitude;
+    });
   }
-  set.top_plane =
-      max_magnitude > 0 ? 32 - std::countl_zero(max_magnitude) - 1 : 0;
+  set.top_plane = all_bits > 0 ? 32 - std::countl_zero(all_bits) - 1 : 0;
   return set;
 }
 
 /// One coded pass (byte-aligned blob).
 using Pass = std::vector<std::uint8_t>;
 
+/// Refinement bits are moved 56 at a time, the most one reader refill
+/// guarantees.
+constexpr int kBitBatch = 56;
+
+// A significance bitmap holds one bit per scan position, 64 positions to
+// a word, set once the position is significant. Walking its set bits
+// visits the significant positions in order.
+using Bitmap = std::vector<std::uint64_t>;
+
 std::vector<Pass> encode_passes(const CoefficientSet& set) {
+  const std::uint32_t* magnitudes = set.magnitudes.data();
   const std::size_t n = set.magnitudes.size();
-  std::vector<bool> significant(n, false);
+  const std::size_t words = (n + 63) / 64;
+  // A position becomes significant in the plane of its top set bit. Row
+  // b of `fresh` marks the positions whose top bit is b - 1; row 0, the
+  // zero magnitudes, is never read.
+  const auto rows = static_cast<std::size_t>(set.top_plane) + 2;
+  Bitmap fresh(rows * words, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    fresh[static_cast<std::size_t>(std::bit_width(magnitudes[i])) * words +
+          i / 64] |= std::uint64_t{1} << (i % 64);
+  }
+
+  Bitmap significant(words, 0);
   std::vector<Pass> passes;
   for (int plane = set.top_plane; plane >= 0; --plane) {
-    const std::uint32_t threshold_bit = 1u << plane;
-    // Refinement pass first records who was significant *before* this
-    // plane's significance pass; emit significance first, refinement
-    // second, but snapshot membership up front.
+    const std::uint64_t* newly =
+        fresh.data() + (static_cast<std::size_t>(plane) + 1) * words;
+    // Significance: the run of still-insignificant positions before each
+    // newly significant one, then its sign; a final run closes the pass.
+    // A position's rank among the insignificant is the position minus
+    // the significant positions below it.
     BitWriter significance;
-    std::uint64_t gap = 0;
-    std::vector<std::uint32_t> newly_significant;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (significant[i]) continue;
-      if ((set.magnitudes[i] & threshold_bit) != 0) {
-        significance.put_run(gap);
-        significance.put(set.signs[i] != 0);
-        gap = 0;
-        newly_significant.push_back(static_cast<std::uint32_t>(i));
-      } else {
-        ++gap;
+    std::size_t below = 0;  // significant positions in earlier words
+    std::size_t run_start = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = newly[w]; bits != 0; bits &= bits - 1) {
+        const int j = std::countr_zero(bits);
+        const std::size_t index = w * 64 + static_cast<std::size_t>(j);
+        const std::size_t rank =
+            index - below -
+            static_cast<std::size_t>(std::popcount(
+                significant[w] & ((std::uint64_t{1} << j) - 1)));
+        significance.put_run(rank - run_start);
+        significance.put(set.signs[index] != 0);
+        run_start = rank + 1;
+      }
+      below += static_cast<std::size_t>(std::popcount(significant[w]));
+    }
+    significance.put_run(n - below - run_start);
+
+    // Refinement: this plane's bit of every previously significant one,
+    // moved up to kBitBatch at a time.
+    BitWriter refinement;
+    std::uint64_t batch = 0;
+    int batched = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = significant[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t index =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        batch = (batch << 1) | ((magnitudes[index] >> plane) & 1u);
+        if (++batched == kBitBatch) {
+          refinement.put_bits(batch, batched);
+          batch = 0;
+          batched = 0;
+        }
       }
     }
-    significance.put_run(gap);
-
-    BitWriter refinement;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!significant[i]) continue;
-      refinement.put((set.magnitudes[i] & threshold_bit) != 0);
-    }
-    for (const std::uint32_t i : newly_significant) significant[i] = true;
+    refinement.put_bits(batch, batched);
+    for (std::size_t w = 0; w < words; ++w) significant[w] |= newly[w];
 
     passes.push_back(significance.finish());
     passes.push_back(refinement.finish());
@@ -221,7 +274,8 @@ Result<Header> decode_header(std::span<const std::uint8_t> bytes) {
   auto height = r.varint();
   if (!height) return height.error();
   if (width.value() == 0 || height.value() == 0 ||
-      width.value() > 1u << 16 || height.value() > 1u << 16) {
+      width.value() > 1u << 16 || height.value() > 1u << 16 ||
+      width.value() * height.value() >= kMaxDecodedSamples) {
     return Error{Errc::malformed, "implausible dimensions"};
   }
   h.width = static_cast<int>(width.value());
@@ -287,22 +341,25 @@ Result<Image> decode_progressive_prefix(
   if (!decoded_header) return decoded_header.error();
   const Header h = decoded_header.value();
 
-  const auto order = scan_order_for(h.width, h.height, h.levels,
-                                    h.raster_scan
-                                        ? CodecParams::Scan::raster
-                                        : CodecParams::Scan::subband);
-  const std::size_t per_channel = order.size();
+  const std::size_t per_channel =
+      static_cast<std::size_t>(h.width) * static_cast<std::size_t>(h.height);
   const std::size_t n = per_channel * static_cast<std::size_t>(h.channels);
 
   std::vector<std::uint32_t> magnitudes(n, 0);
   std::vector<std::uint8_t> signs(n, 0);
-  std::vector<bool> significant(n, false);
-  std::vector<int> lowest_plane(n, 0);  // lowest plane whose bit is known
+  // The bitmap of encode_passes. `newly` marks what the last significance
+  // pass found until the refinement pass after it merges it in.
+  const std::size_t words = (n + 63) / 64;
+  Bitmap significant(words, 0);
+  Bitmap newly(words, 0);
+  std::size_t significant_count = 0;
+  // Lowest plane whose bit is known, for the positions of each bitmap.
+  int significant_plane = 0;
+  int newly_plane = 0;
 
   // Replay passes in order until packets run out or a gap appears.
   int plane = h.top_plane;
   bool doing_significance = true;
-  bool truncated_mid_pass = false;
   for (const serde::Bytes& packet : packets) {
     if (packet.empty()) break;  // missing packet terminates the prefix
     if (plane < 0) break;       // trailing data beyond the last plane
@@ -317,61 +374,76 @@ Result<Image> decode_progressive_prefix(
       }
       BitReader bits(blob.value());
       if (doing_significance) {
-        const std::uint32_t threshold_bit = 1u << plane;
-        std::vector<std::uint32_t> newly;
+        // Each run skips that many insignificant positions: whole words by
+        // their count, then within word w through `open`, its insignificant
+        // bit offsets in order, of which `passed` are behind the cursor.
+        const std::size_t count = n - significant_count;
         std::size_t position = 0;
-        // Count insignificant coefficients up front for loop bounds.
-        std::size_t insignificant = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!significant[i]) ++insignificant;
-        }
-        // Map position-in-insignificant-sequence to coefficient index.
-        std::vector<std::uint32_t> index_of;
-        index_of.reserve(insignificant);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!significant[i]) index_of.push_back(static_cast<std::uint32_t>(i));
-        }
-        while (position < insignificant) {
-          auto run = bits.get_run();
-          if (!run) {
-            truncated_mid_pass = true;
-            break;
+        std::size_t w = 0;
+        std::uint8_t open[64];
+        int open_count = 0;
+        int passed = 0;
+        const auto load_word = [&] {
+          open_count = 0;
+          passed = 0;
+          for (std::uint64_t free = ~significant[w]; free != 0; free &= free - 1) {
+            open[open_count++] = static_cast<std::uint8_t>(std::countr_zero(free));
           }
-          position += run.value();
-          if (position >= insignificant) break;
-          auto sign = bits.get();
-          if (!sign) {
-            truncated_mid_pass = true;
-            break;
+        };
+        load_word();
+        while (position < count) {
+          const std::uint64_t run = bits.get_run();
+          if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
+          if (run > std::numeric_limits<std::uint64_t>::max() - position) {
+            return Error{Errc::malformed, "significance run overflows"};
           }
-          const std::uint32_t index = index_of[position];
-          magnitudes[index] |= threshold_bit;
-          signs[index] = sign.value() ? 1 : 0;
-          lowest_plane[index] = plane;
-          newly.push_back(index);
-          ++position;
-        }
-        for (const std::uint32_t index : newly) significant[index] = true;
-      } else {
-        const std::uint32_t threshold_bit = 1u << plane;
-        for (std::size_t i = 0; i < n && !truncated_mid_pass; ++i) {
-          if (!significant[i]) continue;
-          if (lowest_plane[i] <= plane) continue;  // became significant now
-          auto bit = bits.get();
-          if (!bit) {
-            truncated_mid_pass = true;
-            break;
+          if (position + run >= count) break;
+          position += static_cast<std::size_t>(run) + 1;
+          std::uint64_t skip = run;
+          if (skip >= static_cast<std::uint64_t>(open_count - passed)) {
+            skip -= static_cast<std::uint64_t>(open_count - passed);
+            for (++w; skip >= static_cast<std::uint64_t>(
+                                  std::popcount(~significant[w]));
+                 ++w) {
+              skip -= static_cast<std::uint64_t>(std::popcount(~significant[w]));
+            }
+            load_word();
           }
-          if (bit.value()) magnitudes[i] |= threshold_bit;
-          lowest_plane[i] = plane;
+          passed += static_cast<int>(skip);
+          const int j = open[passed++];
+          const bool negative = bits.get();
+          if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
+          const std::size_t index = w * 64 + static_cast<std::size_t>(j);
+          magnitudes[index] |= 1u << plane;
+          signs[index] = negative ? 1 : 0;
+          newly[w] |= std::uint64_t{1} << j;
         }
-      }
-      if (truncated_mid_pass) {
-        return Error{Errc::malformed, "truncated pass"};
-      }
-      if (doing_significance) {
+        newly_plane = plane;
         doing_significance = false;
       } else {
+        std::size_t left = significant_count;
+        std::uint64_t batch = 0;
+        int batched = 0;
+        for (std::size_t w = 0; w < words; ++w) {
+          for (std::uint64_t set = significant[w]; set != 0; set &= set - 1) {
+            if (batched == 0) {
+              batched = static_cast<int>(
+                  std::min<std::size_t>(kBitBatch, left));
+              left -= static_cast<std::size_t>(batched);
+              batch = bits.get_bits(batched);
+              if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
+            }
+            const auto bit = static_cast<std::uint32_t>(batch >> --batched) & 1u;
+            magnitudes[w * 64 + static_cast<std::size_t>(std::countr_zero(set))] |=
+                bit << plane;
+          }
+        }
+        for (std::size_t w = 0; w < words; ++w) {
+          significant_count += static_cast<std::size_t>(std::popcount(newly[w]));
+          significant[w] |= newly[w];
+          newly[w] = 0;
+        }
+        significant_plane = plane;
         doing_significance = true;
         --plane;
       }
@@ -379,47 +451,53 @@ Result<Image> decode_progressive_prefix(
   }
 
   // Mid-interval estimate for coefficients with unknown lower bits.
-  std::vector<std::int32_t> values(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!significant[i]) continue;
-    std::uint32_t magnitude = magnitudes[i];
-    if (lowest_plane[i] > 0) magnitude |= 1u << (lowest_plane[i] - 1);
-    values[i] = signs[i] != 0 ? -static_cast<std::int32_t>(magnitude)
-                              : static_cast<std::int32_t>(magnitude);
-  }
+  const auto add_half = [&](const Bitmap& marked, int lowest) {
+    if (lowest <= 0) return;
+    const std::uint32_t half = 1u << (lowest - 1);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t set = marked[w]; set != 0; set &= set - 1) {
+        magnitudes[w * 64 + static_cast<std::size_t>(std::countr_zero(set))] |= half;
+      }
+    }
+  };
+  add_half(significant, significant_plane);
+  add_half(newly, newly_plane);
 
-  Image image(h.width, h.height, h.channels);
-  std::vector<std::vector<std::int32_t>> channel_values(
-      static_cast<std::size_t>(h.channels));
-  for (int c = 0; c < h.channels; ++c) {
-    CoefficientPlane plane_data;
+  const auto rects = scan_rects(h.width, h.height, h.levels, h.raster_scan);
+  std::vector<CoefficientPlane> planes(static_cast<std::size_t>(h.channels));
+  for (std::size_t c = 0; c < planes.size(); ++c) {
+    CoefficientPlane& plane_data = planes[c];
     plane_data.width = h.width;
     plane_data.height = h.height;
     plane_data.levels = h.levels;
-    plane_data.data.assign(per_channel, 0);
-    const std::size_t channel_base = per_channel * static_cast<std::size_t>(c);
-    for (std::size_t i = 0; i < per_channel; ++i) {
-      plane_data.data[order[i]] = values[channel_base + i];
-    }
-    channel_values[static_cast<std::size_t>(c)] =
-        inverse_haar_values(plane_data);
+    plane_data.data.resize(per_channel);
+    std::int32_t* data = plane_data.data.data();
+    const std::uint32_t* m = magnitudes.data() + c * per_channel;
+    const std::uint8_t* negative = signs.data() + c * per_channel;
+    for_each_in_scan(rects, h.width, [&](std::size_t k, std::size_t i) {
+      data[i] = static_cast<std::int32_t>(negative[k] != 0 ? 0u - m[k] : m[k]);
+    });
+    inverse_haar_inplace(plane_data);
   }
-  auto& pixels = image.pixels();
+
+  Image image(h.width, h.height, h.channels);
+  std::uint8_t* pixels = image.pixels().data();
   const auto clamp_u8 = [](std::int32_t v) {
     return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
   };
-  for (std::size_t p = 0; p < per_channel; ++p) {
-    if (h.channels == 3) {
-      std::int32_t a = channel_values[0][p];
-      std::int32_t b = channel_values[1][p];
-      std::int32_t c = channel_values[2][p];
+  if (h.channels == 3) {
+    for (std::size_t p = 0; p < per_channel; ++p) {
+      std::int32_t a = planes[0].data[p];
+      std::int32_t b = planes[1].data[p];
+      std::int32_t c = planes[2].data[p];
       if (h.ycocg) ycocg_inverse(a, b, c);
       pixels[p * 3] = clamp_u8(a);
       pixels[p * 3 + 1] = clamp_u8(b);
       pixels[p * 3 + 2] = clamp_u8(c);
-    } else {
-      pixels[p] = clamp_u8(channel_values[0][p]);
     }
+  } else {
+    const std::int32_t* values = planes[0].data.data();
+    for (std::size_t p = 0; p < per_channel; ++p) pixels[p] = clamp_u8(values[p]);
   }
   return image;
 }

@@ -7,58 +7,128 @@ namespace collabqos::media {
 
 namespace {
 
-// 1D forward S-transform over `n` elements with stride `step`:
-// low[i] = floor((a+b)/2), high[i] = a-b. Odd tails stay in the low band.
-void forward_1d(std::int32_t* data, int n, int step) {
-  if (n < 2) return;
+// S-transform on a pair (a, b): low = floor((a+b)/2), high = a-b. Each
+// level runs the rows of its region out of place into one scratch plane
+// (low half then high half of each row), then the columns back as row
+// pairs, so the inner loops run along contiguous rows. An odd tail sample
+// stays in the low band.
+
+/// Forward transform of each of `rows` rows of `n` samples, from `src`
+/// (row stride `src_stride`) into `dst` (row stride `dst_stride`).
+void forward_rows(const std::int32_t* src, std::size_t src_stride,
+                  std::int32_t* dst, std::size_t dst_stride, int n, int rows) {
   const int low_count = (n + 1) / 2;
-  std::vector<std::int32_t> scratch(static_cast<std::size_t>(n));
-  for (int i = 0; i + 1 < n; i += 2) {
-    const std::int32_t a = data[i * step];
-    const std::int32_t b = data[(i + 1) * step];
-    scratch[static_cast<std::size_t>(i / 2)] = (a + b) >> 1;
-    scratch[static_cast<std::size_t>(low_count + i / 2)] = a - b;
+  for (int y = 0; y < rows; ++y) {
+    const std::int32_t* in = src + static_cast<std::size_t>(y) * src_stride;
+    std::int32_t* low = dst + static_cast<std::size_t>(y) * dst_stride;
+    std::int32_t* high = low + low_count;
+    for (int i = 0; i < n / 2; ++i) {
+      const std::int32_t a = in[2 * i];
+      const std::int32_t b = in[2 * i + 1];
+      low[i] = (a + b) >> 1;
+      high[i] = a - b;
+    }
+    if (n % 2 == 1) low[low_count - 1] = in[n - 1];
   }
-  if (n % 2 == 1) {
-    scratch[static_cast<std::size_t>(low_count - 1)] = data[(n - 1) * step];
-  }
-  for (int i = 0; i < n; ++i) data[i * step] = scratch[static_cast<std::size_t>(i)];
 }
 
-void inverse_1d(std::int32_t* data, int n, int step) {
-  if (n < 2) return;
+/// Forward transform down the columns of an `n`-row, `width`-wide block:
+/// rows 2i and 2i+1 of `src` give low row i and high row low_count+i.
+void forward_columns(const std::int32_t* src, std::size_t src_stride,
+                     std::int32_t* dst, std::size_t dst_stride, int n,
+                     int width) {
   const int low_count = (n + 1) / 2;
-  std::vector<std::int32_t> scratch(static_cast<std::size_t>(n));
-  for (int i = 0; i + 1 < n; i += 2) {
-    const std::int32_t s = data[(i / 2) * step];
-    const std::int32_t d = data[(low_count + i / 2) * step];
-    const std::int32_t b = s - (d >> 1);
-    scratch[static_cast<std::size_t>(i)] = b + d;
-    scratch[static_cast<std::size_t>(i + 1)] = b;
+  for (int i = 0; i < n / 2; ++i) {
+    const std::int32_t* a = src + static_cast<std::size_t>(2 * i) * src_stride;
+    const std::int32_t* b = a + src_stride;
+    std::int32_t* low = dst + static_cast<std::size_t>(i) * dst_stride;
+    std::int32_t* high =
+        dst + static_cast<std::size_t>(low_count + i) * dst_stride;
+    for (int x = 0; x < width; ++x) {
+      low[x] = (a[x] + b[x]) >> 1;
+      high[x] = a[x] - b[x];
+    }
   }
   if (n % 2 == 1) {
-    scratch[static_cast<std::size_t>(n - 1)] = data[(low_count - 1) * step];
+    std::copy_n(src + static_cast<std::size_t>(n - 1) * src_stride, width,
+                dst + static_cast<std::size_t>(low_count - 1) * dst_stride);
   }
-  for (int i = 0; i < n; ++i) data[i * step] = scratch[static_cast<std::size_t>(i)];
+}
+
+// The inverse pair: b = low - floor(high/2), a = b + high. Computed modulo
+// 2^32, which equals the plain sums whenever those do not overflow.
+inline std::int32_t wrap_add(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                   static_cast<std::uint32_t>(b));
+}
+inline std::int32_t wrap_sub(std::int32_t a, std::int32_t b) noexcept {
+  return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) -
+                                   static_cast<std::uint32_t>(b));
+}
+
+void inverse_columns(const std::int32_t* src, std::size_t src_stride,
+                     std::int32_t* dst, std::size_t dst_stride, int n,
+                     int width) {
+  const int low_count = (n + 1) / 2;
+  for (int i = 0; i < n / 2; ++i) {
+    const std::int32_t* low = src + static_cast<std::size_t>(i) * src_stride;
+    const std::int32_t* high =
+        src + static_cast<std::size_t>(low_count + i) * src_stride;
+    std::int32_t* a = dst + static_cast<std::size_t>(2 * i) * dst_stride;
+    std::int32_t* b = a + dst_stride;
+    for (int x = 0; x < width; ++x) {
+      const std::int32_t second = wrap_sub(low[x], high[x] >> 1);
+      a[x] = wrap_add(second, high[x]);
+      b[x] = second;
+    }
+  }
+  if (n % 2 == 1) {
+    std::copy_n(src + static_cast<std::size_t>(low_count - 1) * src_stride,
+                width, dst + static_cast<std::size_t>(n - 1) * dst_stride);
+  }
+}
+
+void inverse_rows(const std::int32_t* src, std::size_t src_stride,
+                  std::int32_t* dst, std::size_t dst_stride, int n, int rows) {
+  const int low_count = (n + 1) / 2;
+  for (int y = 0; y < rows; ++y) {
+    const std::int32_t* low = src + static_cast<std::size_t>(y) * src_stride;
+    const std::int32_t* high = low + low_count;
+    std::int32_t* out = dst + static_cast<std::size_t>(y) * dst_stride;
+    for (int i = 0; i < n / 2; ++i) {
+      const std::int32_t second = wrap_sub(low[i], high[i] >> 1);
+      out[2 * i] = wrap_add(second, high[i]);
+      out[2 * i + 1] = second;
+    }
+    if (n % 2 == 1) out[n - 1] = low[low_count - 1];
+  }
+}
+
+/// Region extents per level, outermost first.
+std::vector<std::pair<int, int>> level_regions(int width, int height,
+                                               int levels) {
+  std::vector<std::pair<int, int>> regions;
+  for (int level = 0; level < levels && (width >= 2 || height >= 2);
+       ++level) {
+    regions.emplace_back(width, height);
+    width = (width + 1) / 2;
+    height = (height + 1) / 2;
+  }
+  return regions;
 }
 
 }  // namespace
 
 void forward_haar_inplace(CoefficientPlane& plane) {
-  const int width = plane.width;
-  int region_w = plane.width;
-  int region_h = plane.height;
-  for (int level = 0;
-       level < plane.levels && (region_w >= 2 || region_h >= 2); ++level) {
-    for (int y = 0; y < region_h; ++y) {
-      forward_1d(plane.data.data() + static_cast<std::size_t>(y) * width,
-                 region_w, 1);
-    }
-    for (int x = 0; x < region_w; ++x) {
-      forward_1d(plane.data.data() + x, region_h, width);
-    }
-    region_w = (region_w + 1) / 2;
-    region_h = (region_h + 1) / 2;
+  const auto stride = static_cast<std::size_t>(plane.width);
+  std::vector<std::int32_t> scratch(plane.data.size());
+  for (const auto& [rw, rh] :
+       level_regions(plane.width, plane.height, plane.levels)) {
+    const auto scratch_stride = static_cast<std::size_t>(rw);
+    forward_rows(plane.data.data(), stride, scratch.data(), scratch_stride, rw,
+                 rh);
+    forward_columns(scratch.data(), scratch_stride, plane.data.data(), stride,
+                    rh, rw);
   }
 }
 
@@ -82,44 +152,31 @@ CoefficientPlane forward_haar(const std::uint8_t* plane, int width,
   return out;
 }
 
-std::vector<std::int32_t> inverse_haar_values(
-    const CoefficientPlane& coefficients) {
-  const int width = coefficients.width;
-  const int height = coefficients.height;
-  std::vector<std::int32_t> work = coefficients.data;
-  // Region sizes per level, outermost first.
-  std::vector<std::pair<int, int>> regions;
-  int region_w = width;
-  int region_h = height;
-  for (int level = 0;
-       level < coefficients.levels && (region_w >= 2 || region_h >= 2);
-       ++level) {
-    regions.emplace_back(region_w, region_h);
-    region_w = (region_w + 1) / 2;
-    region_h = (region_h + 1) / 2;
-  }
+void inverse_haar_inplace(CoefficientPlane& coefficients) {
+  const auto stride = static_cast<std::size_t>(coefficients.width);
+  std::vector<std::int32_t> scratch(coefficients.data.size());
+  const auto regions = level_regions(coefficients.width, coefficients.height,
+                                     coefficients.levels);
   for (auto it = regions.rbegin(); it != regions.rend(); ++it) {
     const auto [rw, rh] = *it;
-    for (int x = 0; x < rw; ++x) {
-      inverse_1d(work.data() + x, rh, width);
-    }
-    for (int y = 0; y < rh; ++y) {
-      inverse_1d(work.data() + static_cast<std::size_t>(y) * width, rw, 1);
-    }
+    const auto scratch_stride = static_cast<std::size_t>(rw);
+    inverse_columns(coefficients.data.data(), stride, scratch.data(),
+                    scratch_stride, rh, rw);
+    inverse_rows(scratch.data(), scratch_stride, coefficients.data.data(),
+                 stride, rw, rh);
   }
-  (void)height;
-  return work;
 }
 
 void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
                   int stride, int pixel_step) {
   const int width = coefficients.width;
   const int height = coefficients.height;
-  const std::vector<std::int32_t> work = inverse_haar_values(coefficients);
+  CoefficientPlane work = coefficients;
+  inverse_haar_inplace(work);
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       const std::int32_t value =
-          work[static_cast<std::size_t>(y) * width + x];
+          work.data[static_cast<std::size_t>(y) * width + x];
       plane[static_cast<std::size_t>(y) * stride +
             static_cast<std::size_t>(x) * pixel_step] =
           static_cast<std::uint8_t>(std::clamp(value, 0, 255));
@@ -127,42 +184,27 @@ void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
   }
 }
 
-std::vector<std::uint32_t> subband_scan_order(int width, int height,
-                                              int levels) {
-  // Region extents per level: sizes[l] is the LL region after l transforms.
-  std::vector<std::pair<int, int>> sizes;
-  sizes.emplace_back(width, height);
-  int effective_levels = 0;
-  for (int level = 0; level < levels; ++level) {
-    const auto [w, h] = sizes.back();
-    if (w < 2 && h < 2) break;
-    sizes.emplace_back((w + 1) / 2, (h + 1) / 2);
-    ++effective_levels;
-  }
-  std::vector<std::uint32_t> order;
-  order.reserve(static_cast<std::size_t>(width) * height);
-  const auto push_rect = [&](int x0, int y0, int x1, int y1) {
-    for (int y = y0; y < y1; ++y) {
-      for (int x = x0; x < x1; ++x) {
-        order.push_back(static_cast<std::uint32_t>(y) *
-                            static_cast<std::uint32_t>(width) +
-                        static_cast<std::uint32_t>(x));
-      }
-    }
-  };
+std::vector<SubbandRect> subband_rects(int width, int height, int levels) {
+  // sizes[l] is the LL region after l transforms.
+  std::vector<std::pair<int, int>> sizes = level_regions(width, height, levels);
+  const int effective_levels = static_cast<int>(sizes.size());
+  sizes.emplace_back(sizes.empty() ? std::pair{width, height}
+                                   : std::pair{(sizes.back().first + 1) / 2,
+                                               (sizes.back().second + 1) / 2});
+  std::vector<SubbandRect> rects;
+  rects.reserve(1 + 3 * static_cast<std::size_t>(effective_levels));
   // Coarsest LL first.
   const auto [llw, llh] = sizes[static_cast<std::size_t>(effective_levels)];
-  push_rect(0, 0, llw, llh);
+  rects.push_back({0, 0, llw, llh});
   // Detail bands, coarse to fine.
   for (int level = effective_levels; level >= 1; --level) {
     const auto [pw, ph] = sizes[static_cast<std::size_t>(level - 1)];
     const auto [lw, lh] = sizes[static_cast<std::size_t>(level)];
-    push_rect(lw, 0, pw, lh);   // HL (high in x, low in y)
-    push_rect(0, lh, lw, ph);   // LH
-    push_rect(lw, lh, pw, ph);  // HH
+    rects.push_back({lw, 0, pw, lh});   // HL (high in x, low in y)
+    rects.push_back({0, lh, lw, ph});   // LH
+    rects.push_back({lw, lh, pw, ph});  // HH
   }
-  assert(order.size() == static_cast<std::size_t>(width) * height);
-  return order;
+  return rects;
 }
 
 }  // namespace collabqos::media

@@ -30,12 +30,11 @@ void Image::set(int x, int y, int c, std::uint8_t value) {
 Image Image::to_grayscale() const {
   if (channels_ == 1) return *this;
   Image gray(width_, height_, 1);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      const double luma =
-          0.299 * at(x, y, 0) + 0.587 * at(x, y, 1) + 0.114 * at(x, y, 2);
-      gray.set(x, y, 0, static_cast<std::uint8_t>(std::clamp(luma, 0.0, 255.0)));
-    }
+  const std::uint8_t* rgb = pixels_.data();
+  std::uint8_t* out = gray.pixels_.data();
+  for (std::size_t p = 0; p < pixel_count(); ++p, rgb += 3) {
+    const double luma = 0.299 * rgb[0] + 0.587 * rgb[1] + 0.114 * rgb[2];
+    out[p] = static_cast<std::uint8_t>(std::clamp(luma, 0.0, 255.0));
   }
   return gray;
 }

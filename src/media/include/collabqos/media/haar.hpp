@@ -37,19 +37,26 @@ struct CoefficientPlane {
 /// on entry and coefficients on return.
 void forward_haar_inplace(CoefficientPlane& plane);
 
-/// Inverse transform to raw integer samples (no clamping — callers that
-/// fed colour-difference planes need the signed values back).
-[[nodiscard]] std::vector<std::int32_t> inverse_haar_values(
-    const CoefficientPlane& coefficients);
+/// In-place inverse to raw integer samples (no clamping — callers that
+/// fed colour-difference planes need the signed values back). Sums wrap
+/// modulo 2^32 instead of overflowing, so coefficients decoded from a
+/// corrupt stream give garbage samples, never undefined behaviour.
+void inverse_haar_inplace(CoefficientPlane& coefficients);
 
 /// Inverse transform; output clamped to [0,255].
 void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
                   int stride, int pixel_step);
 
-/// Subband scan order for progressive coding: indices into the plane,
-/// coarsest band first (LL, then HL/LH/HH per level from coarse to fine).
-[[nodiscard]] std::vector<std::uint32_t> subband_scan_order(int width,
-                                                            int height,
-                                                            int levels);
+/// A subband rectangle [x0, x1) x [y0, y1) of a coefficient plane.
+struct SubbandRect {
+  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+};
+
+/// The subband rectangles in progressive scan order: the coarsest LL
+/// first, then HL, LH and HH per level from coarse to fine. Scanning each
+/// rectangle row by row visits every coefficient once: that is the
+/// progressive codec's subband scan order.
+[[nodiscard]] std::vector<SubbandRect> subband_rects(int width, int height,
+                                                     int levels);
 
 }  // namespace collabqos::media

@@ -14,6 +14,11 @@
 
 namespace collabqos::media {
 
+/// Decoders refuse an image of this many samples per channel (width x
+/// height) or more, before allocating anything for it. The largest image
+/// the repository builds is 1024x1024.
+inline constexpr std::uint64_t kMaxDecodedSamples = std::uint64_t{1} << 24;
+
 /// 8-bit raster, 1 (grayscale) or 3 (RGB) channels, row-major interleaved.
 class Image {
  public:

@@ -42,7 +42,8 @@ Result<Sketch> Sketch::decode(std::span<const std::uint8_t> bytes) {
   auto source_height = r.varint();
   if (!source_height) return source_height.error();
   if (width.value() == 0 || height.value() == 0 ||
-      width.value() > 1u << 15 || height.value() > 1u << 15) {
+      width.value() > 1u << 15 || height.value() > 1u << 15 ||
+      width.value() * height.value() >= kMaxDecodedSamples) {
     return Error{Errc::malformed, "implausible sketch dimensions"};
   }
   s.width = static_cast<int>(width.value());
@@ -61,45 +62,87 @@ Result<Sketch> Sketch::decode(std::span<const std::uint8_t> bytes) {
 Sketch extract_sketch(const Image& image, std::string description,
                       SketchParams params) {
   assert(params.decimation >= 1);
-  const Image gray = image.to_grayscale();
+  assert(params.threshold_quantile >= 0.0 && params.threshold_quantile <= 1.0);
+  const Image converted = image.channels() == 1 ? Image() : image.to_grayscale();
+  const Image& gray = image.channels() == 1 ? image : converted;
   const int w = gray.width();
   const int h = gray.height();
+  const std::uint8_t* pixels = gray.pixels().data();
+  const auto width = static_cast<std::size_t>(w);
 
-  // Sobel gradient magnitude.
-  std::vector<double> gradient(static_cast<std::size_t>(w) * h, 0.0);
+  // Sobel gradients in integers. |gx|, |gy| <= 1020, so g2 = gx^2 + gy^2
+  // is exact; border pixels keep g2 = 0.
+  const auto sobel = [&](std::size_t i) {
+    const std::uint8_t* up = pixels + i - width;
+    const std::uint8_t* mid = pixels + i;
+    const std::uint8_t* down = pixels + i + width;
+    const int gx = (up[1] + 2 * mid[1] + down[1]) - (up[-1] + 2 * mid[-1] + down[-1]);
+    const int gy = (down[-1] + 2 * down[0] + down[1]) - (up[-1] + 2 * up[0] + up[1]);
+    return std::pair{gx, gy};
+  };
+  std::vector<std::int32_t> g2(width * static_cast<std::size_t>(h), 0);
   for (int y = 1; y + 1 < h; ++y) {
     for (int x = 1; x + 1 < w; ++x) {
-      const auto p = [&](int dx, int dy) {
-        return static_cast<double>(gray.at(x + dx, y + dy));
-      };
-      const double gx = (p(1, -1) + 2.0 * p(1, 0) + p(1, 1)) -
-                        (p(-1, -1) + 2.0 * p(-1, 0) + p(-1, 1));
-      const double gy = (p(-1, 1) + 2.0 * p(0, 1) + p(1, 1)) -
-                        (p(-1, -1) + 2.0 * p(0, -1) + p(1, -1));
-      gradient[static_cast<std::size_t>(y) * w + x] = std::hypot(gx, gy);
+      const std::size_t i = static_cast<std::size_t>(y) * width + x;
+      const auto [gx, gy] = sobel(i);
+      g2[i] = gx * gx + gy * gy;
     }
   }
 
-  // Adaptive threshold at the requested quantile.
-  std::vector<double> sorted = gradient;
+  // Adaptive threshold at the requested quantile of the magnitude
+  // hypot(gx, gy). hypot rises strictly from one integer g2 to the next,
+  // so the rank-th magnitude lies in the class t2 of the rank-th g2. It is
+  // found by counting: g2 <= 2 * 1020^2 < 2^21, so a histogram of g2 >> 11
+  // picks the bucket and a histogram of the bucket's low 11 bits the value.
   const auto rank = static_cast<std::size_t>(
-      params.threshold_quantile * static_cast<double>(sorted.size() - 1));
-  std::nth_element(sorted.begin(),
-                   sorted.begin() + static_cast<std::ptrdiff_t>(rank),
-                   sorted.end());
-  const double threshold = std::max(1.0, sorted[rank]);
+      params.threshold_quantile * static_cast<double>(g2.size() - 1));
+  constexpr int kLowBits = 11;
+  std::vector<std::size_t> counts(std::size_t{1} << kLowBits, 0);
+  for (const std::int32_t v : g2) ++counts[static_cast<std::size_t>(v >> kLowBits)];
+  std::size_t below = 0;  // pixels with g2 < t2, once t2 is found
+  std::size_t bucket = 0;
+  while (below + counts[bucket] <= rank) below += counts[bucket++];
+  std::fill(counts.begin(), counts.end(), 0);
+  for (const std::int32_t v : g2) {
+    if (static_cast<std::size_t>(v >> kLowBits) == bucket) {
+      ++counts[static_cast<std::size_t>(v) & ((std::size_t{1} << kLowBits) - 1)];
+    }
+  }
+  std::size_t low = 0;
+  while (below + counts[low] <= rank) below += counts[low++];
+  const auto t2 = static_cast<std::int32_t>((bucket << kLowBits) | low);
+  const auto magnitude = [&](std::size_t i) {
+    const auto [gx, gy] = sobel(i);
+    return std::hypot(static_cast<double>(gx), static_cast<double>(gy));
+  };
+  // Within a class hypot may differ in the last bit between (gx, gy)
+  // pairs, so it is computed for that class alone and ranked there. Edge
+  // iff hypot >= max(1, rank-th hypot): for t2 = 0 that is g2 > 0.
+  double tie_threshold = 1.0;
+  if (t2 > 0) {
+    std::vector<double> ties;
+    for (std::size_t i = 0; i < g2.size(); ++i) {
+      if (g2[i] == t2) ties.push_back(magnitude(i));
+    }
+    const auto tie_rank = static_cast<std::ptrdiff_t>(rank - below);
+    std::nth_element(ties.begin(), ties.begin() + tie_rank, ties.end());
+    tie_threshold = ties[static_cast<std::size_t>(tie_rank)];
+  }
+  const auto is_edge = [&](std::size_t i) {
+    return g2[i] > t2 || (t2 > 0 && g2[i] == t2 && magnitude(i) >= tie_threshold);
+  };
 
-  // Decimated edge map: a cell is an edge if any member pixel exceeds
+  // Decimated edge map: a cell is an edge if any member pixel reaches
   // the threshold (max-pool keeps thin structures visible).
   const int dw = (w + params.decimation - 1) / params.decimation;
   const int dh = (h + params.decimation - 1) / params.decimation;
   std::vector<std::uint8_t> edges(static_cast<std::size_t>(dw) * dh, 0);
   for (int y = 0; y < h; ++y) {
+    std::uint8_t* cells =
+        edges.data() + static_cast<std::size_t>(y / params.decimation) * dw;
+    const std::size_t row = static_cast<std::size_t>(y) * width;
     for (int x = 0; x < w; ++x) {
-      if (gradient[static_cast<std::size_t>(y) * w + x] >= threshold) {
-        edges[static_cast<std::size_t>(y / params.decimation) * dw +
-              x / params.decimation] = 1;
-      }
+      if (is_edge(row + x)) cells[x / params.decimation] = 1;
     }
   }
 
@@ -132,24 +175,26 @@ Result<Image> render_sketch(const Sketch& sketch) {
   if (sketch.width <= 0 || sketch.height <= 0) {
     return Error{Errc::malformed, "empty sketch"};
   }
-  Image image(sketch.width, sketch.height, 1);
-  BitReader bits(sketch.rle);
   const std::size_t total =
       static_cast<std::size_t>(sketch.width) * sketch.height;
+  if (total >= kMaxDecodedSamples) {
+    return Error{Errc::malformed, "implausible sketch dimensions"};
+  }
+  Image image(sketch.width, sketch.height, 1);
+  BitReader bits(sketch.rle);
   std::size_t cursor = 0;
   std::uint8_t current = 0;
   while (cursor < total) {
-    auto run = bits.get_run();
-    if (!run) return run.error();
-    if (run.value() > total - cursor) {
+    const std::uint64_t run = bits.get_run();
+    if (!bits.ok()) return Error{Errc::malformed, "sketch truncated"};
+    if (run > total - cursor) {
       return Error{Errc::malformed, "sketch run overflow"};
     }
     if (current != 0) {
-      for (std::uint64_t i = 0; i < run.value(); ++i) {
-        image.pixels()[cursor + i] = 255;
-      }
+      std::fill_n(image.pixels().begin() + static_cast<std::ptrdiff_t>(cursor),
+                  run, std::uint8_t{255});
     }
-    cursor += run.value();
+    cursor += run;
     current = current == 0 ? 1 : 0;
   }
   return image;

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "collabqos/media/bitio.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/image.hpp"
 #include "collabqos/media/quality.hpp"
@@ -209,6 +210,60 @@ TEST(Codec, HeaderDimensionLimits) {
   w.u8(7);
   w.varint(16);
   EXPECT_FALSE(decode_progressive_prefix(w.bytes(), {}).ok());
+}
+
+/// A progressive header (10 bytes at 4096x4096) with no packets.
+serde::Bytes header_of(std::uint64_t width, std::uint64_t height,
+                       int channels, int top_plane = 7) {
+  serde::Writer w;
+  w.u8(0xC1);
+  w.varint(width);
+  w.varint(height);
+  w.u8(static_cast<std::uint8_t>(channels));
+  w.u8(5);
+  w.u8(static_cast<std::uint8_t>(top_plane));
+  w.varint(16);
+  w.u8(0);
+  return std::move(w).take();
+}
+
+TEST(Codec, OversizedHeaderRejectedBeforeAnyWork) {
+  // 4096x4096x3 used to decode "ok" after seconds of work on zeros.
+  const serde::Bytes header = header_of(4096, 4096, 3);
+  EXPECT_EQ(header.size(), 10u);
+  auto result = decode_progressive_prefix(header, {});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), Errc::malformed);
+}
+
+TEST(Codec, MaximalHeaderRejectedWithoutThrowing) {
+  // 65536x65536 used to escape the Result API as std::bad_alloc.
+  Result<Image> result = Error{Errc::internal, "not run"};
+  EXPECT_NO_THROW(result = decode_progressive_prefix(
+                      header_of(65536, 65536, 3), {}));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), Errc::malformed);
+}
+
+TEST(Codec, WrappingSignificanceRunRejected) {
+  // Two newly significant coefficients, then a run of 2^64 - 2: the
+  // position would wrap to 0, and the sign and closing run after it
+  // would make the pass decode silently.
+  BitWriter bits;
+  bits.put_run(0);
+  bits.put(false);
+  bits.put_run(0);
+  bits.put(false);
+  bits.put_gamma(~std::uint64_t{0});
+  bits.put(false);
+  bits.put_run(100);
+  serde::Writer packet;
+  packet.varint(1);
+  packet.blob(bits.finish());
+  const std::vector<serde::Bytes> packets = {std::move(packet).take()};
+  auto result = decode_progressive_prefix(header_of(8, 8, 1, 0), packets);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.code(), Errc::malformed);
 }
 
 TEST(Codec, YCoCgColorTransformIsLossless) {

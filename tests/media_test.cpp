@@ -84,9 +84,12 @@ TEST(BitIO, BitsRoundTrip) {
   w.put_bits(0b1011, 4);
   const auto bytes = w.finish();
   BitReader r(bytes);
-  EXPECT_TRUE(r.get().value());
-  EXPECT_FALSE(r.get().value());
-  EXPECT_EQ(r.get_bits(4).value(), 0b1011u);
+  EXPECT_TRUE(r.get());
+  EXPECT_TRUE(r.ok());
+  EXPECT_FALSE(r.get());
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.get_bits(4), 0b1011u);
+  EXPECT_TRUE(r.ok());
 }
 
 TEST(BitIO, GammaRoundTrip) {
@@ -95,7 +98,10 @@ TEST(BitIO, GammaRoundTrip) {
   for (const auto v : values) w.put_gamma(v);
   const auto bytes = w.finish();
   BitReader r(bytes);
-  for (const auto v : values) EXPECT_EQ(r.get_gamma().value(), v);
+  for (const auto v : values) {
+    EXPECT_EQ(r.get_gamma(), v);
+    EXPECT_TRUE(r.ok());
+  }
 }
 
 TEST(BitIO, RunsIncludeZero) {
@@ -105,9 +111,12 @@ TEST(BitIO, RunsIncludeZero) {
   w.put_run(1000000);
   const auto bytes = w.finish();
   BitReader r(bytes);
-  EXPECT_EQ(r.get_run().value(), 0u);
-  EXPECT_EQ(r.get_run().value(), 5u);
-  EXPECT_EQ(r.get_run().value(), 1000000u);
+  EXPECT_EQ(r.get_run(), 0u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.get_run(), 5u);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.get_run(), 1000000u);
+  EXPECT_TRUE(r.ok());
 }
 
 TEST(BitIO, ExhaustionIsError) {
@@ -115,8 +124,28 @@ TEST(BitIO, ExhaustionIsError) {
   w.put(true);
   const auto bytes = w.finish();
   BitReader r(bytes);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(r.get().ok());
-  EXPECT_FALSE(r.get().ok());
+  for (int i = 0; i < 8; ++i) {
+    (void)r.get();
+    EXPECT_TRUE(r.ok());
+  }
+  (void)r.get();
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(BitIO, GammaExtremesAndOverlongCodes) {
+  BitWriter w;
+  const std::uint64_t values[] = {~std::uint64_t{0}, std::uint64_t{1} << 32,
+                                  (std::uint64_t{1} << 28) + 3, 1};
+  for (const auto v : values) w.put_gamma(v);
+  const auto bytes = w.finish();
+  BitReader r(bytes);
+  for (const auto v : values) EXPECT_EQ(r.get_gamma(), v);
+  EXPECT_TRUE(r.ok());
+
+  const std::vector<std::uint8_t> zeros(9, 0);  // 72 zero bits
+  BitReader overlong(zeros);
+  (void)overlong.get_gamma();
+  EXPECT_FALSE(overlong.ok());
 }
 
 // ------------------------------------------------------------------ Haar
@@ -147,8 +176,21 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{2, 2, 1}, std::tuple{5, 7, 8},
                       std::tuple{128, 128, 5}));
 
+/// The subband scan as plane indices: each rectangle row by row.
+std::vector<std::uint32_t> scan_order(int width, int height, int levels) {
+  std::vector<std::uint32_t> order;
+  for (const SubbandRect& r : subband_rects(width, height, levels)) {
+    for (int y = r.y0; y < r.y1; ++y) {
+      for (int x = r.x0; x < r.x1; ++x) {
+        order.push_back(static_cast<std::uint32_t>(y * width + x));
+      }
+    }
+  }
+  return order;
+}
+
 TEST(Haar, ScanOrderIsPermutation) {
-  const auto order = subband_scan_order(17, 13, 4);
+  const auto order = scan_order(17, 13, 4);
   EXPECT_EQ(order.size(), 17u * 13u);
   std::set<std::uint32_t> unique(order.begin(), order.end());
   EXPECT_EQ(unique.size(), order.size());
@@ -156,7 +198,7 @@ TEST(Haar, ScanOrderIsPermutation) {
 }
 
 TEST(Haar, ScanOrderStartsAtCoarsestLl) {
-  const auto order = subband_scan_order(16, 16, 4);
+  const auto order = scan_order(16, 16, 4);
   // After 4 levels the LL region is 1x1: index 0 comes first.
   EXPECT_EQ(order[0], 0u);
 }
@@ -182,6 +224,20 @@ TEST(Sketch, RoundTripCodec) {
   EXPECT_EQ(decoded.value().height, sketch.height);
   EXPECT_EQ(decoded.value().description, sketch.description);
   EXPECT_EQ(decoded.value().rle, sketch.rle);
+}
+
+TEST(Sketch, OversizedSketchRejectedBeforeAllocation) {
+  // 32768x32768 with a 1-byte RLE used to zero-fill 1 GiB before failing.
+  Sketch huge;
+  huge.width = huge.height = 32768;
+  huge.source_width = huge.source_height = 32768;
+  huge.rle = {0x80};
+  auto decoded = Sketch::decode(huge.encode());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), Errc::malformed);
+  auto rendered = render_sketch(huge);
+  ASSERT_FALSE(rendered.ok());
+  EXPECT_EQ(rendered.code(), Errc::malformed);
 }
 
 TEST(Sketch, RendersAtDecimatedResolution) {
