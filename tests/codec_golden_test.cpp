@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -21,30 +20,18 @@
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/image.hpp"
 #include "collabqos/media/sketch.hpp"
-#include "collabqos/util/crc32c.hpp"
 #include "collabqos/util/rng.hpp"
+#include "support/golden_corpus.hpp"
 
 namespace collabqos::media {
 namespace {
 
-std::string hex(std::span<const std::uint8_t> bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 15]);
-  }
-  return out;
-}
-
-std::string crc(std::span<const std::uint8_t> bytes) {
-  Crc32c c;
-  c.update(bytes);
-  char buffer[16];
-  std::snprintf(buffer, sizeof buffer, "%08x", c.value());
-  return buffer;
-}
+using golden::chunked;
+using golden::crc;
+using golden::entry;
+using golden::hex;
+using golden::Line;
+using golden::quoted_list;
 
 std::string digest(const Image& image) {
   return std::to_string(image.width()) + "x" + std::to_string(image.height()) +
@@ -54,22 +41,6 @@ std::string digest(const Image& image) {
 std::string verdict(const Result<Image>& result) {
   if (!result) return std::string(to_string(result.code()));
   return "ok:" + digest(result.value());
-}
-
-std::string quoted_list(const std::vector<std::string>& items) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += "\"" + items[i] + "\"";
-  }
-  return out + "]";
-}
-
-/// One corpus line (without the separating comma).
-using Line = std::string;
-
-Line entry(const std::string& key, const std::string& value) {
-  return "\"" + key + "\": " + value;
 }
 
 struct NamedImage {
@@ -267,20 +238,6 @@ std::vector<std::string> sketch_mutation_verdicts(const serde::Bytes& bytes,
   return verdicts;
 }
 
-/// Verdict lists are split into lines of 16 so a diff points at the case.
-void chunked(std::vector<Line>& lines, const std::string& key,
-             const std::vector<std::string>& verdicts) {
-  for (std::size_t i = 0; i < verdicts.size(); i += 16) {
-    const std::size_t end = std::min(verdicts.size(), i + 16);
-    const std::vector<std::string> slice(
-        verdicts.begin() + static_cast<std::ptrdiff_t>(i),
-        verdicts.begin() + static_cast<std::ptrdiff_t>(end));
-    lines.push_back(entry(
-        key + " " + std::to_string(i) + "-" + std::to_string(end - 1),
-        quoted_list(slice)));
-  }
-}
-
 std::vector<Line> mutation_lines() {
   std::vector<Line> lines;
   const Image gray = render_scene(make_crisis_scene(32, 32, 1), 1);
@@ -320,18 +277,8 @@ std::string render_corpus() {
   return out + "\n}\n";
 }
 
-/// Recorded lines, keyed by their JSON key, in file order.
 std::vector<std::pair<std::string, std::string>> recorded_lines() {
-  std::ifstream in(COLLABQOS_GOLDEN_DIR "/codec.json");
-  std::vector<std::pair<std::string, std::string>> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] != '"') continue;
-    if (line.back() == ',') line.pop_back();
-    const std::size_t end = line.find('"', 1);
-    out.emplace_back(line.substr(1, end - 1), line);
-  }
-  return out;
+  return golden::recorded_lines(COLLABQOS_GOLDEN_DIR "/codec.json");
 }
 
 void expect_group_matches(int index) {

@@ -52,72 +52,7 @@ TEST(RtpPacket, RejectsBadFragmentFields) {
   EXPECT_FALSE(RtpPacket::decode(p.wire()).ok());
 }
 
-std::string to_hex(const serde::Bytes& bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string hex;
-  for (const std::uint8_t byte : bytes) {
-    hex += kDigits[byte >> 4];
-    hex += kDigits[byte & 0xf];
-  }
-  return hex;
-}
-
-serde::Bytes from_hex(std::string_view hex) {
-  serde::Bytes bytes;
-  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
-    bytes.push_back(static_cast<std::uint8_t>(
-        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
-  }
-  return bytes;
-}
-
-// Golden wire bytes: magic, ssrc, sequence, timestamp, payload type,
-// fragment index and count (little-endian), the CRC-32C, the payload's
-// varint length and the payload. Any change to the header layout or to
-// the checksum changes every datagram, and must show up here.
-TEST(RtpPacket, WireBytesArePinned) {
-  RtpPacket empty;
-  empty.ssrc = 0x01020304;
-  empty.sequence = 0x0506;
-  empty.timestamp = 0x0708090A;
-  empty.payload_type = 96;
-  empty.fragment_index = 0;
-  empty.fragment_count = 1;
-
-  RtpPacket sixteen;
-  sixteen.ssrc = 0xCAFEBABE;
-  sixteen.sequence = 65534;
-  sixteen.timestamp = 123456;
-  sixteen.payload_type = 97;
-  sixteen.fragment_index = 2;
-  sixteen.fragment_count = 5;
-  serde::Bytes payload(16);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<std::uint8_t>(i);
-  }
-  sixteen.payload = payload;
-
-  const std::pair<const RtpPacket*, std::string_view> goldens[] = {
-      {&empty, "a70403020106050a0908076000000100ec92bc1a00"},
-      {&sixteen,
-       "a7bebafecafeff40e201006102000500435ddbc810"
-       "000102030405060708090a0b0c0d0e0f"},
-  };
-  for (const auto& [packet, hex] : goldens) {
-    EXPECT_EQ(to_hex(packet->wire().gather()), hex);
-    auto decoded = RtpPacket::decode(serde::ByteChain(from_hex(hex)));
-    ASSERT_TRUE(decoded.ok()) << hex;
-    EXPECT_EQ(decoded.value().ssrc, packet->ssrc);
-    EXPECT_EQ(decoded.value().sequence, packet->sequence);
-    EXPECT_EQ(decoded.value().timestamp, packet->timestamp);
-    EXPECT_EQ(decoded.value().payload_type, packet->payload_type);
-    EXPECT_EQ(decoded.value().fragment_index, packet->fragment_index);
-    EXPECT_EQ(decoded.value().fragment_count, packet->fragment_count);
-    EXPECT_EQ(decoded.value().payload, packet->payload);
-  }
-}
-
-// Byte offsets in the wire form (see WireBytesArePinned).
+// Byte offsets in the wire form (the "rtp" entries of tests/golden/wire.json).
 constexpr std::size_t kFieldsBegin = 1;      // ssrc .. fragment count
 constexpr std::size_t kFragmentBegin = 12;   // fragment index and count
 constexpr std::size_t kChecksumBegin = 16;
