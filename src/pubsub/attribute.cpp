@@ -179,12 +179,16 @@ Result<AttributeSet> AttributeSet::decode(serde::Reader& r) {
     return Error{Errc::malformed, "attribute set too large"};
   }
   AttributeSet set;
+  // An entry takes at least three bytes (name length, value tag, value),
+  // so the input present bounds the reservation.
+  set.values_.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count.value(), r.remaining() / 3)));
   for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto key = r.string();
+    auto key = r.view_string();  // interned in place, never copied
     if (!key) return key.error();
     auto value = AttributeValue::decode(r);
     if (!value) return value.error();
-    set.set(std::move(key).take(), std::move(value).take());
+    set.set(key.value(), std::move(value).take());
   }
   return set;
 }

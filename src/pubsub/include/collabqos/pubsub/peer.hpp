@@ -13,9 +13,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "collabqos/net/network.hpp"
 #include "collabqos/net/rtp.hpp"
@@ -121,8 +121,8 @@ class SemanticPeer {
       std::uint64_t sender_id) {
     return receiver_.report(static_cast<std::uint32_t>(sender_id));
   }
-  /// Senders heard so far (for report iteration).
-  [[nodiscard]] const std::set<std::uint64_t>& heard_senders()
+  /// Senders heard so far, ascending (for report iteration).
+  [[nodiscard]] const std::vector<std::uint64_t>& heard_senders()
       const noexcept {
     return heard_senders_;
   }
@@ -156,11 +156,18 @@ class SemanticPeer {
   MessageHandler handler_;
   std::uint64_t next_sequence_ = 1;
   PeerCounters stats_;
-  std::set<std::uint64_t> heard_senders_;
-  /// Receiver-side ARQ state, keyed by (ssrc, transport timestamp).
-  using ObjectKey = std::pair<std::uint32_t, std::uint32_t>;
-  std::map<ObjectKey, net::Address> pending_sources_;
-  std::map<ObjectKey, int> nack_attempts_;
+  std::vector<std::uint64_t> heard_senders_;  ///< sorted, unique
+  /// Receiver-side ARQ state of one pending multi-fragment object: where
+  /// its fragments come from (repairs are requested there, unicast, even
+  /// for multicast data) and the NACKs sent for it so far.
+  struct ArqState {
+    net::Address source;
+    int nacks_sent = 0;
+  };
+  /// Keyed by net::RtpReceiver::object_key(ssrc, transport timestamp).
+  /// Holds only objects the receiver has pending: one-fragment objects
+  /// never enter it.
+  FlatMap<ArqState> arq_;
   /// Sender-side retransmit buffer keyed by (timestamp, fragment index),
   /// with FIFO eviction.
   std::map<std::pair<std::uint32_t, std::uint16_t>, net::RtpPacket>

@@ -41,7 +41,9 @@ struct Program;
 /// immutable AST), cheap to copy into every outgoing message.
 class Selector {
  public:
-  /// The always-true selector (broadcast to every profile).
+  /// The always-true selector (broadcast to every profile). All default
+  /// selectors share one compiled program; constructing one allocates
+  /// nothing.
   Selector();
 
   /// Parse from source text.
@@ -80,6 +82,8 @@ class Selector {
 
  private:
   explicit Selector(std::shared_ptr<const detail::ExprNode> root);
+  /// The one compiled `true` every default selector shares.
+  static const Selector& shared_always();
   std::shared_ptr<const detail::ExprNode> root_;     ///< parse/print/codec
   std::shared_ptr<const detail::Program> program_;   ///< match fast path
 };

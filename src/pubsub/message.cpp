@@ -43,9 +43,9 @@ Status decode_head(serde::Reader& r, SemanticMessage& message,
   auto content = AttributeSet::decode(r);
   if (!content) return Status(content.error());
   message.content = std::move(content).take();
-  auto event_type = r.string();
+  auto event_type = r.view_string();
   if (!event_type) return Status(event_type.error());
-  message.event_type = std::move(event_type).take();
+  message.event_type.assign(event_type.value());
   auto sender = r.varint();
   if (!sender) return Status(sender.error());
   message.sender_id = sender.value();

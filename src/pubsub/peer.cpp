@@ -1,5 +1,6 @@
 #include "collabqos/pubsub/peer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -163,33 +164,36 @@ void SemanticPeer::on_datagram(const net::Datagram& datagram) {
     ++stats_.undecodable;
     return;
   }
-  const ObjectKey key{decoded.value().ssrc, decoded.value().timestamp};
+  const net::RtpPacket& packet = decoded.value();
   if (auto& tracer = telemetry::Tracer::global(); tracer.enabled()) {
     telemetry::Span span;
-    span.trace_id = telemetry::make_trace_id(key.first, key.second);
+    span.trace_id = telemetry::make_trace_id(packet.ssrc, packet.timestamp);
     span.name = "net.transit";
     span.actor = peer_id_;
     span.start = datagram.sent_at;
     span.end = network_.simulator().now();
     span.tags.emplace_back("bytes", std::to_string(datagram.payload.size()));
-    span.tags.emplace_back(
-        "fragment", std::to_string(decoded.value().fragment_index));
+    span.tags.emplace_back("fragment", std::to_string(packet.fragment_index));
     tracer.record(std::move(span));
   }
-  // Remember where this object's fragments come from so repairs can be
-  // requested from the right sender (unicast, even for multicast data).
-  // Recorded BEFORE ingest: on_object erases the entry when the object
-  // resolves, including objects that complete within this very call.
-  pending_sources_[key] = datagram.source;
+  const std::uint32_t ssrc = packet.ssrc;
+  const std::uint32_t timestamp = packet.timestamp;
+  const std::uint64_t key = net::RtpReceiver::object_key(ssrc, timestamp);
+  // A one-fragment object resolves inside ingest and never needs repair,
+  // so only multi-fragment objects (or a packet colliding with a pending
+  // one) record their source. Recorded BEFORE ingest: on_object erases
+  // the entry when the object resolves, including within this very call.
+  const bool tracked =
+      packet.fragment_count > 1 || receiver_.is_pending(ssrc, timestamp);
+  if (tracked) arq_.try_emplace(key).first->source = datagram.source;
   const Status status =
-      receiver_.ingest(std::move(decoded).take(),
-                       network_.simulator().now());
+      receiver_.ingest(std::move(decoded).take(), network_.simulator().now());
   if (!status.ok()) {
     ++stats_.undecodable;
   }
-  if (!receiver_.is_pending(key.first, key.second)) {
+  if (tracked && !receiver_.is_pending(ssrc, timestamp)) {
     // Rejected, duplicate-of-completed, or resolved within this call.
-    pending_sources_.erase(key);
+    arq_.erase(key);
   }
   if (receiver_.pending_objects() > 0) {
     flush_timer_->start();  // no-op when already running
@@ -202,17 +206,15 @@ void SemanticPeer::repair_tick() {
     const sim::Duration nack_after = options_.reassembly_flush * 0.5;
     for (const auto& summary : receiver_.pending_summaries(now)) {
       if (summary.age < nack_after || summary.missing.empty()) continue;
-      const ObjectKey key{summary.ssrc, summary.timestamp};
-      int& attempts = nack_attempts_[key];
-      const auto source = pending_sources_.find(key);
-      if (attempts >= options_.nack_attempts ||
-          source == pending_sources_.end()) {
+      ArqState* arq = arq_.find(
+          net::RtpReceiver::object_key(summary.ssrc, summary.timestamp));
+      if (arq == nullptr || arq->nacks_sent >= options_.nack_attempts) {
         continue;  // out of attempts: flush_stale will deliver partial
       }
-      ++attempts;
+      ++arq->nacks_sent;
       ++stats_.nacks_sent;
       (void)endpoint_->send(
-          source->second,
+          arq->source,
           encode_nack(summary.ssrc, summary.timestamp, summary.missing));
       // Grant the retransmissions a fresh flush window.
       receiver_.touch(summary.ssrc, summary.timestamp, now);
@@ -263,10 +265,12 @@ void SemanticPeer::remember_sent(const net::RtpPacket& packet) {
 }
 
 void SemanticPeer::on_object(const net::RtpObject& object) {
-  heard_senders_.insert(object.ssrc);
-  const ObjectKey key{object.ssrc, object.timestamp};
-  pending_sources_.erase(key);
-  nack_attempts_.erase(key);
+  const auto heard = std::lower_bound(heard_senders_.begin(),
+                                      heard_senders_.end(), object.ssrc);
+  if (heard == heard_senders_.end() || *heard != object.ssrc) {
+    heard_senders_.insert(heard, object.ssrc);
+  }
+  arq_.erase(net::RtpReceiver::object_key(object.ssrc, object.timestamp));
   if (!object.complete) {
     // A partial semantic message cannot be decoded; the QoS layer
     // controls partial *media* delivery at a higher level.

@@ -815,7 +815,14 @@ Result<NodePtr> decode_node(serde::Reader& r, int depth) {
 }  // namespace
 }  // namespace detail
 
-Selector::Selector() : Selector(detail::make_bool(true)) {}
+const Selector& Selector::shared_always() {
+  static const Selector always(detail::make_bool(true));
+  return always;
+}
+
+// Every default selector copies one immutable compiled `true`: a received
+// message default-constructs one before decoding into it.
+Selector::Selector() : Selector(shared_always()) {}
 
 Selector::Selector(std::shared_ptr<const detail::ExprNode> root)
     : root_(std::move(root)) {

@@ -7,6 +7,7 @@
 // payload at every layer.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -14,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collabqos/serde/wire.hpp"
@@ -27,9 +29,30 @@ namespace collabqos::serde {
 /// in-order fragments of a single encode collapses back to one
 /// contiguous slice and downstream decode takes the contiguous fast
 /// path. Empty slices are never stored.
+///
+/// Up to two slices live inline — a datagram's [header][payload] pair and
+/// every single view — so copying or slicing such a chain allocates
+/// nothing; longer chains keep their slices on the heap.
 class ByteChain {
  public:
   ByteChain() = default;
+  ByteChain(const ByteChain&) = default;
+  ByteChain& operator=(const ByteChain&) = default;
+  /// Moves leave `other` empty.
+  ByteChain(ByteChain&& other) noexcept
+      : inline_(std::move(other.inline_)),
+        spilled_(std::move(other.spilled_)),
+        count_(std::exchange(other.count_, 0)),
+        size_(std::exchange(other.size_, 0)) {}
+  ByteChain& operator=(ByteChain&& other) noexcept {
+    if (this != &other) {
+      inline_ = std::move(other.inline_);
+      spilled_ = std::move(other.spilled_);
+      count_ = std::exchange(other.count_, 0);
+      size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+  }
   /// Explicit: several APIs overload on both ByteChain and
   /// span-convertible buffer types, so a silent Bytes/SharedBytes ->
   /// ByteChain conversion would make those call sites ambiguous.
@@ -47,12 +70,14 @@ class ByteChain {
   void append(SharedBytes slice);
   void append(const ByteChain& chain);
   void clear() noexcept {
-    slices_.clear();
+    inline_ = {};
+    spilled_.clear();
+    count_ = 0;
     size_ = 0;
   }
 
   [[nodiscard]] std::span<const SharedBytes> slices() const noexcept {
-    return slices_;
+    return {slice_data(), count_};
   }
 
   /// Element access across slices: O(#slices); out-of-range reads 0
@@ -69,8 +94,8 @@ class ByteChain {
   /// span — the decode fast path. nullopt when genuinely fragmented.
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> contiguous()
       const noexcept {
-    if (slices_.empty()) return std::span<const std::uint8_t>{};
-    if (slices_.size() == 1) return slices_.front().span();
+    if (count_ == 0) return std::span<const std::uint8_t>{};
+    if (count_ == 1) return inline_.front().span();
     return std::nullopt;
   }
 
@@ -97,10 +122,10 @@ class ByteChain {
 
     const_iterator() = default;
     reference operator*() const noexcept {
-      return (*slices_)[slice_].data()[pos_];
+      return slices_[slice_].data()[pos_];
     }
     const_iterator& operator++() noexcept {
-      if (++pos_ == (*slices_)[slice_].size()) {
+      if (++pos_ == slices_[slice_].size()) {
         ++slice_;
         pos_ = 0;
       }
@@ -118,19 +143,18 @@ class ByteChain {
 
    private:
     friend class ByteChain;
-    const_iterator(const std::vector<SharedBytes>* slices,
-                   std::size_t slice) noexcept
+    const_iterator(const SharedBytes* slices, std::size_t slice) noexcept
         : slices_(slices), slice_(slice) {}
-    const std::vector<SharedBytes>* slices_ = nullptr;
+    const SharedBytes* slices_ = nullptr;
     std::size_t slice_ = 0;
     std::size_t pos_ = 0;
   };
 
   [[nodiscard]] const_iterator begin() const noexcept {
-    return const_iterator(&slices_, 0);
+    return const_iterator(slice_data(), 0);
   }
   [[nodiscard]] const_iterator end() const noexcept {
-    return const_iterator(&slices_, slices_.size());
+    return const_iterator(slice_data(), count_);
   }
 
   /// Content equality, slice layout ignored.
@@ -139,8 +163,22 @@ class ByteChain {
                          std::span<const std::uint8_t> b) noexcept;
 
  private:
-  std::vector<SharedBytes> slices_;
-  std::size_t size_ = 0;
+  static constexpr std::size_t kInlineSlices = 2;
+
+  [[nodiscard]] const SharedBytes* slice_data() const noexcept {
+    return count_ > kInlineSlices ? spilled_.data() : inline_.data();
+  }
+  [[nodiscard]] SharedBytes& last() noexcept {
+    return count_ > kInlineSlices ? spilled_.back() : inline_[count_ - 1];
+  }
+  void push(SharedBytes slice);
+
+  /// The slices while there are at most kInlineSlices of them.
+  std::array<SharedBytes, kInlineSlices> inline_{};
+  /// Every slice once there are more (inline_ is then left empty).
+  std::vector<SharedBytes> spilled_;
+  std::size_t count_ = 0;  ///< slices held
+  std::size_t size_ = 0;   ///< bytes across them
 };
 
 /// Bounds-checked decoder over a ByteChain: the Reader API, but able to

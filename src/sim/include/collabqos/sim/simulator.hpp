@@ -14,7 +14,10 @@
 
 namespace collabqos::sim {
 
-/// Event identifier; usable to cancel a pending event.
+/// Event identifier; usable to cancel a pending event. Never 0. The low
+/// 32 bits name a reusable slot, the high 32 bits that slot's generation,
+/// so the id of an event that has run (or been cancelled) stops matching
+/// once its slot is released.
 using EventId = std::uint64_t;
 
 class Simulator : public Clock {
@@ -35,7 +38,8 @@ class Simulator : public Clock {
   /// Schedule `action` after `delay` from now.
   EventId schedule_after(Duration delay, Action action);
 
-  /// Cancel a pending event. Returns false if it already ran or is unknown.
+  /// Cancel a pending event. Returns false if it already ran (or is
+  /// running), was already cancelled, or is unknown.
   bool cancel(EventId id);
 
   /// Run events until the queue is empty or the horizon is passed.
@@ -55,8 +59,15 @@ class Simulator : public Clock {
   struct Entry {
     TimePoint when;
     std::uint64_t sequence;  // FIFO tie-break within an instant
-    EventId id;
+    std::uint32_t slot;      // index into slots_
     Action action;
+  };
+  /// One per queued event; released (generation bumped, slot recycled)
+  /// when its entry leaves the queue, run or cancelled.
+  struct Slot {
+    enum class State : std::uint8_t { free, queued, cancelled };
+    std::uint32_t generation = 0;
+    State state = State::free;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const noexcept {
@@ -71,13 +82,15 @@ class Simulator : public Clock {
       TimePoint::from_micros(std::numeric_limits<std::int64_t>::max());
   bool pop_next(Entry& out, TimePoint horizon = kEndOfTime);
 
+  void release(std::uint32_t slot) noexcept;
+
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::vector<EventId> cancelled_;  // small; linear scan on pop
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   TimePoint now_{};
   std::uint64_t next_sequence_ = 0;
-  EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t cancelled_pending_ = 0;
+  std::size_t cancelled_pending_ = 0;  ///< cancelled entries still queued
 };
 
 /// Repeating timer helper built on the simulator (RAII: cancels on

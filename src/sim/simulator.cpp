@@ -1,6 +1,5 @@
 #include "collabqos/sim/simulator.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 
@@ -20,9 +19,17 @@ std::string to_string(Duration d) {
 
 EventId Simulator::schedule_at(TimePoint when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");
-  const EventId id = next_id_++;
-  queue_.push(Entry{when, next_sequence_++, id, std::move(action)});
-  return id;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].state = Slot::State::queued;
+  queue_.push(Entry{when, next_sequence_++, slot, std::move(action)});
+  return (std::uint64_t{slots_[slot].generation} << 32) | (slot + 1ull);
 }
 
 EventId Simulator::schedule_after(Duration delay, Action action) {
@@ -30,14 +37,24 @@ EventId Simulator::schedule_after(Duration delay, Action action) {
 }
 
 bool Simulator::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) return false;
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) !=
-      cancelled_.end()) {
+  const std::uint64_t low = id & 0xffffffffu;
+  if (low == 0 || low > slots_.size()) return false;
+  Slot& slot = slots_[low - 1];
+  // An event that ran or was cancelled left its slot at a later
+  // generation, or free, or cancelled.
+  if (slot.generation != static_cast<std::uint32_t>(id >> 32) ||
+      slot.state != Slot::State::queued) {
     return false;
   }
-  cancelled_.push_back(id);
+  slot.state = Slot::State::cancelled;
   ++cancelled_pending_;
   return true;
+}
+
+void Simulator::release(std::uint32_t slot) noexcept {
+  ++slots_[slot].generation;
+  slots_[slot].state = Slot::State::free;
+  free_slots_.push_back(slot);
 }
 
 bool Simulator::pop_next(Entry& out, TimePoint horizon) {
@@ -49,9 +66,12 @@ bool Simulator::pop_next(Entry& out, TimePoint horizon) {
     // workaround, safe because we pop immediately after.
     out = std::move(const_cast<Entry&>(queue_.top()));
     queue_.pop();
-    const auto it = std::find(cancelled_.begin(), cancelled_.end(), out.id);
-    if (it == cancelled_.end()) return true;
-    cancelled_.erase(it);
+    const bool cancelled =
+        slots_[out.slot].state == Slot::State::cancelled;
+    // Released before the action runs: cancelling an event from inside
+    // its own action reports that it already ran.
+    release(out.slot);
+    if (!cancelled) return true;
     --cancelled_pending_;
   }
   return false;
