@@ -58,8 +58,9 @@ struct CodecParams {
 [[nodiscard]] EncodedImage encode_progressive(const Image& image,
                                               CodecParams params = {});
 
-/// Decode the header plus the first `packet_count` packets (0 yields a
-/// flat mid-gray estimate). Errors on corrupt streams, never UB.
+/// Decode the header plus the first `packet_count` packets (0 yields an
+/// all-black image: every coefficient is still 0). Errors on corrupt
+/// streams, never UB.
 [[nodiscard]] Result<Image> decode_progressive(
     const EncodedImage& encoded, std::size_t packet_count);
 

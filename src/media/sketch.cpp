@@ -41,10 +41,17 @@ Result<Sketch> Sketch::decode(std::span<const std::uint8_t> bytes) {
   if (!source_width) return source_width.error();
   auto source_height = r.varint();
   if (!source_height) return source_height.error();
-  if (width.value() == 0 || height.value() == 0 ||
-      width.value() > 1u << 15 || height.value() > 1u << 15 ||
-      width.value() * height.value() >= kMaxDecodedSamples) {
+  // The sketch and the image it abstracts obey the same extent bounds, so
+  // every dimension narrows to int exactly.
+  const auto plausible = [](std::uint64_t w, std::uint64_t h) {
+    return w != 0 && h != 0 && w <= 1u << 15 && h <= 1u << 15 &&
+           w * h < kMaxDecodedSamples;
+  };
+  if (!plausible(width.value(), height.value())) {
     return Error{Errc::malformed, "implausible sketch dimensions"};
+  }
+  if (!plausible(source_width.value(), source_height.value())) {
+    return Error{Errc::malformed, "implausible sketch source dimensions"};
   }
   s.width = static_cast<int>(width.value());
   s.height = static_cast<int>(height.value());

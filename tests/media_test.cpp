@@ -240,6 +240,44 @@ TEST(Sketch, OversizedSketchRejectedBeforeAllocation) {
   EXPECT_EQ(rendered.code(), Errc::malformed);
 }
 
+TEST(Sketch, ImplausibleSourceExtentIsRejected) {
+  // The source extent is two more varints; each used to narrow to int
+  // unchecked, so 2^40+7 x 2^63-1 decoded "ok" as 7 x -1.
+  Sketch base;
+  base.width = base.height = 4;
+  base.source_width = base.source_height = 16;
+  base.rle = {0x80};
+  ASSERT_TRUE(Sketch::decode(base.encode()).ok());
+  const auto with_source = [&](std::uint64_t w, std::uint64_t h) {
+    serde::Writer writer;
+    const serde::Bytes good = base.encode();
+    // Magic, width and height are one byte each here; the source extent
+    // follows, then the description and the RLE blob.
+    writer.u8(good[0]);
+    writer.varint(4);
+    writer.varint(4);
+    writer.varint(w);
+    writer.varint(h);
+    writer.string(base.description);
+    writer.blob(base.rle);
+    return std::move(writer).take();
+  };
+  ASSERT_TRUE(Sketch::decode(with_source(16, 16)).ok());
+  for (const auto& [w, h] :
+       {std::pair<std::uint64_t, std::uint64_t>{(1ull << 40) + 7,
+                                                (1ull << 63) - 1},
+        {0, 16}, {16, 0}, {(1u << 15) + 1, 1}, {1u << 15, 1u << 15},
+        {~0ull, ~0ull}}) {
+    auto decoded = Sketch::decode(with_source(w, h));
+    ASSERT_FALSE(decoded.ok()) << w << " x " << h;
+    EXPECT_EQ(decoded.code(), Errc::malformed);
+  }
+  auto widest = Sketch::decode(with_source(1u << 15, 16));
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().source_width, 1 << 15);
+  EXPECT_EQ(widest.value().source_height, 16);
+}
+
 TEST(Sketch, RendersAtDecimatedResolution) {
   const Scene scene = make_crisis_scene(128, 128, 1);
   const Image image = render_scene(scene);
