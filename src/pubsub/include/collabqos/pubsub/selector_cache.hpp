@@ -9,12 +9,12 @@
 #include <cstdint>
 #include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "collabqos/pubsub/selector.hpp"
 #include "collabqos/serde/wire.hpp"
 #include "collabqos/telemetry/counter_set.hpp"
+#include "collabqos/util/flat_table.hpp"
 #include "collabqos/util/result.hpp"
 
 namespace collabqos::pubsub {
@@ -73,7 +73,7 @@ class SelectorCache {
   std::size_t capacity_;
   HashFn hash_;
   std::list<Entry> lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> entries_;
+  FlatMap<std::list<Entry>::iterator> entries_;  ///< fingerprint -> entry
   Counters stats_;
 };
 

@@ -39,12 +39,13 @@ Result<Selector> SelectorCache::decode(serde::Reader& r) {
   const auto bytes = span.subspan(0, length.value());
   const std::uint64_t key = hash_(bytes);
 
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    Entry& entry = *it->second;
+  if (std::list<Entry>::iterator* slot = entries_.find(key)) {
+    const std::list<Entry>::iterator it = *slot;
+    Entry& entry = *it;
     if (entry.bytes.size() == bytes.size() &&
         std::equal(entry.bytes.begin(), entry.bytes.end(), bytes.begin())) {
       ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);
+      lru_.splice(lru_.begin(), lru_, it);
       if (auto skipped = r.skip(bytes.size()); !skipped) {
         return skipped.error();
       }
@@ -57,7 +58,7 @@ Result<Selector> SelectorCache::decode(serde::Reader& r) {
     if (!selector) return selector;
     entry.bytes.assign(bytes.begin(), bytes.end());
     entry.selector = selector.value();
-    lru_.splice(lru_.begin(), lru_, it->second);
+    lru_.splice(lru_.begin(), lru_, it);
     return selector;
   }
 
@@ -71,7 +72,7 @@ Result<Selector> SelectorCache::decode(serde::Reader& r) {
   }
   lru_.push_front(
       Entry{key, {bytes.begin(), bytes.end()}, selector.value()});
-  entries_.emplace(key, lru_.begin());
+  *entries_.try_emplace(key).first = lru_.begin();
   return selector;
 }
 
