@@ -138,7 +138,7 @@ int main() {
     if (log == nullptr) return bids;
     for (const core::Operation* op : log->ordered()) {
       serde::Reader r(op->payload);
-      bids.emplace_back(op->peer, r.u32().value_or(0));
+      bids.emplace_back(op->peer, r.u32());  // 0 when truncated
     }
     return bids;
   };

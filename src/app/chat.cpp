@@ -19,10 +19,9 @@ std::vector<ChatMessage> ChatArea::transcript() const {
   for (const core::Operation* op : log->ordered()) {
     if (op->kind != "chat.post") continue;
     serde::Reader r(op->payload);
-    auto text = r.string();
-    if (!text) continue;  // skip corrupt entries rather than fail the UI
-    messages.push_back(
-        ChatMessage{op->peer, op->lamport, std::move(text).take()});
+    const std::string_view text = r.view_string();
+    if (!r.ok()) continue;  // skip corrupt entries rather than fail the UI
+    messages.push_back(ChatMessage{op->peer, op->lamport, std::string(text)});
   }
   return messages;
 }

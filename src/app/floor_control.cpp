@@ -57,16 +57,15 @@ std::vector<std::uint64_t> FloorControl::outstanding() const {
   if (log == nullptr) return waiting;
   for (const core::Operation* op : log->ordered()) {
     serde::Reader r(op->payload);
-    const auto subject = r.varint();
-    if (!subject) continue;  // corrupt entries cannot deadlock the floor
+    const std::uint64_t subject = r.varint();
+    if (!r.ok()) continue;  // corrupt entries cannot deadlock the floor
     if (op->kind == kRequest) {
-      if (std::find(waiting.begin(), waiting.end(), subject.value()) ==
+      if (std::find(waiting.begin(), waiting.end(), subject) ==
           waiting.end()) {
-        waiting.push_back(subject.value());
+        waiting.push_back(subject);
       }
     } else if (op->kind == kRelease) {
-      const auto it =
-          std::find(waiting.begin(), waiting.end(), subject.value());
+      const auto it = std::find(waiting.begin(), waiting.end(), subject);
       if (it != waiting.end()) waiting.erase(it);
     }
   }

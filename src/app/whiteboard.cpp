@@ -16,24 +16,13 @@ serde::Bytes Stroke::encode() const {
 Result<Stroke> Stroke::decode(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
   Stroke stroke;
-  auto x0 = r.f64();
-  if (!x0) return x0.error();
-  stroke.x0 = x0.value();
-  auto y0 = r.f64();
-  if (!y0) return y0.error();
-  stroke.y0 = y0.value();
-  auto x1 = r.f64();
-  if (!x1) return x1.error();
-  stroke.x1 = x1.value();
-  auto y1 = r.f64();
-  if (!y1) return y1.error();
-  stroke.y1 = y1.value();
-  auto color = r.u32();
-  if (!color) return color.error();
-  stroke.color = color.value();
-  auto width = r.f64();
-  if (!width) return width.error();
-  stroke.width = width.value();
+  stroke.x0 = r.f64();
+  stroke.y0 = r.f64();
+  stroke.x1 = r.f64();
+  stroke.y1 = r.f64();
+  stroke.color = r.u32();
+  stroke.width = r.f64();
+  if (!r.ok()) return r.error();
   return stroke;
 }
 

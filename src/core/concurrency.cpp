@@ -17,21 +17,12 @@ serde::Bytes Operation::encode() const {
 Result<Operation> Operation::decode(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
   Operation op;
-  auto object_id = r.string();
-  if (!object_id) return object_id.error();
-  op.object_id = std::move(object_id).take();
-  auto lamport = r.varint();
-  if (!lamport) return lamport.error();
-  op.lamport = lamport.value();
-  auto peer = r.varint();
-  if (!peer) return peer.error();
-  op.peer = peer.value();
-  auto kind = r.string();
-  if (!kind) return kind.error();
-  op.kind = std::move(kind).take();
-  auto payload = r.blob();
-  if (!payload) return payload.error();
-  op.payload = std::move(payload).take();
+  op.object_id = r.view_string();
+  op.lamport = r.varint();
+  op.peer = r.varint();
+  op.kind = r.view_string();
+  op.payload = r.blob();
+  if (!r.ok()) return r.error();
   return op;
 }
 

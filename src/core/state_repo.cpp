@@ -17,21 +17,12 @@ serde::Bytes StateEntry::encode() const {
 Result<StateEntry> StateEntry::decode(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
   StateEntry entry;
-  auto object_id = r.string();
-  if (!object_id) return object_id.error();
-  entry.object_id = std::move(object_id).take();
-  auto object_type = r.string();
-  if (!object_type) return object_type.error();
-  entry.object_type = std::move(object_type).take();
-  auto version = r.varint();
-  if (!version) return version.error();
-  entry.version = version.value();
-  auto editor = r.varint();
-  if (!editor) return editor.error();
-  entry.editor = editor.value();
-  auto state = r.blob();
-  if (!state) return state.error();
-  entry.state = std::move(state).take();
+  entry.object_id = r.view_string();
+  entry.object_type = r.view_string();
+  entry.version = r.varint();
+  entry.editor = r.varint();
+  entry.state = r.blob();
+  if (!r.ok()) return r.error();
   return entry;
 }
 

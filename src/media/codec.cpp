@@ -263,45 +263,36 @@ serde::Bytes encode_header(const Header& h) {
 
 Result<Header> decode_header(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
-  auto magic = r.u8();
-  if (!magic) return magic.error();
-  if (magic.value() != kHeaderMagic) {
-    return Error{Errc::malformed, "not a progressive image header"};
+  if (r.u8() != kHeaderMagic) {
+    r.fail(Errc::malformed, "not a progressive image header");
   }
-  Header h;
-  auto width = r.varint();
-  if (!width) return width.error();
-  auto height = r.varint();
-  if (!height) return height.error();
-  if (width.value() == 0 || height.value() == 0 ||
-      width.value() > 1u << 16 || height.value() > 1u << 16 ||
-      width.value() * height.value() >= kMaxDecodedSamples) {
+  const std::uint64_t width = r.varint();
+  const std::uint64_t height = r.varint();
+  if (!r.ok()) return r.error();
+  if (width == 0 || height == 0 || width > 1u << 16 || height > 1u << 16 ||
+      width * height >= kMaxDecodedSamples) {
     return Error{Errc::malformed, "implausible dimensions"};
   }
-  h.width = static_cast<int>(width.value());
-  h.height = static_cast<int>(height.value());
-  auto channels = r.u8();
-  if (!channels) return channels.error();
-  if (channels.value() != 1 && channels.value() != 3) {
-    return Error{Errc::malformed, "unsupported channel count"};
+  Header h;
+  h.width = static_cast<int>(width);
+  h.height = static_cast<int>(height);
+  const std::uint8_t channels = r.u8();
+  if (channels != 1 && channels != 3) {
+    r.fail(Errc::malformed, "unsupported channel count");
   }
-  h.channels = channels.value();
-  auto levels = r.u8();
-  if (!levels) return levels.error();
-  if (levels.value() > 12) return Error{Errc::malformed, "too many levels"};
-  h.levels = levels.value();
-  auto top = r.u8();
-  if (!top) return top.error();
-  if (top.value() > 31) return Error{Errc::malformed, "bad top plane"};
-  h.top_plane = top.value();
-  auto packet_count = r.varint();
-  if (!packet_count) return packet_count.error();
-  h.packet_count = static_cast<std::uint32_t>(packet_count.value());
-  auto flags = r.u8();
-  if (!flags) return flags.error();
-  if (flags.value() > 3) return Error{Errc::malformed, "unknown flags"};
-  h.raster_scan = (flags.value() & 1) != 0;
-  h.ycocg = (flags.value() & 2) != 0;
+  h.channels = channels;
+  const std::uint8_t levels = r.u8();
+  if (levels > 12) r.fail(Errc::malformed, "too many levels");
+  h.levels = levels;
+  const std::uint8_t top = r.u8();
+  if (top > 31) r.fail(Errc::malformed, "bad top plane");
+  h.top_plane = top;
+  h.packet_count = static_cast<std::uint32_t>(r.varint());
+  const std::uint8_t flags = r.u8();
+  if (flags > 3) r.fail(Errc::malformed, "unknown flags");
+  h.raster_scan = (flags & 1) != 0;
+  h.ycocg = (flags & 2) != 0;
+  if (!r.ok()) return r.error();
   return h;
 }
 
@@ -364,15 +355,15 @@ Result<Image> decode_progressive_prefix(
     if (packet.empty()) break;  // missing packet terminates the prefix
     if (plane < 0) break;       // trailing data beyond the last plane
     serde::Reader reader(packet);
-    auto group = reader.varint();
-    if (!group) return group.error();
-    for (std::uint64_t g = 0; g < group.value(); ++g) {
-      auto blob = reader.blob();
-      if (!blob) return blob.error();
+    const std::uint64_t group = reader.varint();
+    if (!reader.ok()) return reader.error();
+    for (std::uint64_t g = 0; g < group; ++g) {
+      const serde::Bytes blob = reader.blob();
+      if (!reader.ok()) return reader.error();
       if (plane < 0) {
         return Error{Errc::malformed, "more passes than planes"};
       }
-      BitReader bits(blob.value());
+      BitReader bits(blob);
       if (doing_significance) {
         // Each run skips that many insignificant positions: whole words by
         // their count, then within word w through `open`, its insignificant

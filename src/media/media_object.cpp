@@ -1,5 +1,7 @@
 #include "collabqos/media/media_object.hpp"
 
+#include <algorithm>
+
 #include "collabqos/telemetry/pipeline.hpp"
 
 namespace collabqos::media {
@@ -80,76 +82,54 @@ Result<MediaObject> MediaObject::decode(const serde::ByteChain& bytes) {
 
 Result<MediaObject> MediaObject::decode(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
-  auto magic = r.u8();
-  if (!magic) return magic.error();
-  if (magic.value() != kMediaMagic) {
-    return Error{Errc::malformed, "not a media object"};
-  }
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  switch (static_cast<Modality>(tag.value())) {
+  if (r.u8() != kMediaMagic) r.fail(Errc::malformed, "not a media object");
+  const std::uint8_t tag = r.u8();
+  if (!r.ok()) return r.error();
+  switch (static_cast<Modality>(tag)) {
     case Modality::text: {
-      auto text = r.string();
-      if (!text) return text.error();
-      return MediaObject(TextMedia{std::move(text).take()});
+      TextMedia media{std::string(r.view_string())};
+      if (!r.ok()) return r.error();
+      return MediaObject(std::move(media));
     }
     case Modality::speech: {
       SpeechMedia media;
-      auto samples = r.blob();
-      if (!samples) return samples.error();
-      media.samples = std::move(samples).take();
-      auto transcript = r.string();
-      if (!transcript) return transcript.error();
-      media.transcript = std::move(transcript).take();
-      auto duration = r.f64();
-      if (!duration) return duration.error();
-      media.duration_seconds = duration.value();
+      media.samples = r.blob();
+      media.transcript = r.view_string();
+      media.duration_seconds = r.f64();
+      if (!r.ok()) return r.error();
       return MediaObject(std::move(media));
     }
     case Modality::sketch: {
-      auto blob = r.blob();
-      if (!blob) return blob.error();
-      auto sketch = Sketch::decode(blob.value());
+      const serde::Bytes blob = r.blob();
+      if (!r.ok()) return r.error();
+      auto sketch = Sketch::decode(blob);
       if (!sketch) return sketch.error();
       return MediaObject(SketchMedia{std::move(sketch).take()});
     }
     case Modality::image: {
       ImageMedia media;
-      auto width = r.varint();
-      if (!width) return width.error();
-      media.width = static_cast<int>(width.value());
-      auto height = r.varint();
-      if (!height) return height.error();
-      media.height = static_cast<int>(height.value());
-      auto channels = r.u8();
-      if (!channels) return channels.error();
-      media.channels = channels.value();
-      auto description = r.string();
-      if (!description) return description.error();
-      media.description = std::move(description).take();
-      auto has_sketch = r.boolean();
-      if (!has_sketch) return has_sketch.error();
-      if (has_sketch.value()) {
-        auto blob = r.blob();
-        if (!blob) return blob.error();
-        auto sketch = Sketch::decode(blob.value());
+      media.width = static_cast<int>(r.varint());
+      media.height = static_cast<int>(r.varint());
+      media.channels = r.u8();
+      media.description = r.view_string();
+      if (r.boolean()) {
+        const serde::Bytes blob = r.blob();
+        if (!r.ok()) return r.error();
+        auto sketch = Sketch::decode(blob);
         if (!sketch) return sketch.error();
         media.sketch = std::move(sketch).take();
       }
-      auto header = r.blob();
-      if (!header) return header.error();
-      media.encoded.header = std::move(header).take();
-      auto count = r.varint();
-      if (!count) return count.error();
-      if (count.value() > 4096) {
-        return Error{Errc::malformed, "too many packets"};
+      media.encoded.header = r.blob();
+      const std::uint64_t count = r.varint();
+      if (count > 4096) r.fail(Errc::malformed, "too many packets");
+      // A packet takes at least its one-byte length, so the input present
+      // bounds the reservation.
+      media.encoded.packets.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, r.remaining())));
+      for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+        media.encoded.packets.push_back(r.blob());
       }
-      media.encoded.packets.reserve(count.value());
-      for (std::uint64_t i = 0; i < count.value(); ++i) {
-        auto packet = r.blob();
-        if (!packet) return packet.error();
-        media.encoded.packets.push_back(std::move(packet).take());
-      }
+      if (!r.ok()) return r.error();
       return MediaObject(std::move(media));
     }
   }

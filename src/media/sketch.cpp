@@ -27,42 +27,32 @@ serde::Bytes Sketch::encode() const {
 
 Result<Sketch> Sketch::decode(std::span<const std::uint8_t> bytes) {
   serde::Reader r(bytes);
-  auto magic = r.u8();
-  if (!magic) return magic.error();
-  if (magic.value() != kSketchMagic) {
-    return Error{Errc::malformed, "not a sketch"};
-  }
+  if (r.u8() != kSketchMagic) r.fail(Errc::malformed, "not a sketch");
   Sketch s;
-  auto width = r.varint();
-  if (!width) return width.error();
-  auto height = r.varint();
-  if (!height) return height.error();
-  auto source_width = r.varint();
-  if (!source_width) return source_width.error();
-  auto source_height = r.varint();
-  if (!source_height) return source_height.error();
+  const std::uint64_t width = r.varint();
+  const std::uint64_t height = r.varint();
+  const std::uint64_t source_width = r.varint();
+  const std::uint64_t source_height = r.varint();
+  if (!r.ok()) return r.error();
   // The sketch and the image it abstracts obey the same extent bounds, so
   // every dimension narrows to int exactly.
   const auto plausible = [](std::uint64_t w, std::uint64_t h) {
     return w != 0 && h != 0 && w <= 1u << 15 && h <= 1u << 15 &&
            w * h < kMaxDecodedSamples;
   };
-  if (!plausible(width.value(), height.value())) {
+  if (!plausible(width, height)) {
     return Error{Errc::malformed, "implausible sketch dimensions"};
   }
-  if (!plausible(source_width.value(), source_height.value())) {
+  if (!plausible(source_width, source_height)) {
     return Error{Errc::malformed, "implausible sketch source dimensions"};
   }
-  s.width = static_cast<int>(width.value());
-  s.height = static_cast<int>(height.value());
-  s.source_width = static_cast<int>(source_width.value());
-  s.source_height = static_cast<int>(source_height.value());
-  auto description = r.string();
-  if (!description) return description.error();
-  s.description = std::move(description).take();
-  auto rle = r.blob();
-  if (!rle) return rle.error();
-  s.rle = std::move(rle).take();
+  s.width = static_cast<int>(width);
+  s.height = static_cast<int>(height);
+  s.source_width = static_cast<int>(source_width);
+  s.source_height = static_cast<int>(source_height);
+  s.description = r.view_string();
+  s.rle = r.blob();
+  if (!r.ok()) return r.error();
   return s;
 }
 

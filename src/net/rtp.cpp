@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "collabqos/telemetry/pipeline.hpp"
@@ -68,90 +67,6 @@ serde::Bytes encode_header(const RtpPacket& p) {
   return std::move(w).take();
 }
 
-/// The header fields up to the payload's length prefix, read from either
-/// a contiguous Reader or a cross-slice ChainReader.
-template <typename R>
-Status decode_header(R& r, RtpPacket& p, std::uint32_t& checksum) {
-  auto magic = r.u8();
-  if (!magic) return Status(magic.error());
-  if (magic.value() != kMagic) {
-    return Status(Errc::malformed, "not an RTP packet");
-  }
-  auto ssrc = r.u32();
-  if (!ssrc) return Status(ssrc.error());
-  p.ssrc = ssrc.value();
-  auto seq = r.u16();
-  if (!seq) return Status(seq.error());
-  p.sequence = seq.value();
-  auto ts = r.u32();
-  if (!ts) return Status(ts.error());
-  p.timestamp = ts.value();
-  auto pt = r.u8();
-  if (!pt) return Status(pt.error());
-  p.payload_type = pt.value();
-  auto index = r.u16();
-  if (!index) return Status(index.error());
-  p.fragment_index = index.value();
-  auto count = r.u16();
-  if (!count) return Status(count.error());
-  p.fragment_count = count.value();
-  if (p.fragment_count == 0 || p.fragment_index >= p.fragment_count) {
-    return Status(Errc::malformed, "bad fragment fields");
-  }
-  auto sum = r.u32();
-  if (!sum) return Status(sum.error());
-  checksum = sum.value();
-  return {};
-}
-
-Result<RtpPacket> verified(RtpPacket p, std::uint32_t checksum) {
-  if (checksum != packet_checksum(p, p.payload.span())) {
-    count_corrupt_detected();
-    return Error{Errc::malformed, "RTP checksum mismatch"};
-  }
-  return p;
-}
-
-Result<RtpPacket> decode_fields(serde::ChainReader& r) {
-  RtpPacket p;
-  std::uint32_t checksum = 0;
-  if (auto header = decode_header(r, p, checksum); !header.ok()) {
-    return header.error();
-  }
-  auto view = r.view_blob();
-  if (!view) return view.error();
-  // A packet's wire form is [header][payload view], so the view is one
-  // slice on the nominal path; a genuinely fragmented payload gathers.
-  p.payload = telemetry::flatten_counted(
-      view.value(), telemetry::PipelineCounters::global().packet_decode);
-  if (!r.exhausted()) {
-    return Error{Errc::malformed, "trailing bytes after RTP payload"};
-  }
-  return verified(std::move(p), checksum);
-}
-
-/// The nominal shapes — [header][payload] as sent, or both in one
-/// buffer — decoded in place from the first slice. nullopt for any other
-/// shape or any structural fault; decode_fields then gives the verdict.
-std::optional<Result<RtpPacket>> decode_nominal(
-    std::span<const serde::SharedBytes> slices) {
-  if (slices.empty() || slices.size() > 2) return std::nullopt;
-  serde::Reader r(slices[0].span());
-  RtpPacket p;
-  std::uint32_t checksum = 0;
-  if (!decode_header(r, p, checksum).ok()) return std::nullopt;
-  const auto length = r.varint();
-  if (!length) return std::nullopt;
-  if (slices.size() == 1 && r.remaining() == length.value()) {
-    p.payload = slices[0].slice(r.offset());
-  } else if (slices.size() == 2 && r.exhausted() &&
-             slices[1].size() == length.value()) {
-    p.payload = slices[1];
-  } else {
-    return std::nullopt;
-  }
-  return verified(std::move(p), checksum);
-}
 }  // namespace
 
 serde::ByteChain RtpPacket::wire() const {
@@ -161,11 +76,34 @@ serde::ByteChain RtpPacket::wire() const {
 }
 
 Result<RtpPacket> RtpPacket::decode(const serde::ByteChain& bytes) {
-  if (auto nominal = decode_nominal(bytes.slices())) {
-    return std::move(*nominal);
+  serde::Reader r(bytes);
+  RtpPacket p;
+  if (r.u8() != kMagic) r.fail(Errc::malformed, "not an RTP packet");
+  p.ssrc = r.u32();
+  p.sequence = r.u16();
+  p.timestamp = r.u32();
+  p.payload_type = r.u8();
+  p.fragment_index = r.u16();
+  p.fragment_count = r.u16();
+  if (p.fragment_count == 0 || p.fragment_index >= p.fragment_count) {
+    r.fail(Errc::malformed, "bad fragment fields");
   }
-  serde::ChainReader r(bytes);
-  return decode_fields(r);
+  const std::uint32_t checksum = r.u32();
+  // A packet's wire form is [header][payload view], so the view is one
+  // slice as sent and nothing is copied; a payload split across slices
+  // gathers here, charged.
+  const serde::ByteChain view = r.view_blob();
+  if (!r.ok()) return r.error();
+  p.payload = telemetry::flatten_counted(
+      view, telemetry::PipelineCounters::global().packet_decode);
+  if (!r.exhausted()) {
+    return Error{Errc::malformed, "trailing bytes after RTP payload"};
+  }
+  if (checksum != packet_checksum(p, p.payload.span())) {
+    count_corrupt_detected();
+    return Error{Errc::malformed, "RTP checksum mismatch"};
+  }
+  return p;
 }
 
 RtpPacketizer::RtpPacketizer(std::uint32_t ssrc,

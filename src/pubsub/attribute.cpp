@@ -75,32 +75,19 @@ void AttributeValue::encode(serde::Writer& w) const {
   }
 }
 
-Result<AttributeValue> AttributeValue::decode(serde::Reader& r) {
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  switch (static_cast<ValueTag>(tag.value())) {
-    case ValueTag::boolean: {
-      auto v = r.boolean();
-      if (!v) return v.error();
-      return AttributeValue(v.value());
-    }
-    case ValueTag::integer: {
-      auto v = r.svarint();
-      if (!v) return v.error();
-      return AttributeValue(v.value());
-    }
-    case ValueTag::real: {
-      auto v = r.f64();
-      if (!v) return v.error();
-      return AttributeValue(v.value());
-    }
-    case ValueTag::text: {
-      auto v = r.string();
-      if (!v) return v.error();
-      return AttributeValue(std::move(v).take());
-    }
+AttributeValue AttributeValue::decode(serde::Reader& r) {
+  switch (static_cast<ValueTag>(r.u8())) {
+    case ValueTag::boolean:
+      return AttributeValue(r.boolean());
+    case ValueTag::integer:
+      return AttributeValue(r.svarint());
+    case ValueTag::real:
+      return AttributeValue(r.f64());
+    case ValueTag::text:
+      return AttributeValue(std::string(r.view_string()));
   }
-  return Error{Errc::malformed, "unknown attribute value tag"};
+  r.fail(Errc::malformed, "unknown attribute value tag");
+  return AttributeValue();
 }
 
 namespace {
@@ -172,23 +159,22 @@ void AttributeSet::encode(serde::Writer& w) const {
   }
 }
 
-Result<AttributeSet> AttributeSet::decode(serde::Reader& r) {
-  auto count = r.varint();
-  if (!count) return count.error();
-  if (count.value() > 4096) {
-    return Error{Errc::malformed, "attribute set too large"};
-  }
+AttributeSet AttributeSet::decode(serde::Reader& r) {
+  const std::uint64_t count = r.varint();
   AttributeSet set;
+  if (count > 4096) {
+    r.fail(Errc::malformed, "attribute set too large");
+    return set;
+  }
   // An entry takes at least three bytes (name length, value tag, value),
   // so the input present bounds the reservation.
   set.values_.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count.value(), r.remaining() / 3)));
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto key = r.view_string();  // interned in place, never copied
-    if (!key) return key.error();
-    auto value = AttributeValue::decode(r);
-    if (!value) return value.error();
-    set.set(key.value(), std::move(value).take());
+      std::min<std::uint64_t>(count, r.remaining() / 3)));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string_view key = r.view_string();  // interned, never copied
+    AttributeValue value = AttributeValue::decode(r);
+    if (!r.ok()) break;
+    set.set(key, std::move(value));
   }
   return set;
 }

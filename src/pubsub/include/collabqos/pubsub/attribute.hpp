@@ -51,7 +51,8 @@ class AttributeValue {
   [[nodiscard]] std::string to_literal() const;
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<AttributeValue> decode(serde::Reader& r);
+  /// Reads one value; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static AttributeValue decode(serde::Reader& r);
 
   friend bool operator==(const AttributeValue& a,
                          const AttributeValue& b) noexcept {
@@ -106,7 +107,8 @@ class AttributeSet {
   void merge(const AttributeSet& overlay);
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<AttributeSet> decode(serde::Reader& r);
+  /// Reads one set; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static AttributeSet decode(serde::Reader& r);
 
   friend bool operator==(const AttributeSet& a,
                          const AttributeSet& b) noexcept {

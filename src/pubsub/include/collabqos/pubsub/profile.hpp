@@ -28,7 +28,8 @@ struct TransformCapability {
   AttributeValue to;
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<TransformCapability> decode(serde::Reader& r);
+  /// Reads one capability; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static TransformCapability decode(serde::Reader& r);
 
   friend bool operator==(const TransformCapability& a,
                          const TransformCapability& b) noexcept {
@@ -62,7 +63,8 @@ class Profile {
   void clear_capabilities();
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<Profile> decode(serde::Reader& r);
+  /// Reads one profile; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static Profile decode(serde::Reader& r);
 
  private:
   AttributeSet attributes_;

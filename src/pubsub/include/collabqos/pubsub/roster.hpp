@@ -36,7 +36,8 @@ struct RosterEntry {
   Selector interest;  ///< over message content attributes
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<RosterEntry> decode(serde::Reader& r);
+  /// Reads one entry; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static RosterEntry decode(serde::Reader& r);
 };
 
 /// Application payload as delivered by the baseline substrate.

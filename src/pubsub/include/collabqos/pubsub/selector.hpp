@@ -78,7 +78,9 @@ class Selector {
                                        std::vector<AttributeValue> values);
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<Selector> decode(serde::Reader& r);
+  /// Reads one selector; a fault latches in `r` (check r.ok()) and
+  /// yields the default selector.
+  [[nodiscard]] static Selector decode(serde::Reader& r);
 
  private:
   explicit Selector(std::shared_ptr<const detail::ExprNode> root);

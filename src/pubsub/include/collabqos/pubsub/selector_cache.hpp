@@ -50,8 +50,8 @@ class SelectorCache {
   /// Decode the selector at the reader's cursor. On a cache hit the
   /// reader skips the encoded bytes without decoding them; on a miss it
   /// decodes normally and the result is cached. Identical in observable
-  /// effect to Selector::decode(r).
-  [[nodiscard]] Result<Selector> decode(serde::Reader& r);
+  /// effect to Selector::decode(r): a fault latches in `r`.
+  [[nodiscard]] Selector decode(serde::Reader& r);
 
   /// FNV-1a (64-bit) — the default HashFn.
   static std::uint64_t fingerprint(std::span<const std::uint8_t> bytes);

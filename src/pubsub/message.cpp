@@ -28,37 +28,9 @@ serde::SharedBytes SemanticMessage::encode() const {
 
 namespace {
 
-/// Decode the fields before the payload blob from `r`; on success the
-/// reader is positioned at the payload length varint.
-Status decode_head(serde::Reader& r, SemanticMessage& message,
-                   SelectorCache* cache) {
-  auto magic = r.u8();
-  if (!magic) return Status(magic.error());
-  if (magic.value() != kMessageMagic) {
-    return Status(Errc::malformed, "not a semantic message");
-  }
-  auto selector = cache ? cache->decode(r) : Selector::decode(r);
-  if (!selector) return Status(selector.error());
-  message.selector = std::move(selector).take();
-  auto content = AttributeSet::decode(r);
-  if (!content) return Status(content.error());
-  message.content = std::move(content).take();
-  auto event_type = r.view_string();
-  if (!event_type) return Status(event_type.error());
-  message.event_type.assign(event_type.value());
-  auto sender = r.varint();
-  if (!sender) return Status(sender.error());
-  message.sender_id = sender.value();
-  auto sequence = r.varint();
-  if (!sequence) return Status(sequence.error());
-  message.sequence = sequence.value();
-  return {};
-}
-
 Result<SemanticMessage> decode_message_chain(const serde::ByteChain& bytes,
                                              SelectorCache* cache) {
-  const auto contiguous = bytes.contiguous();
-  if (!contiguous) {
+  if (!bytes.contiguous()) {
     // The header itself straddles slices (tiny-MTU fragmentation cut
     // through it): gather once — charged — then take the fast path on
     // the now-contiguous chain.
@@ -68,23 +40,21 @@ Result<SemanticMessage> decode_message_chain(const serde::ByteChain& bytes,
   }
   // Contiguous fast path: the selector cache fingerprints the selector's
   // wire bytes in place, and the payload stays a view of the input.
-  serde::Reader r(*contiguous);
+  serde::Reader r(bytes);
   SemanticMessage message;
-  if (auto head = decode_head(r, message, cache); !head.ok()) {
-    return head.error();
+  if (r.u8() != kMessageMagic) {
+    r.fail(Errc::malformed, "not a semantic message");
   }
-  auto length = r.varint();
-  if (!length) return length.error();
-  if (length.value() > r.remaining()) {
-    return Error{Errc::malformed, "truncated input"};
-  }
-  message.payload = bytes.slice(r.offset(), length.value());
-  if (auto skipped = r.skip(length.value()); !skipped.ok()) {
-    return skipped.error();
-  }
+  message.selector = cache ? cache->decode(r) : Selector::decode(r);
+  message.content = AttributeSet::decode(r);
+  message.event_type.assign(r.view_string());
+  message.sender_id = r.varint();
+  message.sequence = r.varint();
+  message.payload = r.view_blob();
   if (!r.exhausted()) {
-    return Error{Errc::malformed, "trailing bytes after message"};
+    r.fail(Errc::malformed, "trailing bytes after message");
   }
+  if (!r.ok()) return r.error();
   return message;
 }
 

@@ -231,20 +231,19 @@ void SemanticPeer::handle_nack(const net::Datagram& datagram) {
       datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
   (void)r.u8();  // magic, already checked
-  auto ssrc = r.u32();
-  auto timestamp = r.u32();
-  auto count = r.varint();
-  if (!ssrc || !timestamp || !count || count.value() > UINT16_MAX) {
+  const std::uint32_t ssrc = r.u32();
+  const std::uint32_t timestamp = r.u32();
+  const std::uint64_t count = r.varint();
+  if (!r.ok() || count > UINT16_MAX) {
     ++stats_.undecodable;
     return;
   }
-  if (ssrc.value() != packetizer_.ssrc()) return;  // not our stream
+  if (ssrc != packetizer_.ssrc()) return;  // not our stream
   ++stats_.nacks_received;
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto index = r.u16();
-    if (!index) return;
-    const auto it =
-        sent_packets_.find({timestamp.value(), index.value()});
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::uint16_t index = r.u16();
+    if (!r.ok()) return;
+    const auto it = sent_packets_.find({timestamp, index});
     if (it == sent_packets_.end()) continue;  // evicted; nothing to do
     ++stats_.retransmissions;
     (void)endpoint_->send(datagram.source, it->second.wire());

@@ -8,17 +8,11 @@ void TransformCapability::encode(serde::Writer& w) const {
   to.encode(w);
 }
 
-Result<TransformCapability> TransformCapability::decode(serde::Reader& r) {
+TransformCapability TransformCapability::decode(serde::Reader& r) {
   TransformCapability capability;
-  auto attribute = r.string();
-  if (!attribute) return attribute.error();
-  capability.attribute = std::move(attribute).take();
-  auto from = AttributeValue::decode(r);
-  if (!from) return from.error();
-  capability.from = std::move(from).take();
-  auto to = AttributeValue::decode(r);
-  if (!to) return to.error();
-  capability.to = std::move(to).take();
+  capability.attribute = r.view_string();
+  capability.from = AttributeValue::decode(r);
+  capability.to = AttributeValue::decode(r);
   return capability;
 }
 
@@ -64,31 +58,16 @@ void Profile::encode(serde::Writer& w) const {
   w.varint(version_);
 }
 
-Result<Profile> Profile::decode(serde::Reader& r) {
+Profile Profile::decode(serde::Reader& r) {
   Profile profile;
-  auto attributes = AttributeSet::decode(r);
-  if (!attributes) return attributes.error();
-  profile.attributes_ = std::move(attributes).take();
-  auto has_interest = r.boolean();
-  if (!has_interest) return has_interest.error();
-  if (has_interest.value()) {
-    auto interest = Selector::decode(r);
-    if (!interest) return interest.error();
-    profile.interest_ = std::move(interest).take();
+  profile.attributes_ = AttributeSet::decode(r);
+  if (r.boolean()) profile.interest_ = Selector::decode(r);
+  const std::uint64_t count = r.varint();
+  if (count > 256) r.fail(Errc::malformed, "too many capabilities");
+  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    profile.capabilities_.push_back(TransformCapability::decode(r));
   }
-  auto count = r.varint();
-  if (!count) return count.error();
-  if (count.value() > 256) {
-    return Error{Errc::malformed, "too many capabilities"};
-  }
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto capability = TransformCapability::decode(r);
-    if (!capability) return capability.error();
-    profile.capabilities_.push_back(std::move(capability).take());
-  }
-  auto version = r.varint();
-  if (!version) return version.error();
-  profile.version_ = version.value();
+  profile.version_ = r.varint();
   return profile;
 }
 

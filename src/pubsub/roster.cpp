@@ -1,5 +1,6 @@
 #include "collabqos/pubsub/roster.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "collabqos/telemetry/pipeline.hpp"
@@ -11,6 +12,9 @@ namespace {
 constexpr std::uint8_t kRegister = 0xB1;
 constexpr std::uint8_t kRosterUpdate = 0xB2;
 constexpr std::uint8_t kData = 0xB3;
+/// The smallest encoded RosterEntry: an empty name's length byte, the
+/// node (4 bytes), the port (2) and a one-byte selector.
+constexpr std::size_t kMinEntryBytes = 8;
 }  // namespace
 
 void RosterEntry::encode(serde::Writer& w) const {
@@ -20,19 +24,13 @@ void RosterEntry::encode(serde::Writer& w) const {
   interest.encode(w);
 }
 
-Result<RosterEntry> RosterEntry::decode(serde::Reader& r) {
+RosterEntry RosterEntry::decode(serde::Reader& r) {
   RosterEntry entry;
-  auto name = r.string();
-  if (!name) return name.error();
-  entry.name = std::move(name).take();
-  auto node = r.u32();
-  if (!node) return node.error();
-  auto port = r.u16();
-  if (!port) return port.error();
-  entry.address = net::Address{net::make_node(node.value()), port.value()};
-  auto interest = Selector::decode(r);
-  if (!interest) return interest.error();
-  entry.interest = std::move(interest).take();
+  entry.name = r.view_string();
+  const std::uint32_t node = r.u32();
+  const std::uint16_t port = r.u16();
+  entry.address = net::Address{net::make_node(node), port};
+  entry.interest = Selector::decode(r);
   return entry;
 }
 
@@ -55,12 +53,11 @@ void NamingServer::handle(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
       datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
-  auto tag = r.u8();
-  if (!tag || tag.value() != kRegister) return;
-  auto entry = RosterEntry::decode(r);
-  if (!entry) return;
+  if (r.u8() != kRegister) return;
+  RosterEntry entry = RosterEntry::decode(r);
+  if (!r.ok()) return;
   ++stats_.registrations;
-  roster_[entry.value().name] = std::move(entry).take();
+  roster_[entry.name] = std::move(entry);
   broadcast_roster();
 }
 
@@ -130,33 +127,29 @@ void NamedClient::handle(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
       datagram.payload, telemetry::PipelineCounters::global().gather);
   serde::Reader r(flat);
-  auto tag = r.u8();
-  if (!tag) return;
-  if (tag.value() == kRosterUpdate) {
-    auto count = r.varint();
-    if (!count || count.value() > 65536) return;
+  const std::uint8_t tag = r.u8();
+  if (tag == kRosterUpdate) {
+    const std::uint64_t count = r.varint();
+    if (!r.ok() || count > 65536) return;
+    // An entry takes at least kMinEntryBytes, so the input present bounds
+    // the reservation, whatever count the datagram claims.
     std::vector<RosterEntry> roster;
-    roster.reserve(count.value());
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      auto entry = RosterEntry::decode(r);
-      if (!entry) return;  // drop corrupt updates whole
-      roster.push_back(std::move(entry).take());
+    roster.reserve(static_cast<std::size_t>(
+        std::min<std::uint64_t>(count, r.remaining() / kMinEntryBytes)));
+    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+      roster.push_back(RosterEntry::decode(r));
     }
+    if (!r.ok()) return;  // drop corrupt updates whole
     roster_ = std::move(roster);
     ++stats_.roster_updates;
     return;
   }
-  if (tag.value() != kData) return;
+  if (tag != kData) return;
   NamedMessage message;
-  auto sender = r.string();
-  if (!sender) return;
-  message.sender = std::move(sender).take();
-  auto content = AttributeSet::decode(r);
-  if (!content) return;
-  message.content = std::move(content).take();
-  auto payload = r.blob();
-  if (!payload) return;
-  message.payload = std::move(payload).take();
+  message.sender = r.view_string();
+  message.content = AttributeSet::decode(r);
+  message.payload = r.blob();
+  if (!r.ok()) return;
   ++stats_.delivered;
   if (handler_) handler_(message);
 }

@@ -744,72 +744,74 @@ void encode_node(const ExprNode& node, serde::Writer& w) {
   }
 }
 
-Result<NodePtr> decode_node(serde::Reader& r, int depth) {
-  if (depth > 64) return Error{Errc::malformed, "selector too deep"};
-  auto kind = r.u8();
-  if (!kind) return kind.error();
-  if (kind.value() >
-      static_cast<std::uint8_t>(ExprNode::Kind::membership)) {
-    return Error{Errc::malformed, "unknown selector node kind"};
+/// Reads one node and its operands; null once `r` has failed.
+NodePtr decode_node(serde::Reader& r, int depth) {
+  if (depth > 64) {
+    r.fail(Errc::malformed, "selector too deep");
+    return nullptr;
   }
-  switch (static_cast<ExprNode::Kind>(kind.value())) {
+  const std::uint8_t kind = r.u8();
+  if (!r.ok()) return nullptr;
+  if (kind > static_cast<std::uint8_t>(ExprNode::Kind::membership)) {
+    r.fail(Errc::malformed, "unknown selector node kind");
+    return nullptr;
+  }
+  switch (static_cast<ExprNode::Kind>(kind)) {
     case ExprNode::Kind::literal_true:
       return make_bool(true);
     case ExprNode::Kind::literal_false:
       return make_bool(false);
     case ExprNode::Kind::logical_and:
     case ExprNode::Kind::logical_or: {
-      auto lhs = decode_node(r, depth + 1);
-      if (!lhs) return lhs;
-      auto rhs = decode_node(r, depth + 1);
-      if (!rhs) return rhs;
-      return make_binary(static_cast<ExprNode::Kind>(kind.value()),
-                         std::move(lhs).take(), std::move(rhs).take());
+      NodePtr lhs = decode_node(r, depth + 1);
+      NodePtr rhs = decode_node(r, depth + 1);
+      if (!r.ok()) return nullptr;
+      return make_binary(static_cast<ExprNode::Kind>(kind), std::move(lhs),
+                         std::move(rhs));
     }
     case ExprNode::Kind::logical_not: {
-      auto operand = decode_node(r, depth + 1);
-      if (!operand) return operand;
-      return make_not(std::move(operand).take());
+      NodePtr operand = decode_node(r, depth + 1);
+      if (!r.ok()) return nullptr;
+      return make_not(std::move(operand));
     }
     case ExprNode::Kind::exists: {
-      auto attribute = r.string();
-      if (!attribute) return attribute.error();
-      return make_exists(std::move(attribute).take());
+      const std::string_view attribute = r.view_string();
+      if (!r.ok()) return nullptr;
+      return make_exists(std::string(attribute));
     }
     case ExprNode::Kind::compare: {
-      auto attribute = r.string();
-      if (!attribute) return attribute.error();
-      auto op = r.u8();
-      if (!op) return op.error();
-      if (op.value() > static_cast<std::uint8_t>(Op::ge)) {
-        return Error{Errc::malformed, "unknown comparison operator"};
+      const std::string_view attribute = r.view_string();
+      const std::uint8_t op = r.u8();
+      if (op > static_cast<std::uint8_t>(Op::ge)) {
+        r.fail(Errc::malformed, "unknown comparison operator");
       }
-      auto value = AttributeValue::decode(r);
-      if (!value) return value.error();
-      return make_compare(std::move(attribute).take(),
-                          static_cast<Op>(op.value()),
-                          std::move(value).take());
+      AttributeValue value = AttributeValue::decode(r);
+      if (!r.ok()) return nullptr;
+      return make_compare(std::string(attribute), static_cast<Op>(op),
+                          std::move(value));
     }
     case ExprNode::Kind::membership: {
-      auto attribute = r.string();
-      if (!attribute) return attribute.error();
-      auto count = r.varint();
-      if (!count) return count.error();
-      if (count.value() == 0 || count.value() > 256) {
-        return Error{Errc::malformed, "bad membership list size"};
+      const std::string_view attribute = r.view_string();
+      const std::uint64_t count = r.varint();
+      if (!r.ok()) return nullptr;
+      if (count == 0 || count > 256) {
+        r.fail(Errc::malformed, "bad membership list size");
+        return nullptr;
       }
+      // A value takes at least two bytes (tag and payload), so the input
+      // present bounds the reservation.
       std::vector<AttributeValue> values;
-      values.reserve(count.value());
-      for (std::uint64_t i = 0; i < count.value(); ++i) {
-        auto value = AttributeValue::decode(r);
-        if (!value) return value.error();
-        values.push_back(std::move(value).take());
+      values.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, r.remaining() / 2)));
+      for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+        values.push_back(AttributeValue::decode(r));
       }
-      return make_membership(std::move(attribute).take(),
-                             std::move(values));
+      if (!r.ok()) return nullptr;
+      return make_membership(std::string(attribute), std::move(values));
     }
   }
-  return Error{Errc::malformed, "unknown selector node"};
+  r.fail(Errc::malformed, "unknown selector node");
+  return nullptr;
 }
 
 }  // namespace
@@ -890,10 +892,10 @@ void Selector::encode(serde::Writer& w) const {
   detail::encode_node(*root_, w);
 }
 
-Result<Selector> Selector::decode(serde::Reader& r) {
-  auto root = detail::decode_node(r, 0);
-  if (!root) return root.error();
-  return Selector(std::move(root).take());
+Selector Selector::decode(serde::Reader& r) {
+  detail::NodePtr root = detail::decode_node(r, 0);
+  if (!r.ok()) return Selector();
+  return Selector(std::move(root));
 }
 
 Result<std::size_t> encoded_selector_length(
@@ -903,7 +905,7 @@ Result<std::size_t> encoded_selector_length(
   // and operands; children are accounted with a pending counter, so
   // arbitrarily deep selectors scan without recursion or allocation.
   // This runs per received message on the cache-hit fast path, so it
-  // walks raw pointers rather than the Result-returning Reader.
+  // walks raw pointers and builds nothing.
   const std::uint8_t* p = data.data();
   const std::uint8_t* const end = p + data.size();
   const auto skip_varint = [&]() -> bool {

@@ -28,7 +28,7 @@ std::uint64_t SelectorCache::fingerprint(std::span<const std::uint8_t> bytes) {
   return h;
 }
 
-Result<Selector> SelectorCache::decode(serde::Reader& r) {
+Selector SelectorCache::decode(serde::Reader& r) {
   if (capacity_ == 0) return Selector::decode(r);
 
   // Find the selector's byte span without decoding it. If the structural
@@ -46,32 +46,29 @@ Result<Selector> SelectorCache::decode(serde::Reader& r) {
         std::equal(entry.bytes.begin(), entry.bytes.end(), bytes.begin())) {
       ++stats_.hits;
       lru_.splice(lru_.begin(), lru_, it);
-      if (auto skipped = r.skip(bytes.size()); !skipped) {
-        return skipped.error();
-      }
+      r.skip(bytes.size());
       return entry.selector;
     }
     // Same fingerprint, different encoding: decode fresh and let the new
     // selector take over the slot (newest wins).
     ++stats_.collisions;
-    auto selector = Selector::decode(r);
-    if (!selector) return selector;
+    Selector selector = Selector::decode(r);
+    if (!r.ok()) return selector;
     entry.bytes.assign(bytes.begin(), bytes.end());
-    entry.selector = selector.value();
+    entry.selector = selector;
     lru_.splice(lru_.begin(), lru_, it);
     return selector;
   }
 
   ++stats_.misses;
-  auto selector = Selector::decode(r);
-  if (!selector) return selector;
+  Selector selector = Selector::decode(r);
+  if (!r.ok()) return selector;
   if (entries_.size() >= capacity_) {
     ++stats_.evictions;
     entries_.erase(lru_.back().key);
     lru_.pop_back();
   }
-  lru_.push_front(
-      Entry{key, {bytes.begin(), bytes.end()}, selector.value()});
+  lru_.push_front(Entry{key, {bytes.begin(), bytes.end()}, selector});
   *entries_.try_emplace(key).first = lru_.begin();
   return selector;
 }

@@ -1,6 +1,6 @@
 // Non-contiguous byte buffers for the zero-copy payload pipeline
 // (DESIGN.md §11). A ByteChain is an ordered list of SharedBytes slices
-// presented as one logical byte sequence; a ChainReader decodes wire
+// presented as one logical byte sequence; serde::Reader decodes wire
 // data across the slice boundaries. Together they let fragmentation,
 // reassembly and message decode pass *views* of one encode buffer
 // through the whole delivery path instead of re-materialising the
@@ -14,12 +14,10 @@
 #include <iterator>
 #include <optional>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "collabqos/serde/wire.hpp"
-#include "collabqos/util/result.hpp"
 
 namespace collabqos::serde {
 
@@ -179,56 +177,6 @@ class ByteChain {
   std::vector<SharedBytes> spilled_;
   std::size_t count_ = 0;  ///< slices held
   std::size_t size_ = 0;   ///< bytes across them
-};
-
-/// Bounds-checked decoder over a ByteChain: the Reader API, but able to
-/// read values that straddle slice boundaries. Scalars assemble across
-/// slices; string()/blob() materialise (as they always did); view() and
-/// view_blob() return zero-copy sub-chains sharing the input's storage,
-/// which is how the receive path hands an application payload through
-/// without touching its bytes.
-class ChainReader {
- public:
-  explicit ChainReader(const ByteChain& chain) noexcept
-      : slices_(chain.slices()), size_(chain.size()) {}
-
-  [[nodiscard]] Result<std::uint8_t> u8();
-  [[nodiscard]] Result<std::uint16_t> u16();
-  [[nodiscard]] Result<std::uint32_t> u32();
-  [[nodiscard]] Result<std::uint64_t> u64();
-  [[nodiscard]] Result<std::uint64_t> varint();
-  [[nodiscard]] Result<std::int64_t> svarint();
-  [[nodiscard]] Result<double> f64();
-  [[nodiscard]] Result<bool> boolean();
-  [[nodiscard]] Result<std::string> string();
-  [[nodiscard]] Result<Bytes> blob();
-
-  /// Zero-copy view of the next `n` bytes as slices of the underlying
-  /// storage (safe to hold beyond the reader's and chain's lifetime).
-  [[nodiscard]] Result<ByteChain> view(std::size_t n);
-  /// varint length + zero-copy view of that many bytes.
-  [[nodiscard]] Result<ByteChain> view_blob();
-
-  Status skip(std::size_t n);
-
-  [[nodiscard]] std::size_t offset() const noexcept { return offset_; }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return size_ - offset_;
-  }
-  [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
-
- private:
-  [[nodiscard]] Status need(std::size_t n) const noexcept;
-  /// Copy exactly `n` bytes (bounds already checked) to `out`, advancing.
-  void read_raw(std::uint8_t* out, std::size_t n) noexcept;
-  template <typename T>
-  [[nodiscard]] Result<T> scalar();
-
-  std::span<const SharedBytes> slices_;
-  std::size_t size_ = 0;
-  std::size_t offset_ = 0;  ///< global cursor
-  std::size_t slice_ = 0;   ///< current slice index
-  std::size_t pos_ = 0;     ///< cursor within current slice
 };
 
 }  // namespace collabqos::serde

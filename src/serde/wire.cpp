@@ -1,7 +1,8 @@
 #include "collabqos/serde/wire.hpp"
 
-#include <bit>
-#include <cstring>
+#include <cassert>
+
+#include "collabqos/serde/chain.hpp"
 
 namespace collabqos::serde {
 
@@ -55,124 +56,148 @@ void Writer::blob(std::span<const std::uint8_t> v) {
   buffer_.insert(buffer_.end(), v.begin(), v.end());
 }
 
-Status Reader::need(std::size_t n) const noexcept {
-  if (remaining() < n) {
-    return Status(Errc::malformed, "truncated input");
+// ------------------------------------------------------------------ Reader
+
+namespace {
+constexpr std::string_view kTruncated = "truncated input";
+}
+
+Reader::Reader(const ByteChain& chain) noexcept
+    : Reader(std::span<const std::uint8_t>{}) {
+  const std::span<const SharedBytes> slices = chain.slices();
+  size_ = chain.size();
+  if (slices.empty()) return;
+  slice_ = slices.data();
+  last_ = slices.data() + slices.size() - 1;
+  begin_ = cur_ = slice_->data();
+  end_ = begin_ + slice_->size();
+}
+
+void Reader::fail_at(std::size_t offset, Errc code,
+                     std::string_view message) {
+  assert(code != Errc::ok);
+  if (!ok()) return;
+  failed_at_ = offset;
+  error_ = Error{code, std::string(message)};
+  // Every later read now finds an empty slice and no next one.
+  cur_ = end_;
+  last_ = slice_;
+}
+
+void Reader::fail(Errc code, std::string_view message) {
+  fail_at(offset(), code, message);
+}
+
+bool Reader::next_slice() noexcept {
+  if (slice_ == last_) return false;
+  consumed_ += static_cast<std::size_t>(end_ - begin_);
+  ++slice_;
+  begin_ = cur_ = slice_->data();
+  end_ = begin_ + slice_->size();  // a chain stores no empty slices
+  return true;
+}
+
+bool Reader::read_slow(std::uint8_t* out, std::size_t n) noexcept {
+  if (n > remaining()) {
+    fail_at(offset(), Errc::malformed, kTruncated);
+    return false;
   }
-  return {};
-}
-
-Result<std::uint8_t> Reader::u8() {
-  if (auto s = need(1); !s) return s.error();
-  return data_[offset_++];
-}
-
-Result<std::uint16_t> Reader::u16() {
-  if (auto s = need(2); !s) return s.error();
-  std::uint16_t v = 0;
-  v |= static_cast<std::uint16_t>(data_[offset_]);
-  v |= static_cast<std::uint16_t>(data_[offset_ + 1]) << 8;
-  offset_ += 2;
-  return v;
-}
-
-Result<std::uint32_t> Reader::u32() {
-  if (auto s = need(4); !s) return s.error();
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(data_[offset_ + i]) << (8 * i);
+  while (n > 0) {
+    if (cur_ == end_) (void)next_slice();
+    const std::size_t take =
+        std::min(n, static_cast<std::size_t>(end_ - cur_));
+    if (out != nullptr) {
+      std::memcpy(out, cur_, take);
+      out += take;
+    }
+    cur_ += take;
+    n -= take;
   }
-  offset_ += 4;
-  return v;
+  return true;
 }
 
-Result<std::uint64_t> Reader::u64() {
-  if (auto s = need(8); !s) return s.error();
+std::uint64_t Reader::varint_slow() noexcept {
+  const std::size_t start = offset();
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(data_[offset_ + i]) << (8 * i);
-  }
-  offset_ += 8;
-  return v;
-}
-
-Result<std::uint64_t> Reader::varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
   for (int i = 0; i < 10; ++i) {
-    if (auto s = need(1); !s) return s.error();
-    const std::uint8_t byte = data_[offset_++];
-    v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+    if (cur_ == end_ && !next_slice()) {
+      fail_at(start, Errc::malformed, kTruncated);
+      return 0;
+    }
+    const std::uint8_t byte = *cur_++;
+    v |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
     if ((byte & 0x80) == 0) {
       if (i == 9 && byte > 1) {
-        return Error{Errc::malformed, "varint overflow"};
+        fail_at(start, Errc::malformed, "varint overflow");
+        return 0;
       }
       return v;
     }
-    shift += 7;
   }
-  return Error{Errc::malformed, "varint too long"};
+  fail_at(start, Errc::malformed, "varint too long");
+  return 0;
 }
 
-Result<std::int64_t> Reader::svarint() {
-  auto raw = varint();
-  if (!raw) return raw.error();
-  const std::uint64_t u = raw.value();
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
+bool Reader::boolean() noexcept {
+  const std::size_t start = offset();
+  const std::uint8_t raw = u8();
+  if (raw > 1) {
+    fail_at(start, Errc::malformed, "bad boolean");
+    return false;
+  }
+  return raw == 1;
 }
 
-Result<double> Reader::f64() {
-  auto raw = u64();
-  if (!raw) return raw.error();
-  return std::bit_cast<double>(raw.value());
+std::size_t Reader::length_prefix() noexcept {
+  const std::size_t start = offset();
+  const std::uint64_t length = varint();
+  if (length > remaining()) {
+    fail_at(start, Errc::malformed, kTruncated);
+    return 0;
+  }
+  return static_cast<std::size_t>(length);
 }
 
-Result<bool> Reader::boolean() {
-  auto raw = u8();
-  if (!raw) return raw.error();
-  if (raw.value() > 1) return Error{Errc::malformed, "bad boolean"};
-  return raw.value() == 1;
+std::string_view Reader::view_string() {
+  const std::size_t n = length_prefix();
+  if (n <= static_cast<std::size_t>(end_ - cur_)) {
+    const std::string_view out(reinterpret_cast<const char*>(cur_), n);
+    cur_ += n;
+    return out;
+  }
+  std::string& gathered = spilled_.emplace_front(n, '\0');
+  (void)read_slow(reinterpret_cast<std::uint8_t*>(gathered.data()), n);
+  return gathered;
 }
 
 Result<std::string> Reader::string() {
-  auto len = varint();
-  if (!len) return len.error();
-  if (auto s = need(len.value()); !s) return s.error();
-  std::string out(reinterpret_cast<const char*>(data_.data() + offset_),
-                  len.value());
-  offset_ += len.value();
+  const std::string_view out = view_string();
+  if (!ok()) return error_;
+  return std::string(out);
+}
+
+Bytes Reader::blob() {
+  Bytes out(length_prefix());
+  (void)read_slow(out.data(), out.size());
   return out;
 }
 
-Result<std::string_view> Reader::view_string() {
-  auto len = varint();
-  if (!len) return len.error();
-  if (auto s = need(len.value()); !s) return s.error();
-  const std::string_view out(
-      reinterpret_cast<const char*>(data_.data() + offset_), len.value());
-  offset_ += len.value();
-  return out;
-}
-
-Status Reader::skip(std::size_t n) {
-  if (auto s = need(n); !s) return s;
-  offset_ += n;
-  return {};
-}
-
-Status Reader::skip_string() {
-  auto len = varint();
-  if (!len) return len.error();
-  return skip(len.value());
-}
-
-Result<Bytes> Reader::blob() {
-  auto len = varint();
-  if (!len) return len.error();
-  if (auto s = need(len.value()); !s) return s.error();
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(offset_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset_ + len.value()));
-  offset_ += len.value();
+ByteChain Reader::view_blob() {
+  std::size_t n = length_prefix();
+  ByteChain out;
+  if (slice_ == nullptr) {
+    out.append(SharedBytes(Bytes(cur_, cur_ + n)));
+    cur_ += n;
+    return out;
+  }
+  while (n > 0) {
+    if (cur_ == end_) (void)next_slice();
+    const std::size_t take =
+        std::min(n, static_cast<std::size_t>(end_ - cur_));
+    out.append(slice_->slice(static_cast<std::size_t>(cur_ - begin_), take));
+    cur_ += take;
+    n -= take;
+  }
   return out;
 }
 

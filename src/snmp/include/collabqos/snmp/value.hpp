@@ -50,7 +50,8 @@ class Value {
   [[nodiscard]] std::string to_string() const;
 
   void encode(serde::Writer& w) const;
-  [[nodiscard]] static Result<Value> decode(serde::Reader& r);
+  /// Reads one value; a fault latches in `r` (check r.ok()).
+  [[nodiscard]] static Value decode(serde::Reader& r);
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.type_ == b.type_ && a.data_ == b.data_;

@@ -1,5 +1,7 @@
 #include "collabqos/snmp/value.hpp"
 
+#include <algorithm>
+
 namespace collabqos::snmp {
 
 Value Value::integer(std::int64_t v) {
@@ -134,57 +136,38 @@ void Value::encode(serde::Writer& w) const {
   }
 }
 
-Result<Value> Value::decode(serde::Reader& r) {
-  auto tag = r.u8();
-  if (!tag) return tag.error();
-  switch (static_cast<ValueType>(tag.value())) {
-    case ValueType::integer: {
-      auto v = r.svarint();
-      if (!v) return v.error();
-      return integer(v.value());
-    }
-    case ValueType::gauge: {
-      auto v = r.varint();
-      if (!v) return v.error();
-      return gauge(v.value());
-    }
-    case ValueType::counter: {
-      auto v = r.varint();
-      if (!v) return v.error();
-      return counter(v.value());
-    }
-    case ValueType::timeticks: {
-      auto v = r.varint();
-      if (!v) return v.error();
-      return timeticks(v.value());
-    }
-    case ValueType::octet_string: {
-      auto v = r.string();
-      if (!v) return v.error();
-      return octets(std::move(v).take());
-    }
+Value Value::decode(serde::Reader& r) {
+  switch (static_cast<ValueType>(r.u8())) {
+    case ValueType::integer:
+      return integer(r.svarint());
+    case ValueType::gauge:
+      return gauge(r.varint());
+    case ValueType::counter:
+      return counter(r.varint());
+    case ValueType::timeticks:
+      return timeticks(r.varint());
+    case ValueType::octet_string:
+      return octets(std::string(r.view_string()));
     case ValueType::object_id: {
-      auto count = r.varint();
-      if (!count) return count.error();
-      if (count.value() > 128) {
-        return Error{Errc::malformed, "OID too long"};
-      }
+      const std::uint64_t count = r.varint();
+      if (count > 128) r.fail(Errc::malformed, "OID too long");
+      // An arc takes at least one byte, so the input present bounds the
+      // reservation.
       std::vector<std::uint32_t> arcs;
-      arcs.reserve(count.value());
-      for (std::uint64_t i = 0; i < count.value(); ++i) {
-        auto arc = r.varint();
-        if (!arc) return arc.error();
-        if (arc.value() > UINT32_MAX) {
-          return Error{Errc::malformed, "OID arc overflow"};
-        }
-        arcs.push_back(static_cast<std::uint32_t>(arc.value()));
+      arcs.reserve(static_cast<std::size_t>(
+          std::min<std::uint64_t>(count, r.remaining())));
+      for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+        const std::uint64_t arc = r.varint();
+        if (arc > UINT32_MAX) r.fail(Errc::malformed, "OID arc overflow");
+        arcs.push_back(static_cast<std::uint32_t>(arc));
       }
       return object_id(Oid(std::move(arcs)));
     }
     case ValueType::null:
       return Value{};
   }
-  return Error{Errc::malformed, "unknown value type tag"};
+  r.fail(Errc::malformed, "unknown value type tag");
+  return Value{};
 }
 
 }  // namespace collabqos::snmp

@@ -74,9 +74,9 @@ TEST(AttributeSet, CodecRoundTrip) {
   serde::Writer w;
   attrs.encode(w);
   serde::Reader r(w.bytes());
-  auto decoded = AttributeSet::decode(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), attrs);
+  const auto decoded = AttributeSet::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(decoded, attrs);
 }
 
 // --------------------------------------------------------------- profile
@@ -103,15 +103,15 @@ TEST(Profile, CodecRoundTrip) {
   serde::Writer w;
   profile.encode(w);
   serde::Reader r(w.bytes());
-  auto decoded = Profile::decode(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().attributes(), profile.attributes());
-  EXPECT_EQ(decoded.value().version(), profile.version());
-  ASSERT_TRUE(decoded.value().interest().has_value());
-  EXPECT_EQ(decoded.value().interest()->to_string(),
+  const auto decoded = Profile::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(decoded.attributes(), profile.attributes());
+  EXPECT_EQ(decoded.version(), profile.version());
+  ASSERT_TRUE(decoded.interest().has_value());
+  EXPECT_EQ(decoded.interest()->to_string(),
             profile.interest()->to_string());
-  ASSERT_EQ(decoded.value().capabilities().size(), 1u);
-  EXPECT_EQ(decoded.value().capabilities()[0], profile.capabilities()[0]);
+  ASSERT_EQ(decoded.capabilities().size(), 1u);
+  EXPECT_EQ(decoded.capabilities()[0], profile.capabilities()[0]);
 }
 
 // ----------------------------------------------- Figure 3 interpretation
@@ -242,11 +242,11 @@ TEST(SelectorCacheTest, SteadyStreamHitsAfterFirstDecode) {
   const serde::Bytes wire = encoded_selector(selector);
   for (int i = 0; i < 5; ++i) {
     serde::Reader r(wire);
-    auto decoded = cache.decode(r);
-    ASSERT_TRUE(decoded.ok());
+    const auto decoded = cache.decode(r);
+    ASSERT_TRUE(r.ok());
     // Hit or miss, the reader must end up exactly past the selector.
     EXPECT_TRUE(r.exhausted());
-    EXPECT_EQ(decoded.value().to_string(), selector.to_string());
+    EXPECT_EQ(decoded.to_string(), selector.to_string());
   }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 4u);
@@ -299,13 +299,14 @@ TEST(SelectorCacheTest, FingerprintCollisionFallsBackToFreshDecode) {
   const serde::Bytes wire_b = encoded_selector(b);
   {
     serde::Reader r(wire_a);
-    ASSERT_TRUE(cache.decode(r).ok());  // miss, fills the slot
+    (void)cache.decode(r);
+    ASSERT_TRUE(r.ok());  // miss, fills the slot
   }
   {
     serde::Reader r(wire_b);  // same fingerprint, different bytes
-    auto decoded = cache.decode(r);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().to_string(), b.to_string());
+    const auto decoded = cache.decode(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(decoded.to_string(), b.to_string());
   }
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().collisions, 1u);
@@ -313,14 +314,15 @@ TEST(SelectorCacheTest, FingerprintCollisionFallsBackToFreshDecode) {
   // still decodes correctly.
   {
     serde::Reader r(wire_b);
-    ASSERT_TRUE(cache.decode(r).ok());
+    (void)cache.decode(r);
+    ASSERT_TRUE(r.ok());
   }
   EXPECT_EQ(cache.stats().hits, 1u);
   {
     serde::Reader r(wire_a);
-    auto decoded = cache.decode(r);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().to_string(), a.to_string());
+    const auto decoded = cache.decode(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(decoded.to_string(), a.to_string());
   }
   EXPECT_EQ(cache.stats().collisions, 2u);
   EXPECT_EQ(cache.size(), 1u);
@@ -333,7 +335,8 @@ TEST(SelectorCacheTest, LruEvictionRespectsCapacity) {
   const serde::Bytes wire_c = encoded_selector(Selector::parse("a == 3").take());
   const auto decode = [&cache](const serde::Bytes& wire) {
     serde::Reader r(wire);
-    ASSERT_TRUE(cache.decode(r).ok());
+    (void)cache.decode(r);
+    ASSERT_TRUE(r.ok());
   };
   decode(wire_a);  // miss  {a}
   decode(wire_b);  // miss  {b, a}
@@ -354,9 +357,9 @@ TEST(SelectorCacheTest, ZeroCapacityDisablesStorage) {
   const serde::Bytes wire = encoded_selector(selector);
   for (int i = 0; i < 3; ++i) {
     serde::Reader r(wire);
-    auto decoded = cache.decode(r);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value().to_string(), selector.to_string());
+    const auto decoded = cache.decode(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(decoded.to_string(), selector.to_string());
   }
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits, 0u);

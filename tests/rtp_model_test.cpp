@@ -42,7 +42,10 @@ std::string describe(const std::vector<RtpReceiver::PendingSummary>& all) {
   for (const auto& s : all) {
     out += std::to_string(s.ssrc) + "/" + std::to_string(s.timestamp) + " age" +
            std::to_string(s.age.as_micros()) + " missing";
-    for (const std::uint16_t i : s.missing) out += " " + std::to_string(i);
+    for (const std::uint16_t i : s.missing) {
+      out += ' ';
+      out += std::to_string(i);
+    }
     out += "; ";
   }
   return out;

@@ -148,9 +148,9 @@ TEST(SelectorMembership, PrintParseAndWireRoundTrip) {
   serde::Writer w;
   original.encode(w);
   serde::Reader r(w.bytes());
-  auto decoded = Selector::decode(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().to_string(), original.to_string());
+  const auto decoded = Selector::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(decoded.to_string(), original.to_string());
 }
 
 TEST(SelectorMembership, OneOfBuilder) {
@@ -312,9 +312,9 @@ TEST_P(SelectorCodec, WireRoundTrip) {
   serde::Writer w;
   original.value().encode(w);
   serde::Reader r(w.bytes());
-  auto decoded = Selector::decode(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().to_string(), original.value().to_string());
+  const auto decoded = Selector::decode(r);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(decoded.to_string(), original.value().to_string());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -330,13 +330,15 @@ TEST(SelectorCodecErrors, TruncatedStreamFails) {
   serde::Bytes bytes = w.bytes();
   bytes.resize(bytes.size() / 2);
   serde::Reader r(bytes);
-  EXPECT_FALSE(Selector::decode(r).ok());
+  (void)Selector::decode(r);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(SelectorCodecErrors, UnknownNodeKindFails) {
   const serde::Bytes bytes = {0xEE};
   serde::Reader r(bytes);
-  EXPECT_FALSE(Selector::decode(r).ok());
+  (void)Selector::decode(r);
+  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

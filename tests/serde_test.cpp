@@ -22,13 +22,13 @@ TEST(Wire, ScalarsRoundTrip) {
   w.boolean(false);
 
   Reader r(w.bytes());
-  EXPECT_EQ(r.u8().value(), 0xAB);
-  EXPECT_EQ(r.u16().value(), 0xBEEF);
-  EXPECT_EQ(r.u32().value(), 0xDEADBEEFu);
-  EXPECT_EQ(r.u64().value(), 0x0123456789ABCDEFULL);
-  EXPECT_DOUBLE_EQ(r.f64().value(), 3.141592653589793);
-  EXPECT_TRUE(r.boolean().value());
-  EXPECT_FALSE(r.boolean().value());
+  EXPECT_EQ(r.u8(), 0xAB);
+  EXPECT_EQ(r.u16(), 0xBEEF);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
+  EXPECT_DOUBLE_EQ(r.f64(), 3.141592653589793);
+  EXPECT_TRUE(r.boolean());
+  EXPECT_FALSE(r.boolean());
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -39,7 +39,7 @@ TEST(Wire, VarintBoundaries) {
     Writer w;
     w.varint(value);
     Reader r(w.bytes());
-    EXPECT_EQ(r.varint().value(), value) << value;
+    EXPECT_EQ(r.varint(), value) << value;
     EXPECT_TRUE(r.exhausted());
   }
 }
@@ -68,7 +68,7 @@ TEST(Wire, SignedVarintRoundTrip) {
     Writer w;
     w.svarint(value);
     Reader r(w.bytes());
-    EXPECT_EQ(r.svarint().value(), value) << value;
+    EXPECT_EQ(r.svarint(), value) << value;
   }
 }
 
@@ -88,7 +88,7 @@ TEST(Wire, StringsAndBlobs) {
   Reader r(w.bytes());
   EXPECT_EQ(r.string().value(), "");
   EXPECT_EQ(r.string().value(), "hello world");
-  EXPECT_EQ(r.blob().value(), blob);
+  EXPECT_EQ(r.blob(), blob);
 }
 
 TEST(Wire, TruncatedReadsFail) {
@@ -97,9 +97,9 @@ TEST(Wire, TruncatedReadsFail) {
   const Bytes& full = w.bytes();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     Reader r(std::span(full.data(), cut));
-    auto result = r.u32();
-    EXPECT_FALSE(result.ok()) << "cut=" << cut;
-    EXPECT_EQ(result.code(), Errc::malformed);
+    EXPECT_EQ(r.u32(), 0u) << "cut=" << cut;
+    EXPECT_FALSE(r.ok()) << "cut=" << cut;
+    EXPECT_EQ(r.error().code, Errc::malformed);
   }
 }
 
@@ -116,13 +116,15 @@ TEST(Wire, MalformedVarintOverflow) {
   // 10 bytes of continuation followed by a large final byte overflows.
   Bytes bytes(10, 0xFF);
   Reader r(bytes);
-  EXPECT_FALSE(r.varint().ok());
+  (void)r.varint();
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Wire, BadBooleanRejected) {
   const Bytes bytes = {2};
   Reader r(bytes);
-  EXPECT_FALSE(r.boolean().ok());
+  (void)r.boolean();
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Wire, SpecialDoublesSurvive) {
@@ -131,11 +133,11 @@ TEST(Wire, SpecialDoublesSurvive) {
   w.f64(-0.0);
   w.f64(std::numeric_limits<double>::denorm_min());
   Reader r(w.bytes());
-  EXPECT_TRUE(std::isinf(r.f64().value()));
-  const double negzero = r.f64().value();
+  EXPECT_TRUE(std::isinf(r.f64()));
+  const double negzero = r.f64();
   EXPECT_EQ(negzero, 0.0);
   EXPECT_TRUE(std::signbit(negzero));
-  EXPECT_EQ(r.f64().value(), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(r.f64(), std::numeric_limits<double>::denorm_min());
 }
 
 class WireFuzzRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
@@ -181,10 +183,10 @@ TEST_P(WireFuzzRoundTrip, RandomSequencesRoundTrip) {
   for (const int kind : kinds) {
     switch (kind) {
       case 0:
-        EXPECT_EQ(r.varint().value(), unsigneds[iu++]);
+        EXPECT_EQ(r.varint(), unsigneds[iu++]);
         break;
       case 1:
-        EXPECT_EQ(r.svarint().value(), signeds[is++]);
+        EXPECT_EQ(r.svarint(), signeds[is++]);
         break;
       default:
         EXPECT_EQ(r.string().value(), strings[istr++]);
@@ -293,9 +295,9 @@ TEST(ByteChain, SliceAndGatherAcrossBoundaries) {
   EXPECT_EQ(copied_single, 0u);
 }
 
-// ------------------------------------------------------------- ChainReader
+// ------------------------------------------------------- Reader over chains
 
-TEST(ChainReader, ReadsValuesStraddlingSliceBoundaries) {
+TEST(ReaderOverChain, ReadsValuesStraddlingSliceBoundaries) {
   Writer w;
   w.u32(0xDEADBEEF);
   w.varint(300);
@@ -312,31 +314,145 @@ TEST(ChainReader, ReadsValuesStraddlingSliceBoundaries) {
                                        static_cast<std::ptrdiff_t>(i + n))));
   }
   ASSERT_GT(chain.slices().size(), 1u);
-  ChainReader r(chain);
-  EXPECT_EQ(r.u32().value(), 0xDEADBEEFu);
-  EXPECT_EQ(r.varint().value(), 300u);
+  Reader r(chain);
+  EXPECT_EQ(r.u32(), 0xDEADBEEFu);
+  EXPECT_EQ(r.varint(), 300u);
   EXPECT_EQ(r.string().value(), "hello chain");
-  EXPECT_EQ(r.u64().value(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(r.u64(), 0x0123456789ABCDEFULL);
   EXPECT_TRUE(r.exhausted());
-  EXPECT_FALSE(r.u8().ok());  // truncated reads still fail cleanly
+  EXPECT_TRUE(r.ok());
+  (void)r.u8();
+  EXPECT_FALSE(r.ok());  // truncated reads still fail cleanly
 }
 
-TEST(ChainReader, ViewBlobIsZeroCopy) {
+TEST(ReaderOverChain, ViewBlobIsZeroCopy) {
   Writer w;
   w.u8(0x42);
   w.blob(iota_bytes(64));
   const SharedBytes wire(std::move(w).take());
   ByteChain chain(wire);
-  ChainReader r(chain);
-  ASSERT_TRUE(r.u8().ok());
-  auto view = r.view_blob();
-  ASSERT_TRUE(view.ok());
-  EXPECT_EQ(view.value().size(), 64u);
-  EXPECT_EQ(view.value(), iota_bytes(64));
+  Reader r(chain);
+  EXPECT_EQ(r.u8(), 0x42);
+  const ByteChain view = r.view_blob();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(view.size(), 64u);
+  EXPECT_EQ(view, iota_bytes(64));
   // The view is slices of the wire buffer, not a copy.
-  ASSERT_EQ(view.value().slices().size(), 1u);
-  EXPECT_TRUE(view.value().slices()[0].shares_storage(wire));
+  ASSERT_EQ(view.slices().size(), 1u);
+  EXPECT_TRUE(view.slices()[0].shares_storage(wire));
   EXPECT_TRUE(r.exhausted());
+}
+
+TEST(ReaderOverChain, StringViewAcrossSlicesIsGathered) {
+  Writer w;
+  w.string("split across two buffers");
+  w.u8(7);
+  const Bytes wire = std::move(w).take();
+  ByteChain chain;
+  chain.append(SharedBytes(Bytes(wire.begin(), wire.begin() + 9)));
+  chain.append(SharedBytes(Bytes(wire.begin() + 9, wire.end())));
+  Reader r(chain);
+  EXPECT_EQ(r.view_string(), "split across two buffers");
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
+}
+
+// ------------------------------------------------------------ error latch
+
+TEST(ReaderLatch, ReadsAfterAFailureReturnZeroAndDoNotAdvance) {
+  Writer w;
+  w.u8(5);
+  w.u16(0xBEEF);
+  const Bytes wire = std::move(w).take();
+  Reader r(wire);
+  EXPECT_EQ(r.u8(), 5);
+  EXPECT_EQ(r.u32(), 0u);  // only two bytes left
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.offset(), 1u);
+  EXPECT_EQ(r.remaining(), 0u);
+  // The two bytes a u16 would fit stay unread: the reader has stopped.
+  EXPECT_EQ(r.u16(), 0u);
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_EQ(r.svarint(), 0);
+  EXPECT_EQ(r.f64(), 0.0);
+  EXPECT_FALSE(r.boolean());
+  EXPECT_EQ(r.view_string(), "");
+  EXPECT_TRUE(r.blob().empty());
+  EXPECT_TRUE(r.view_blob().empty());
+  r.skip(0);
+  EXPECT_EQ(r.offset(), 1u);
+  EXPECT_TRUE(r.exhausted());
+  // string() alone answers with the latched error.
+  const Result<std::string> text = r.string();
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.code(), Errc::malformed);
+}
+
+TEST(ReaderLatch, FirstErrorWins) {
+  const Bytes wire = {2, 1};
+  Reader r(wire);
+  EXPECT_FALSE(r.boolean());  // 2 is not a boolean
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::malformed);
+  const std::string first = r.error().message;
+  r.fail(Errc::out_of_range, "a later fault");
+  (void)r.u64();  // and a later truncation
+  EXPECT_EQ(r.error().code, Errc::malformed);
+  EXPECT_EQ(r.error().message, first);
+  EXPECT_EQ(r.offset(), 0u);
+
+  // A decoder's own fault latches the same way and outranks what follows.
+  Reader s(wire);
+  (void)s.u8();
+  s.fail(Errc::out_of_range, "value out of range");
+  (void)s.u64();
+  EXPECT_EQ(s.error().code, Errc::out_of_range);
+  EXPECT_EQ(s.offset(), 1u);
+}
+
+TEST(ReaderLatch, OffsetReportsWhereTheFailureHappened) {
+  Writer w;
+  w.u32(1);
+  w.varint(UINT64_MAX);
+  w.string("abc");
+  Bytes wire = std::move(w).take();
+  const std::size_t string_at = 4 + 10;
+  wire.resize(string_at + 2);  // the string's length says 3, two remain
+  for (const bool chained : {false, true}) {
+    ByteChain chain;
+    chain.append(SharedBytes(Bytes(wire.begin(), wire.begin() + 7)));
+    chain.append(SharedBytes(Bytes(wire.begin() + 7, wire.end())));
+    Reader r = chained ? Reader(chain) : Reader(wire);
+    EXPECT_EQ(r.u32(), 1u);
+    EXPECT_EQ(r.varint(), UINT64_MAX);
+    EXPECT_EQ(r.offset(), string_at);
+    EXPECT_EQ(r.view_string(), "");
+    ASSERT_FALSE(r.ok()) << chained;
+    EXPECT_EQ(r.offset(), string_at) << chained;
+  }
+  // An over-long varint fails where it starts.
+  const Bytes endless(11, 0x80);
+  Reader v(endless);
+  EXPECT_EQ(v.varint(), 0u);
+  EXPECT_FALSE(v.ok());
+  EXPECT_EQ(v.offset(), 0u);
+}
+
+TEST(ReaderLatch, HostileLengthsAllocateNothing) {
+  Writer w;
+  w.varint(UINT64_MAX / 2);  // a blob "length" far beyond the input
+  const Bytes wire = std::move(w).take();
+  Reader r(wire);
+  EXPECT_TRUE(r.blob().empty());
+  EXPECT_FALSE(r.ok());
+  Reader s(wire);
+  EXPECT_TRUE(s.view_blob().empty());
+  EXPECT_FALSE(s.ok());
+  Reader t(wire);
+  t.skip(static_cast<std::size_t>(t.varint()));
+  EXPECT_FALSE(t.ok());
 }
 
 }  // namespace

@@ -89,9 +89,9 @@ TEST(Value, CodecRoundTripAllTypes) {
     serde::Writer w;
     value.encode(w);
     serde::Reader r(w.bytes());
-    auto decoded = Value::decode(r);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded.value(), value);
+    const Value decoded = Value::decode(r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(decoded, value);
   }
 }
 
