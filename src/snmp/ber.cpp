@@ -1,5 +1,8 @@
 #include "collabqos/snmp/ber.hpp"
 
+#include <algorithm>
+#include <string>
+
 namespace collabqos::snmp::ber {
 
 namespace {
@@ -98,89 +101,109 @@ Status write_oid(serde::Writer& out, const Oid& oid) {
   return {};
 }
 
-Result<Tlv> Reader::next() {
-  if (offset_ >= data_.size()) {
-    return Error{Errc::malformed, "BER input exhausted"};
+Header read_header(serde::Reader& r, std::size_t end) {
+  // Octets left before `end`; none once the reader has failed.
+  const auto room = [&r, end] { return r.ok() ? end - r.offset() : 0; };
+  Header h;
+  if (room() == 0) {
+    r.fail(Errc::malformed, "BER input exhausted");
+    return {};
   }
-  Tlv tlv;
-  tlv.tag = data_[offset_++];
-  if (offset_ >= data_.size()) {
-    return Error{Errc::malformed, "missing BER length"};
+  h.tag = r.u8();
+  if (room() == 0) {
+    r.fail(Errc::malformed, "missing BER length");
+    return {};
   }
-  std::size_t length = data_[offset_++];
-  if (length & 0x80) {
-    const std::size_t count = length & 0x7F;
+  h.length = r.u8();
+  if (h.length & 0x80) {
+    const std::size_t count = h.length & 0x7F;
     if (count == 0 || count > 8) {
-      return Error{Errc::malformed, "unsupported BER length form"};
+      r.fail(Errc::malformed, "unsupported BER length form");
+      return {};
     }
-    if (offset_ + count > data_.size()) {
-      return Error{Errc::malformed, "truncated BER length"};
+    if (count > room()) {
+      r.fail(Errc::malformed, "truncated BER length");
+      return {};
     }
-    length = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      length = (length << 8) | data_[offset_++];
-    }
+    h.length = 0;
+    for (std::size_t i = 0; i < count; ++i) h.length = (h.length << 8) | r.u8();
   }
-  if (offset_ + length > data_.size()) {
-    return Error{Errc::malformed, "truncated BER content"};
+  if (h.length > room()) {
+    r.fail(Errc::malformed, "truncated BER content");
+    return {};
   }
-  tlv.content = data_.subspan(offset_, length);
-  offset_ += length;
-  return tlv;
+  h.end = r.offset() + h.length;
+  return h;
 }
 
-Result<Tlv> Reader::expect(std::uint8_t tag) {
-  auto tlv = next();
-  if (!tlv) return tlv;
-  if (tlv.value().tag != tag) {
-    return Error{Errc::malformed,
-                 "unexpected BER tag " + std::to_string(tlv.value().tag) +
-                     " (wanted " + std::to_string(tag) + ")"};
+Header expect(serde::Reader& r, std::uint8_t tag, std::size_t end) {
+  const Header h = read_header(r, end);
+  if (r.ok() && h.tag != tag) {
+    r.fail(Errc::malformed, "unexpected BER tag " + std::to_string(h.tag) +
+                                " (wanted " + std::to_string(tag) + ")");
+    return {};
   }
-  return tlv;
+  return h;
 }
 
-Result<std::int64_t> read_integer(std::span<const std::uint8_t> content) {
-  if (content.empty() || content.size() > 8) {
-    return Error{Errc::malformed, "bad INTEGER length"};
+std::int64_t read_integer(serde::Reader& r, std::size_t length) {
+  if (length == 0 || length > 8) {
+    r.fail(Errc::malformed, "bad INTEGER length");
+    return 0;
   }
-  std::int64_t value = (content[0] & 0x80) != 0 ? -1 : 0;
-  for (const std::uint8_t byte : content) {
+  // Sign-extend the first octet, then shift the rest in.
+  auto value = static_cast<std::int64_t>(static_cast<std::int8_t>(r.u8()));
+  for (std::size_t i = 1; i < length; ++i) {
     value = static_cast<std::int64_t>(
-        (static_cast<std::uint64_t>(value) << 8) | byte);
+        (static_cast<std::uint64_t>(value) << 8) | r.u8());
   }
   return value;
 }
 
-Result<std::uint64_t> read_unsigned(std::span<const std::uint8_t> content) {
-  if (content.empty() || content.size() > 9 ||
-      (content.size() == 9 && content[0] != 0x00)) {
-    return Error{Errc::malformed, "bad unsigned length"};
+std::uint64_t read_unsigned(serde::Reader& r, std::size_t length) {
+  if (length == 0 || length > 9) {
+    r.fail(Errc::malformed, "bad unsigned length");
+    return 0;
   }
-  std::uint64_t value = 0;
-  for (const std::uint8_t byte : content) {
-    value = (value << 8) | byte;
+  std::uint64_t value = r.u8();
+  if (length == 9 && value != 0) {
+    r.fail(Errc::malformed, "bad unsigned length");
+    return 0;
   }
+  for (std::size_t i = 1; i < length; ++i) value = (value << 8) | r.u8();
   return value;
 }
 
-Result<Oid> read_oid(std::span<const std::uint8_t> content) {
-  if (content.empty()) return Error{Errc::malformed, "empty OID"};
+std::string_view read_octets(serde::Reader& r, std::size_t length) {
+  const std::span<const std::uint8_t> rest = r.remaining_span();
+  const std::string_view out(reinterpret_cast<const char*>(rest.data()),
+                             std::min(length, rest.size()));
+  r.skip(length);
+  return out;
+}
+
+Oid read_oid(serde::Reader& r, std::size_t length) {
+  if (length == 0) {
+    r.fail(Errc::malformed, "empty OID");
+    return {};
+  }
   std::vector<std::uint32_t> arcs;
-  const std::uint8_t head = content[0];
+  const std::uint8_t head = r.u8();
   arcs.push_back(head / 40 > 2 ? 2 : head / 40);
   arcs.push_back(head / 40 > 2 ? head - 80 : head % 40);
   std::uint32_t arc = 0;
   int continuation = 0;
-  for (std::size_t i = 1; i < content.size(); ++i) {
-    const std::uint8_t byte = content[i];
+  for (std::size_t i = 1; i < length; ++i) {
+    const std::uint8_t byte = r.u8();
     if (arc > (UINT32_MAX >> 7)) {
-      return Error{Errc::malformed, "OID arc overflow"};
+      r.fail(Errc::malformed, "OID arc overflow");
+      return {};
     }
     arc = (arc << 7) | (byte & 0x7F);
     if (byte & 0x80) {
       if (++continuation > 5) {
-        return Error{Errc::malformed, "OID arc too long"};
+        r.fail(Errc::malformed, "OID arc too long");
+        return {};
       }
       continue;
     }
@@ -188,9 +211,7 @@ Result<Oid> read_oid(std::span<const std::uint8_t> content) {
     arc = 0;
     continuation = 0;
   }
-  if (continuation != 0) {
-    return Error{Errc::malformed, "truncated OID arc"};
-  }
+  if (continuation != 0) r.fail(Errc::malformed, "truncated OID arc");
   return Oid(std::move(arcs));
 }
 

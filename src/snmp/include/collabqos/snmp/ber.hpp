@@ -3,11 +3,13 @@
 // SEQUENCE, the SMI application types (Counter32/Gauge32/TimeTicks/
 // Counter64) and context-class PDU tags. Pdu::encode/decode sit on top
 // of this, so the simulated datagrams carry genuine SNMPv2c messages a
-// real dissector would parse.
+// real dissector would parse. Encoding appends to a serde::Writer;
+// decoding reads through the one wire reader, serde::Reader.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "collabqos/serde/wire.hpp"
 #include "collabqos/snmp/oid.hpp"
@@ -52,40 +54,44 @@ void write_null(serde::Writer& out);
 /// Requires at least 2 arcs with arcs[0] <= 2.
 Status write_oid(serde::Writer& out, const Oid& oid);
 
-/// A decoded TLV header plus its content span (borrowed from the input).
-struct Tlv {
+// Reading. A read takes the reader over the whole message and the offset
+// `end` where the constructed TLV enclosing it (or the input) ends: a TLV
+// must lie wholly before `end`, so a SEQUENCE or PDU bounds what is read
+// inside it. A fault latches Errc::malformed in the reader; later reads
+// return zero or empty, so a decoder checks r.ok() once per record.
+// Content is viewed in place, so the reader must be over a span.
+
+/// A TLV header: its tag, its content length, and the input offset where
+/// its content ends (the `end` for TLVs nested inside it). All zero once
+/// the reader has failed.
+struct Header {
   std::uint8_t tag = 0;
-  std::span<const std::uint8_t> content;
+  std::size_t length = 0;
+  std::size_t end = 0;
 };
 
-/// Streaming BER reader over a byte span.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) noexcept
-      : data_(data) {}
+/// The next TLV header. Faults on a missing or unsupported length form
+/// (indefinite, or more than 8 length octets) and on a TLV that does not
+/// end by `end`.
+[[nodiscard]] Header read_header(serde::Reader& r, std::size_t end);
+/// read_header(), and a fault unless the tag is `tag`.
+[[nodiscard]] Header expect(serde::Reader& r, std::uint8_t tag,
+                            std::size_t end);
 
-  /// Read the next TLV (content is a sub-span; no copy).
-  [[nodiscard]] Result<Tlv> next();
-  /// Read the next TLV and require `tag`.
-  [[nodiscard]] Result<Tlv> expect(std::uint8_t tag);
+// Content readers: each consumes the `length` content octets of the
+// header just read.
 
-  [[nodiscard]] bool exhausted() const noexcept {
-    return offset_ >= data_.size();
-  }
-
- private:
-  std::span<const std::uint8_t> data_;
-  std::size_t offset_ = 0;
-};
-
-/// Decode INTEGER content octets (two's complement, up to 8 bytes).
-[[nodiscard]] Result<std::int64_t> read_integer(
-    std::span<const std::uint8_t> content);
-/// Decode unsigned application-type content (up to 8 value bytes plus an
-/// optional leading 0x00).
-[[nodiscard]] Result<std::uint64_t> read_unsigned(
-    std::span<const std::uint8_t> content);
-/// Decode OID content octets.
-[[nodiscard]] Result<Oid> read_oid(std::span<const std::uint8_t> content);
+/// INTEGER content: two's complement, 1 to 8 octets.
+[[nodiscard]] std::int64_t read_integer(serde::Reader& r, std::size_t length);
+/// Unsigned application-type content: up to 8 value octets, plus an
+/// optional leading 0x00.
+[[nodiscard]] std::uint64_t read_unsigned(serde::Reader& r,
+                                          std::size_t length);
+/// OCTET STRING content, as a view of the input.
+[[nodiscard]] std::string_view read_octets(serde::Reader& r,
+                                           std::size_t length);
+/// OID content: faults when empty, on an arc past 32 bits, an arc of more
+/// than 6 octets, or a truncated last arc.
+[[nodiscard]] Oid read_oid(serde::Reader& r, std::size_t length);
 
 }  // namespace collabqos::snmp::ber

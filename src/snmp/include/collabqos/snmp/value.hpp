@@ -1,12 +1,12 @@
 // SMI value types carried in varbinds. A trimmed but faithful subset:
 // INTEGER, Gauge32, Counter32, TimeTicks, OCTET STRING, OBJECT IDENTIFIER.
+// A value has one wire form, BER inside a PDU (pdu.cpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <variant>
 
-#include "collabqos/serde/wire.hpp"
 #include "collabqos/snmp/oid.hpp"
 #include "collabqos/util/result.hpp"
 
@@ -48,10 +48,6 @@ class Value {
   [[nodiscard]] Result<double> as_number() const;
 
   [[nodiscard]] std::string to_string() const;
-
-  void encode(serde::Writer& w) const;
-  /// Reads one value; a fault latches in `r` (check r.ok()).
-  [[nodiscard]] static Value decode(serde::Reader& r);
 
   friend bool operator==(const Value& a, const Value& b) noexcept {
     return a.type_ == b.type_ && a.data_ == b.data_;

@@ -22,7 +22,7 @@ std::uint8_t pdu_tag(PduType type) noexcept {
   return ber::tags::kGetRequest;
 }
 
-Result<PduType> pdu_type_from_tag(std::uint8_t tag) {
+PduType pdu_type_from_tag(serde::Reader& r, std::uint8_t tag) {
   switch (tag) {
     case ber::tags::kGetRequest: return PduType::get;
     case ber::tags::kGetNextRequest: return PduType::get_next;
@@ -30,9 +30,9 @@ Result<PduType> pdu_type_from_tag(std::uint8_t tag) {
     case ber::tags::kResponse: return PduType::response;
     case ber::tags::kTrapV2: return PduType::trap;
     case ber::tags::kGetBulkRequest: return PduType::get_bulk;
-    default:
-      return Error{Errc::malformed, "unknown PDU tag"};
   }
+  r.fail(Errc::malformed, "unknown PDU tag");
+  return PduType::get;
 }
 
 Status write_value(serde::Writer& out, const Value& value) {
@@ -66,46 +66,41 @@ Status write_value(serde::Writer& out, const Value& value) {
   return Status(Errc::internal, "unencodable value type");
 }
 
-Result<Value> read_value(const ber::Tlv& tlv) {
-  switch (tlv.tag) {
-    case ber::tags::kInteger: {
-      auto v = ber::read_integer(tlv.content);
-      if (!v) return v.error();
-      return Value::integer(v.value());
-    }
-    case ber::tags::kGauge32: {
-      auto v = ber::read_unsigned(tlv.content);
-      if (!v) return v.error();
-      return Value::gauge(v.value());
-    }
+/// A value TLV that must end by `end`.
+Value read_value(serde::Reader& r, std::size_t end) {
+  const ber::Header h = ber::read_header(r, end);
+  switch (h.tag) {
+    case ber::tags::kInteger:
+      return Value::integer(ber::read_integer(r, h.length));
+    case ber::tags::kGauge32:
+      return Value::gauge(ber::read_unsigned(r, h.length));
     case ber::tags::kCounter32:
-    case ber::tags::kCounter64: {
-      auto v = ber::read_unsigned(tlv.content);
-      if (!v) return v.error();
-      return Value::counter(v.value());
-    }
-    case ber::tags::kTimeTicks: {
-      auto v = ber::read_unsigned(tlv.content);
-      if (!v) return v.error();
-      return Value::timeticks(v.value());
-    }
+    case ber::tags::kCounter64:
+      return Value::counter(ber::read_unsigned(r, h.length));
+    case ber::tags::kTimeTicks:
+      return Value::timeticks(ber::read_unsigned(r, h.length));
     case ber::tags::kOctetString:
-      return Value::octets(std::string(
-          reinterpret_cast<const char*>(tlv.content.data()),
-          tlv.content.size()));
-    case ber::tags::kOid: {
-      auto oid = ber::read_oid(tlv.content);
-      if (!oid) return oid.error();
-      return Value::object_id(std::move(oid).take());
-    }
+      return Value::octets(std::string(ber::read_octets(r, h.length)));
+    case ber::tags::kOid:
+      return Value::object_id(ber::read_oid(r, h.length));
     case ber::tags::kNull:
-      if (!tlv.content.empty()) {
-        return Error{Errc::malformed, "NULL with content"};
-      }
+      if (h.length != 0) r.fail(Errc::malformed, "NULL with content");
       return Value{};
-    default:
-      return Error{Errc::malformed, "unknown value tag"};
   }
+  r.fail(Errc::malformed, "unknown value tag");
+  return Value{};
+}
+
+/// An INTEGER TLV that must end by `end`.
+std::int64_t read_integer_field(serde::Reader& r, std::size_t end) {
+  return ber::read_integer(r, ber::expect(r, ber::tags::kInteger, end).length);
+}
+
+/// Undo the 0.0 prefix encode() gives OIDs that X.690 cannot carry.
+Oid strip_toy_padding(Oid oid) {
+  if (oid.size() < 2 || oid[0] != 0 || oid[1] != 0) return oid;
+  return Oid(std::vector<std::uint32_t>(oid.arcs().begin() + 2,
+                                        oid.arcs().end()));
 }
 
 }  // namespace
@@ -170,103 +165,55 @@ serde::Bytes Pdu::encode() const {
 }
 
 Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
-  ber::Reader outer(bytes);
-  auto message = outer.expect(ber::tags::kSequence);
-  if (!message) return message.error();
-  if (!outer.exhausted()) {
-    return Error{Errc::malformed, "trailing bytes after SNMP message"};
+  // One reader over the whole message: each constructed TLV bounds the
+  // reads inside it by its end offset, and the first fault latches.
+  serde::Reader r(bytes);
+  const ber::Header message =
+      ber::expect(r, ber::tags::kSequence, bytes.size());
+  if (message.end != bytes.size()) {
+    r.fail(Errc::malformed, "trailing bytes after SNMP message");
   }
-
-  ber::Reader fields(message.value().content);
-  auto version_tlv = fields.expect(ber::tags::kInteger);
-  if (!version_tlv) return version_tlv.error();
-  auto version = ber::read_integer(version_tlv.value().content);
-  if (!version) return version.error();
-  if (version.value() != kSnmpV2c) {
-    return Error{Errc::unsupported, "unsupported SNMP version"};
+  if (read_integer_field(r, message.end) != kSnmpV2c) {
+    r.fail(Errc::unsupported, "unsupported SNMP version");
   }
 
   Pdu pdu;
-  auto community_tlv = fields.expect(ber::tags::kOctetString);
-  if (!community_tlv) return community_tlv.error();
-  pdu.community.assign(
-      reinterpret_cast<const char*>(community_tlv.value().content.data()),
-      community_tlv.value().content.size());
-
-  auto pdu_tlv = fields.next();
-  if (!pdu_tlv) return pdu_tlv.error();
-  auto type = pdu_type_from_tag(pdu_tlv.value().tag);
-  if (!type) return type.error();
-  pdu.type = type.value();
-  if (!fields.exhausted()) {
-    return Error{Errc::malformed, "trailing fields in SNMP message"};
+  pdu.community = ber::read_octets(
+      r, ber::expect(r, ber::tags::kOctetString, message.end).length);
+  const ber::Header body = ber::read_header(r, message.end);
+  pdu.type = pdu_type_from_tag(r, body.tag);
+  if (body.end != message.end) {
+    r.fail(Errc::malformed, "trailing fields in SNMP message");
   }
 
-  ber::Reader body(pdu_tlv.value().content);
-  auto request_tlv = body.expect(ber::tags::kInteger);
-  if (!request_tlv) return request_tlv.error();
-  auto request_id = ber::read_integer(request_tlv.value().content);
-  if (!request_id) return request_id.error();
-  pdu.request_id = static_cast<std::uint32_t>(request_id.value());
-
-  auto status_tlv = body.expect(ber::tags::kInteger);
-  if (!status_tlv) return status_tlv.error();
-  auto status = ber::read_integer(status_tlv.value().content);
-  if (!status) return status.error();
+  pdu.request_id = static_cast<std::uint32_t>(read_integer_field(r, body.end));
+  const std::int64_t status = read_integer_field(r, body.end);
   if (pdu.type != PduType::get_bulk &&
-      (status.value() < 0 ||
-       status.value() > static_cast<int>(ErrorStatus::no_access))) {
-    return Error{Errc::malformed, "unknown error status"};
+      (status < 0 || status > static_cast<int>(ErrorStatus::no_access))) {
+    r.fail(Errc::malformed, "unknown error status");
   }
-  pdu.error_status = static_cast<ErrorStatus>(status.value());
+  pdu.error_status = static_cast<ErrorStatus>(status);
+  const std::int64_t error_index = read_integer_field(r, body.end);
+  if (error_index < 0) r.fail(Errc::malformed, "negative error index");
+  pdu.error_index = static_cast<std::uint32_t>(error_index);
 
-  auto index_tlv = body.expect(ber::tags::kInteger);
-  if (!index_tlv) return index_tlv.error();
-  auto error_index = ber::read_integer(index_tlv.value().content);
-  if (!error_index) return error_index.error();
-  if (error_index.value() < 0) {
-    return Error{Errc::malformed, "negative error index"};
-  }
-  pdu.error_index = static_cast<std::uint32_t>(error_index.value());
-
-  auto list_tlv = body.expect(ber::tags::kSequence);
-  if (!list_tlv) return list_tlv.error();
-  if (!body.exhausted()) {
-    return Error{Errc::malformed, "trailing fields in PDU"};
-  }
-
-  ber::Reader list(list_tlv.value().content);
-  while (!list.exhausted()) {
+  const ber::Header list = ber::expect(r, ber::tags::kSequence, body.end);
+  if (list.end != body.end) r.fail(Errc::malformed, "trailing fields in PDU");
+  while (r.ok() && r.offset() < list.end) {
     if (pdu.bindings.size() >= kMaxBindings) {
-      return Error{Errc::malformed, "too many varbinds"};
+      r.fail(Errc::malformed, "too many varbinds");
     }
-    auto vb_tlv = list.expect(ber::tags::kSequence);
-    if (!vb_tlv) return vb_tlv.error();
-    ber::Reader vb_fields(vb_tlv.value().content);
-    auto oid_tlv = vb_fields.expect(ber::tags::kOid);
-    if (!oid_tlv) return oid_tlv.error();
-    auto oid = ber::read_oid(oid_tlv.value().content);
-    if (!oid) return oid.error();
-    auto value_tlv = vb_fields.next();
-    if (!value_tlv) return value_tlv.error();
-    auto value = read_value(value_tlv.value());
-    if (!value) return value.error();
-    if (!vb_fields.exhausted()) {
-      return Error{Errc::malformed, "trailing fields in varbind"};
+    const ber::Header vb = ber::expect(r, ber::tags::kSequence, list.end);
+    const ber::Header oid = ber::expect(r, ber::tags::kOid, vb.end);
+    VarBind binding{strip_toy_padding(ber::read_oid(r, oid.length)),
+                    read_value(r, vb.end)};
+    if (r.offset() != vb.end) {
+      r.fail(Errc::malformed, "trailing fields in varbind");
     }
-    VarBind vb;
-    // Strip the defensive 0.0 padding applied to toy OIDs at encode.
-    Oid decoded_oid = std::move(oid).take();
-    if (decoded_oid.size() >= 2 && decoded_oid[0] == 0 &&
-        decoded_oid[1] == 0) {
-      std::vector<std::uint32_t> arcs(decoded_oid.arcs().begin() + 2,
-                                      decoded_oid.arcs().end());
-      decoded_oid = Oid(std::move(arcs));
-    }
-    vb.oid = std::move(decoded_oid);
-    vb.value = std::move(value).take();
-    pdu.bindings.push_back(std::move(vb));
+    if (!r.ok()) return r.error();
+    pdu.bindings.push_back(std::move(binding));
   }
+  if (!r.ok()) return r.error();
   return pdu;
 }
 

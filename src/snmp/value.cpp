@@ -1,7 +1,5 @@
 #include "collabqos/snmp/value.hpp"
 
-#include <algorithm>
-
 namespace collabqos::snmp {
 
 Value Value::integer(std::int64_t v) {
@@ -109,65 +107,6 @@ std::string Value::to_string() const {
       return "NULL";
   }
   return "?";
-}
-
-void Value::encode(serde::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(type_));
-  switch (type_) {
-    case ValueType::integer:
-      w.svarint(std::get<std::int64_t>(data_));
-      break;
-    case ValueType::gauge:
-    case ValueType::counter:
-    case ValueType::timeticks:
-      w.varint(std::get<std::uint64_t>(data_));
-      break;
-    case ValueType::octet_string:
-      w.string(std::get<std::string>(data_));
-      break;
-    case ValueType::object_id: {
-      const Oid& oid = std::get<Oid>(data_);
-      w.varint(oid.size());
-      for (const std::uint32_t arc : oid.arcs()) w.varint(arc);
-      break;
-    }
-    case ValueType::null:
-      break;  // no content
-  }
-}
-
-Value Value::decode(serde::Reader& r) {
-  switch (static_cast<ValueType>(r.u8())) {
-    case ValueType::integer:
-      return integer(r.svarint());
-    case ValueType::gauge:
-      return gauge(r.varint());
-    case ValueType::counter:
-      return counter(r.varint());
-    case ValueType::timeticks:
-      return timeticks(r.varint());
-    case ValueType::octet_string:
-      return octets(std::string(r.view_string()));
-    case ValueType::object_id: {
-      const std::uint64_t count = r.varint();
-      if (count > 128) r.fail(Errc::malformed, "OID too long");
-      // An arc takes at least one byte, so the input present bounds the
-      // reservation.
-      std::vector<std::uint32_t> arcs;
-      arcs.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(count, r.remaining())));
-      for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-        const std::uint64_t arc = r.varint();
-        if (arc > UINT32_MAX) r.fail(Errc::malformed, "OID arc overflow");
-        arcs.push_back(static_cast<std::uint32_t>(arc));
-      }
-      return object_id(Oid(std::move(arcs)));
-    }
-    case ValueType::null:
-      return Value{};
-  }
-  r.fail(Errc::malformed, "unknown value type tag");
-  return Value{};
 }
 
 }  // namespace collabqos::snmp

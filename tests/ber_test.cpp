@@ -39,10 +39,12 @@ TEST(Ber, IntegerRoundTripExtremes) {
                                    42,            INT64_MAX};
   for (const std::int64_t v : extremes) {
     const Bytes bytes = encode_integer(v);
-    ber::Reader r(bytes);
-    auto tlv = r.expect(ber::tags::kInteger);
-    ASSERT_TRUE(tlv.ok());
-    EXPECT_EQ(ber::read_integer(tlv.value().content).value(), v);
+    serde::Reader r(bytes);
+    const ber::Header tlv = ber::expect(r, ber::tags::kInteger, bytes.size());
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(ber::read_integer(r, tlv.length), v);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.exhausted());
   }
 }
 
@@ -62,10 +64,13 @@ TEST(Ber, UnsignedRoundTrip) {
                                  65535, 4294967295, UINT64_MAX};
   for (const std::uint64_t v : cases) {
     const Bytes bytes = encode_unsigned(ber::tags::kCounter64, v);
-    ber::Reader r(bytes);
-    auto tlv = r.expect(ber::tags::kCounter64);
-    ASSERT_TRUE(tlv.ok());
-    EXPECT_EQ(ber::read_unsigned(tlv.value().content).value(), v);
+    serde::Reader r(bytes);
+    const ber::Header tlv =
+        ber::expect(r, ber::tags::kCounter64, bytes.size());
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(ber::read_unsigned(r, tlv.length), v);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.exhausted());
   }
 }
 
@@ -83,11 +88,11 @@ TEST(Ber, OidMultiByteArc) {
   ASSERT_TRUE(ber::write_oid(w, Oid{1, 3, 6, 1, 4, 1, 26510}).ok());
   EXPECT_EQ(w.bytes(), (Bytes{0x06, 0x08, 0x2B, 0x06, 0x01, 0x04, 0x01,
                               0x81, 0xCF, 0x0E}));
-  ber::Reader r(w.bytes());
-  auto tlv = r.expect(ber::tags::kOid);
-  ASSERT_TRUE(tlv.ok());
-  EXPECT_EQ(ber::read_oid(tlv.value().content).value(),
-            (Oid{1, 3, 6, 1, 4, 1, 26510}));
+  serde::Reader r(w.bytes());
+  const ber::Header tlv = ber::expect(r, ber::tags::kOid, w.size());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ber::read_oid(r, tlv.length), (Oid{1, 3, 6, 1, 4, 1, 26510}));
+  EXPECT_TRUE(r.ok());
 }
 
 TEST(Ber, OidRejectsUnencodableRoots) {
@@ -105,10 +110,11 @@ TEST(Ber, LongFormLength) {
   EXPECT_EQ(w.bytes()[0], 0x04);
   EXPECT_EQ(w.bytes()[1], 0x81);  // long form, 1 length octet
   EXPECT_EQ(w.bytes()[2], 200);
-  ber::Reader r(w.bytes());
-  auto tlv = r.next();
-  ASSERT_TRUE(tlv.ok());
-  EXPECT_EQ(tlv.value().content.size(), 200u);
+  serde::Reader r(w.bytes());
+  const ber::Header tlv = ber::read_header(r, w.size());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(tlv.length, 200u);
+  EXPECT_EQ(tlv.end, w.size());
 }
 
 TEST(Ber, TwoByteLongFormLength) {
@@ -121,34 +127,64 @@ TEST(Ber, TwoByteLongFormLength) {
 }
 
 TEST(Ber, MalformedInputsRejected) {
+  const auto header_fails = [](const Bytes& bytes) {
+    serde::Reader r(bytes);
+    (void)ber::read_header(r, bytes.size());
+    return !r.ok() && r.error().code == Errc::malformed;
+  };
   // Truncated length.
-  {
-    const Bytes bytes = {0x02};
-    ber::Reader r(bytes);
-    EXPECT_FALSE(r.next().ok());
-  }
+  EXPECT_TRUE(header_fails({0x02}));
   // Indefinite length (0x80) unsupported.
-  {
-    const Bytes bytes = {0x30, 0x80, 0x00, 0x00};
-    ber::Reader r(bytes);
-    EXPECT_FALSE(r.next().ok());
-  }
+  EXPECT_TRUE(header_fails({0x30, 0x80, 0x00, 0x00}));
   // Content longer than input.
-  {
-    const Bytes bytes = {0x04, 0x05, 0x01};
-    ber::Reader r(bytes);
-    EXPECT_FALSE(r.next().ok());
-  }
+  EXPECT_TRUE(header_fails({0x04, 0x05, 0x01}));
   // Oversized integer content.
   {
     const Bytes content(9, 0x01);
-    EXPECT_FALSE(ber::read_integer(content).ok());
+    serde::Reader r(content);
+    (void)ber::read_integer(r, content.size());
+    EXPECT_FALSE(r.ok());
   }
   // Truncated multi-byte OID arc.
   {
     const Bytes content = {0x2B, 0x81};
-    EXPECT_FALSE(ber::read_oid(content).ok());
+    serde::Reader r(content);
+    (void)ber::read_oid(r, content.size());
+    EXPECT_FALSE(r.ok());
   }
+}
+
+TEST(Ber, LengthNearTwoToTheSixtyFourIsRejected) {
+  // An 8-octet length that wraps `offset + length` past zero. A decoder
+  // that adds before it compares accepts it with a content span past the
+  // end of the input.
+  const Bytes tlv = {0x04, 0x88, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                     0xFF, 0xFF, 0xF8, 'a',  'b',  'c'};
+  serde::Reader r(tlv);
+  (void)ber::read_header(r, tlv.size());
+  EXPECT_FALSE(r.ok());
+
+  // The same length on the community string of a whole message.
+  Bytes message = {0x30, 0x00, 0x02, 0x01, 0x01};
+  message.insert(message.end(), tlv.begin(), tlv.end());
+  message.insert(message.end(), 5, 0x00);
+  message[1] = static_cast<std::uint8_t>(message.size() - 2);
+  const auto decoded = Pdu::decode(message);
+  EXPECT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.code(), Errc::malformed);
+}
+
+TEST(Ber, TlvMustEndInsideItsParent) {
+  // A 3-byte OCTET STRING inside a SEQUENCE that claims only 2 content
+  // bytes: the input holds the string, its parent does not.
+  const Bytes bytes = {0x30, 0x02, 0x04, 0x03, 'a', 'b', 'c'};
+  serde::Reader r(bytes);
+  const ber::Header sequence =
+      ber::expect(r, ber::tags::kSequence, bytes.size());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(sequence.end, 4u);
+  (void)ber::read_header(r, sequence.end);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Ber, WholeMessageKnownVector) {
