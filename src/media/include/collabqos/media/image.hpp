@@ -19,6 +19,15 @@ namespace collabqos::media {
 /// the repository builds is 1024x1024.
 inline constexpr std::uint64_t kMaxDecodedSamples = std::uint64_t{1} << 24;
 
+/// Whether a decoded width x height can name an image: both non-zero,
+/// each at most 2^15 (so it narrows to int exactly), and fewer than
+/// kMaxDecodedSamples samples in all.
+[[nodiscard]] constexpr bool plausible_extent(std::uint64_t width,
+                                              std::uint64_t height) noexcept {
+  return width != 0 && height != 0 && width <= 1u << 15 &&
+         height <= 1u << 15 && width * height < kMaxDecodedSamples;
+}
+
 /// 8-bit raster, 1 (grayscale) or 3 (RGB) channels, row-major interleaved.
 class Image {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "collabqos/media/image.hpp"
 #include "collabqos/telemetry/pipeline.hpp"
 
 namespace collabqos::media {
@@ -108,8 +109,13 @@ Result<MediaObject> MediaObject::decode(std::span<const std::uint8_t> bytes) {
     }
     case Modality::image: {
       ImageMedia media;
-      media.width = static_cast<int>(r.varint());
-      media.height = static_cast<int>(r.varint());
+      const std::uint64_t width = r.varint();
+      const std::uint64_t height = r.varint();
+      if (!plausible_extent(width, height)) {
+        r.fail(Errc::malformed, "implausible image dimensions");
+      }
+      media.width = static_cast<int>(width);
+      media.height = static_cast<int>(height);
       media.channels = r.u8();
       media.description = r.view_string();
       if (r.boolean()) {

@@ -36,14 +36,10 @@ Result<Sketch> Sketch::decode(std::span<const std::uint8_t> bytes) {
   if (!r.ok()) return r.error();
   // The sketch and the image it abstracts obey the same extent bounds, so
   // every dimension narrows to int exactly.
-  const auto plausible = [](std::uint64_t w, std::uint64_t h) {
-    return w != 0 && h != 0 && w <= 1u << 15 && h <= 1u << 15 &&
-           w * h < kMaxDecodedSamples;
-  };
-  if (!plausible(width, height)) {
+  if (!plausible_extent(width, height)) {
     return Error{Errc::malformed, "implausible sketch dimensions"};
   }
-  if (!plausible(source_width, source_height)) {
+  if (!plausible_extent(source_width, source_height)) {
     return Error{Errc::malformed, "implausible sketch source dimensions"};
   }
   s.width = static_cast<int>(width);

@@ -157,24 +157,16 @@ void Manager::bulk_walk(
                                 std::string(to_string(pdu.error_status))});
                  return;
                }
-               bool past_subtree = pdu.bindings.empty();
+               // Done at the first OID outside the subtree, or at an
+               // empty batch (the agent walked off the end of its MIB).
                for (const VarBind& vb : pdu.bindings) {
                  if (!root.is_prefix_of(vb.oid)) {
-                   past_subtree = true;
-                   break;
+                   callback(std::move(*collected));
+                   return;
                  }
                  collected->push_back(vb);
                }
-               // A short batch means the agent hit the end of its MIB.
-               if (past_subtree ||
-                   pdu.bindings.size() < Pdu::kMaxBindings / 2) {
-                 if (!past_subtree && !pdu.bindings.empty() &&
-                     root.is_prefix_of(pdu.bindings.back().oid)) {
-                   // Entire batch inside the subtree but short: continue
-                   // once more from the last OID to confirm the end.
-                   (*self)(pdu.bindings.back().oid);
-                   return;
-                 }
+               if (pdu.bindings.empty()) {
                  callback(std::move(*collected));
                  return;
                }

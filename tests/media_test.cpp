@@ -438,6 +438,43 @@ TEST(MediaObject, ThreePartImageFileRoundTrip) {
   EXPECT_EQ(out->sketch.rle, extract_sketch(image, "staging area").rle);
 }
 
+TEST(MediaObject, ImplausibleImageExtentIsRejected) {
+  ImageMedia media;
+  media.width = media.height = 64;
+  media.channels = 1;
+  media.description = "scene";
+  media.encoded =
+      encode_progressive(render_scene(make_crisis_scene(64, 64, 1)));
+  const serde::Bytes valid = MediaObject(std::move(media)).encode();
+  // The same object with its extent rewritten: magic and modality, the
+  // two varints (64 takes one byte each), then the rest as encoded.
+  const auto with_extent = [&valid](std::uint64_t width,
+                                    std::uint64_t height) {
+    serde::Writer w;
+    w.u8(valid[0]);
+    w.u8(valid[1]);
+    w.varint(width);
+    w.varint(height);
+    serde::Bytes out = std::move(w).take();
+    out.insert(out.end(), valid.begin() + 4, valid.end());
+    return out;
+  };
+  ASSERT_TRUE(MediaObject::decode(with_extent(64, 64)).ok());
+  EXPECT_TRUE(MediaObject::decode(with_extent(1u << 15, 511)).ok());
+  const std::pair<std::uint64_t, std::uint64_t> implausible[] = {
+      {(std::uint64_t{1} << 40) + 7, (std::uint64_t{1} << 63) - 1},
+      {0, 64},
+      {64, 0},
+      {(1u << 15) + 1, 1},
+      {4096, 4096},
+  };
+  for (const auto& [width, height] : implausible) {
+    const auto decoded = MediaObject::decode(with_extent(width, height));
+    EXPECT_FALSE(decoded.ok()) << width << "x" << height;
+    EXPECT_EQ(decoded.code(), Errc::malformed);
+  }
+}
+
 TEST(MediaObject, DecodeRejectsGarbage) {
   const serde::Bytes garbage = {0x00};
   EXPECT_FALSE(MediaObject::decode(garbage).ok());
