@@ -1,8 +1,9 @@
 // Binary wire format: little-endian fixed-width scalars, LEB128 varints,
 // length-prefixed strings/blobs. Every protocol object in the framework
-// (semantic messages, RTP payloads, media packets, SNMP values)
-// serialises through Writer and decodes through Reader, so fuzz and
-// property tests cover one codec.
+// (semantic messages, RTP payloads, media packets) serialises through
+// Writer and decodes through Reader. SNMP messages keep their ASN.1 BER
+// form (snmp/ber.hpp) but are written into a Writer and read through a
+// Reader too, so fuzz and property tests cover one reader.
 #pragma once
 
 #include <algorithm>
