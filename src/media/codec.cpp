@@ -1,9 +1,19 @@
 #include "collabqos/media/codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <memory>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/haar.hpp"
@@ -30,15 +40,54 @@ std::vector<SubbandRect> scan_rects(int width, int height, int levels,
   return subband_rects(width, height, levels);
 }
 
-/// Call f(scan position, plane index) for every coefficient of a plane.
+/// Call f(scan position, plane index, length) for every rectangle row of
+/// a plane's scan: the row's coefficients are `length` consecutive scan
+/// positions and `length` consecutive plane samples.
 template <class F>
-void for_each_in_scan(const std::vector<SubbandRect>& rects, int width, F&& f) {
+void for_each_scan_row(const std::vector<SubbandRect>& rects, int width,
+                       F&& f) {
   std::size_t k = 0;
   for (const SubbandRect& r : rects) {
+    const auto length = static_cast<std::size_t>(r.x1 - r.x0);
+    if (length == 0) continue;
     for (int y = r.y0; y < r.y1; ++y) {
-      const std::size_t row = static_cast<std::size_t>(y) * width;
-      for (int x = r.x0; x < r.x1; ++x) f(k++, row + static_cast<std::size_t>(x));
+      f(k, static_cast<std::size_t>(y) * static_cast<std::size_t>(width) +
+               static_cast<std::size_t>(r.x0),
+        length);
+      k += length;
     }
+  }
+}
+
+// The scan-row kernels: plain loops over restrict pointers with a
+// branch-free sign, which the compiler vectorises. A sign is 0 or 1, and
+// (m ^ -s) + s is m for s = 0 and -m (mod 2^32) for s = 1.
+
+/// Magnitudes and signs of `length` samples; returns the OR of the
+/// magnitudes.
+std::uint32_t gather_row(const std::int32_t* __restrict samples,
+                         std::uint32_t* __restrict magnitudes,
+                         std::uint8_t* __restrict signs, std::size_t length) {
+  std::uint32_t bits = 0;
+  for (std::size_t i = 0; i < length; ++i) {
+    const auto value = static_cast<std::uint32_t>(samples[i]);
+    const std::uint32_t negative = value >> 31;
+    const std::uint32_t magnitude = (value ^ (0u - negative)) + negative;
+    magnitudes[i] = magnitude;
+    signs[i] = static_cast<std::uint8_t>(negative);
+    bits |= magnitude;
+  }
+  return bits;
+}
+
+/// Signed samples from magnitudes and signs.
+void scatter_row(const std::uint32_t* __restrict magnitudes,
+                 const std::uint8_t* __restrict signs,
+                 std::int32_t* __restrict samples, std::size_t length) {
+  for (std::size_t i = 0; i < length; ++i) {
+    const std::uint32_t negative = signs[i];
+    samples[i] =
+        static_cast<std::int32_t>((magnitudes[i] ^ (0u - negative)) + negative);
   }
 }
 
@@ -68,60 +117,59 @@ inline void ycocg_inverse(std::int32_t& y, std::int32_t& co,
   cg = static_cast<std::int32_t>(b);
 }
 
-/// Build the per-channel sample planes (after optional decorrelation).
-std::vector<CoefficientPlane> build_planes(const Image& image, int levels,
-                                           bool ycocg) {
-  const int channels = image.channels();
-  const std::size_t pixels = image.pixel_count();
-  std::vector<CoefficientPlane> planes(static_cast<std::size_t>(channels));
-  for (CoefficientPlane& plane : planes) {
-    plane.width = image.width();
-    plane.height = image.height();
-    plane.levels = levels;
-    plane.data.resize(pixels);
-  }
-  const std::uint8_t* src = image.pixels().data();
-  if (channels == 3) {
-    for (std::size_t p = 0; p < pixels; ++p) {
-      std::int32_t r = src[p * 3];
-      std::int32_t g = src[p * 3 + 1];
-      std::int32_t b = src[p * 3 + 2];
-      if (ycocg) ycocg_forward(r, g, b);
-      planes[0].data[p] = r;
-      planes[1].data[p] = g;
-      planes[2].data[p] = b;
-    }
-  } else {
-    std::copy_n(src, pixels, planes[0].data.begin());
-  }
-  for (CoefficientPlane& plane : planes) forward_haar_inplace(plane);
-  return planes;
+/// Uninitialised storage for `count` values that are written before they
+/// are read.
+template <class T>
+std::unique_ptr<T[]> buffer(std::size_t count) {
+  return std::make_unique_for_overwrite<T[]>(count);
 }
 
 CoefficientSet flatten(const Image& image, const CodecParams& params,
                        bool ycocg) {
-  const std::vector<CoefficientPlane> planes =
-      build_planes(image, params.levels, ycocg);
+  const int channels = image.channels();
+  const std::size_t per_channel = image.pixel_count();
+  // Channel planes back to back, transformed in place with one scratch.
+  const auto samples = buffer<std::int32_t>(per_channel * channels);
+  const std::uint8_t* src = image.pixels().data();
+  if (channels == 3) {
+    std::int32_t* p0 = samples.get();
+    std::int32_t* p1 = p0 + per_channel;
+    std::int32_t* p2 = p1 + per_channel;
+    for (std::size_t p = 0; p < per_channel; ++p) {
+      std::int32_t r = src[p * 3];
+      std::int32_t g = src[p * 3 + 1];
+      std::int32_t b = src[p * 3 + 2];
+      if (ycocg) ycocg_forward(r, g, b);
+      p0[p] = r;
+      p1[p] = g;
+      p2[p] = b;
+    }
+  } else {
+    std::copy_n(src, per_channel, samples.get());
+  }
+  const auto scratch = buffer<std::int32_t>(per_channel);
+  for (int c = 0; c < channels; ++c) {
+    forward_haar_inplace(samples.get() + c * per_channel, image.width(),
+                         image.height(), params.levels, scratch.get());
+  }
+
   const auto rects =
       scan_rects(image.width(), image.height(), params.levels,
                  params.scan == CodecParams::Scan::raster);
-  const std::size_t per_channel = image.pixel_count();
   CoefficientSet set;
-  set.magnitudes.resize(per_channel * planes.size());
+  set.magnitudes.resize(per_channel * static_cast<std::size_t>(channels));
   set.signs.resize(set.magnitudes.size());
   std::uint32_t all_bits = 0;
-  for (std::size_t c = 0; c < planes.size(); ++c) {
-    const std::int32_t* data = planes[c].data.data();
-    std::uint32_t* magnitudes = set.magnitudes.data() + c * per_channel;
-    std::uint8_t* signs = set.signs.data() + c * per_channel;
-    for_each_in_scan(rects, image.width(), [&](std::size_t k, std::size_t i) {
-      const std::int32_t value = data[i];
-      const auto magnitude =
-          static_cast<std::uint32_t>(value < 0 ? -value : value);
-      magnitudes[k] = magnitude;
-      signs[k] = value < 0 ? 1 : 0;
-      all_bits |= magnitude;
-    });
+  for (int c = 0; c < channels; ++c) {
+    const std::size_t base = static_cast<std::size_t>(c) * per_channel;
+    const std::int32_t* data = samples.get() + base;
+    std::uint32_t* magnitudes = set.magnitudes.data() + base;
+    std::uint8_t* signs = set.signs.data() + base;
+    for_each_scan_row(rects, image.width(),
+                      [&](std::size_t k, std::size_t i, std::size_t length) {
+                        all_bits |= gather_row(data + i, magnitudes + k,
+                                               signs + k, length);
+                      });
   }
   set.top_plane = all_bits > 0 ? 32 - std::countl_zero(all_bits) - 1 : 0;
   return set;
@@ -130,79 +178,465 @@ CoefficientSet flatten(const Image& image, const CodecParams& params,
 /// One coded pass (byte-aligned blob).
 using Pass = std::vector<std::uint8_t>;
 
-/// Refinement bits are moved 56 at a time, the most one reader refill
-/// guarantees.
-constexpr int kBitBatch = 56;
-
 // A significance bitmap holds one bit per scan position, 64 positions to
 // a word, set once the position is significant. Walking its set bits
 // visits the significant positions in order.
 using Bitmap = std::vector<std::uint64_t>;
 
-std::vector<Pass> encode_passes(const CoefficientSet& set) {
-  const std::uint32_t* magnitudes = set.magnitudes.data();
-  const std::size_t n = set.magnitudes.size();
-  const std::size_t words = (n + 63) / 64;
-  // A position becomes significant in the plane of its top set bit. Row
-  // b of `fresh` marks the positions whose top bit is b - 1; row 0, the
-  // zero magnitudes, is never read.
-  const auto rows = static_cast<std::size_t>(set.top_plane) + 2;
-  Bitmap fresh(rows * words, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    fresh[static_cast<std::size_t>(std::bit_width(magnitudes[i])) * words +
-          i / 64] |= std::uint64_t{1} << (i % 64);
+/// Each magnitude's significance row: the plane of its top set bit plus
+/// one (0 for a zero magnitude), padded with zeros to whole words. The
+/// float conversion is exact below 2^24, and a coefficient of 8-bit
+/// samples stays below 2^10: the S-transform's low band keeps its
+/// input's range and its high band is at most that range's width.
+std::vector<std::uint8_t> significance_rows(
+    const std::vector<std::uint32_t>& magnitudes, std::size_t words) {
+  std::vector<std::uint8_t> rows(words * 64, 0);
+  const std::uint32_t* __restrict in = magnitudes.data();
+  std::uint8_t* __restrict out = rows.data();
+  for (std::size_t i = 0; i < magnitudes.size(); ++i) {
+    assert(in[i] < 1u << 24);
+    const auto exponent = static_cast<std::int32_t>(
+        std::bit_cast<std::uint32_t>(static_cast<float>(
+            static_cast<std::int32_t>(in[i]))) >> 23);
+    out[i] = static_cast<std::uint8_t>(std::max(exponent - 126, 0));
+  }
+  return rows;
+}
+
+/// Bit i set iff bytes[i] == value, over 64 bytes.
+inline std::uint64_t equal_mask(const std::uint8_t* bytes,
+                                std::uint8_t value) noexcept {
+#if defined(__SSE2__)
+  const __m128i wanted = _mm_set1_epi8(static_cast<char>(value));
+  std::uint64_t mask = 0;
+  for (int c = 0; c < 4; ++c) {
+    const __m128i chunk =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 16 * c));
+    const auto bits = static_cast<std::uint16_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(chunk, wanted)));
+    mask |= static_cast<std::uint64_t>(bits) << (16 * c);
+  }
+  return mask;
+#else
+  std::uint64_t mask = 0;
+  for (int i = 0; i < 64; ++i) {
+    mask |= static_cast<std::uint64_t>(bytes[i] == value) << i;
+  }
+  return mask;
+#endif
+}
+
+// ---- Bit kernels ----------------------------------------------------------
+//
+// The passes are written once, as templates over a bit-operation set, and
+// built twice: for the baseline ISA, and for x86-64 CPUs with POPCNT,
+// LZCNT, BMI1 and BMI2, where counts, selects and variable shifts are one
+// instruction each. The choice is made once per process, from the CPU.
+
+constexpr std::uint64_t kByteOnes = 0x0101010101010101;
+
+/// Byte i of the result: the set bits in bytes 0..i of x (the per-byte
+/// counts of the classic bit-slicing popcount, summed by one multiply).
+constexpr std::uint64_t byte_prefix_counts(std::uint64_t x) noexcept {
+  x = x - ((x >> 1) & 0x5555555555555555);
+  x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
+  return ((x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f) * kByteOnes;
+}
+
+/// kSelectInByte[b * 8 + r]: the offset of the set bit of rank r in byte
+/// b (8 when b has no such bit).
+constexpr std::array<std::uint8_t, 256 * 8> kSelectInByte = [] {
+  std::array<std::uint8_t, 256 * 8> table{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned rank = 0;
+    for (unsigned r = 0; r < 8; ++r) table[b * 8 + r] = 8;
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      if ((b >> bit) & 1u) table[b * 8 + rank++] = static_cast<std::uint8_t>(bit);
+    }
+  }
+  return table;
+}();
+
+constexpr std::uint64_t reverse_bits(std::uint64_t x) noexcept {
+  x = ((x >> 1) & 0x5555555555555555) | ((x & 0x5555555555555555) << 1);
+  x = ((x >> 2) & 0x3333333333333333) | ((x & 0x3333333333333333) << 2);
+  x = ((x >> 4) & 0x0f0f0f0f0f0f0f0f) | ((x & 0x0f0f0f0f0f0f0f0f) << 4);
+  return __builtin_bswap64(x);
+}
+
+/// The baseline ISA has no population count, and std::popcount is a
+/// library call there, so counts come from byte_prefix_counts.
+struct PortableBits {
+  static int popcount(std::uint64_t x) noexcept {
+    return static_cast<int>(byte_prefix_counts(x) >> 56);
+  }
+  /// Refinement of one bitmap word: the low `count` bits of `bits` go, in
+  /// order from the most significant, to the `count` set positions of
+  /// `mask`; OR `plane_bit` into the magnitude of each that gets a 1.
+  static void refine(std::uint32_t* magnitudes, std::uint64_t bits,
+                     int count, std::uint64_t mask,
+                     std::uint32_t plane_bit) noexcept {
+    for (; mask != 0; mask &= mask - 1) {
+      const auto bit = static_cast<std::uint32_t>(bits >> --count) & 1u;
+      magnitudes[std::countr_zero(mask)] |= bit * plane_bit;
+    }
   }
 
-  Bitmap significant(words, 0);
-  std::vector<Pass> passes;
-  for (int plane = set.top_plane; plane >= 0; --plane) {
-    const std::uint64_t* newly =
-        fresh.data() + (static_cast<std::size_t>(plane) + 1) * words;
-    // Significance: the run of still-insignificant positions before each
-    // newly significant one, then its sign; a final run closes the pass.
-    // A position's rank among the insignificant is the position minus
-    // the significant positions below it.
-    BitWriter significance;
-    std::size_t below = 0;  // significant positions in earlier words
-    std::size_t run_start = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = newly[w]; bits != 0; bits &= bits - 1) {
-        const int j = std::countr_zero(bits);
-        const std::size_t index = w * 64 + static_cast<std::size_t>(j);
-        const std::size_t rank =
-            index - below -
-            static_cast<std::size_t>(std::popcount(
-                significant[w] & ((std::uint64_t{1} << j) - 1)));
-        significance.put_run(rank - run_start);
-        significance.put(set.signs[index] != 0);
-        run_start = rank + 1;
-      }
-      below += static_cast<std::size_t>(std::popcount(significant[w]));
-    }
-    significance.put_run(n - below - run_start);
+  /// One bitmap word prepared for repeated selects.
+  struct Word {
+    std::uint64_t bits;
+    std::uint64_t prefix;  ///< byte_prefix_counts(bits)
 
-    // Refinement: this plane's bit of every previously significant one,
-    // moved up to kBitBatch at a time.
-    BitWriter refinement;
+    explicit Word(std::uint64_t x) noexcept
+        : bits(x), prefix(byte_prefix_counts(x)) {}
+
+    [[nodiscard]] std::uint64_t count() const noexcept { return prefix >> 56; }
+    /// The offset of the set bit of rank `rank` (from 0); there must be
+    /// more than `rank` set bits. Branch-free: the bytes whose prefix
+    /// count is at most `rank` lie below the wanted bit, and a table finds
+    /// it within its byte.
+    [[nodiscard]] int select(std::uint64_t rank) const noexcept {
+      constexpr std::uint64_t kHighs = 0x8080808080808080;
+      const std::uint64_t below = ((rank * kByteOnes) | kHighs) - prefix;
+      const int shift =
+          static_cast<int>((((below & kHighs) >> 7) * kByteOnes) >> 56) * 8;
+      const std::uint64_t before = ((prefix << 8) >> shift) & 0xff;
+      return shift +
+             kSelectInByte[((bits >> shift) & 0xff) * 8 + (rank - before)];
+    }
+  };
+};
+
+#if defined(__x86_64__)
+#define COLLABQOS_CODEC_BMI2 1
+#define COLLABQOS_BMI2_TARGET gnu::target("popcnt,lzcnt,bmi,bmi2")
+
+/// Only ever inlined into the functions built with COLLABQOS_BMI2_TARGET.
+struct Bmi2Bits {
+  static int popcount(std::uint64_t x) noexcept { return std::popcount(x); }
+  /// PortableBits::refine, touching only the positions that get a 1: one
+  /// pdep spreads the bits over `mask`, once they are reversed so that the
+  /// first lands in bit 0.
+  [[COLLABQOS_BMI2_TARGET]] static void refine(
+      std::uint32_t* magnitudes, std::uint64_t bits, int count,
+      std::uint64_t mask, std::uint32_t plane_bit) noexcept {
+    for (std::uint64_t ones = _pdep_u64(reverse_bits(bits) >> (64 - count), mask);
+         ones != 0; ones &= ones - 1) {
+      magnitudes[std::countr_zero(ones)] |= plane_bit;
+    }
+  }
+
+  struct Word {
+    std::uint64_t bits;
+
+    explicit Word(std::uint64_t x) noexcept : bits(x) {}
+
+    [[nodiscard]] std::uint64_t count() const noexcept {
+      return static_cast<std::uint64_t>(std::popcount(bits));
+    }
+    /// pdep moves a single bit to the position of the set bit of that
+    /// rank.
+    [[COLLABQOS_BMI2_TARGET]] [[nodiscard]] int select(
+        std::uint64_t rank) const noexcept {
+      return static_cast<int>(_tzcnt_u64(_pdep_u64(std::uint64_t{1} << rank, bits)));
+    }
+  };
+};
+#endif
+
+/// Refinement bits are moved 56 at a time, the most one put takes.
+constexpr int kBitBatch = 56;
+
+// The passes, one kernel each. A pass that both computes and codes does
+// so in two loops through a buffer of codes, run << 1 | sign (a run is
+// below n < 2^26, so a code fits 32 bits): in one loop the state of both
+// outgrows the registers, and the spilled counters then carry every code
+// through memory.
+
+/// What a malformed pass breaks, or nullptr when it decoded.
+using PassFault = const char*;
+
+/// The significance pass of the plane whose positions have significance
+/// row `row` in `rows` (significance_rows): the run of still-
+/// insignificant positions before each newly significant one, then its
+/// sign; a closing run ends the pass. Marks those positions in `newly`.
+/// A position's rank among the insignificant is the insignificant
+/// positions in earlier words plus those below it in its word.
+template <class Bits>
+Pass encode_significance_with(
+    const std::uint8_t* rows, std::uint8_t row, const std::uint8_t* signs,
+    const std::uint64_t* significant, std::size_t significant_count,
+    std::size_t n, std::uint64_t* newly, std::uint32_t* codes) {
+  const std::size_t words = (n + 63) / 64;
+  std::size_t count = 0;
+  std::size_t open_below = 0;
+  std::size_t run_start = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t open = ~significant[w];
+    const std::uint64_t fresh = equal_mask(rows + 64 * w, row);
+    newly[w] = fresh;
+    for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+      const int j = std::countr_zero(bits);
+      const std::size_t rank =
+          open_below + static_cast<std::size_t>(Bits::popcount(
+                           open & ((std::uint64_t{1} << j) - 1)));
+      codes[count++] = static_cast<std::uint32_t>(
+          ((rank - run_start) << 1) | signs[w * 64 + static_cast<std::size_t>(j)]);
+      run_start = rank + 1;
+    }
+    open_below += static_cast<std::size_t>(Bits::popcount(open));
+  }
+
+  // A code is put_run(run) then put(sign): run + 1 in
+  // 2 * bit_width(run + 1) - 1 bits (gamma), then the sign. A run is below
+  // 2^26, so a code takes at most 52 bits, and two of them usually fit one
+  // put.
+  const auto code_bits = [](std::uint32_t code, int& length) {
+    const std::uint64_t gamma = (code >> 1) + 1;
+    length = 2 * std::bit_width(gamma);
+    return (gamma << 1) | (code & 1);
+  };
+  BitWriter out(count / 2);
+  std::size_t i = 0;
+  for (; i + 1 < count; i += 2) {
+    int first = 0;
+    int second = 0;
+    const std::uint64_t a = code_bits(codes[i], first);
+    const std::uint64_t b = code_bits(codes[i + 1], second);
+    if (first + second <= 56) {
+      out.put_bits((a << second) | b, first + second);
+    } else {
+      out.put_bits(a, first);
+      out.put_bits(b, second);
+    }
+  }
+  if (i < count) {
+    int length = 0;
+    const std::uint64_t a = code_bits(codes[i], length);
+    out.put_bits(a, length);
+  }
+  out.put_run(n - significant_count - run_start);
+  return out.finish();
+}
+
+/// The refinement pass: this plane's bit of every position significant
+/// before it, moved up to kBitBatch at a time. Then merges `newly` into
+/// `significant` and counts it in `significant_count`.
+template <class Bits>
+Pass encode_refinement_with(
+    const std::uint32_t* magnitudes, std::uint64_t* significant,
+    const std::uint64_t* newly, std::size_t words, int plane,
+    std::size_t& significant_count) {
+  BitWriter out((significant_count + 7) / 8);
+  std::uint64_t batch = 0;
+  int batched = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = significant[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t index =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      batch = (batch << 1) | ((magnitudes[index] >> plane) & 1u);
+      if (++batched == kBitBatch) {
+        out.put_bits(batch, batched);
+        batch = 0;
+        batched = 0;
+      }
+    }
+  }
+  out.put_bits(batch, batched);
+  for (std::size_t w = 0; w < words; ++w) {
+    significant[w] |= newly[w];
+    significant_count += static_cast<std::size_t>(Bits::popcount(newly[w]));
+  }
+  return out.finish();
+}
+
+/// Decode a significance pass over the `insignificant` positions left by
+/// `significant`: mark the positions it makes significant in `newly` (all
+/// zero on entry), and give them bit `plane` and their sign.
+///
+/// First the codes are read, up to the closing run. Then each run skips
+/// that many insignificant positions: whole words by the count of their
+/// zeros, then within word w to the zero of rank `rank`, where `taken`
+/// zeros of w lie behind the cursor.
+template <class Bits>
+PassFault decode_significance_with(
+    std::span<const std::uint8_t> blob, std::size_t insignificant,
+    const std::uint64_t* significant, int plane, std::uint64_t* newly,
+    std::uint32_t* magnitudes, std::uint8_t* signs, std::uint32_t* codes) {
+  BitReader bits(blob);
+  std::size_t remaining = insignificant;
+  std::size_t count = 0;
+  while (remaining > 0) {
+    unsigned sign = 0;
+    const std::uint64_t run = bits.get_run_bit(sign);
+    if (!bits.ok()) return "truncated pass";
+    if (run >= remaining) {
+      // The closing run, or one that would wrap the position.
+      const std::size_t position = insignificant - remaining;
+      if (run > std::numeric_limits<std::uint64_t>::max() - position) {
+        return "significance run overflows";
+      }
+      break;
+    }
+    if (sign > 1) return "truncated pass";
+    remaining -= static_cast<std::size_t>(run) + 1;
+    codes[count++] = static_cast<std::uint32_t>((run << 1) | sign);
+  }
+
+  std::size_t w = 0;
+  typename Bits::Word open(~significant[0]);
+  std::uint64_t open_count = open.count();
+  std::uint64_t taken = 0;
+  std::uint64_t found = 0;  // newly bits of word w
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t code = codes[i];
+    std::uint64_t rank = taken + (code >> 1);
+    if (rank >= open_count) {
+      newly[w] = found;
+      found = 0;
+      rank -= open_count;
+      for (++w;; ++w) {
+        open_count = static_cast<std::uint64_t>(Bits::popcount(~significant[w]));
+        if (rank < open_count) break;
+        rank -= open_count;
+      }
+      open = typename Bits::Word(~significant[w]);
+    }
+    taken = rank + 1;
+    const int j = open.select(rank);
+    found |= std::uint64_t{1} << j;
+    const std::size_t index = w * 64 + static_cast<std::size_t>(j);
+    magnitudes[index] = 1u << plane;
+    signs[index] = static_cast<std::uint8_t>(code & 1);
+  }
+  newly[w] = found;
+  return nullptr;
+}
+
+/// Decode a refinement pass: OR this plane's bit into the magnitude of
+/// every significant position, a word's worth of bits per read. Then
+/// merge `newly` into `significant` (clearing it) and count it in
+/// `significant_count`.
+template <class Bits>
+PassFault decode_refinement_with(
+    std::span<const std::uint8_t> blob, std::uint64_t* significant,
+    std::uint64_t* newly, std::size_t words, int plane,
+    std::uint32_t* magnitudes, std::size_t& significant_count) {
+  BitReader bits(blob);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t known = significant[w];
+    if (known == 0) continue;
+    int left = Bits::popcount(known);
     std::uint64_t batch = 0;
-    int batched = 0;
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = significant[w]; bits != 0; bits &= bits - 1) {
-        const std::size_t index =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        batch = (batch << 1) | ((magnitudes[index] >> plane) & 1u);
-        if (++batched == kBitBatch) {
-          refinement.put_bits(batch, batched);
-          batch = 0;
-          batched = 0;
-        }
-      }
+    if (left > 32) {
+      batch = bits.get_bits(left - 32) << 32;
+      batch |= bits.get_bits(32);
+    } else {
+      batch = bits.get_bits(left);
     }
-    refinement.put_bits(batch, batched);
-    for (std::size_t w = 0; w < words; ++w) significant[w] |= newly[w];
+    if (!bits.ok()) return "truncated pass";
+    Bits::refine(magnitudes + w * 64, batch, left, known, 1u << plane);
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    significant_count += static_cast<std::size_t>(Bits::popcount(newly[w]));
+    significant[w] |= newly[w];
+    newly[w] = 0;
+  }
+  return nullptr;
+}
 
-    passes.push_back(significance.finish());
-    passes.push_back(refinement.finish());
+/// One build of the pass kernels, each a function of its own so that its
+/// loops get the registers to themselves.
+struct Kernels {
+  Pass (*encode_significance)(const std::uint8_t*, std::uint8_t,
+                              const std::uint8_t*, const std::uint64_t*,
+                              std::size_t, std::size_t, std::uint64_t*,
+                              std::uint32_t*);
+  Pass (*encode_refinement)(const std::uint32_t*, std::uint64_t*,
+                            const std::uint64_t*, std::size_t, int,
+                            std::size_t&);
+  PassFault (*decode_significance)(std::span<const std::uint8_t>, std::size_t,
+                                   const std::uint64_t*, int, std::uint64_t*,
+                                   std::uint32_t*, std::uint8_t*,
+                                   std::uint32_t*);
+  PassFault (*decode_refinement)(std::span<const std::uint8_t>,
+                                 std::uint64_t*, std::uint64_t*, std::size_t,
+                                 int, std::uint32_t*, std::size_t&);
+};
+
+// The two builds: the templates as they are for the baseline ISA, and
+// flattened into functions built for BMI2.
+
+constexpr Kernels kPortableKernels{&encode_significance_with<PortableBits>,
+                                   &encode_refinement_with<PortableBits>,
+                                   &decode_significance_with<PortableBits>,
+                                   &decode_refinement_with<PortableBits>};
+
+#if defined(COLLABQOS_CODEC_BMI2)
+[[COLLABQOS_BMI2_TARGET, gnu::flatten]] Pass encode_significance_bmi2(
+    const std::uint8_t* rows, std::uint8_t row, const std::uint8_t* signs,
+    const std::uint64_t* significant, std::size_t significant_count,
+    std::size_t n, std::uint64_t* newly, std::uint32_t* codes) {
+  return encode_significance_with<Bmi2Bits>(
+      rows, row, signs, significant, significant_count, n, newly, codes);
+}
+[[COLLABQOS_BMI2_TARGET, gnu::flatten]] Pass encode_refinement_bmi2(
+    const std::uint32_t* magnitudes, std::uint64_t* significant,
+    const std::uint64_t* newly, std::size_t words, int plane,
+    std::size_t& significant_count) {
+  return encode_refinement_with<Bmi2Bits>(magnitudes, significant, newly,
+                                          words, plane, significant_count);
+}
+[[COLLABQOS_BMI2_TARGET, gnu::flatten]] PassFault decode_significance_bmi2(
+    std::span<const std::uint8_t> blob, std::size_t insignificant,
+    const std::uint64_t* significant, int plane, std::uint64_t* newly,
+    std::uint32_t* magnitudes, std::uint8_t* signs, std::uint32_t* codes) {
+  return decode_significance_with<Bmi2Bits>(
+      blob, insignificant, significant, plane, newly, magnitudes, signs, codes);
+}
+[[COLLABQOS_BMI2_TARGET, gnu::flatten]] PassFault decode_refinement_bmi2(
+    std::span<const std::uint8_t> blob, std::uint64_t* significant,
+    std::uint64_t* newly, std::size_t words, int plane,
+    std::uint32_t* magnitudes, std::size_t& significant_count) {
+  return decode_refinement_with<Bmi2Bits>(
+      blob, significant, newly, words, plane, magnitudes, significant_count);
+}
+
+constexpr Kernels kBmi2Kernels{&encode_significance_bmi2,
+                               &encode_refinement_bmi2,
+                               &decode_significance_bmi2,
+                               &decode_refinement_bmi2};
+#endif
+
+const Kernels& kernels_for(CodecKernels choice) {
+#if defined(COLLABQOS_CODEC_BMI2)
+  static const bool bmi2 = codec_bmi2_available();
+  if (bmi2 && choice != CodecKernels::portable) return kBmi2Kernels;
+#else
+  (void)choice;
+#endif
+  return kPortableKernels;
+}
+
+/// All passes of `set`, two per plane from the top.
+std::vector<Pass> encode_passes(const CoefficientSet& set,
+                                const Kernels& kernels) {
+  const std::size_t n = set.magnitudes.size();
+  const std::size_t words = (n + 63) / 64;
+  const std::vector<std::uint8_t> rows = significance_rows(set.magnitudes, words);
+  Bitmap significant(words, 0);
+  Bitmap newly(words, 0);
+  const auto codes = buffer<std::uint32_t>(n);
+  std::size_t significant_count = 0;
+  std::vector<Pass> passes;
+  passes.reserve(2 * static_cast<std::size_t>(set.top_plane + 1));
+  for (int plane = set.top_plane; plane >= 0; --plane) {
+    passes.push_back(kernels.encode_significance(
+        rows.data(), static_cast<std::uint8_t>(plane + 1), set.signs.data(),
+        significant.data(), significant_count, n, newly.data(), codes.get()));
+    passes.push_back(kernels.encode_refinement(set.magnitudes.data(),
+                                               significant.data(), newly.data(),
+                                               words, plane, significant_count));
   }
   return passes;
 }
@@ -234,6 +668,13 @@ std::vector<serde::Bytes> frame_packets(const std::vector<Pass>& passes,
   }
   assert(cursor == pass_count);
   return packets;
+}
+
+/// A length-prefixed blob as a view of the packet's bytes, with the
+/// checks and verdicts of Reader::blob, which would copy it.
+std::span<const std::uint8_t> view_blob(serde::Reader& reader) {
+  const std::string_view bytes = reader.view_string();
+  return {reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()};
 }
 
 struct Header {
@@ -305,11 +746,44 @@ std::size_t EncodedImage::prefix_bytes(std::size_t packet_count) const {
   return total;
 }
 
+bool codec_bmi2_available() noexcept {
+#if defined(COLLABQOS_CODEC_BMI2)
+  // May run during static initialisation, before the runtime's own CPU
+  // probe; __builtin_cpu_init is idempotent.
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("popcnt") || !__builtin_cpu_supports("bmi") ||
+      !__builtin_cpu_supports("bmi2")) {
+    return false;
+  }
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  // LZCNT is CPUID 0x80000001 ECX bit 5.
+  if (__get_cpuid(0x80000001, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ecx & (1u << 5)) == 0) {
+    return false;
+  }
+  // AMD CPUs before family 19h (Zen 3) run pdep in microcode, dozens of
+  // times slower than the portable select.
+  if (__builtin_cpu_is("amd") && __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
+    unsigned family = (eax >> 8) & 0xf;
+    if (family == 0xf) family += (eax >> 20) & 0xff;
+    if (family < 0x19) return false;
+  }
+  return true;
+#else
+  return false;
+#endif
+}
+
 EncodedImage encode_progressive(const Image& image, CodecParams params) {
+  return encode_progressive(image, params, CodecKernels::automatic);
+}
+
+EncodedImage encode_progressive(const Image& image, CodecParams params,
+                                CodecKernels kernels) {
   assert(!image.empty());
   const bool ycocg = params.color_transform && image.channels() == 3;
   const CoefficientSet set = flatten(image, params, ycocg);
-  const std::vector<Pass> passes = encode_passes(set);
+  const std::vector<Pass> passes = encode_passes(set, kernels_for(kernels));
   EncodedImage out;
   out.packets = frame_packets(passes, params.max_packets);
   Header h;
@@ -328,9 +802,16 @@ EncodedImage encode_progressive(const Image& image, CodecParams params) {
 Result<Image> decode_progressive_prefix(
     std::span<const std::uint8_t> header,
     std::span<const serde::Bytes> packets) {
+  return decode_progressive_prefix(header, packets, CodecKernels::automatic);
+}
+
+Result<Image> decode_progressive_prefix(
+    std::span<const std::uint8_t> header,
+    std::span<const serde::Bytes> packets, CodecKernels choice) {
   auto decoded_header = decode_header(header);
   if (!decoded_header) return decoded_header.error();
   const Header h = decoded_header.value();
+  const Kernels& kernels = kernels_for(choice);
 
   const std::size_t per_channel =
       static_cast<std::size_t>(h.width) * static_cast<std::size_t>(h.height);
@@ -347,6 +828,10 @@ Result<Image> decode_progressive_prefix(
   // Lowest plane whose bit is known, for the positions of each bitmap.
   int significant_plane = 0;
   int newly_plane = 0;
+  // The samples of the inverse transform. Until the scatter, the buffer
+  // holds a significance pass's codes between reading and placing them.
+  const auto samples = buffer<std::int32_t>(n);
+  auto* const codes = reinterpret_cast<std::uint32_t*>(samples.get());
 
   // Replay passes in order until packets run out or a gap appears.
   int plane = h.top_plane;
@@ -358,81 +843,24 @@ Result<Image> decode_progressive_prefix(
     const std::uint64_t group = reader.varint();
     if (!reader.ok()) return reader.error();
     for (std::uint64_t g = 0; g < group; ++g) {
-      const serde::Bytes blob = reader.blob();
+      const std::span<const std::uint8_t> blob = view_blob(reader);
       if (!reader.ok()) return reader.error();
       if (plane < 0) {
         return Error{Errc::malformed, "more passes than planes"};
       }
-      BitReader bits(blob);
       if (doing_significance) {
-        // Each run skips that many insignificant positions: whole words by
-        // their count, then within word w through `open`, its insignificant
-        // bit offsets in order, of which `passed` are behind the cursor.
-        const std::size_t count = n - significant_count;
-        std::size_t position = 0;
-        std::size_t w = 0;
-        std::uint8_t open[64];
-        int open_count = 0;
-        int passed = 0;
-        const auto load_word = [&] {
-          open_count = 0;
-          passed = 0;
-          for (std::uint64_t free = ~significant[w]; free != 0; free &= free - 1) {
-            open[open_count++] = static_cast<std::uint8_t>(std::countr_zero(free));
-          }
-        };
-        load_word();
-        while (position < count) {
-          const std::uint64_t run = bits.get_run();
-          if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
-          if (run > std::numeric_limits<std::uint64_t>::max() - position) {
-            return Error{Errc::malformed, "significance run overflows"};
-          }
-          if (position + run >= count) break;
-          position += static_cast<std::size_t>(run) + 1;
-          std::uint64_t skip = run;
-          if (skip >= static_cast<std::uint64_t>(open_count - passed)) {
-            skip -= static_cast<std::uint64_t>(open_count - passed);
-            for (++w; skip >= static_cast<std::uint64_t>(
-                                  std::popcount(~significant[w]));
-                 ++w) {
-              skip -= static_cast<std::uint64_t>(std::popcount(~significant[w]));
-            }
-            load_word();
-          }
-          passed += static_cast<int>(skip);
-          const int j = open[passed++];
-          const bool negative = bits.get();
-          if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
-          const std::size_t index = w * 64 + static_cast<std::size_t>(j);
-          magnitudes[index] |= 1u << plane;
-          signs[index] = negative ? 1 : 0;
-          newly[w] |= std::uint64_t{1} << j;
+        if (const PassFault fault = kernels.decode_significance(
+                blob, n - significant_count, significant.data(), plane,
+                newly.data(), magnitudes.data(), signs.data(), codes)) {
+          return Error{Errc::malformed, fault};
         }
         newly_plane = plane;
         doing_significance = false;
       } else {
-        std::size_t left = significant_count;
-        std::uint64_t batch = 0;
-        int batched = 0;
-        for (std::size_t w = 0; w < words; ++w) {
-          for (std::uint64_t set = significant[w]; set != 0; set &= set - 1) {
-            if (batched == 0) {
-              batched = static_cast<int>(
-                  std::min<std::size_t>(kBitBatch, left));
-              left -= static_cast<std::size_t>(batched);
-              batch = bits.get_bits(batched);
-              if (!bits.ok()) return Error{Errc::malformed, "truncated pass"};
-            }
-            const auto bit = static_cast<std::uint32_t>(batch >> --batched) & 1u;
-            magnitudes[w * 64 + static_cast<std::size_t>(std::countr_zero(set))] |=
-                bit << plane;
-          }
-        }
-        for (std::size_t w = 0; w < words; ++w) {
-          significant_count += static_cast<std::size_t>(std::popcount(newly[w]));
-          significant[w] |= newly[w];
-          newly[w] = 0;
+        if (const PassFault fault = kernels.decode_refinement(
+                blob, significant.data(), newly.data(), words, plane,
+                magnitudes.data(), significant_count)) {
+          return Error{Errc::malformed, fault};
         }
         significant_plane = plane;
         doing_significance = true;
@@ -454,21 +882,20 @@ Result<Image> decode_progressive_prefix(
   add_half(significant, significant_plane);
   add_half(newly, newly_plane);
 
+  // Scan order back to channel planes, each inverted in place with one
+  // scratch plane.
   const auto rects = scan_rects(h.width, h.height, h.levels, h.raster_scan);
-  std::vector<CoefficientPlane> planes(static_cast<std::size_t>(h.channels));
-  for (std::size_t c = 0; c < planes.size(); ++c) {
-    CoefficientPlane& plane_data = planes[c];
-    plane_data.width = h.width;
-    plane_data.height = h.height;
-    plane_data.levels = h.levels;
-    plane_data.data.resize(per_channel);
-    std::int32_t* data = plane_data.data.data();
-    const std::uint32_t* m = magnitudes.data() + c * per_channel;
-    const std::uint8_t* negative = signs.data() + c * per_channel;
-    for_each_in_scan(rects, h.width, [&](std::size_t k, std::size_t i) {
-      data[i] = static_cast<std::int32_t>(negative[k] != 0 ? 0u - m[k] : m[k]);
-    });
-    inverse_haar_inplace(plane_data);
+  const auto scratch = buffer<std::int32_t>(per_channel);
+  for (int c = 0; c < h.channels; ++c) {
+    const std::size_t base = static_cast<std::size_t>(c) * per_channel;
+    std::int32_t* data = samples.get() + base;
+    const std::uint32_t* m = magnitudes.data() + base;
+    const std::uint8_t* negative = signs.data() + base;
+    for_each_scan_row(rects, h.width,
+                      [&](std::size_t k, std::size_t i, std::size_t length) {
+                        scatter_row(m + k, negative + k, data + i, length);
+                      });
+    inverse_haar_inplace(data, h.width, h.height, h.levels, scratch.get());
   }
 
   Image image(h.width, h.height, h.channels);
@@ -476,19 +903,21 @@ Result<Image> decode_progressive_prefix(
   const auto clamp_u8 = [](std::int32_t v) {
     return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
   };
+  const std::int32_t* p0 = samples.get();
   if (h.channels == 3) {
+    const std::int32_t* p1 = p0 + per_channel;
+    const std::int32_t* p2 = p1 + per_channel;
     for (std::size_t p = 0; p < per_channel; ++p) {
-      std::int32_t a = planes[0].data[p];
-      std::int32_t b = planes[1].data[p];
-      std::int32_t c = planes[2].data[p];
+      std::int32_t a = p0[p];
+      std::int32_t b = p1[p];
+      std::int32_t c = p2[p];
       if (h.ycocg) ycocg_inverse(a, b, c);
       pixels[p * 3] = clamp_u8(a);
       pixels[p * 3 + 1] = clamp_u8(b);
       pixels[p * 3 + 2] = clamp_u8(c);
     }
   } else {
-    const std::int32_t* values = planes[0].data.data();
-    for (std::size_t p = 0; p < per_channel; ++p) pixels[p] = clamp_u8(values[p]);
+    for (std::size_t p = 0; p < per_channel; ++p) pixels[p] = clamp_u8(p0[p]);
   }
   return image;
 }

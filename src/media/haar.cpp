@@ -119,16 +119,13 @@ std::vector<std::pair<int, int>> level_regions(int width, int height,
 
 }  // namespace
 
-void forward_haar_inplace(CoefficientPlane& plane) {
-  const auto stride = static_cast<std::size_t>(plane.width);
-  std::vector<std::int32_t> scratch(plane.data.size());
-  for (const auto& [rw, rh] :
-       level_regions(plane.width, plane.height, plane.levels)) {
+void forward_haar_inplace(std::int32_t* data, int width, int height,
+                          int levels, std::int32_t* scratch) {
+  const auto stride = static_cast<std::size_t>(width);
+  for (const auto& [rw, rh] : level_regions(width, height, levels)) {
     const auto scratch_stride = static_cast<std::size_t>(rw);
-    forward_rows(plane.data.data(), stride, scratch.data(), scratch_stride, rw,
-                 rh);
-    forward_columns(scratch.data(), scratch_stride, plane.data.data(), stride,
-                    rh, rw);
+    forward_rows(data, stride, scratch, scratch_stride, rw, rh);
+    forward_columns(scratch, scratch_stride, data, stride, rh, rw);
   }
 }
 
@@ -148,22 +145,20 @@ CoefficientPlane forward_haar(const std::uint8_t* plane, int width,
                 static_cast<std::size_t>(x) * pixel_step];
     }
   }
-  forward_haar_inplace(out);
+  std::vector<std::int32_t> scratch(out.data.size());
+  forward_haar_inplace(out.data.data(), width, height, levels, scratch.data());
   return out;
 }
 
-void inverse_haar_inplace(CoefficientPlane& coefficients) {
-  const auto stride = static_cast<std::size_t>(coefficients.width);
-  std::vector<std::int32_t> scratch(coefficients.data.size());
-  const auto regions = level_regions(coefficients.width, coefficients.height,
-                                     coefficients.levels);
+void inverse_haar_inplace(std::int32_t* data, int width, int height,
+                          int levels, std::int32_t* scratch) {
+  const auto stride = static_cast<std::size_t>(width);
+  const auto regions = level_regions(width, height, levels);
   for (auto it = regions.rbegin(); it != regions.rend(); ++it) {
     const auto [rw, rh] = *it;
     const auto scratch_stride = static_cast<std::size_t>(rw);
-    inverse_columns(coefficients.data.data(), stride, scratch.data(),
-                    scratch_stride, rh, rw);
-    inverse_rows(scratch.data(), scratch_stride, coefficients.data.data(),
-                 stride, rw, rh);
+    inverse_columns(data, stride, scratch, scratch_stride, rh, rw);
+    inverse_rows(scratch, scratch_stride, data, stride, rw, rh);
   }
 }
 
@@ -172,7 +167,9 @@ void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
   const int width = coefficients.width;
   const int height = coefficients.height;
   CoefficientPlane work = coefficients;
-  inverse_haar_inplace(work);
+  std::vector<std::int32_t> scratch(work.data.size());
+  inverse_haar_inplace(work.data.data(), width, height, work.levels,
+                       scratch.data());
   for (int y = 0; y < height; ++y) {
     for (int x = 0; x < width; ++x) {
       const std::int32_t value =

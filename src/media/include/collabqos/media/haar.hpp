@@ -33,15 +33,20 @@ struct CoefficientPlane {
                                             int pixel_step, int levels);
 
 /// In-place multi-level transform of arbitrary integer samples (the
-/// colour-decorrelated planes of the codec). `plane.data` holds samples
-/// on entry and coefficients on return.
-void forward_haar_inplace(CoefficientPlane& plane);
+/// colour-decorrelated planes of the codec): `data` is a row-major
+/// `width` x `height` plane holding samples on entry and coefficients on
+/// return. `scratch` holds at least width * height values; every level
+/// reuses it.
+void forward_haar_inplace(std::int32_t* data, int width, int height,
+                          int levels, std::int32_t* scratch);
 
 /// In-place inverse to raw integer samples (no clamping — callers that
 /// fed colour-difference planes need the signed values back). Sums wrap
 /// modulo 2^32 instead of overflowing, so coefficients decoded from a
 /// corrupt stream give garbage samples, never undefined behaviour.
-void inverse_haar_inplace(CoefficientPlane& coefficients);
+/// `scratch` as for forward_haar_inplace.
+void inverse_haar_inplace(std::int32_t* data, int width, int height,
+                          int levels, std::int32_t* scratch);
 
 /// Inverse transform; output clamped to [0,255].
 void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,

@@ -195,6 +195,12 @@ Oid read_oid(serde::Reader& r, std::size_t length) {
   int continuation = 0;
   for (std::size_t i = 1; i < length; ++i) {
     const std::uint8_t byte = r.u8();
+    if (byte == 0x80 && continuation == 0) {
+      // X.690 8.19.2: a subidentifier's leading octet is never 0x80, so
+      // that each OID has one encoding.
+      r.fail(Errc::malformed, "non-minimal OID arc");
+      return {};
+    }
     if (arc > (UINT32_MAX >> 7)) {
       r.fail(Errc::malformed, "OID arc overflow");
       return {};

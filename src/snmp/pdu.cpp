@@ -1,6 +1,7 @@
 #include "collabqos/snmp/pdu.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "collabqos/snmp/ber.hpp"
 
@@ -186,15 +187,30 @@ Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
     r.fail(Errc::malformed, "trailing fields in SNMP message");
   }
 
-  pdu.request_id = static_cast<std::uint32_t>(read_integer_field(r, body.end));
+  // The three header INTEGERs narrow to the fields that hold them:
+  // request id and error index (GETBULK: max-repetitions) to 32 bits
+  // unsigned, error status (GETBULK: non-repeaters) to one byte.
+  const auto fits = [](std::int64_t v, std::int64_t max) {
+    return v >= 0 && v <= max;
+  };
+  const std::int64_t request_id = read_integer_field(r, body.end);
+  if (!fits(request_id, UINT32_MAX)) {
+    r.fail(Errc::malformed, "request id out of range");
+  }
+  pdu.request_id = static_cast<std::uint32_t>(request_id);
   const std::int64_t status = read_integer_field(r, body.end);
-  if (pdu.type != PduType::get_bulk &&
-      (status < 0 || status > static_cast<int>(ErrorStatus::no_access))) {
-    r.fail(Errc::malformed, "unknown error status");
+  if (pdu.type != PduType::get_bulk) {
+    if (!fits(status, static_cast<int>(ErrorStatus::no_access))) {
+      r.fail(Errc::malformed, "unknown error status");
+    }
+  } else if (!fits(status, UINT8_MAX)) {
+    r.fail(Errc::malformed, "non-repeaters out of range");
   }
   pdu.error_status = static_cast<ErrorStatus>(status);
   const std::int64_t error_index = read_integer_field(r, body.end);
-  if (error_index < 0) r.fail(Errc::malformed, "negative error index");
+  if (!fits(error_index, UINT32_MAX)) {
+    r.fail(Errc::malformed, "error index out of range");
+  }
   pdu.error_index = static_cast<std::uint32_t>(error_index);
 
   const ber::Header list = ber::expect(r, ber::tags::kSequence, body.end);

@@ -102,6 +102,23 @@ TEST(Ber, OidRejectsUnencodableRoots) {
   EXPECT_FALSE(ber::write_oid(w, Oid{1, 40}).ok()); // arcs[1] > 39
 }
 
+TEST(Ber, NonMinimalSubidentifierIsRejected) {
+  // X.690 8.19.2: a subidentifier never starts with the octet 0x80, so
+  // 2B 80 01 (arc 1 after a padding octet) is not a second encoding of
+  // 1.3.1, whose one encoding is 2B 01.
+  const Bytes padded = {0x2B, 0x80, 0x01};
+  serde::Reader r(padded);
+  (void)ber::read_oid(r, padded.size());
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::malformed);
+  // Inside a subidentifier, 0x80 is an ordinary continuation octet:
+  // 81 80 00 is arc 2^14.
+  const Bytes inner = {0x2B, 0x81, 0x80, 0x00};
+  serde::Reader ok(inner);
+  EXPECT_EQ(ber::read_oid(ok, inner.size()), (Oid{1, 3, 16384}));
+  EXPECT_TRUE(ok.ok());
+}
+
 TEST(Ber, LongFormLength) {
   const Bytes content(200, 0xAA);
   serde::Writer w;
@@ -221,6 +238,53 @@ TEST(Ber, WholeMessageKnownVector) {
   EXPECT_EQ(decoded.value().bindings[0].oid,
             (Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}));
   EXPECT_EQ(decoded.value().bindings[0].value.type(), ValueType::null);
+}
+
+/// An SNMPv2c message with one varbind and the given PDU tag and header
+/// INTEGERs (request id, error status or non-repeaters, error index or
+/// max-repetitions).
+Bytes message_with(std::uint8_t pdu_tag, std::int64_t request_id,
+                   std::int64_t status, std::int64_t index) {
+  serde::Writer binding;
+  EXPECT_TRUE(ber::write_oid(binding, Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}).ok());
+  ber::write_null(binding);
+  serde::Writer list;
+  ber::write_tlv(list, ber::tags::kSequence, binding.bytes());
+  serde::Writer pdu_content;
+  ber::write_integer(pdu_content, request_id);
+  ber::write_integer(pdu_content, status);
+  ber::write_integer(pdu_content, index);
+  ber::write_tlv(pdu_content, ber::tags::kSequence, list.bytes());
+  serde::Writer inner;
+  ber::write_integer(inner, 1);  // SNMPv2c
+  ber::write_octet_string(inner, "public");
+  ber::write_tlv(inner, pdu_tag, pdu_content.bytes());
+  serde::Writer message;
+  ber::write_tlv(message, ber::tags::kSequence, inner.bytes());
+  return std::move(message).take();
+}
+
+TEST(Ber, HeaderIntegersOutsideTheirFieldsAreRejected) {
+  // Request id and error index (GETBULK: max-repetitions) are 32-bit
+  // unsigned fields; GETBULK non-repeaters travels in the one-byte error
+  // status. A wire INTEGER outside the field is malformed, not narrowed.
+  constexpr std::int64_t k32 = std::int64_t{1} << 32;
+  const auto verdict = [](const Bytes& bytes) { return Pdu::decode(bytes).code(); };
+  const auto get = ber::tags::kGetRequest;
+  const auto bulk = ber::tags::kGetBulkRequest;
+  EXPECT_EQ(verdict(message_with(get, k32 - 1, 0, 0)), Errc::ok);
+  EXPECT_EQ(verdict(message_with(get, -1, 0, 0)), Errc::malformed);
+  EXPECT_EQ(verdict(message_with(get, k32, 0, 0)), Errc::malformed);
+  EXPECT_EQ(verdict(message_with(get, 7, 0, k32)), Errc::malformed);
+  EXPECT_EQ(verdict(message_with(bulk, 7, 255, k32 - 1)), Errc::ok);
+  EXPECT_EQ(verdict(message_with(bulk, 7, -1, 16)), Errc::malformed);
+  EXPECT_EQ(verdict(message_with(bulk, 7, 256, 16)), Errc::malformed);
+  EXPECT_EQ(verdict(message_with(bulk, 7, 0, k32)), Errc::malformed);
+  const auto decoded = Pdu::decode(message_with(bulk, k32 - 1, 255, k32 - 1));
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded.value().request_id, 0xFFFFFFFFu);
+  EXPECT_EQ(static_cast<int>(decoded.value().error_status), 255);
+  EXPECT_EQ(decoded.value().error_index, 0xFFFFFFFFu);
 }
 
 TEST(Ber, WrongVersionRejected) {

@@ -7,6 +7,12 @@
 // One known fault is kept as it was: the content check `offset_ + length`
 // wraps for an 8-octet length near 2^64, so such a TLV passes with a
 // content span past the end of the input. Callers must not feed it one.
+//
+// Two rules were added here when Pdu::decode gained them, so that the
+// reference states the same contract: an OID subidentifier whose leading
+// octet is 0x80 is malformed (X.690 8.19.2), and so is a header INTEGER
+// its field cannot hold (request id and error index outside 0..2^32-1, a
+// GETBULK non-repeaters value outside one byte).
 #pragma once
 
 #include <cstdint>
@@ -124,6 +130,9 @@ inline Result<Oid> read_oid(std::span<const std::uint8_t> content) {
   int continuation = 0;
   for (std::size_t i = 1; i < content.size(); ++i) {
     const std::uint8_t byte = content[i];
+    if (byte == 0x80 && continuation == 0) {
+      return Error{Errc::malformed, "non-minimal OID arc"};
+    }
     if (arc > (UINT32_MAX >> 7)) {
       return Error{Errc::malformed, "OID arc overflow"};
     }
@@ -239,6 +248,9 @@ inline Result<Pdu> decode(std::span<const std::uint8_t> bytes) {
   if (!request_tlv) return request_tlv.error();
   auto request_id = read_integer(request_tlv.value().content);
   if (!request_id) return request_id.error();
+  if (request_id.value() < 0 || request_id.value() > UINT32_MAX) {
+    return Error{Errc::malformed, "request id out of range"};
+  }
   pdu.request_id = static_cast<std::uint32_t>(request_id.value());
 
   auto status_tlv = body.expect(ber::tags::kInteger);
@@ -250,14 +262,17 @@ inline Result<Pdu> decode(std::span<const std::uint8_t> bytes) {
        status.value() > static_cast<int>(ErrorStatus::no_access))) {
     return Error{Errc::malformed, "unknown error status"};
   }
+  if (status.value() < 0 || status.value() > UINT8_MAX) {
+    return Error{Errc::malformed, "non-repeaters out of range"};
+  }
   pdu.error_status = static_cast<ErrorStatus>(status.value());
 
   auto index_tlv = body.expect(ber::tags::kInteger);
   if (!index_tlv) return index_tlv.error();
   auto error_index = read_integer(index_tlv.value().content);
   if (!error_index) return error_index.error();
-  if (error_index.value() < 0) {
-    return Error{Errc::malformed, "negative error index"};
+  if (error_index.value() < 0 || error_index.value() > UINT32_MAX) {
+    return Error{Errc::malformed, "error index out of range"};
   }
   pdu.error_index = static_cast<std::uint32_t>(error_index.value());
 

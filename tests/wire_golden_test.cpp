@@ -1316,7 +1316,7 @@ TEST(PduDecode, MatchesReferenceOnSeededMutations) {
       inputs.emplace_back(original.begin(),
                           original.begin() + static_cast<std::ptrdiff_t>(cut));
     }
-    for (int k = 0; k < 64; ++k) {
+    for (int k = 0; k < 80; ++k) {
       serde::Bytes flipped = original;
       flipped[at(flipped.size())] ^=
           static_cast<std::uint8_t>(rng.uniform_int(1, 255));
