@@ -1,8 +1,9 @@
 // Differential tests: the progressive codec and its bit I/O against the
-// reference implementation in support/reference_codec.hpp, on seeded
-// random images, parameters and stream mutations. The golden corpus pins
-// chosen scenes; these cases reach extents, depths and corruptions it
-// does not list.
+// reference implementation in support/reference_codec.hpp, and the
+// sketcher against the hypot oracle in support/legacy_sketch.hpp, on
+// seeded random images, parameters and stream mutations. The golden
+// corpus pins chosen scenes; these cases reach extents, depths and
+// corruptions it does not list.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,9 @@
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/image.hpp"
+#include "collabqos/media/sketch.hpp"
 #include "collabqos/util/rng.hpp"
+#include "support/legacy_sketch.hpp"
 #include "support/reference_codec.hpp"
 
 namespace collabqos::media {
@@ -182,6 +185,40 @@ TEST(CodecDiff, MatchesReferenceOnMutatedStreams) {
                          std::span<const serde::Bytes>(packets.data(), count),
                          what + " trial " + std::to_string(trial));
     }
+  }
+}
+
+TEST(SketchDiff, MatchesOracleOnRandomImages) {
+  // Noise puts the threshold in a g2 bucket above 0, flat blocks with few
+  // levels make large tie classes, and low-contrast ramps keep g2 small.
+  Rng rng(1618);
+  for (int round = 0; round < 60; ++round) {
+    const int w = pick(rng, 1, 70);
+    const int h = pick(rng, 1, 70);
+    Image image(w, h, rng.chance(0.5) ? 1 : 3);
+    const int kind = pick(rng, 0, 2);
+    const int levels = pick(rng, 2, 5);
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        for (int c = 0; c < image.channels(); ++c) {
+          int v = 0;
+          if (kind == 0) v = pick(rng, 0, 255);
+          if (kind == 1) v = ((x / 5 + y / 3 + c) % levels) * (255 / levels);
+          if (kind == 2) v = (x + 2 * y) % 8 + pick(rng, 0, 2);
+          image.set(x, y, c, static_cast<std::uint8_t>(v));
+        }
+      }
+    }
+    SketchParams params;
+    params.decimation = pick(rng, 1, 5);
+    params.threshold_quantile = rng.uniform(0.0, 1.0);
+    auto rendered = render_sketch(extract_sketch(image, "x", params));
+    ASSERT_TRUE(rendered.ok());
+    std::vector<std::uint8_t> edges = rendered.value().pixels();
+    for (auto& e : edges) e = e != 0 ? 1 : 0;
+    EXPECT_EQ(edges, legacy::sketch_edges(image, params))
+        << w << "x" << h << "x" << image.channels() << " decimation "
+        << params.decimation << " quantile " << params.threshold_quantile;
   }
 }
 

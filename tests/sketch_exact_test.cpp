@@ -72,34 +72,6 @@ TEST(SketchExact, MatchesOracleOnDegenerateImages) {
   }
 }
 
-TEST(SketchExact, MatchesOracleOnRandomImages) {
-  // Noise puts the threshold in a g2 bucket above 0, flat blocks with few
-  // levels make large tie classes, and low-contrast ramps keep g2 small.
-  Rng rng(1618);
-  for (int round = 0; round < 60; ++round) {
-    const int w = static_cast<int>(rng.uniform_int(1, 70));
-    const int h = static_cast<int>(rng.uniform_int(1, 70));
-    Image image(w, h, rng.chance(0.5) ? 1 : 3);
-    const auto kind = rng.uniform_int(0, 2);
-    const auto levels = rng.uniform_int(2, 5);
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x) {
-        for (int c = 0; c < image.channels(); ++c) {
-          std::int64_t v = 0;
-          if (kind == 0) v = rng.uniform_int(0, 255);
-          if (kind == 1) v = ((x / 5 + y / 3 + c) % levels) * (255 / levels);
-          if (kind == 2) v = (x + 2 * y) % 8 + rng.uniform_int(0, 2);
-          image.set(x, y, c, static_cast<std::uint8_t>(v));
-        }
-      }
-    }
-    SketchParams p;
-    p.decimation = static_cast<int>(rng.uniform_int(1, 5));
-    p.threshold_quantile = rng.uniform(0.0, 1.0);
-    expect_matches_oracle(image, p);
-  }
-}
-
 TEST(SketchExact, HypotRisesStrictlyAcrossDistinctG2) {
   // Exhaustive over the Sobel range |gx|, |gy| <= 1020: every pair of a
   // smaller g2 has a smaller hypot than every pair of a larger g2. That is
