@@ -15,6 +15,7 @@
 #include <immintrin.h>
 #endif
 
+#include "codec_kernels.hpp"
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/haar.hpp"
 
@@ -608,12 +609,12 @@ constexpr Kernels kBmi2Kernels{&encode_significance_bmi2,
                                &decode_refinement_bmi2};
 #endif
 
-const Kernels& kernels_for(CodecKernels choice) {
+/// The BMI2 build where codec_bmi2_available(), the portable one
+/// elsewhere.
+const Kernels& active_kernels() {
 #if defined(COLLABQOS_CODEC_BMI2)
   static const bool bmi2 = codec_bmi2_available();
-  if (bmi2 && choice != CodecKernels::portable) return kBmi2Kernels;
-#else
-  (void)choice;
+  if (bmi2) return kBmi2Kernels;
 #endif
   return kPortableKernels;
 }
@@ -774,16 +775,14 @@ bool codec_bmi2_available() noexcept {
 #endif
 }
 
-EncodedImage encode_progressive(const Image& image, CodecParams params) {
-  return encode_progressive(image, params, CodecKernels::automatic);
-}
+namespace {
 
-EncodedImage encode_progressive(const Image& image, CodecParams params,
-                                CodecKernels kernels) {
+EncodedImage encode_with(const Image& image, CodecParams params,
+                         const Kernels& kernels) {
   assert(!image.empty());
   const bool ycocg = params.color_transform && image.channels() == 3;
   const CoefficientSet set = flatten(image, params, ycocg);
-  const std::vector<Pass> passes = encode_passes(set, kernels_for(kernels));
+  const std::vector<Pass> passes = encode_passes(set, kernels);
   EncodedImage out;
   out.packets = frame_packets(passes, params.max_packets);
   Header h;
@@ -799,19 +798,12 @@ EncodedImage encode_progressive(const Image& image, CodecParams params,
   return out;
 }
 
-Result<Image> decode_progressive_prefix(
-    std::span<const std::uint8_t> header,
-    std::span<const serde::Bytes> packets) {
-  return decode_progressive_prefix(header, packets, CodecKernels::automatic);
-}
-
-Result<Image> decode_progressive_prefix(
-    std::span<const std::uint8_t> header,
-    std::span<const serde::Bytes> packets, CodecKernels choice) {
+Result<Image> decode_with(std::span<const std::uint8_t> header,
+                          std::span<const serde::Bytes> packets,
+                          const Kernels& kernels) {
   auto decoded_header = decode_header(header);
   if (!decoded_header) return decoded_header.error();
   const Header h = decoded_header.value();
-  const Kernels& kernels = kernels_for(choice);
 
   const std::size_t per_channel =
       static_cast<std::size_t>(h.width) * static_cast<std::size_t>(h.height);
@@ -920,6 +912,29 @@ Result<Image> decode_progressive_prefix(
     for (std::size_t p = 0; p < per_channel; ++p) pixels[p] = clamp_u8(p0[p]);
   }
   return image;
+}
+
+}  // namespace
+
+EncodedImage encode_progressive(const Image& image, CodecParams params) {
+  return encode_with(image, params, active_kernels());
+}
+
+Result<Image> decode_progressive_prefix(
+    std::span<const std::uint8_t> header,
+    std::span<const serde::Bytes> packets) {
+  return decode_with(header, packets, active_kernels());
+}
+
+EncodedImage encode_progressive_portable(const Image& image,
+                                         CodecParams params) {
+  return encode_with(image, params, kPortableKernels);
+}
+
+Result<Image> decode_progressive_prefix_portable(
+    std::span<const std::uint8_t> header,
+    std::span<const serde::Bytes> packets) {
+  return decode_with(header, packets, kPortableKernels);
 }
 
 Result<Image> decode_progressive(const EncodedImage& encoded,

@@ -71,25 +71,4 @@ struct CodecParams {
     std::span<const std::uint8_t> header,
     std::span<const serde::Bytes> packets);
 
-/// The bit kernels behind encode and decode. `automatic` runs the x86-64
-/// BMI2 build where codec_bmi2_available(), and the portable build
-/// elsewhere; both give the same bytes, images and verdicts. Naming a
-/// build is for the tests and benches that hold the two against each
-/// other.
-enum class CodecKernels : std::uint8_t { automatic, portable, bmi2 };
-
-/// Whether this CPU runs the BMI2 kernels: x86-64 with POPCNT, LZCNT,
-/// BMI1 and BMI2, and not an AMD CPU before Zen 3, whose pdep is
-/// microcoded.
-[[nodiscard]] bool codec_bmi2_available() noexcept;
-
-/// As above, on the named kernels. Where the CPU lacks BMI2, `bmi2` runs
-/// the portable build.
-[[nodiscard]] EncodedImage encode_progressive(const Image& image,
-                                              CodecParams params,
-                                              CodecKernels kernels);
-[[nodiscard]] Result<Image> decode_progressive_prefix(
-    std::span<const std::uint8_t> header,
-    std::span<const serde::Bytes> packets, CodecKernels kernels);
-
 }  // namespace collabqos::media

@@ -17,6 +17,7 @@
 #include "collabqos/media/image.hpp"
 #include "collabqos/media/sketch.hpp"
 #include "collabqos/util/rng.hpp"
+#include "media/codec_kernels.hpp"
 #include "support/legacy_sketch.hpp"
 #include "support/reference_codec.hpp"
 
@@ -77,16 +78,30 @@ std::string describe(int width, int height, int channels,
          (p.color_transform ? " ycocg" : "");
 }
 
+enum class Build { portable, bmi2 };
+
 /// Every kernel build this CPU runs: the portable one always, the BMI2
-/// one where the CPU has it.
-std::vector<CodecKernels> kernel_builds() {
-  std::vector<CodecKernels> builds = {CodecKernels::portable};
-  if (codec_bmi2_available()) builds.push_back(CodecKernels::bmi2);
+/// one, which the public functions pick, where the CPU has it.
+std::vector<Build> kernel_builds() {
+  std::vector<Build> builds = {Build::portable};
+  if (codec_bmi2_available()) builds.push_back(Build::bmi2);
   return builds;
 }
 
-const char* name(CodecKernels kernels) {
-  return kernels == CodecKernels::bmi2 ? " [bmi2]" : " [portable]";
+const char* name(Build build) {
+  return build == Build::bmi2 ? " [bmi2]" : " [portable]";
+}
+
+EncodedImage encode_on(Build build, const Image& image, CodecParams params) {
+  return build == Build::bmi2 ? encode_progressive(image, params)
+                              : encode_progressive_portable(image, params);
+}
+
+Result<Image> decode_on(Build build, std::span<const std::uint8_t> header,
+                        std::span<const serde::Bytes> packets) {
+  return build == Build::bmi2
+             ? decode_progressive_prefix(header, packets)
+             : decode_progressive_prefix_portable(header, packets);
 }
 
 /// Same verdict, and the same pixels when both decode, on every build.
@@ -94,14 +109,14 @@ void expect_same_decode(std::span<const std::uint8_t> header,
                         std::span<const serde::Bytes> packets,
                         const std::string& what) {
   const Result<Image> want = reference::decode_progressive_prefix(header, packets);
-  for (const CodecKernels kernels : kernel_builds()) {
-    const Result<Image> got = decode_progressive_prefix(header, packets, kernels);
-    ASSERT_EQ(got.code(), want.code()) << what << name(kernels);
+  for (const Build build : kernel_builds()) {
+    const Result<Image> got = decode_on(build, header, packets);
+    ASSERT_EQ(got.code(), want.code()) << what << name(build);
     if (!want) continue;
     ASSERT_EQ(got.value().width(), want.value().width()) << what;
     ASSERT_EQ(got.value().height(), want.value().height()) << what;
     ASSERT_EQ(got.value().channels(), want.value().channels()) << what;
-    ASSERT_EQ(got.value().pixels(), want.value().pixels()) << what << name(kernels);
+    ASSERT_EQ(got.value().pixels(), want.value().pixels()) << what << name(build);
   }
 }
 
@@ -118,10 +133,10 @@ TEST(CodecDiff, MatchesReferenceOnRandomImages) {
     const Image image = random_image(rng, width, height, channels);
 
     const EncodedImage want = reference::encode_progressive(image, params);
-    for (const CodecKernels kernels : kernel_builds()) {
-      const EncodedImage got = encode_progressive(image, params, kernels);
-      ASSERT_EQ(got.header, want.header) << what << name(kernels);
-      ASSERT_EQ(got.packets, want.packets) << what << name(kernels);
+    for (const Build build : kernel_builds()) {
+      const EncodedImage got = encode_on(build, image, params);
+      ASSERT_EQ(got.header, want.header) << what << name(build);
+      ASSERT_EQ(got.packets, want.packets) << what << name(build);
     }
 
     // Every prefix, and every prefix with one interior packet missing.
