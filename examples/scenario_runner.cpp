@@ -36,6 +36,7 @@
 //                  to AUDIT_scenario.jsonl.
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,21 +82,33 @@ bool parse_args(int argc, char** argv, Options& options) {
       out = *value;
       return true;
     };
+    // Counts and the seed are whole numbers no larger than `max`.
+    const auto next_integer = [&](std::uint64_t& out, std::uint64_t max) {
+      if (i + 1 >= argc) return false;
+      const auto value = parse_u64(argv[++i]);
+      if (!value || *value > max) return false;
+      out = *value;
+      return true;
+    };
+    constexpr auto kIntMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+    constexpr auto kSeedMax = std::numeric_limits<std::uint64_t>::max();
     double value = 0.0;
-    if (arg == "--wired" && next_number(value)) {
-      options.wired = static_cast<int>(value);
-    } else if (arg == "--wireless" && next_number(value)) {
-      options.wireless = static_cast<int>(value);
+    std::uint64_t integer = 0;
+    if (arg == "--wired" && next_integer(integer, kIntMax)) {
+      options.wired = static_cast<int>(integer);
+    } else if (arg == "--wireless" && next_integer(integer, kIntMax)) {
+      options.wireless = static_cast<int>(integer);
     } else if (arg == "--loss" && next_number(value)) {
       options.loss = value;
     } else if (arg == "--pf-ramp") {
       options.pf_ramp = true;
     } else if (arg == "--duration" && next_number(value)) {
       options.duration_s = value;
-    } else if (arg == "--image" && next_number(value)) {
-      options.image = static_cast<int>(value);
-    } else if (arg == "--seed" && next_number(value)) {
-      options.seed = static_cast<std::uint64_t>(value);
+    } else if (arg == "--image" && next_integer(integer, kIntMax)) {
+      options.image = static_cast<int>(integer);
+    } else if (arg == "--seed" && next_integer(integer, kSeedMax)) {
+      options.seed = integer;
     } else if (arg == "--observe") {
       options.observe = true;
     } else if (arg == "--chaos" && i + 1 < argc) {

@@ -73,11 +73,4 @@ void ImageViewer::on_media(const pubsub::SemanticMessage& message,
   displays_.push_back(std::move(display));
 }
 
-const Display* ImageViewer::latest(std::string_view object_id) const {
-  for (auto it = displays_.rbegin(); it != displays_.rend(); ++it) {
-    if (it->object_id == object_id) return &*it;
-  }
-  return nullptr;
-}
-
 }  // namespace collabqos::app

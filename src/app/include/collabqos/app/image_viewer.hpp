@@ -39,7 +39,6 @@ class ImageViewer {
   [[nodiscard]] const std::vector<Display>& displays() const noexcept {
     return displays_;
   }
-  [[nodiscard]] const Display* latest(std::string_view object_id) const;
 
  private:
   void on_media(const pubsub::SemanticMessage& message,

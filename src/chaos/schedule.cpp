@@ -28,7 +28,10 @@ std::optional<sim::Duration> parse_duration_text(std::string_view text) {
   }
   const auto value = parse_double(text);
   if (!value || *value < 0.0) return std::nullopt;
-  return sim::Duration::seconds(*value * scale);
+  const double seconds = *value * scale;
+  // Refuse what int64 microseconds cannot hold (2^63 us, ~292,000 years).
+  if (seconds * 1e6 >= 0x1p63) return std::nullopt;
+  return sim::Duration::seconds(seconds);
 }
 
 std::optional<FaultKind> parse_kind(std::string_view word) {

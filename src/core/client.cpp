@@ -152,11 +152,6 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
     }
     return;
   }
-  if (message.event_type == events::kState) {
-    auto entry = StateEntry::decode(message.payload);
-    if (entry) repository_.apply(std::move(entry).take());
-    return;
-  }
   if (message.event_type == events::kAlert) {
     // Observatory SLO alerts become inference inputs: one attribute per
     // raised rule, cleared when the alert returns to ok. The next

@@ -2,28 +2,11 @@
 
 #include <cstdio>
 
+#include "collabqos/telemetry/trace.hpp"
+
 namespace collabqos::core {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 void append_string_array(std::string& out,
                          const std::vector<std::string>& items) {
@@ -33,7 +16,7 @@ void append_string_array(std::string& out,
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_escaped(out, item);
+    out += telemetry::json_escape(item);
     out += '"';
   }
   out += ']';
@@ -88,16 +71,16 @@ std::string DecisionAuditLog::to_jsonl(const DecisionRecord& record) {
   out += "{\"t_us\":";
   out += std::to_string(record.time.as_micros());
   out += ",\"client\":\"";
-  append_escaped(out, record.client);
+  out += telemetry::json_escape(record.client);
   out += "\",\"inputs\":{";
   bool first = true;
   for (const auto& entry : record.inputs) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    append_escaped(out, entry.name());
+    out += telemetry::json_escape(entry.name());
     out += "\":\"";
-    append_escaped(out, entry.value.to_literal());
+    out += telemetry::json_escape(entry.value.to_literal());
     out += '"';
   }
   out += "},\"contract\":{\"min_packets\":";
@@ -107,7 +90,7 @@ std::string DecisionAuditLog::to_jsonl(const DecisionRecord& record) {
   out += "},\"decision\":{\"packets\":";
   out += std::to_string(record.decision.packets);
   out += ",\"modality\":\"";
-  append_escaped(out, media::to_string(record.decision.modality));
+  out += telemetry::json_escape(media::to_string(record.decision.modality));
   out += "\",\"resolution_fraction\":";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f",
@@ -121,21 +104,6 @@ std::string DecisionAuditLog::to_jsonl(const DecisionRecord& record) {
   append_string_array(out, record.decision.violated_constraints);
   out += "}}";
   return out;
-}
-
-Status DecisionAuditLog::dump_jsonl(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status(Errc::resource_limit,
-                  "cannot open audit dump file: " + path);
-  }
-  for (const DecisionRecord& record : drain()) {
-    const std::string line = to_jsonl(record);
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fputc('\n', file);
-  }
-  std::fclose(file);
-  return {};
 }
 
 }  // namespace collabqos::core

@@ -104,9 +104,6 @@ class BaseStationPeer {
   /// detach / profile updates) keeps working, modelling a data-plane
   /// failure with an intact management channel.
   void set_out_of_service(bool out) noexcept { out_of_service_ = out; }
-  [[nodiscard]] bool out_of_service() const noexcept {
-    return out_of_service_;
-  }
 
   [[nodiscard]] wireless::RadioResourceManager& radio() noexcept {
     return *radio_;

@@ -14,7 +14,6 @@
 #include "collabqos/core/events.hpp"
 #include "collabqos/core/inference.hpp"
 #include "collabqos/core/session.hpp"
-#include "collabqos/core/state_repo.hpp"
 #include "collabqos/core/system_state.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/util/stats.hpp"
@@ -88,7 +87,6 @@ class CollaborationClient {
 
   // ---- subsystems ----
   [[nodiscard]] InferenceEngine& engine() noexcept { return engine_; }
-  [[nodiscard]] StateRepository& repository() noexcept { return repository_; }
   [[nodiscard]] ConcurrencyController& concurrency() noexcept {
     return concurrency_;
   }
@@ -146,7 +144,6 @@ class CollaborationClient {
   Ewma loss_estimate_{0.3};     ///< smoothed worst-path loss fraction
   Ewma jitter_estimate_{0.3};   ///< smoothed worst-path jitter (us)
   InferenceEngine engine_;
-  StateRepository repository_;
   ConcurrencyController concurrency_;
   media::TransformerSuite transformers_;
   AdaptationDecision last_decision_;

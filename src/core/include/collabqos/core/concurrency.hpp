@@ -104,9 +104,6 @@ class ConcurrencyController {
   bool integrate(Operation operation);
 
   [[nodiscard]] const ObjectLog* log(std::string_view object_id) const;
-  [[nodiscard]] std::size_t object_count() const noexcept {
-    return logs_.size();
-  }
   [[nodiscard]] LamportClock& clock() noexcept { return clock_; }
 
   /// Digest across all objects (replica-convergence checks).

@@ -62,8 +62,6 @@ class DecisionAuditLog {
 
   /// One record as a JSONL line (no trailing newline).
   [[nodiscard]] static std::string to_jsonl(const DecisionRecord& record);
-  /// Drain the ring into `path` as JSONL.
-  Status dump_jsonl(const std::string& path);
 
  private:
   std::atomic<bool> enabled_{false};

@@ -7,7 +7,6 @@ namespace collabqos::core::events {
 
 inline constexpr std::string_view kMedia = "media.share";
 inline constexpr std::string_view kOperation = "object.op";
-inline constexpr std::string_view kState = "state.update";
 /// SLO alert transitions from the observatory's alert engine
 /// (observatory/alerts.hpp); content carries kind=alert, severity,
 /// rule, metric, host.

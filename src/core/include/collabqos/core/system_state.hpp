@@ -34,9 +34,8 @@ class SystemStateInterface {
 
   void on_update(UpdateHandler handler) { handler_ = std::move(handler); }
 
-  /// Begin/stop the polling loop.
+  /// Begin the polling loop.
   void start();
-  void stop();
 
   /// React to agent traps ahead of the next poll tick: any trap from the
   /// monitored node triggers an immediate poll (closing the loop faster
@@ -54,12 +53,6 @@ class SystemStateInterface {
   [[nodiscard]] bool fresh() const noexcept { return fresh_; }
   [[nodiscard]] std::uint64_t failures() const noexcept { return failures_; }
 
-  /// Inject extra attributes merged over every snapshot (e.g. the base
-  /// station adds "sir.db"; tests add synthetic keys).
-  void set_overlay(pubsub::AttributeSet overlay) {
-    overlay_ = std::move(overlay);
-  }
-
  private:
   void apply(const snmp::Pdu& response);
 
@@ -71,7 +64,6 @@ class SystemStateInterface {
   std::vector<snmp::Oid> poll_oids_;
   std::unique_ptr<sim::PeriodicTimer> timer_;
   pubsub::AttributeSet state_;
-  pubsub::AttributeSet overlay_;
   UpdateHandler handler_;
   bool fresh_ = false;
   std::uint64_t failures_ = 0;

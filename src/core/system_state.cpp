@@ -29,8 +29,6 @@ SystemStateInterface::SystemStateInterface(snmp::Manager& manager,
 SystemStateInterface::~SystemStateInterface() { *alive_ = false; }
 
 void SystemStateInterface::start() { timer_->start(); }
-void SystemStateInterface::stop() { timer_->stop(); }
-
 Status SystemStateInterface::enable_trap_fast_path() {
   return manager_.listen_for_traps(
       [this, alive = alive_](net::NodeId source, const snmp::Pdu&) {
@@ -90,7 +88,6 @@ void SystemStateInterface::apply(const snmp::Pdu& response) {
            put(snmp::oids::tassl_if_utilization(), vb, "if.utilization") ||
            put(snmp::oids::tassl_bandwidth(), vb, "bandwidth.kbps"));
   }
-  next.merge(overlay_);
   fresh_ = true;
   const bool changed = !(next == state_);
   state_ = std::move(next);

@@ -1,7 +1,6 @@
 #include "collabqos/media/haar.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace collabqos::media {
 
@@ -129,27 +128,6 @@ void forward_haar_inplace(std::int32_t* data, int width, int height,
   }
 }
 
-CoefficientPlane forward_haar(const std::uint8_t* plane, int width,
-                              int height, int stride, int pixel_step,
-                              int levels) {
-  assert(width > 0 && height > 0 && levels >= 0);
-  CoefficientPlane out;
-  out.width = width;
-  out.height = height;
-  out.levels = levels;
-  out.data.resize(static_cast<std::size_t>(width) * height);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      out.data[static_cast<std::size_t>(y) * width + x] =
-          plane[static_cast<std::size_t>(y) * stride +
-                static_cast<std::size_t>(x) * pixel_step];
-    }
-  }
-  std::vector<std::int32_t> scratch(out.data.size());
-  forward_haar_inplace(out.data.data(), width, height, levels, scratch.data());
-  return out;
-}
-
 void inverse_haar_inplace(std::int32_t* data, int width, int height,
                           int levels, std::int32_t* scratch) {
   const auto stride = static_cast<std::size_t>(width);
@@ -159,25 +137,6 @@ void inverse_haar_inplace(std::int32_t* data, int width, int height,
     const auto scratch_stride = static_cast<std::size_t>(rw);
     inverse_columns(data, stride, scratch, scratch_stride, rh, rw);
     inverse_rows(scratch, scratch_stride, data, stride, rw, rh);
-  }
-}
-
-void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
-                  int stride, int pixel_step) {
-  const int width = coefficients.width;
-  const int height = coefficients.height;
-  CoefficientPlane work = coefficients;
-  std::vector<std::int32_t> scratch(work.data.size());
-  inverse_haar_inplace(work.data.data(), width, height, work.levels,
-                       scratch.data());
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      const std::int32_t value =
-          work.data[static_cast<std::size_t>(y) * width + x];
-      plane[static_cast<std::size_t>(y) * stride +
-            static_cast<std::size_t>(x) * pixel_step] =
-          static_cast<std::uint8_t>(std::clamp(value, 0, 255));
-    }
   }
 }
 

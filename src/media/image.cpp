@@ -152,20 +152,4 @@ Scene make_medical_scene(int width, int height) {
   return scene;
 }
 
-std::string describe_scene(const Scene& scene) {
-  std::string text = scene.caption;
-  text += ": ";
-  for (std::size_t i = 0; i < scene.shapes.size(); ++i) {
-    const SceneShape& shape = scene.shapes[i];
-    if (i != 0) text += ", ";
-    text += shape.label;
-    text += " at (";
-    text += std::to_string(static_cast<int>(shape.cx * 100));
-    text += "%,";
-    text += std::to_string(static_cast<int>(shape.cy * 100));
-    text += "%)";
-  }
-  return text;
-}
-
 }  // namespace collabqos::media

@@ -8,35 +8,13 @@
 
 namespace collabqos::media {
 
-/// Coefficient plane for one channel: row-major int32, same dimensions as
-/// the source, holding the multi-level transform in place (LL in the
-/// top-left corner after `levels` applications).
-struct CoefficientPlane {
-  int width = 0;
-  int height = 0;
-  int levels = 0;
-  std::vector<std::int32_t> data;
-
-  [[nodiscard]] std::int32_t& at(int x, int y) {
-    return data[static_cast<std::size_t>(y) * width + x];
-  }
-  [[nodiscard]] std::int32_t at(int x, int y) const {
-    return data[static_cast<std::size_t>(y) * width + x];
-  }
-};
-
-/// Forward multi-level transform of an 8-bit plane. `levels` halvings are
-/// applied to the top-left quadrant chain; dimensions need not be powers
-/// of two (odd extents keep the extra sample in the low band).
-[[nodiscard]] CoefficientPlane forward_haar(const std::uint8_t* plane,
-                                            int width, int height, int stride,
-                                            int pixel_step, int levels);
-
 /// In-place multi-level transform of arbitrary integer samples (the
 /// colour-decorrelated planes of the codec): `data` is a row-major
 /// `width` x `height` plane holding samples on entry and coefficients on
-/// return. `scratch` holds at least width * height values; every level
-/// reuses it.
+/// return, the LL band in the top-left corner. `levels` halvings are
+/// applied to the top-left quadrant chain; dimensions need not be powers
+/// of two (odd extents keep the extra sample in the low band). `scratch`
+/// holds at least width * height values; every level reuses it.
 void forward_haar_inplace(std::int32_t* data, int width, int height,
                           int levels, std::int32_t* scratch);
 
@@ -47,10 +25,6 @@ void forward_haar_inplace(std::int32_t* data, int width, int height,
 /// `scratch` as for forward_haar_inplace.
 void inverse_haar_inplace(std::int32_t* data, int width, int height,
                           int levels, std::int32_t* scratch);
-
-/// Inverse transform; output clamped to [0,255].
-void inverse_haar(const CoefficientPlane& coefficients, std::uint8_t* plane,
-                  int stride, int pixel_step);
 
 /// A subband rectangle [x0, x1) x [y0, y1) of a coefficient plane.
 struct SubbandRect {

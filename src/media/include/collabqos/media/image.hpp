@@ -100,8 +100,4 @@ struct Scene {
 /// A medical telediagnosis-style scene (smooth gradients + lesions).
 [[nodiscard]] Scene make_medical_scene(int width, int height);
 
-/// The verbal description the information transformer tags to a sketch
-/// (paper §5.4: "a verbal description can be tagged to this sketch").
-[[nodiscard]] std::string describe_scene(const Scene& scene);
-
 }  // namespace collabqos::media

@@ -35,13 +35,6 @@ class TransformerSuite {
 
   void add(std::unique_ptr<Transformer> transformer);
 
-  /// Direct edge lookup.
-  [[nodiscard]] const Transformer* find(Modality from,
-                                        Modality to) const noexcept;
-
-  /// True when a (possibly multi-hop) conversion exists.
-  [[nodiscard]] bool can_transform(Modality from, Modality to) const;
-
   /// Convert along the shortest registered path. Identity conversions
   /// return the input unchanged.
   [[nodiscard]] Result<MediaObject> transform(const MediaObject& input,

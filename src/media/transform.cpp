@@ -154,16 +154,6 @@ void TransformerSuite::add(std::unique_ptr<Transformer> transformer) {
   transformers_.push_back(std::move(transformer));
 }
 
-const Transformer* TransformerSuite::find(Modality from,
-                                          Modality to) const noexcept {
-  for (const auto& transformer : transformers_) {
-    if (transformer->from() == from && transformer->to() == to) {
-      return transformer.get();
-    }
-  }
-  return nullptr;
-}
-
 std::vector<const Transformer*> TransformerSuite::path(Modality from,
                                                        Modality to) const {
   if (from == to) return {};
@@ -199,10 +189,6 @@ std::vector<const Transformer*> TransformerSuite::path(Modality from,
     }
   }
   return {};  // unreachable target; caller distinguishes via from==to
-}
-
-bool TransformerSuite::can_transform(Modality from, Modality to) const {
-  return from == to || !path(from, to).empty();
 }
 
 Result<MediaObject> TransformerSuite::transform(const MediaObject& input,

@@ -60,8 +60,6 @@ class LinkModel {
   /// around a fault window keeps the run deterministic.
   void set_params(LinkParams params) noexcept { params_ = params; }
 
-  [[nodiscard]] bool in_bad_state() const noexcept { return bad_state_; }
-
  private:
   LinkParams params_;
   Rng rng_;

@@ -84,7 +84,6 @@ class Endpoint {
   /// Whether multicast sends loop back to this endpoint when it is a
   /// member of the target group (default: off, matching typical sockets).
   void set_multicast_loopback(bool enabled) noexcept { loopback_ = enabled; }
-  [[nodiscard]] bool multicast_loopback() const noexcept { return loopback_; }
 
  private:
   friend class Network;
@@ -182,7 +181,6 @@ class Network {
   [[nodiscard]] NetworkStats stats() const noexcept { return stats_.view(); }
   [[nodiscard]] Result<NodeStats> node_stats(NodeId node) const;
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
-  [[nodiscard]] Result<std::string> node_name(NodeId node) const;
 
   /// Maximum datagram payload the network accepts (enforced; senders
   /// above must fragment — the RTP layer does).

@@ -146,14 +146,6 @@ Result<NodeStats> Network::node_stats(NodeId node) const {
   return it->second.counters->view();
 }
 
-Result<std::string> Network::node_name(NodeId node) const {
-  const auto it = nodes_.find(raw(node));
-  if (it == nodes_.end()) {
-    return Error{Errc::no_such_object, "unknown node"};
-  }
-  return it->second.name;
-}
-
 Result<NodeId> Network::find_node(std::string_view name) const {
   for (const auto& [id, node] : nodes_) {
     if (node.name == name) return make_node(id);

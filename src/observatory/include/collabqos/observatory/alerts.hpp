@@ -98,9 +98,6 @@ class AlertEngine {
   AlertEngine(TimeSeriesSampler& sampler, Options options);
 
   void add_rule(SloRule rule);
-  [[nodiscard]] std::size_t rule_count() const noexcept {
-    return rules_.size();
-  }
 
   /// Publish transitions on the session substrate through `peer`
   /// (content: kind=alert, severity, metric, host, rule, value,

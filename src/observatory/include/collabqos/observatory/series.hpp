@@ -33,7 +33,6 @@ namespace collabqos::observatory {
 
 enum class SeriesKind : std::uint8_t { counter, gauge, histogram };
 
-[[nodiscard]] std::string_view to_string(SeriesKind kind) noexcept;
 [[nodiscard]] SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept;
 
 /// One sampled observation.
@@ -72,9 +71,6 @@ class TimeSeries {
   }
   [[nodiscard]] const SeriesPoint& back() const { return points_.back(); }
 
-  /// Mean of `value` over the trailing window ending at the newest
-  /// point (inclusive); 0 when empty.
-  [[nodiscard]] double mean_value_over(sim::Duration window) const;
   /// Largest `rate` over the trailing window; 0 when empty.
   [[nodiscard]] double max_rate_over(sim::Duration window) const;
 
@@ -132,7 +128,6 @@ class TimeSeriesSampler {
 
   void start();
   void stop();
-  [[nodiscard]] bool running() const noexcept;
 
   /// One sweep now: sample every registry family, kick off one walk per
   /// remote (their points land when the walk's response arrives), then
@@ -148,7 +143,6 @@ class TimeSeriesSampler {
 
   [[nodiscard]] const TimeSeries* find(std::string_view host,
                                        std::string_view metric) const;
-  [[nodiscard]] std::vector<SeriesKey> keys() const;
   [[nodiscard]] std::size_t series_count() const noexcept;
 
   /// Visit every series as (key, series); iteration order is host then

@@ -8,8 +8,8 @@
 // transit (first-datagram flight), reassembly (first fragment ->
 // complete), and the queueing/processing residual — with per-stage
 // p50/p95/p99, the dominant stage, the selector-cache hit split and
-// match verdicts. Exports: a text report, a JSON report, and Chrome
-// trace-event JSON that loads directly in Perfetto / chrome://tracing.
+// match verdicts. Exports: a text report and Chrome trace-event JSON
+// that loads directly in Perfetto / chrome://tracing.
 //
 // Dropped spans are carried through to every report: a ring that
 // overflowed is reported as truncated, never read as complete.
@@ -66,17 +66,13 @@ struct TraceReport {
   [[nodiscard]] bool complete() const noexcept { return spans_dropped == 0; }
 
   [[nodiscard]] std::string to_text() const;
-  [[nodiscard]] std::string to_json() const;
 };
 
 class TraceAnalyzer {
  public:
-  void add(telemetry::Span span);
   void add(std::vector<telemetry::Span> spans);
   /// Drain `tracer` into the analyzer, carrying its drop counter along.
   void consume(telemetry::Tracer& tracer);
-  /// Record ring-overflow drops not already counted via consume().
-  void note_dropped(std::uint64_t n) noexcept { dropped_ += n; }
 
   [[nodiscard]] std::size_t span_count() const noexcept {
     return spans_.size();

@@ -11,15 +11,6 @@ namespace {
 constexpr std::string_view kComponent = "observatory.sampler";
 }
 
-std::string_view to_string(SeriesKind kind) noexcept {
-  switch (kind) {
-    case SeriesKind::counter: return "counter";
-    case SeriesKind::gauge: return "gauge";
-    case SeriesKind::histogram: return "histogram";
-  }
-  return "?";
-}
-
 SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept {
   switch (kind) {
     case telemetry::InstrumentKind::counter: return SeriesKind::counter;
@@ -52,19 +43,6 @@ void TimeSeries::append(SeriesPoint point) {
     ++evicted_;
   }
   points_.push_back(point);
-}
-
-double TimeSeries::mean_value_over(sim::Duration window) const {
-  if (points_.empty()) return 0.0;
-  const sim::TimePoint newest = points_.back().time;
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (auto it = points_.rbegin(); it != points_.rend(); ++it) {
-    if (newest - it->time > window) break;
-    sum += it->value;
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
 double TimeSeries::max_rate_over(sim::Duration window) const {
@@ -104,8 +82,6 @@ void TimeSeriesSampler::add_remote(std::string host, snmp::Manager& manager,
 
 void TimeSeriesSampler::start() { timer_.start(); }
 void TimeSeriesSampler::stop() { timer_.stop(); }
-bool TimeSeriesSampler::running() const noexcept { return timer_.running(); }
-
 void TimeSeriesSampler::sample_now() {
   const sim::TimePoint now = simulator_.now();
   ++stats_.ticks;
@@ -216,16 +192,6 @@ const TimeSeries* TimeSeriesSampler::find(std::string_view host,
   if (host_it == series_.end()) return nullptr;
   const auto metric_it = host_it->second.find(metric);
   return metric_it == host_it->second.end() ? nullptr : &metric_it->second;
-}
-
-std::vector<SeriesKey> TimeSeriesSampler::keys() const {
-  std::vector<SeriesKey> out;
-  for (const auto& [host, metrics] : series_) {
-    for (const auto& [metric, series] : metrics) {
-      out.push_back(SeriesKey{host, metric});
-    }
-  }
-  return out;
 }
 
 std::size_t TimeSeriesSampler::series_count() const noexcept {

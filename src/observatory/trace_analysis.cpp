@@ -16,26 +16,7 @@ constexpr std::string_view kStageOrder[] = {
     "rtp.reassemble", "pubsub.match",
 };
 
-void append_number(std::string& out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  out += buf;
-}
-
-void append_kv(std::string& out, std::string_view key, double v,
-               bool trailing_comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_number(out, v);
-  if (trailing_comma) out += ',';
-}
-
 }  // namespace
-
-void TraceAnalyzer::add(telemetry::Span span) {
-  spans_.push_back(std::move(span));
-}
 
 void TraceAnalyzer::add(std::vector<telemetry::Span> spans) {
   if (spans_.empty()) {
@@ -227,60 +208,6 @@ std::string TraceReport::to_text() const {
     out += buf;
   }
   out += '\n';
-  return out;
-}
-
-std::string TraceReport::to_json() const {
-  std::string out;
-  out.reserve(1024);
-  char buf[96];
-  out += "{";
-  std::snprintf(buf, sizeof(buf),
-                "\"spans\":%" PRIu64 ",\"spans_dropped\":%" PRIu64
-                ",\"complete\":%s,\"traces\":%" PRIu64 ",\"deliveries\":%"
-                PRIu64 ",",
-                spans, spans_dropped, complete() ? "true" : "false", traces,
-                deliveries);
-  out += buf;
-  out += "\"stages\":[";
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    const StageBreakdown& stage = stages[i];
-    if (i > 0) out += ',';
-    out += "{\"stage\":\"";
-    out += telemetry::json_escape(stage.stage);
-    out += "\",";
-    std::snprintf(buf, sizeof(buf), "\"samples\":%zu,", stage.samples);
-    out += buf;
-    append_kv(out, "p50_us", stage.p50_us);
-    append_kv(out, "p95_us", stage.p95_us);
-    append_kv(out, "p99_us", stage.p99_us);
-    append_kv(out, "max_us", stage.max_us);
-    append_kv(out, "mean_us", stage.mean_us, /*trailing_comma=*/false);
-    out += '}';
-  }
-  out += "],\"dominant_stage\":\"";
-  out += telemetry::json_escape(dominant_stage);
-  out += "\",";
-  append_kv(out, "e2e_p50_us", e2e_p50_us);
-  append_kv(out, "e2e_p95_us", e2e_p95_us);
-  append_kv(out, "e2e_p99_us", e2e_p99_us);
-  std::snprintf(buf, sizeof(buf),
-                "\"cache_hits\":%" PRIu64 ",\"cache_misses\":%" PRIu64 ",",
-                cache_hits, cache_misses);
-  out += buf;
-  append_kv(out, "match_p50_ns", match_p50_ns);
-  append_kv(out, "match_p99_ns", match_p99_ns);
-  out += "\"verdicts\":{";
-  bool first = true;
-  for (const auto& [verdict, count] : verdicts) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += telemetry::json_escape(verdict);
-    std::snprintf(buf, sizeof(buf), "\":%" PRIu64, count);
-    out += buf;
-  }
-  out += "}}";
   return out;
 }
 

@@ -6,11 +6,6 @@
 
 namespace collabqos::pubsub {
 
-std::optional<bool> AttributeValue::as_bool() const noexcept {
-  if (const bool* v = std::get_if<bool>(&data_)) return *v;
-  return std::nullopt;
-}
-
 std::optional<double> AttributeValue::as_number() const noexcept {
   if (const auto* v = std::get_if<std::int64_t>(&data_)) {
     return static_cast<double>(*v);

@@ -28,18 +28,11 @@ class AttributeValue {
   AttributeValue(std::string v) : data_(std::move(v)) {}
   AttributeValue(const char* v) : data_(std::string(v)) {}
 
-  [[nodiscard]] bool is_bool() const noexcept {
-    return std::holds_alternative<bool>(data_);
-  }
   [[nodiscard]] bool is_number() const noexcept {
     return std::holds_alternative<std::int64_t>(data_) ||
            std::holds_alternative<double>(data_);
   }
-  [[nodiscard]] bool is_string() const noexcept {
-    return std::holds_alternative<std::string>(data_);
-  }
 
-  [[nodiscard]] std::optional<bool> as_bool() const noexcept;
   /// Numeric view (ints widen to double); nullopt for bool/string.
   [[nodiscard]] std::optional<double> as_number() const noexcept;
   [[nodiscard]] std::optional<std::string_view> as_string() const noexcept;

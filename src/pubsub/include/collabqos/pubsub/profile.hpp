@@ -47,20 +47,17 @@ class Profile {
     return attributes_;
   }
   void set(std::string key, AttributeValue value);
-  bool erase(const std::string& key);
 
   [[nodiscard]] const std::optional<Selector>& interest() const noexcept {
     return interest_;
   }
   void set_interest(Selector interest);
-  void clear_interest();
 
   [[nodiscard]] const std::vector<TransformCapability>& capabilities()
       const noexcept {
     return capabilities_;
   }
   void add_capability(TransformCapability capability);
-  void clear_capabilities();
 
   void encode(serde::Writer& w) const;
   /// Reads one profile; a fault latches in `r` (check r.ok()).

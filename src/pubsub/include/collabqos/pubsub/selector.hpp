@@ -66,16 +66,12 @@ class Selector {
 
   /// Structural combinators (used by the QoS layer to refine selectors).
   [[nodiscard]] Selector and_with(const Selector& other) const;
-  [[nodiscard]] Selector or_with(const Selector& other) const;
   [[nodiscard]] Selector negate() const;
 
   /// Convenience builders.
   [[nodiscard]] static Selector always();
   [[nodiscard]] static Selector equals(std::string attribute,
                                        AttributeValue value);
-  [[nodiscard]] static Selector exists(std::string attribute);
-  [[nodiscard]] static Selector one_of(std::string attribute,
-                                       std::vector<AttributeValue> values);
 
   void encode(serde::Writer& w) const;
   /// Reads one selector; a fault latches in `r` (check r.ok()) and

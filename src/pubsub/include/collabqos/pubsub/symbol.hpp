@@ -30,9 +30,6 @@ class Symbol {
   /// selector in this process has ever mentioned `name`.
   [[nodiscard]] static std::optional<Symbol> lookup(std::string_view name);
 
-  /// Number of distinct names interned so far (observability/tests).
-  [[nodiscard]] static std::size_t table_size();
-
   /// The interned spelling. The reference is stable forever.
   [[nodiscard]] const std::string& name() const;
 

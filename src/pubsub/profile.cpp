@@ -21,29 +21,13 @@ void Profile::set(std::string key, AttributeValue value) {
   ++version_;
 }
 
-bool Profile::erase(const std::string& key) {
-  const bool erased = attributes_.erase(key);
-  if (erased) ++version_;
-  return erased;
-}
-
 void Profile::set_interest(Selector interest) {
   interest_ = std::move(interest);
   ++version_;
 }
 
-void Profile::clear_interest() {
-  interest_.reset();
-  ++version_;
-}
-
 void Profile::add_capability(TransformCapability capability) {
   capabilities_.push_back(std::move(capability));
-  ++version_;
-}
-
-void Profile::clear_capabilities() {
-  capabilities_.clear();
   ++version_;
 }
 

@@ -861,11 +861,6 @@ Selector Selector::and_with(const Selector& other) const {
                                       root_, other.root_));
 }
 
-Selector Selector::or_with(const Selector& other) const {
-  return Selector(detail::make_binary(detail::ExprNode::Kind::logical_or,
-                                      root_, other.root_));
-}
-
 Selector Selector::negate() const {
   return Selector(detail::make_not(root_));
 }
@@ -875,17 +870,6 @@ Selector Selector::always() { return Selector(); }
 Selector Selector::equals(std::string attribute, AttributeValue value) {
   return Selector(detail::make_compare(std::move(attribute), detail::Op::eq,
                                        std::move(value)));
-}
-
-Selector Selector::exists(std::string attribute) {
-  return Selector(detail::make_exists(std::move(attribute)));
-}
-
-Selector Selector::one_of(std::string attribute,
-                          std::vector<AttributeValue> values) {
-  assert(!values.empty());
-  return Selector(
-      detail::make_membership(std::move(attribute), std::move(values)));
 }
 
 void Selector::encode(serde::Writer& w) const {

@@ -57,12 +57,6 @@ std::optional<Symbol> Symbol::lookup(std::string_view name) {
   return Symbol(it->second);
 }
 
-std::size_t Symbol::table_size() {
-  Table& t = table();
-  std::shared_lock lock(t.mutex);
-  return t.names.size();
-}
-
 const std::string& Symbol::name() const {
   Table& t = table();
   std::shared_lock lock(t.mutex);

@@ -43,37 +43,12 @@ void ByteChain::push(SharedBytes slice) {
   ++count_;
 }
 
-void ByteChain::append(const ByteChain& chain) {
-  for (const SharedBytes& slice : chain.slices()) append(slice);
-}
-
 std::uint8_t ByteChain::operator[](std::size_t i) const noexcept {
   for (const SharedBytes& slice : slices()) {
     if (i < slice.size()) return slice.data()[i];
     i -= slice.size();
   }
   return 0;
-}
-
-ByteChain ByteChain::slice(std::size_t offset, std::size_t len) const {
-  if (count_ == 1) return ByteChain(inline_.front().slice(offset, len));
-  const std::size_t begin = offset < size_ ? offset : size_;
-  std::size_t count = len < size_ - begin ? len : size_ - begin;
-  ByteChain out;
-  std::size_t skip = begin;
-  for (const SharedBytes& piece : slices()) {
-    if (count == 0) break;
-    if (skip >= piece.size()) {
-      skip -= piece.size();
-      continue;
-    }
-    const std::size_t take =
-        count < piece.size() - skip ? count : piece.size() - skip;
-    out.append(piece.slice(skip, take));
-    count -= take;
-    skip = 0;
-  }
-  return out;
 }
 
 Bytes ByteChain::gather() const {

@@ -66,7 +66,6 @@ class ByteChain {
 
   /// Append a slice (shares storage; coalesces adjacent views).
   void append(SharedBytes slice);
-  void append(const ByteChain& chain);
   void clear() noexcept {
     inline_ = {};
     spilled_.clear();
@@ -81,12 +80,6 @@ class ByteChain {
   /// Element access across slices: O(#slices); out-of-range reads 0
   /// (same defined semantics as SharedBytes::operator[]).
   [[nodiscard]] std::uint8_t operator[](std::size_t i) const noexcept;
-
-  /// Zero-copy sub-view [offset, offset+len) as a new chain of slices.
-  /// Clamped like SharedBytes::slice.
-  [[nodiscard]] ByteChain slice(
-      std::size_t offset,
-      std::size_t len = static_cast<std::size_t>(-1)) const;
 
   /// When the whole chain is a single slice (or empty), its contiguous
   /// span — the decode fast path. nullopt when genuinely fragmented.

@@ -1,16 +1,9 @@
 // Scalar load processes: time-varying signals driving the simulated hosts'
 // CPU load and page-fault counters. The paper's experiments sweep these
-// "SNMP parameters" from 30 to 100; the processes here produce those sweeps
-// plus richer shapes (random walk, bursts) for the wider test suite.
+// "SNMP parameters" from 30 to 100; the processes here produce those sweeps.
 #pragma once
 
-#include <functional>
-#include <memory>
-#include <utility>
-#include <vector>
-
 #include "collabqos/sim/time.hpp"
-#include "collabqos/util/rng.hpp"
 
 namespace collabqos::sim {
 
@@ -18,8 +11,7 @@ namespace collabqos::sim {
 class LoadProcess {
  public:
   virtual ~LoadProcess() = default;
-  /// Value at time `t`. Implementations must be pure in `t` except for
-  /// explicitly stateful processes (random walk), which advance on sample.
+  /// Value at time `t`.
   [[nodiscard]] virtual double sample(TimePoint t) = 0;
 };
 
@@ -47,68 +39,6 @@ class RampProcess final : public LoadProcess {
   double to_;
   TimePoint start_;
   Duration length_;
-};
-
-/// Piecewise-linear trace through (time, value) knots; clamped at the ends.
-/// Knots must be strictly increasing in time.
-class TraceProcess final : public LoadProcess {
- public:
-  explicit TraceProcess(std::vector<std::pair<TimePoint, double>> knots);
-  double sample(TimePoint t) override;
-
- private:
-  std::vector<std::pair<TimePoint, double>> knots_;
-};
-
-/// Mean-reverting random walk (Ornstein-Uhlenbeck style, discretised on
-/// sample interval), clamped to [lo, hi]. Models bursty background load.
-class RandomWalkProcess final : public LoadProcess {
- public:
-  RandomWalkProcess(double initial, double mean, double reversion,
-                    double volatility, double lo, double hi, Rng rng) noexcept
-      : value_(initial),
-        mean_(mean),
-        reversion_(reversion),
-        volatility_(volatility),
-        lo_(lo),
-        hi_(hi),
-        rng_(rng) {}
-  double sample(TimePoint t) override;
-
- private:
-  double value_;
-  double mean_;
-  double reversion_;
-  double volatility_;
-  double lo_;
-  double hi_;
-  Rng rng_;
-  TimePoint last_{};
-  bool seeded_ = false;
-};
-
-/// Sum of a base process and a sinusoidal perturbation.
-class SinusoidProcess final : public LoadProcess {
- public:
-  SinusoidProcess(double mean, double amplitude, Duration period) noexcept
-      : mean_(mean), amplitude_(amplitude), period_(period) {}
-  double sample(TimePoint t) override;
-
- private:
-  double mean_;
-  double amplitude_;
-  Duration period_;
-};
-
-/// Wrap an arbitrary function as a process.
-class FunctionProcess final : public LoadProcess {
- public:
-  explicit FunctionProcess(std::function<double(TimePoint)> fn)
-      : fn_(std::move(fn)) {}
-  double sample(TimePoint t) override { return fn_(t); }
-
- private:
-  std::function<double(TimePoint)> fn_;
 };
 
 }  // namespace collabqos::sim

@@ -80,7 +80,6 @@ class TimePoint {
 };
 
 /// "12.345s" rendering for logs.
-[[nodiscard]] std::string to_string(TimePoint t);
 [[nodiscard]] std::string to_string(Duration d);
 
 /// Read-only virtual-clock interface. Consumers that only need "what time

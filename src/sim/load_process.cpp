@@ -1,10 +1,5 @@
 #include "collabqos/sim/load_process.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <numbers>
-
 namespace collabqos::sim {
 
 double RampProcess::sample(TimePoint t) {
@@ -13,50 +8,6 @@ double RampProcess::sample(TimePoint t) {
   if (t >= end) return to_;
   const double frac = (t - start_).as_seconds() / length_.as_seconds();
   return from_ + (to_ - from_) * frac;
-}
-
-TraceProcess::TraceProcess(std::vector<std::pair<TimePoint, double>> knots)
-    : knots_(std::move(knots)) {
-  assert(!knots_.empty());
-  assert(std::is_sorted(knots_.begin(), knots_.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first < b.first;
-                        }));
-}
-
-double TraceProcess::sample(TimePoint t) {
-  if (t <= knots_.front().first) return knots_.front().second;
-  if (t >= knots_.back().first) return knots_.back().second;
-  const auto upper = std::upper_bound(
-      knots_.begin(), knots_.end(), t,
-      [](TimePoint value, const auto& knot) { return value < knot.first; });
-  const auto lower = upper - 1;
-  const double span = (upper->first - lower->first).as_seconds();
-  const double frac =
-      span > 0.0 ? (t - lower->first).as_seconds() / span : 0.0;
-  return lower->second + (upper->second - lower->second) * frac;
-}
-
-double RandomWalkProcess::sample(TimePoint t) {
-  if (!seeded_) {
-    seeded_ = true;
-    last_ = t;
-    return value_;
-  }
-  const double dt = std::max(0.0, (t - last_).as_seconds());
-  last_ = t;
-  if (dt > 0.0) {
-    value_ += reversion_ * (mean_ - value_) * dt +
-              volatility_ * std::sqrt(dt) * rng_.normal();
-    value_ = std::clamp(value_, lo_, hi_);
-  }
-  return value_;
-}
-
-double SinusoidProcess::sample(TimePoint t) {
-  const double phase =
-      2.0 * std::numbers::pi * t.as_seconds() / period_.as_seconds();
-  return mean_ + amplitude_ * std::sin(phase);
 }
 
 }  // namespace collabqos::sim

@@ -5,12 +5,6 @@
 
 namespace collabqos::sim {
 
-std::string to_string(TimePoint t) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6fs", t.as_seconds());
-  return buf;
-}
-
 std::string to_string(Duration d) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6fs", d.as_seconds());

@@ -50,9 +50,6 @@ class Agent {
   }
   [[nodiscard]] AgentStats stats() const noexcept { return stats_.view(); }
 
-  /// Artificial per-request processing delay (models agent latency).
-  void set_processing_delay(sim::Duration delay) noexcept { delay_ = delay; }
-
   /// Send an unsolicited trap to `sink`:162 immediately.
   Status send_trap(net::NodeId sink, std::vector<VarBind> bindings);
 
@@ -76,6 +73,7 @@ class Agent {
   Mib mib_;
   std::string read_community_;
   std::string write_community_;
+  /// Artificial per-request processing delay (models agent latency).
   sim::Duration delay_ = sim::Duration::micros(500);
   Counters stats_;
   struct ArmedRule {

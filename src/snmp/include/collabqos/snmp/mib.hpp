@@ -27,8 +27,6 @@ class Mib {
   /// Register a live (provider-backed) scalar.
   void add_provider(const Oid& oid, Provider provider,
                     Access access = Access::read_only, Mutator mutator = {});
-  /// Remove an object; false if absent.
-  bool remove(const Oid& oid);
 
   [[nodiscard]] Result<Value> get(const Oid& oid) const;
   /// Lexicographic successor strictly after `oid` (GETNEXT semantics).

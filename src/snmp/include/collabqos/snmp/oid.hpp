@@ -20,9 +20,6 @@ class Oid {
   Oid(std::initializer_list<std::uint32_t> arcs) : arcs_(arcs) {}
   explicit Oid(std::vector<std::uint32_t> arcs) : arcs_(std::move(arcs)) {}
 
-  /// Parse dotted notation ("1.3.6.1.2.1.1.1.0"). Leading dot allowed.
-  [[nodiscard]] static Result<Oid> parse(std::string_view text);
-
   [[nodiscard]] const std::vector<std::uint32_t>& arcs() const noexcept {
     return arcs_;
   }

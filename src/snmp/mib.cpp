@@ -18,8 +18,6 @@ void Mib::add_provider(const Oid& oid, Provider provider, Access access,
   objects_[oid] = std::move(object);
 }
 
-bool Mib::remove(const Oid& oid) { return objects_.erase(oid) > 0; }
-
 Result<Value> Mib::get(const Oid& oid) const {
   const auto it = objects_.find(oid);
   if (it == objects_.end()) {

@@ -1,22 +1,6 @@
 #include "collabqos/snmp/oid.hpp"
 
-#include "collabqos/util/string_util.hpp"
-
 namespace collabqos::snmp {
-
-Result<Oid> Oid::parse(std::string_view text) {
-  if (!text.empty() && text.front() == '.') text.remove_prefix(1);
-  if (text.empty()) return Error{Errc::malformed, "empty OID"};
-  std::vector<std::uint32_t> arcs;
-  for (const std::string_view field : split(text, '.')) {
-    const auto value = parse_u64(field);
-    if (!value || *value > UINT32_MAX) {
-      return Error{Errc::malformed, "bad OID arc: " + std::string(field)};
-    }
-    arcs.push_back(static_cast<std::uint32_t>(*value));
-  }
-  return Oid(std::move(arcs));
-}
 
 bool Oid::is_prefix_of(const Oid& other) const noexcept {
   if (arcs_.size() > other.arcs_.size()) return false;

@@ -82,12 +82,10 @@ class Gauge {
   void set(double v) noexcept {
     bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
-  void add(double delta) noexcept;
 
   [[nodiscard]] double value() const noexcept {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-  void reset() noexcept { set(0.0); }
 
  private:
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
@@ -115,10 +113,8 @@ class Histogram {
   [[nodiscard]] double sum() const noexcept {
     return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
   }
-  [[nodiscard]] double mean() const noexcept;
   /// Estimated quantile, q in [0,1]; 0 when empty.
   [[nodiscard]] double quantile(double q) const noexcept;
-  void reset() noexcept;
 
  private:
   std::atomic<std::uint64_t> count_{0};
@@ -193,7 +189,6 @@ class MetricsRegistry {
   // ---- owned singleton instruments (find-or-create; stable refs) ----
   [[nodiscard]] Counter& counter(std::string_view name);
   [[nodiscard]] Gauge& gauge(std::string_view name);
-  [[nodiscard]] Histogram& histogram(std::string_view name);
 
   // ---- externally owned instruments ----
   /// Attach an instrument to the family `name`; families sum attached
@@ -226,9 +221,6 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t family_count() const;
 
-  /// Zero every currently attached/owned instrument (bench/test reruns).
-  void reset_values();
-
  private:
   friend class Registration;
 
@@ -243,11 +235,10 @@ class MetricsRegistry {
     /// Sum of final values of detached counters: keeps counter families
     /// monotonic across component churn (gauges/histograms stay live-only).
     double retired = 0.0;
-    // Owned singleton storage (counter()/gauge()/histogram()); attached
-    // like any external instrument but lifetime-managed here.
+    // Owned singleton storage (counter()/gauge()); attached like any
+    // external instrument but lifetime-managed here.
     std::unique_ptr<Counter> owned_counter;
     std::unique_ptr<Gauge> owned_gauge;
-    std::unique_ptr<Histogram> owned_histogram;
   };
 
   Family& family_locked(std::string_view name, InstrumentKind kind);

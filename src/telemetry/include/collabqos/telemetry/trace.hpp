@@ -7,10 +7,10 @@
 //     -> pubsub.match (cache hit/miss, VM time, accept/transform/reject)
 //
 // Spans carry sim-clock times (deterministic across runs) plus free-form
-// string tags, collect into a bounded ring, and drain to JSONL for
-// offline analysis. Recording is gated on one relaxed atomic load, so a
-// disabled tracer costs the hot path a predictable branch and nothing
-// else.
+// string tags, collect into a bounded ring, and drain to the trace
+// analyzer (observatory/trace_analysis.hpp). Recording is gated on one
+// relaxed atomic load, so a disabled tracer costs the hot path a
+// predictable branch and nothing else.
 #pragma once
 
 #include <atomic>
@@ -28,7 +28,7 @@
 namespace collabqos::telemetry {
 
 /// `text` with JSON string escaping applied (quotes, backslashes and
-/// control characters; the escaping to_jsonl uses for tag values).
+/// control characters; the escaping the trace report uses).
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Trace identity of one semantic message: the sender's 32-bit stream id
@@ -81,11 +81,6 @@ class Tracer {
   /// Move all collected spans out (oldest first) and clear the ring.
   [[nodiscard]] std::vector<Span> drain();
   void clear();
-
-  /// One span as a JSONL record (single line, no trailing newline).
-  [[nodiscard]] static std::string to_jsonl(const Span& span);
-  /// Drain the ring into `path` as JSONL; returns io_error on failure.
-  Status dump_jsonl(const std::string& path);
 
  private:
   std::atomic<bool> enabled_{false};

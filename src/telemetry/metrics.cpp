@@ -7,18 +7,6 @@ namespace collabqos::telemetry {
 
 // ------------------------------------------------------------------ Gauge
 
-void Gauge::add(double delta) noexcept {
-  std::uint64_t expected = bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t desired =
-        std::bit_cast<std::uint64_t>(std::bit_cast<double>(expected) + delta);
-    if (bits_.compare_exchange_weak(expected, desired,
-                                    std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
 // -------------------------------------------------------------- Histogram
 
 namespace {
@@ -52,11 +40,6 @@ void Histogram::observe(double v) noexcept {
   buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
 }
 
-double Histogram::mean() const noexcept {
-  const std::uint64_t n = count();
-  return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-}
-
 double Histogram::quantile(double q) const noexcept {
   const std::uint64_t n = count();
   if (n == 0) return 0.0;
@@ -68,13 +51,6 @@ double Histogram::quantile(double q) const noexcept {
     if (seen >= target) return bucket_mid(i);
   }
   return bucket_mid(kBuckets - 1);
-}
-
-void Histogram::reset() noexcept {
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(std::bit_cast<std::uint64_t>(0.0),
-                  std::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------- Registration
@@ -170,16 +146,6 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
     family.attached.push_back({0, family.owned_gauge.get()});
   }
   return *family.owned_gauge;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  std::scoped_lock lock(mutex_);
-  Family& family = family_locked(name, InstrumentKind::histogram);
-  if (!family.owned_histogram) {
-    family.owned_histogram = std::make_unique<Histogram>();
-    family.attached.push_back({0, family.owned_histogram.get()});
-  }
-  return *family.owned_histogram;
 }
 
 Registration MetricsRegistry::attach_locked(std::string_view name,
@@ -307,30 +273,6 @@ MetricsRegistry::export_directory() const {
 std::size_t MetricsRegistry::family_count() const {
   std::scoped_lock lock(mutex_);
   return families_.size();
-}
-
-void MetricsRegistry::reset_values() {
-  std::scoped_lock lock(mutex_);
-  for (auto& [name, family] : families_) {
-    family.retired = 0.0;
-    for (Attachment& a : family.attached) {
-      switch (family.kind) {
-        case InstrumentKind::counter:
-          const_cast<Counter*>(static_cast<const Counter*>(a.instrument))
-              ->reset();
-          break;
-        case InstrumentKind::gauge:
-          const_cast<Gauge*>(static_cast<const Gauge*>(a.instrument))
-              ->reset();
-          break;
-        case InstrumentKind::histogram:
-          const_cast<Histogram*>(
-              static_cast<const Histogram*>(a.instrument))
-              ->reset();
-          break;
-      }
-    }
-  }
 }
 
 }  // namespace collabqos::telemetry

@@ -87,52 +87,4 @@ void Tracer::clear() {
   dropped_.reset();
 }
 
-std::string Tracer::to_jsonl(const Span& span) {
-  std::string out;
-  out.reserve(128 + span.tags.size() * 32);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "{\"trace\":\"%016llx\",",
-                static_cast<unsigned long long>(span.trace_id));
-  out += buf;
-  out += "\"name\":\"";
-  append_escaped(out, span.name);
-  std::snprintf(buf, sizeof(buf), "\",\"actor\":%llu,",
-                static_cast<unsigned long long>(span.actor));
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "\"start_us\":%lld,\"end_us\":%lld",
-                static_cast<long long>(span.start.as_micros()),
-                static_cast<long long>(span.end.as_micros()));
-  out += buf;
-  if (!span.tags.empty()) {
-    out += ",\"tags\":{";
-    bool first = true;
-    for (const auto& [key, value] : span.tags) {
-      if (!first) out += ',';
-      first = false;
-      out += '"';
-      append_escaped(out, key);
-      out += "\":\"";
-      append_escaped(out, value);
-      out += '"';
-    }
-    out += '}';
-  }
-  out += '}';
-  return out;
-}
-
-Status Tracer::dump_jsonl(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status(Errc::resource_limit, "cannot open " + path);
-  }
-  for (const Span& span : drain()) {
-    const std::string line = to_jsonl(span);
-    std::fwrite(line.data(), 1, line.size(), file);
-    std::fputc('\n', file);
-  }
-  std::fclose(file);
-  return {};
-}
-
 }  // namespace collabqos::telemetry

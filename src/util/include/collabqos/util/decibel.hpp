@@ -17,14 +17,4 @@ namespace collabqos {
   return std::pow(10.0, db / 10.0);
 }
 
-/// Milliwatts -> dBm.
-[[nodiscard]] inline double mw_to_dbm(double milliwatts) noexcept {
-  return to_db(milliwatts);
-}
-
-/// dBm -> milliwatts.
-[[nodiscard]] inline double dbm_to_mw(double dbm) noexcept {
-  return from_db(dbm);
-}
-
 }  // namespace collabqos

@@ -29,18 +29,8 @@ class Fnv1a {
   constexpr void update(std::string_view text) noexcept {
     for (const char c : text) update(static_cast<std::uint8_t>(c));
   }
-  constexpr void update_u64(std::uint64_t value) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      update(static_cast<std::uint8_t>(value >> (8 * i)));
-    }
-  }
-
   [[nodiscard]] constexpr std::uint64_t value() const noexcept {
     return state_;
-  }
-  /// 64-bit digest folded to 32 bits (xor-fold), for compact wire fields.
-  [[nodiscard]] constexpr std::uint32_t value32() const noexcept {
-    return static_cast<std::uint32_t>(state_ ^ (state_ >> 32));
   }
 
  private:

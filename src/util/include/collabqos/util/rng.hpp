@@ -35,11 +35,6 @@ class Rng {
   double normal() noexcept;
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
-  /// Exponential with given rate (>0).
-  double exponential(double rate) noexcept;
-
-  /// Derive an independent child stream (for per-entity determinism).
-  Rng split() noexcept;
 
  private:
   std::uint64_t state_[4];

@@ -1,34 +1,12 @@
 // Small statistics toolkit used by benches, RTCP receiver reports and the
-// system-state monitors: streaming moments, reservoir-free percentiles over
-// bounded samples, and exponentially-weighted moving averages.
+// system-state monitors: exact percentiles over bounded samples, and
+// exponentially-weighted moving averages.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace collabqos {
-
-/// Streaming mean/variance/min/max (Welford). O(1) space.
-class RunningStats {
- public:
-  void add(double sample) noexcept;
-  void reset() noexcept;
-
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Unbiased sample variance; 0 when fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Stores all samples; offers exact quantiles. For bench-sized data sets.
 class SampleSet {
@@ -41,7 +19,6 @@ class SampleSet {
   /// Exact quantile by linear interpolation; q in [0,1]. An empty set
   /// yields 0.0 (not UB): bench/report code may probe before sampling.
   [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] double median() const { return quantile(0.5); }
   [[nodiscard]] const std::vector<double>& samples() const noexcept {
     return samples_;
   }

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -17,22 +16,12 @@ namespace collabqos {
 /// Strip ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text) noexcept;
 
-/// Lower-case ASCII copy.
-[[nodiscard]] std::string to_lower(std::string_view text);
-
 /// Parse a non-negative integer; nullopt on any non-digit or overflow.
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(
     std::string_view text) noexcept;
 
 /// Parse a double via strtod semantics; nullopt unless the whole string
-/// is consumed.
+/// is consumed and the value is finite (no nan, no inf, no overflow).
 [[nodiscard]] std::optional<double> parse_double(std::string_view text);
-
-/// "12.3 KiB"-style human byte formatting (binary prefixes).
-[[nodiscard]] std::string format_bytes(std::uint64_t bytes);
-
-/// True when `text` starts with `prefix`.
-[[nodiscard]] bool starts_with(std::string_view text,
-                               std::string_view prefix) noexcept;
 
 }  // namespace collabqos

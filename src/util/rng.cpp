@@ -85,15 +85,4 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-double Rng::exponential(double rate) noexcept {
-  assert(rate > 0.0);
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
-}
-
-Rng Rng::split() noexcept {
-  return Rng((*this)());
-}
-
 }  // namespace collabqos

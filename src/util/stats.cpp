@@ -2,31 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 
 namespace collabqos {
-
-void RunningStats::add(double sample) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
-  ++count_;
-  const double delta = sample - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (sample - mean_);
-}
-
-void RunningStats::reset() noexcept { *this = RunningStats{}; }
-
-double RunningStats::variance() const noexcept {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 void SampleSet::add(double sample) {
   samples_.push_back(sample);

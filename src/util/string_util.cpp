@@ -1,9 +1,9 @@
 #include "collabqos/util/string_util.hpp"
 
-#include <array>
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
+#include <string>
 
 namespace collabqos {
 
@@ -35,14 +35,6 @@ std::string_view trim(std::string_view text) noexcept {
   return text.substr(begin, end - begin);
 }
 
-std::string to_lower(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 std::optional<std::uint64_t> parse_u64(std::string_view text) noexcept {
   if (text.empty()) return std::nullopt;
   std::uint64_t value = 0;
@@ -61,31 +53,8 @@ std::optional<double> parse_double(std::string_view text) {
   char* end = nullptr;
   const double value = std::strtod(buffer.c_str(), &end);
   if (end != buffer.c_str() + buffer.size()) return std::nullopt;
+  if (!std::isfinite(value)) return std::nullopt;  // nan, inf, overflow
   return value;
-}
-
-std::string format_bytes(std::uint64_t bytes) {
-  static constexpr std::array<const char*, 5> kUnits = {"B", "KiB", "MiB",
-                                                        "GiB", "TiB"};
-  double value = static_cast<double>(bytes);
-  std::size_t unit = 0;
-  while (value >= 1024.0 && unit + 1 < kUnits.size()) {
-    value /= 1024.0;
-    ++unit;
-  }
-  char out[32];
-  if (unit == 0) {
-    std::snprintf(out, sizeof(out), "%llu B",
-                  static_cast<unsigned long long>(bytes));
-  } else {
-    std::snprintf(out, sizeof(out), "%.1f %s", value, kUnits[unit]);
-  }
-  return out;
-}
-
-bool starts_with(std::string_view text, std::string_view prefix) noexcept {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
 }
 
 }  // namespace collabqos

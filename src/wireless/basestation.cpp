@@ -62,13 +62,6 @@ Status RadioResourceManager::leave(StationId id) {
   return {};
 }
 
-std::vector<StationId> RadioResourceManager::clients() const {
-  std::vector<StationId> ids;
-  ids.reserve(clients_.size());
-  for (const auto& [id, state] : clients_) ids.push_back(make_station(id));
-  return ids;
-}
-
 Status RadioResourceManager::move(StationId id, Position position) {
   const auto it = clients_.find(raw(id));
   if (it == clients_.end()) {

@@ -71,7 +71,6 @@ class RadioResourceManager {
   [[nodiscard]] std::size_t client_count() const noexcept {
     return clients_.size();
   }
-  [[nodiscard]] std::vector<StationId> clients() const;
 
   Status move(StationId id, Position position);
   Status set_power(StationId id, double tx_power_mw);

@@ -111,6 +111,30 @@ TEST(ChaosSchedule, RejectsMalformedLinesWithLineNumbers) {
       << multi.error().message;
 }
 
+TEST(ChaosSchedule, RejectsNonFiniteAndOverflowingNumbers) {
+  const char* bad[] = {
+      "at 1s loss p=nan nodes=a",          // nan slips past a [0,1] check
+      "at 1s loss p=-inf nodes=a",
+      "at nan loss nodes=a p=0.1",
+      "at inf loss nodes=a p=0.1",
+      "at 1e999 loss nodes=a p=0.1",       // overflows a double
+      "at 1e300s loss nodes=a p=0.1",      // past int64 microseconds
+      "at 1s for nan loss nodes=a p=0.1",
+      "at 1s for 1e300ms loss nodes=a p=0.1",
+  };
+  for (const char* text : bad) {
+    const auto parsed = chaos::ChaosSchedule::parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.error().code, Errc::malformed) << text;
+  }
+  // A time near the int64 limit still parses, exactly.
+  const auto far = chaos::ChaosSchedule::parse(
+      "at 9000000000000s loss nodes=a p=0.1");
+  ASSERT_TRUE(far.ok()) << far.error().message;
+  ASSERT_EQ(far.value().events().size(), 1u);
+  EXPECT_EQ(far.value().events()[0].at.as_micros(), 9'000'000'000'000'000'000);
+}
+
 // ------------------------------------------------------------- controller
 
 class ChaosControllerTest : public ::testing::Test {

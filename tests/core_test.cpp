@@ -1,5 +1,5 @@
 // Contracts, policy database, inference engine, concurrency control,
-// state repository, session directory, media adaptation.
+// session directory, media adaptation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "collabqos/core/inference.hpp"
 #include "collabqos/core/policy.hpp"
 #include "collabqos/core/session.hpp"
-#include "collabqos/core/state_repo.hpp"
 #include "collabqos/util/rng.hpp"
 
 namespace collabqos::core {
@@ -228,86 +227,6 @@ TEST(Inference, MatchedRulesReported) {
   EXPECT_NE(std::find(decision.matched_rules.begin(),
                       decision.matched_rules.end(), "pf-8"),
             decision.matched_rules.end());
-}
-
-// ------------------------------------------------------------- state repo
-
-StateEntry entry(std::string id, std::uint64_t version, std::uint64_t editor,
-                 std::string body = "x") {
-  StateEntry e;
-  e.object_id = std::move(id);
-  e.object_type = "test";
-  e.version = version;
-  e.editor = editor;
-  e.state.assign(body.begin(), body.end());
-  return e;
-}
-
-TEST(StateRepo, ApplyOrdersByVersionThenEditor) {
-  StateRepository repo;
-  EXPECT_TRUE(repo.apply(entry("o", 1, 5)));
-  EXPECT_FALSE(repo.apply(entry("o", 1, 5)));   // duplicate
-  EXPECT_FALSE(repo.apply(entry("o", 1, 3)));   // lower editor tie
-  EXPECT_TRUE(repo.apply(entry("o", 1, 9)));    // higher editor tie wins
-  EXPECT_TRUE(repo.apply(entry("o", 2, 1)));    // higher version wins
-  EXPECT_FALSE(repo.apply(entry("o", 1, 100))); // stale version
-  EXPECT_EQ(repo.find("o")->version, 2u);
-  EXPECT_EQ(repo.find("o")->editor, 1u);
-}
-
-TEST(StateRepo, ConvergesUnderPermutedDelivery) {
-  std::vector<StateEntry> updates;
-  for (std::uint64_t v = 1; v <= 6; ++v) {
-    updates.push_back(entry("obj", v, v % 3, "body" + std::to_string(v)));
-  }
-  StateRepository in_order;
-  for (const auto& u : updates) in_order.apply(u);
-
-  Rng rng(5);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<StateEntry> shuffled = updates;
-    for (std::size_t i = shuffled.size(); i > 1; --i) {
-      std::swap(shuffled[i - 1],
-                shuffled[static_cast<std::size_t>(
-                    rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-    }
-    StateRepository replica;
-    for (const auto& u : shuffled) replica.apply(u);
-    EXPECT_EQ(replica.digest(), in_order.digest());
-  }
-}
-
-TEST(StateRepo, ByTypeAndErase) {
-  StateRepository repo;
-  repo.apply(entry("a", 1, 1));
-  repo.apply(entry("b", 1, 1));
-  StateEntry image = entry("c", 1, 1);
-  image.object_type = "image";
-  repo.apply(image);
-  EXPECT_EQ(repo.by_type("test").size(), 2u);
-  EXPECT_EQ(repo.by_type("image").size(), 1u);
-  EXPECT_TRUE(repo.erase("a"));
-  EXPECT_FALSE(repo.erase("a"));
-  EXPECT_EQ(repo.size(), 2u);
-}
-
-TEST(StateRepo, ChangeHandlerFiresOnAcceptOnly) {
-  StateRepository repo;
-  int fired = 0;
-  repo.on_change([&](const StateEntry&) { ++fired; });
-  repo.apply(entry("o", 2, 1));
-  repo.apply(entry("o", 1, 1));  // stale, no fire
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(StateEntry, CodecRoundTrip) {
-  const StateEntry original = entry("obj/1", 7, 3, "payload");
-  auto decoded = StateEntry::decode(original.encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().object_id, "obj/1");
-  EXPECT_EQ(decoded.value().version, 7u);
-  EXPECT_EQ(decoded.value().editor, 3u);
-  EXPECT_EQ(decoded.value().state, original.state);
 }
 
 // ------------------------------------------------------------ concurrency

@@ -242,12 +242,6 @@ TEST_F(NetworkTest, StatsCountBytes) {
   EXPECT_EQ(network_.stats().datagrams_delivered, 1u);
 }
 
-TEST_F(NetworkTest, NodeNameLookup) {
-  const NodeId a = network_.add_node("workstation-1");
-  EXPECT_EQ(network_.node_name(a).value(), "workstation-1");
-  EXPECT_FALSE(network_.node_name(make_node(99)).ok());
-}
-
 TEST(LinkModel, ZeroLossAlwaysDelivers) {
   LinkModel link(LinkParams{}, Rng(1));
   for (int i = 0; i < 100; ++i) {

@@ -34,6 +34,13 @@ pubsub::AttributeValue random_literal(Rng& rng) {
   }
 }
 
+pubsub::Selector parsed(const std::string& text) {
+  auto selector = pubsub::Selector::parse(text);
+  EXPECT_TRUE(selector.ok()) << text;
+  return selector.ok() ? std::move(selector).take()
+                       : pubsub::Selector::always();
+}
+
 pubsub::Selector random_selector(Rng& rng, int depth = 0) {
   using pubsub::Selector;
   const char* keys[] = {"a", "b.c", "d", "e.f.g"};
@@ -45,33 +52,38 @@ pubsub::Selector random_selector(Rng& rng, int depth = 0) {
       return Selector::equals(key, random_literal(rng));
     }
     case 1:
-      return Selector::exists(keys[rng.uniform_int(0, 3)]);
+      return parsed(std::string("exists ") + keys[rng.uniform_int(0, 3)]);
     case 2: {
       // membership over a small mixed-type candidate list
-      const char* key = keys[rng.uniform_int(0, 3)];
-      std::vector<pubsub::AttributeValue> values;
+      std::string text = keys[rng.uniform_int(0, 3)];
+      text += " in (";
       const int count = static_cast<int>(rng.uniform_int(1, 4));
-      for (int i = 0; i < count; ++i) values.push_back(random_literal(rng));
-      return Selector::one_of(key, std::move(values));
+      for (int i = 0; i < count; ++i) {
+        if (i != 0) text += ", ";
+        text += random_literal(rng).to_literal();
+      }
+      return parsed(text + ")");
     }
     case 3: {
       // ordering comparison via the text grammar; literals of any type,
       // so ordering-vs-non-numeric folds get exercised too
       const char* ops[] = {"<", "<=", ">", ">=", "!="};
-      const std::string text =
-          std::string(keys[rng.uniform_int(0, 3)]) + " " +
-          ops[rng.uniform_int(0, 4)] + " " +
-          random_literal(rng).to_literal();
-      auto parsed = Selector::parse(text);
-      EXPECT_TRUE(parsed.ok()) << text;
-      return parsed.ok() ? std::move(parsed).take() : Selector::always();
+      return parsed(std::string(keys[rng.uniform_int(0, 3)]) + " " +
+                    ops[rng.uniform_int(0, 4)] + " " +
+                    random_literal(rng).to_literal());
     }
     case 4:
       return random_selector(rng, depth + 1)
           .and_with(random_selector(rng, depth + 1));
-    case 5:
-      return random_selector(rng, depth + 1)
-          .or_with(random_selector(rng, depth + 1));
+    case 5: {
+      const Selector lhs = random_selector(rng, depth + 1);
+      const Selector rhs = random_selector(rng, depth + 1);
+      std::string text = "(";
+      text += lhs.to_string();
+      text += ") or (";
+      text += rhs.to_string();
+      return parsed(text + ")");
+    }
     default:
       return random_selector(rng, depth + 1).negate();
   }

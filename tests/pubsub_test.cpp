@@ -14,12 +14,10 @@ namespace {
 // ------------------------------------------------------------ attributes
 
 TEST(AttributeValue, TypedViews) {
-  EXPECT_EQ(AttributeValue(true).as_bool(), true);
   EXPECT_EQ(AttributeValue(5).as_number(), 5.0);
   EXPECT_EQ(AttributeValue(2.5).as_number(), 2.5);
   EXPECT_EQ(AttributeValue("s").as_string(), "s");
   EXPECT_FALSE(AttributeValue("s").as_number().has_value());
-  EXPECT_FALSE(AttributeValue(1).as_bool().has_value());
   EXPECT_FALSE(AttributeValue(true).as_number().has_value());
 }
 

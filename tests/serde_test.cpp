@@ -276,11 +276,12 @@ TEST(ByteChain, DistinctBuffersDoNotCoalesce) {
 }
 
 TEST(ByteChain, SliceAndGatherAcrossBoundaries) {
-  ByteChain chain;
-  chain.append(SharedBytes(iota_bytes(16)));
-  chain.append(SharedBytes(iota_bytes(16, 16)));
-  chain.append(SharedBytes(iota_bytes(16, 32)));
-  const ByteChain mid = chain.slice(8, 32);
+  // Bytes 8..40 of three 16-byte buffers: the back half of the first,
+  // all of the second and the front half of the third.
+  ByteChain mid;
+  mid.append(SharedBytes(iota_bytes(16)).slice(8));
+  mid.append(SharedBytes(iota_bytes(16, 16)));
+  mid.append(SharedBytes(iota_bytes(16, 32)).slice(0, 8));
   EXPECT_EQ(mid.size(), 32u);
   const Bytes expect = iota_bytes(32, 8);
   EXPECT_EQ(mid, expect);

@@ -313,43 +313,6 @@ TEST(LoadProcess, RampEndpointsAndMidpoint) {
   EXPECT_DOUBLE_EQ(ramp.sample(TimePoint::from_micros(99'000'000)), 100.0);
 }
 
-TEST(LoadProcess, TraceInterpolatesAndClamps) {
-  TraceProcess trace({{TimePoint::from_micros(0), 10.0},
-                      {TimePoint::from_micros(1'000'000), 20.0},
-                      {TimePoint::from_micros(3'000'000), 40.0}});
-  EXPECT_DOUBLE_EQ(trace.sample(TimePoint::from_micros(0)), 10.0);
-  EXPECT_DOUBLE_EQ(trace.sample(TimePoint::from_micros(500'000)), 15.0);
-  EXPECT_DOUBLE_EQ(trace.sample(TimePoint::from_micros(2'000'000)), 30.0);
-  EXPECT_DOUBLE_EQ(trace.sample(TimePoint::from_micros(9'000'000)), 40.0);
-}
-
-TEST(LoadProcess, RandomWalkStaysInBounds) {
-  RandomWalkProcess walk(50.0, 50.0, 0.5, 40.0, 0.0, 100.0, Rng(3));
-  for (int i = 0; i <= 1000; ++i) {
-    const double v = walk.sample(TimePoint::from_micros(i * 100'000));
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 100.0);
-  }
-}
-
-TEST(LoadProcess, SinusoidRange) {
-  SinusoidProcess wave(50.0, 20.0, Duration::seconds(1.0));
-  double lo = 1e9, hi = -1e9;
-  for (int i = 0; i < 1000; ++i) {
-    const double v = wave.sample(TimePoint::from_micros(i * 1'000));
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  EXPECT_NEAR(lo, 30.0, 0.5);
-  EXPECT_NEAR(hi, 70.0, 0.5);
-}
-
-TEST(LoadProcess, FunctionWraps) {
-  FunctionProcess process(
-      [](TimePoint t) { return t.as_seconds() * 2.0; });
-  EXPECT_DOUBLE_EQ(process.sample(TimePoint::from_micros(1'500'000)), 3.0);
-}
-
 // ------------------------------------------------------------------ host
 
 TEST(Host, DefaultsAreIdle) {

@@ -11,27 +11,6 @@ namespace {
 
 // ------------------------------------------------------------------- Oid
 
-TEST(Oid, ParseValid) {
-  auto oid = Oid::parse("1.3.6.1.2.1.1.1.0");
-  ASSERT_TRUE(oid.ok());
-  EXPECT_EQ(oid.value().size(), 9u);
-  EXPECT_EQ(oid.value()[0], 1u);
-  EXPECT_EQ(oid.value()[8], 0u);
-}
-
-TEST(Oid, ParseLeadingDot) {
-  auto oid = Oid::parse(".1.3.6");
-  ASSERT_TRUE(oid.ok());
-  EXPECT_EQ(oid.value(), (Oid{1, 3, 6}));
-}
-
-TEST(Oid, ParseRejectsGarbage) {
-  EXPECT_FALSE(Oid::parse("").ok());
-  EXPECT_FALSE(Oid::parse("1.2.x").ok());
-  EXPECT_FALSE(Oid::parse("1..2").ok());
-  EXPECT_FALSE(Oid::parse("1.4294967296").ok());  // arc overflow
-}
-
 TEST(Oid, LexicographicOrder) {
   EXPECT_LT((Oid{1, 3}), (Oid{1, 3, 0}));       // prefix sorts first
   EXPECT_LT((Oid{1, 3, 0}), (Oid{1, 3, 1}));
@@ -52,15 +31,6 @@ TEST(Oid, ChildAndConcat) {
   EXPECT_EQ(base.concat(Oid{6, 1}), (Oid{1, 3, 6, 1}));
   EXPECT_EQ(base.to_string(), "1.3");
 }
-
-TEST(Oid, ToStringParseRoundTrip) {
-  const Oid original = oids::tassl_page_faults();
-  auto reparsed = Oid::parse(original.to_string());
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed.value(), original);
-}
-
-// ----------------------------------------------------------------- Value
 
 TEST(Value, TypedAccessors) {
   EXPECT_EQ(Value::integer(-5).as_integer().value(), -5);
@@ -186,14 +156,6 @@ TEST(Mib, MutatorValidates) {
   EXPECT_TRUE(mib.set(Oid{1, 1}, Value::integer(7)).ok());
   EXPECT_EQ(stored, 7);
   EXPECT_FALSE(mib.set(Oid{1, 1}, Value::integer(-1)).ok());
-}
-
-TEST(Mib, RemoveDeletes) {
-  Mib mib;
-  mib.add_scalar(Oid{1}, Value::integer(1));
-  EXPECT_TRUE(mib.remove(Oid{1}));
-  EXPECT_FALSE(mib.remove(Oid{1}));
-  EXPECT_FALSE(mib.get(Oid{1}).ok());
 }
 
 // --------------------------------------------------- agent/manager in sim

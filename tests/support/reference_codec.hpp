@@ -25,6 +25,23 @@
 
 namespace collabqos::media::reference {
 
+/// Coefficient plane for one channel: row-major int32, same dimensions as
+/// the source, holding the multi-level transform in place (LL in the
+/// top-left corner after `levels` applications).
+struct CoefficientPlane {
+  int width = 0;
+  int height = 0;
+  int levels = 0;
+  std::vector<std::int32_t> data;
+
+  [[nodiscard]] std::int32_t& at(int x, int y) {
+    return data[static_cast<std::size_t>(y) * width + x];
+  }
+  [[nodiscard]] std::int32_t at(int x, int y) const {
+    return data[static_cast<std::size_t>(y) * width + x];
+  }
+};
+
 class BitWriter {
  public:
   void put(bool bit) { put_bits(bit ? 1u : 0u, 1); }

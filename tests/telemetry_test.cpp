@@ -84,8 +84,10 @@ TEST(MetricsRegistry, SnapshotIsNameSortedAndTyped) {
   MetricsRegistry registry;
   (void)registry.counter("b.count");
   registry.gauge("a.level").set(2.5);
-  registry.histogram("c.sizes").observe(100.0);
-  registry.histogram("c.sizes").observe(300.0);
+  telemetry::Histogram sizes;
+  auto rs = registry.attach("c.sizes", sizes);
+  sizes.observe(100.0);
+  sizes.observe(300.0);
   const auto samples = registry.snapshot();
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[0].name, "a.level");
@@ -114,19 +116,6 @@ TEST(MetricsRegistry, ExportIdsAreStableAndDenseInCreationOrder) {
   ASSERT_EQ(directory.size(), 2u);
   EXPECT_EQ(directory[0].second, "first");
   EXPECT_EQ(directory[1].second, "second");
-}
-
-TEST(MetricsRegistry, ResetValuesZeroesWithoutForgettingFamilies) {
-  MetricsRegistry registry;
-  telemetry::Counter c;
-  auto reg = registry.attach("z.count", c);
-  ++c;
-  registry.gauge("z.level").set(9.0);
-  registry.reset_values();
-  EXPECT_EQ(registry.read("z.count"), 0.0);
-  EXPECT_EQ(registry.read("z.level"), 0.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(registry.family_count(), 2u);
 }
 
 TEST(Histogram, QuantileEstimatesBracketTheData) {
@@ -162,19 +151,10 @@ TEST(Tracer, RecordsDrainOldestFirstAndBoundTheRing) {
   tracer.set_capacity(telemetry::Tracer::kDefaultCapacity);
 }
 
-TEST(Tracer, SpanJsonlCarriesIdentityTimesAndTags) {
+TEST(Tracer, SpanTagLooksUpByKey) {
   telemetry::Span span;
-  span.trace_id = telemetry::make_trace_id(7, 42);
   span.name = "pubsub.match";
-  span.actor = 7;
-  span.start = sim::TimePoint{} + sim::Duration::seconds(1.5);
-  span.end = sim::TimePoint{} + sim::Duration::seconds(2.0);
   span.tags.emplace_back("verdict", "accepted");
-  const std::string line = telemetry::Tracer::to_jsonl(span);
-  EXPECT_NE(line.find("\"name\":\"pubsub.match\""), std::string::npos);
-  EXPECT_NE(line.find("\"verdict\":\"accepted\""), std::string::npos);
-  EXPECT_NE(line.find("\"actor\":7"), std::string::npos);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
   EXPECT_EQ(*span.tag("verdict"), "accepted");
   EXPECT_EQ(span.tag("missing"), nullptr);
 }
@@ -185,15 +165,6 @@ TEST(Tracer, JsonlEscapesQuotesBackslashesAndControlChars) {
   EXPECT_EQ(telemetry::json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(telemetry::json_escape("line\nbreak"), "line\\nbreak");
   EXPECT_EQ(telemetry::json_escape(std::string_view("\x01", 1)), "\\u0001");
-
-  telemetry::Span span;
-  span.name = "stage \"quoted\"";
-  span.tags.emplace_back("path", "C:\\tmp\nnext");
-  const std::string line = telemetry::Tracer::to_jsonl(span);
-  EXPECT_NE(line.find("stage \\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(line.find("C:\\\\tmp\\nnext"), std::string::npos);
-  // The escaped record is a single line with no raw control characters.
-  EXPECT_EQ(line.find('\n'), std::string::npos);
 }
 
 TEST(MakeTraceId, ConcatenatesSsrcAndTimestamp) {

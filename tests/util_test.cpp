@@ -77,78 +77,28 @@ TEST(Rng, ChanceFrequencyNearP) {
 
 TEST(Rng, NormalMoments) {
   Rng rng(17);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
-}
-
-TEST(Rng, ExponentialMean) {
-  Rng rng(19);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.exponential(2.0));
-  EXPECT_NEAR(stats.mean(), 0.5, 0.02);
-}
-
-TEST(Rng, SplitStreamsIndependent) {
-  Rng parent(21);
-  Rng child = parent.split();
-  // The child stream must not replay the parent's continuation.
-  Rng parent_copy(21);
-  (void)parent_copy.split();
-  EXPECT_EQ(parent(), parent_copy());
-  EXPECT_NE(child(), parent());
+  constexpr int kSamples = 50000;
+  double sum = 0.0;
+  double sum_of_squares = 0.0;
+  for (int i = 0; i < kSamples; ++i) {
+    const double sample = rng.normal(10.0, 2.0);
+    sum += sample;
+    sum_of_squares += sample * sample;
+  }
+  const double mean = sum / kSamples;
+  const double variance =
+      (sum_of_squares - kSamples * mean * mean) / (kSamples - 1);
+  EXPECT_NEAR(mean, 10.0, 0.05);
+  EXPECT_NEAR(std::sqrt(variance), 2.0, 0.05);
 }
 
 // ---------------------------------------------------------------- stats
-
-TEST(RunningStats, SmallSeriesExact) {
-  RunningStats stats;
-  for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    stats.add(v);
-  }
-  EXPECT_EQ(stats.count(), 8u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 9.0);
-  EXPECT_NEAR(stats.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStats, SingleSampleVarianceZero) {
-  RunningStats stats;
-  stats.add(3.5);
-  EXPECT_DOUBLE_EQ(stats.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.5);
-}
-
-TEST(RunningStats, ResetClears) {
-  RunningStats stats;
-  stats.add(1.0);
-  stats.add(2.0);
-  stats.reset();
-  EXPECT_EQ(stats.count(), 0u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 0.0);
-}
-
-TEST(RunningStats, ResetThenReuseMatchesFreshInstance) {
-  RunningStats stats;
-  stats.add(100.0);
-  stats.add(-50.0);
-  stats.reset();
-  stats.add(2.0);
-  stats.add(4.0);
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_DOUBLE_EQ(stats.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(stats.min(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.max(), 4.0);
-}
 
 TEST(SampleSet, EmptySetQuantilesAreZeroNotUb) {
   const SampleSet empty;
   EXPECT_DOUBLE_EQ(empty.quantile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(empty.quantile(1.0), 0.0);
-  EXPECT_DOUBLE_EQ(empty.median(), 0.0);
   EXPECT_EQ(empty.count(), 0u);
 }
 
@@ -156,7 +106,7 @@ TEST(SampleSet, SingleSampleIsEveryQuantile) {
   SampleSet set;
   set.add(7.25);
   EXPECT_DOUBLE_EQ(set.quantile(0.0), 7.25);
-  EXPECT_DOUBLE_EQ(set.median(), 7.25);
+  EXPECT_DOUBLE_EQ(set.quantile(0.5), 7.25);
   EXPECT_DOUBLE_EQ(set.quantile(1.0), 7.25);
 }
 
@@ -165,7 +115,7 @@ TEST(SampleSet, ExactQuantiles) {
   for (int i = 1; i <= 100; ++i) set.add(static_cast<double>(i));
   EXPECT_DOUBLE_EQ(set.quantile(0.0), 1.0);
   EXPECT_DOUBLE_EQ(set.quantile(1.0), 100.0);
-  EXPECT_NEAR(set.median(), 50.5, 1e-12);
+  EXPECT_NEAR(set.quantile(0.5), 50.5, 1e-12);
   EXPECT_NEAR(set.quantile(0.25), 25.75, 1e-12);
 }
 
@@ -173,9 +123,9 @@ TEST(SampleSet, QuantileAfterInterleavedAdds) {
   SampleSet set;
   set.add(3.0);
   set.add(1.0);
-  EXPECT_DOUBLE_EQ(set.median(), 2.0);
+  EXPECT_DOUBLE_EQ(set.quantile(0.5), 2.0);
   set.add(2.0);  // resort required
-  EXPECT_DOUBLE_EQ(set.median(), 2.0);
+  EXPECT_DOUBLE_EQ(set.quantile(0.5), 2.0);
   EXPECT_DOUBLE_EQ(set.quantile(1.0), 3.0);
 }
 
@@ -243,18 +193,9 @@ TEST(StringUtil, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("-2e3").value(), -2000.0);
   EXPECT_FALSE(parse_double("3.5x").has_value());
   EXPECT_FALSE(parse_double("").has_value());
-}
-
-TEST(StringUtil, FormatBytes) {
-  EXPECT_EQ(format_bytes(512), "512 B");
-  EXPECT_EQ(format_bytes(2048), "2.0 KiB");
-  EXPECT_EQ(format_bytes(3 * 1024 * 1024), "3.0 MiB");
-}
-
-TEST(StringUtil, ToLowerAndStartsWith) {
-  EXPECT_EQ(to_lower("MiXeD"), "mixed");
-  EXPECT_TRUE(starts_with("collabqos", "collab"));
-  EXPECT_FALSE(starts_with("co", "collab"));
+  EXPECT_FALSE(parse_double("nan").has_value());
+  EXPECT_FALSE(parse_double("-inf").has_value());
+  EXPECT_FALSE(parse_double("1e999").has_value());  // overflows to inf
 }
 
 // --------------------------------------------------------------- result

@@ -27,7 +27,6 @@
 #include "collabqos/app/whiteboard.hpp"
 #include "collabqos/core/concurrency.hpp"
 #include "collabqos/core/events.hpp"
-#include "collabqos/core/state_repo.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/media_object.hpp"
 #include "collabqos/media/sketch.hpp"
@@ -502,12 +501,6 @@ std::string operation_verdict(const serde::Bytes& bytes) {
   return reencoded(op.value().encode());
 }
 
-std::string state_entry_verdict(const serde::Bytes& bytes) {
-  auto entry = core::StateEntry::decode(std::span<const std::uint8_t>(bytes));
-  if (!entry) return errc(entry.code());
-  return reencoded(entry.value().encode());
-}
-
 std::string stroke_verdict(const serde::Bytes& bytes) {
   auto stroke = app::Stroke::decode(bytes);
   if (!stroke) return errc(stroke.code());
@@ -626,15 +619,6 @@ std::vector<Record> records() {
     out.push_back({"operation", op.encode(), operation_verdict});
   }
   {
-    core::StateEntry entry;
-    entry.object_id = "map.sector";
-    entry.object_type = "map";
-    entry.version = 4;
-    entry.editor = 2;
-    entry.state = {1, 2, 3, 5, 8, 13, 21, 34};
-    out.push_back({"state entry", entry.encode(), state_entry_verdict});
-  }
-  {
     app::Stroke stroke;
     stroke.x0 = 1.5;
     stroke.y0 = 2.5;
@@ -725,6 +709,9 @@ std::vector<Line> record_mutation_lines() {
     // Seeds 57-63 mutated the serde form of the seven SNMP value types,
     // which went when BER became a value's only encoding.
     if (record.name == "operation") seed += 7;
+    // The seed after the operation's mutated the state-repository entry,
+    // which went with the repository.
+    if (record.name == "stroke") ++seed;
     chunked(lines, "mutations record " + record.name,
             mutation_verdicts({record.bytes}, seed++, 48, 16,
                               [&](const auto& p) {
