@@ -11,7 +11,7 @@
 //   --wireless M   thin clients behind the base station (default 2)
 //   --loss P       downlink loss probability on wired client 1 (default 0)
 //   --pf-ramp      ramp page faults 30->100 on wired client 1
-//   --duration S   simulated seconds (default 30)
+//   --duration S   simulated seconds, 0 < S <= 1e9 (default 30)
 //   --image N      shared image edge length (default 256)
 //   --seed K       simulation seed (default 1)
 //   --chaos X      run the chaos-plane resilience harness instead of the
@@ -93,6 +93,9 @@ bool parse_args(int argc, char** argv, Options& options) {
     constexpr auto kIntMax =
         static_cast<std::uint64_t>(std::numeric_limits<int>::max());
     constexpr auto kSeedMax = std::numeric_limits<std::uint64_t>::max();
+    // Simulated seconds: positive, and at most about 31.7 years, so that
+    // their microseconds fit a sim::Duration with room to spare.
+    constexpr double kDurationMax = 1e9;
     double value = 0.0;
     std::uint64_t integer = 0;
     if (arg == "--wired" && next_integer(integer, kIntMax)) {
@@ -103,7 +106,8 @@ bool parse_args(int argc, char** argv, Options& options) {
       options.loss = value;
     } else if (arg == "--pf-ramp") {
       options.pf_ramp = true;
-    } else if (arg == "--duration" && next_number(value)) {
+    } else if (arg == "--duration" && next_number(value) && value > 0.0 &&
+               value <= kDurationMax) {
       options.duration_s = value;
     } else if (arg == "--image" && next_integer(integer, kIntMax)) {
       options.image = static_cast<int>(integer);

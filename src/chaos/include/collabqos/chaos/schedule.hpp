@@ -12,8 +12,9 @@
 //
 //   at <time> [for <duration>] <kind> [key=value ...]
 //
-// Times accept "250ms", "5s", "1.5s" or bare seconds ("5"). Kinds and
-// their keys:
+// Times accept "250ms", "5s", "1.5s" or bare seconds ("5"). A line's
+// window, `at` plus `for`, must end by 9000000000000s, so that adding the
+// arm time cannot overflow. Kinds and their keys:
 //
 //   burst      Gilbert–Elliott burst loss on named links.
 //              nodes=a,b  p_gb= p_bg= loss_good= loss_bad=

@@ -8,6 +8,12 @@ namespace collabqos::chaos {
 
 namespace {
 
+/// No line's window may end later than this after arm time: 9 * 10^12 s
+/// (about 285,000 years). It leaves about 7,000 years below the int64
+/// microsecond limit for the arm time the controller adds, so neither
+/// `at + for` nor the instant an event is armed for can overflow.
+constexpr std::int64_t kHorizonMicros = 9'000'000'000'000'000'000;
+
 Error parse_error(std::size_t line, std::string what) {
   return Error{Errc::malformed,
                "chaos schedule line " + std::to_string(line) + ": " +
@@ -164,6 +170,12 @@ Result<ChaosEvent> parse_line(std::string_view text, std::size_t line) {
     }
     event.duration = *duration;
     i += 2;
+  }
+  // Both are below 2^63, so the difference cannot overflow.
+  if (event.at.as_micros() > kHorizonMicros - event.duration.as_micros()) {
+    return parse_error(line, "window ends past the schedule horizon (" +
+                                 std::to_string(kHorizonMicros / 1'000'000) +
+                                 "s)");
   }
   if (i >= tokens.size()) return parse_error(line, "missing fault kind");
   const auto kind = parse_kind(tokens[i]);

@@ -1,5 +1,8 @@
 #include "collabqos/core/system_state.hpp"
 
+#include <algorithm>
+#include <iterator>
+
 #include "collabqos/snmp/oid.hpp"
 #include "collabqos/util/logging.hpp"
 
@@ -7,7 +10,21 @@ namespace collabqos::core {
 
 namespace {
 constexpr std::string_view kComponent = "core.state";
-}
+
+/// The extension objects the interface polls, in poll order, and the
+/// state attribute each one feeds.
+struct Polled {
+  const snmp::Oid& oid;
+  std::string_view key;
+};
+constexpr Polled kPolled[] = {
+    {snmp::oids::kTasslCpuLoad, "cpu.load"},
+    {snmp::oids::kTasslPageFaults, "page.faults"},
+    {snmp::oids::kTasslFreeMemory, "memory.free"},
+    {snmp::oids::kTasslIfUtilization, "if.utilization"},
+    {snmp::oids::kTasslBandwidth, "bandwidth.kbps"},
+};
+}  // namespace
 
 SystemStateInterface::SystemStateInterface(snmp::Manager& manager,
                                            net::NodeId agent_node,
@@ -16,12 +33,8 @@ SystemStateInterface::SystemStateInterface(snmp::Manager& manager,
     : manager_(manager),
       agent_node_(agent_node),
       options_(std::move(options)),
-      poll_oids_({snmp::oids::tassl_cpu_load(),
-                  snmp::oids::tassl_page_faults(),
-                  snmp::oids::tassl_free_memory(),
-                  snmp::oids::tassl_if_utilization(),
-                  snmp::oids::tassl_bandwidth()}),
       alive_(std::make_shared<bool>(true)) {
+  for (const Polled& polled : kPolled) poll_oids_.push_back(polled.oid);
   timer_ = std::make_unique<sim::PeriodicTimer>(
       simulator, options_.poll_interval, [this] { poll_now(); });
 }
@@ -74,19 +87,14 @@ void SystemStateInterface::apply(const snmp::Pdu& response) {
     return;
   }
   pubsub::AttributeSet next;
-  const auto put = [&next](const snmp::Oid& oid, const snmp::VarBind& vb,
-                           const char* key) {
-    if (vb.oid != oid) return false;
-    const auto number = vb.value.as_number();
-    if (number) next.set(key, number.value());
-    return true;
-  };
   for (const snmp::VarBind& vb : response.bindings) {
-    (void)(put(snmp::oids::tassl_cpu_load(), vb, "cpu.load") ||
-           put(snmp::oids::tassl_page_faults(), vb, "page.faults") ||
-           put(snmp::oids::tassl_free_memory(), vb, "memory.free") ||
-           put(snmp::oids::tassl_if_utilization(), vb, "if.utilization") ||
-           put(snmp::oids::tassl_bandwidth(), vb, "bandwidth.kbps"));
+    const auto polled =
+        std::find_if(std::begin(kPolled), std::end(kPolled),
+                     [&vb](const Polled& p) { return p.oid == vb.oid; });
+    if (polled == std::end(kPolled)) continue;
+    if (const auto number = vb.value.as_number()) {
+      next.set(polled->key, number.value());
+    }
   }
   fresh_ = true;
   const bool changed = !(next == state_);

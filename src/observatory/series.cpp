@@ -130,15 +130,15 @@ void TimeSeriesSampler::ingest_walk(
   // Subtree layout (snmp/telemetry_mib.hpp): .1.<id>.0 names the family,
   // .2.<id>.0 carries its live value. The walk is lexicographic, so the
   // directory arcs arrive before the values they describe.
-  const snmp::Oid root = snmp::oids::tassl_telemetry_root();
+  const snmp::Oid& root = snmp::oids::tassl_telemetry_root();
   const std::size_t base = root.size();
   for (const snmp::VarBind& binding : bindings) {
     if (binding.oid.size() != base + 3) continue;
     const std::uint32_t table = binding.oid[base];
     const std::uint32_t export_id = binding.oid[base + 1];
     if (table == 1) {
-      if (auto name = binding.value.as_octets()) {
-        remote.directory[export_id] = std::move(name).take();
+      if (const auto name = binding.value.as_octets()) {
+        remote.directory[export_id] = name.value();
       }
       continue;
     }

@@ -100,6 +100,10 @@ auto entry_bound(const std::vector<AttributeSet::Entry>& values,
 }
 }  // namespace
 
+void AttributeSet::set(std::string_view key, AttributeValue value) {
+  set(Symbol::intern(key), std::move(value));
+}
+
 void AttributeSet::set(Symbol key, AttributeValue value) {
   const auto it = entry_bound(values_, key);
   if (it != values_.end() && it->key == key) {

@@ -72,9 +72,10 @@ class AttributeSet {
     }
   };
 
-  void set(std::string_view key, AttributeValue value) {
-    set(Symbol::intern(key), std::move(value));
-  }
+  /// Interns `key`, then as set(Symbol, value). Out of line: inlined, its
+  /// move of `value` into the Symbol overload made GCC 12 under
+  /// -fsanitize report -Wmaybe-uninitialized at every caller.
+  void set(std::string_view key, AttributeValue value);
   void set(Symbol key, AttributeValue value);
   bool erase(std::string_view key);
   bool erase(Symbol key);

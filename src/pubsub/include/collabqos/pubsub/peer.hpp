@@ -9,9 +9,7 @@
 // profile. Only accepted messages reach the application handler.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,6 +19,7 @@
 #include "collabqos/net/rtp.hpp"
 #include "collabqos/pubsub/message.hpp"
 #include "collabqos/pubsub/profile.hpp"
+#include "collabqos/pubsub/retransmit_buffer.hpp"
 #include "collabqos/pubsub/selector_cache.hpp"
 #include "collabqos/telemetry/counter_set.hpp"
 
@@ -141,7 +140,6 @@ class SemanticPeer {
   /// One repair/flush sweep (runs from the reassembly timer).
   void repair_tick();
   void handle_nack(const net::Datagram& datagram);
-  void remember_sent(const net::RtpPacket& packet);
 
   net::Network& network_;
   std::unique_ptr<net::Endpoint> endpoint_;
@@ -168,11 +166,8 @@ class SemanticPeer {
   /// Holds only objects the receiver has pending: one-fragment objects
   /// never enter it.
   FlatMap<ArqState> arq_;
-  /// Sender-side retransmit buffer keyed by (timestamp, fragment index),
-  /// with FIFO eviction.
-  std::map<std::pair<std::uint32_t, std::uint16_t>, net::RtpPacket>
-      sent_packets_;
-  std::deque<std::pair<std::uint32_t, std::uint16_t>> sent_order_;
+  /// Sender-side retransmit buffer (FIFO eviction).
+  RetransmitBuffer sent_;
 };
 
 }  // namespace collabqos::pubsub

@@ -47,7 +47,8 @@ SemanticPeer::SemanticPeer(net::Network& network, net::NodeId node,
       packetizer_(static_cast<std::uint32_t>(peer_id), options.mtu_payload),
       receiver_(net::RtpReceiver::Options{options.reassembly_flush,
                                           options.reassembly_byte_budget}),
-      selector_cache_(options.selector_cache_entries) {
+      selector_cache_(options.selector_cache_entries),
+      sent_(options.retransmit_buffer_packets) {
   auto endpoint = network.bind(node, options.port);
   if (!endpoint) {
     throw std::runtime_error("SemanticPeer: cannot bind: " +
@@ -104,7 +105,7 @@ Status SemanticPeer::transmit(
     tracer.record(std::move(span));
   }
   for (const net::RtpPacket& packet : packets) {
-    remember_sent(packet);
+    sent_.remember(packet);
     if (auto status = sink(packet.wire()); !status.ok()) return status;
   }
   return {};
@@ -243,23 +244,10 @@ void SemanticPeer::handle_nack(const net::Datagram& datagram) {
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint16_t index = r.u16();
     if (!r.ok()) return;
-    const auto it = sent_packets_.find({timestamp, index});
-    if (it == sent_packets_.end()) continue;  // evicted; nothing to do
+    const net::RtpPacket* sent = sent_.find(timestamp, index);
+    if (sent == nullptr) continue;  // evicted; nothing to do
     ++stats_.retransmissions;
-    (void)endpoint_->send(datagram.source, it->second.wire());
-  }
-}
-
-void SemanticPeer::remember_sent(const net::RtpPacket& packet) {
-  if (options_.retransmit_buffer_packets == 0) return;
-  const std::pair<std::uint32_t, std::uint16_t> key{packet.timestamp,
-                                                    packet.fragment_index};
-  if (sent_packets_.emplace(key, packet).second) {
-    sent_order_.push_back(key);
-    while (sent_order_.size() > options_.retransmit_buffer_packets) {
-      sent_packets_.erase(sent_order_.front());
-      sent_order_.pop_front();
-    }
+    (void)endpoint_->send(datagram.source, sent->wire());
   }
 }
 

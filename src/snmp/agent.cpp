@@ -39,25 +39,29 @@ void Agent::handle(const net::Datagram& datagram) {
   ++stats_.requests;
   const serde::SharedBytes flat = telemetry::flatten_counted(
       datagram.payload, telemetry::PipelineCounters::global().gather);
-  auto decoded = Pdu::decode(flat);
-  if (!decoded) {
+  if (!Pdu::decode_into(flat, request_)) {
     ++stats_.malformed;
     CQ_DEBUG(kComponent) << "malformed request from "
                          << to_string(datagram.source);
     return;  // real agents drop undecodable datagrams silently
   }
-  const Pdu& request = decoded.value();
-  if (request.type == PduType::response || request.type == PduType::trap) {
+  if (request_.type == PduType::response || request_.type == PduType::trap) {
     return;  // not a request; ignore
   }
-  Pdu response = service(request);
-  const net::Address requester = datagram.source;
+  service(request_, response_);
   // Model the agent's instrumentation latency before the reply leaves.
-  network_.simulator().schedule_after(
-      delay_, [this, requester, bytes = response.encode()]() mutable {
-        ++stats_.responses;
-        (void)endpoint_->send(requester, std::move(bytes));
-      });
+  replies_.push_back(Reply{datagram.source, response_.encode()});
+  network_.simulator().schedule_after(delay_, [this] { send_next_reply(); });
+}
+
+void Agent::send_next_reply() {
+  Reply reply = std::move(replies_[next_reply_++]);
+  if (next_reply_ == replies_.size()) {
+    replies_.clear();
+    next_reply_ = 0;
+  }
+  ++stats_.responses;
+  (void)endpoint_->send(reply.requester, std::move(reply.bytes));
 }
 
 Status Agent::send_trap(net::NodeId sink, std::vector<VarBind> bindings) {
@@ -104,79 +108,72 @@ void Agent::evaluate_trap_rules() {
   }
 }
 
-Pdu Agent::service(const Pdu& request) {
-  Pdu response;
+void Agent::service(const Pdu& request, Pdu& response) {
   response.type = PduType::response;
   response.community = request.community;
   response.request_id = request.request_id;
+  response.error_status = ErrorStatus::no_error;
+  response.error_index = 0;
   response.bindings = request.bindings;
 
   if (!authorized(request)) {
     ++stats_.auth_failures;
     response.error_status = ErrorStatus::no_access;
-    return response;
+    return;
   }
   if (request.bindings.empty() ||
       request.bindings.size() > Pdu::kMaxBindings) {
     response.error_status = ErrorStatus::too_big;
-    return response;
+    return;
   }
 
   if (request.type == PduType::get_bulk) {
     // v2c semantics: walk up to max-repetitions successors per varbind;
     // walking off the MIB end simply truncates (endOfMibView analogue).
+    // Successors are consecutive table entries.
     const auto repetitions =
         std::min<std::uint32_t>(request.error_index,
                                 static_cast<std::uint32_t>(Pdu::kMaxBindings));
-    response.error_index = 0;
     response.bindings.clear();
     for (const VarBind& vb : request.bindings) {
-      Oid cursor = vb.oid;
-      for (std::uint32_t rep = 0; rep < repetitions; ++rep) {
+      std::size_t next = mib_.upper_bound(vb.oid);
+      for (std::uint32_t rep = 0; rep < repetitions && next < mib_.size();
+           ++rep, ++next) {
         if (response.bindings.size() >= Pdu::kMaxBindings) break;
-        auto next = mib_.get_next(cursor);
-        if (!next) break;
-        auto [oid, value] = std::move(next).take();
-        cursor = oid;
-        response.bindings.push_back({std::move(oid), std::move(value)});
+        response.bindings.push_back({mib_.oid_at(next), mib_.value_at(next)});
       }
     }
-    return response;
+    return;
   }
 
+  const auto fail = [&response](ErrorStatus status, std::size_t i) {
+    response.error_status = status;
+    response.error_index = static_cast<std::uint32_t>(i + 1);
+  };
   for (std::size_t i = 0; i < request.bindings.size(); ++i) {
     const VarBind& vb = request.bindings[i];
     switch (request.type) {
       case PduType::get: {
-        auto value = mib_.get(vb.oid);
-        if (!value) {
-          response.error_status = ErrorStatus::no_such_name;
-          response.error_index = static_cast<std::uint32_t>(i + 1);
-          return response;
-        }
-        response.bindings[i].value = std::move(value).take();
+        const std::size_t found = mib_.find(vb.oid);
+        if (found == mib_.size()) return fail(ErrorStatus::no_such_name, i);
+        response.bindings[i].value = mib_.value_at(found);
         break;
       }
       case PduType::get_next: {
-        auto next = mib_.get_next(vb.oid);
-        if (!next) {
-          response.error_status = ErrorStatus::no_such_name;
-          response.error_index = static_cast<std::uint32_t>(i + 1);
-          return response;
-        }
-        response.bindings[i].oid = next.value().first;
-        response.bindings[i].value = next.value().second;
+        const std::size_t next = mib_.upper_bound(vb.oid);
+        if (next == mib_.size()) return fail(ErrorStatus::no_such_name, i);
+        response.bindings[i] = {mib_.oid_at(next), mib_.value_at(next)};
         break;
       }
       case PduType::set: {
         const Status status = mib_.set(vb.oid, vb.value);
         if (!status) {
-          response.error_status =
-              status.code() == Errc::no_such_object ? ErrorStatus::no_such_name
-              : status.code() == Errc::access_denied ? ErrorStatus::read_only
-                                                     : ErrorStatus::bad_value;
-          response.error_index = static_cast<std::uint32_t>(i + 1);
-          return response;
+          return fail(status.code() == Errc::no_such_object
+                          ? ErrorStatus::no_such_name
+                      : status.code() == Errc::access_denied
+                          ? ErrorStatus::read_only
+                          : ErrorStatus::bad_value,
+                      i);
         }
         break;
       }
@@ -184,10 +181,9 @@ Pdu Agent::service(const Pdu& request) {
       case PduType::trap:
       case PduType::get_bulk:  // handled above; unreachable here
         response.error_status = ErrorStatus::gen_err;
-        return response;
+        return;
     }
   }
-  return response;
 }
 
 }  // namespace collabqos::snmp

@@ -1,104 +1,95 @@
 #include "collabqos/snmp/ber.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 namespace collabqos::snmp::ber {
 
-namespace {
+void Encoder::grow(std::size_t n) {
+  // The content moves to the tail of the larger buffer.
+  const std::size_t capacity = std::max({capacity_ * 2, size_ + n,
+                                         std::size_t{512}});
+  auto buffer = std::make_unique<std::uint8_t[]>(capacity);
+  const std::span<const std::uint8_t> content = bytes();
+  std::copy(content.begin(), content.end(),
+            buffer.get() + capacity - content.size());
+  buffer_ = std::move(buffer);
+  capacity_ = capacity;
+}
 
-void write_length(serde::Writer& out, std::size_t length) {
+void Encoder::header(std::uint8_t tag, std::size_t length) {
   if (length < 128) {
-    out.u8(static_cast<std::uint8_t>(length));
+    std::uint8_t* out = prepend(2);
+    out[0] = tag;
+    out[1] = static_cast<std::uint8_t>(length);
     return;
   }
   // Long form: 0x80 | count, then big-endian length octets.
-  std::uint8_t octets[8];
-  int count = 0;
-  std::size_t remaining = length;
-  while (remaining > 0) {
-    octets[count++] = static_cast<std::uint8_t>(remaining & 0xFF);
-    remaining >>= 8;
+  const int count = (std::bit_width(length) + 7) / 8;
+  std::uint8_t* out = prepend(2 + static_cast<std::size_t>(count));
+  out[0] = tag;
+  out[1] = static_cast<std::uint8_t>(0x80 | count);
+  for (int i = count; i >= 1; --i, length >>= 8) {
+    out[1 + i] = static_cast<std::uint8_t>(length & 0xFF);
   }
-  out.u8(static_cast<std::uint8_t>(0x80 | count));
-  for (int i = count - 1; i >= 0; --i) out.u8(octets[i]);
 }
 
-}  // namespace
-
-void write_tlv(serde::Writer& out, std::uint8_t tag,
-               std::span<const std::uint8_t> content) {
-  out.u8(tag);
-  write_length(out, content.size());
-  for (const std::uint8_t byte : content) out.u8(byte);
-}
-
-void write_integer(serde::Writer& out, std::int64_t value) {
-  // Minimal two's-complement: strip redundant leading 0x00/0xFF octets.
-  std::uint8_t octets[8];
-  for (int i = 0; i < 8; ++i) {
-    octets[i] = static_cast<std::uint8_t>(
-        (static_cast<std::uint64_t>(value) >> (8 * (7 - i))) & 0xFF);
+void Encoder::integer(std::int64_t value) {
+  // Minimal two's complement: drop leading octets that only repeat the
+  // sign bit of the octet after them.
+  const auto bits = static_cast<std::uint64_t>(value);
+  const std::uint64_t magnitude = value < 0 ? ~bits : bits;
+  const int count = std::bit_width(magnitude) / 8 + 1;
+  std::uint8_t* out = prepend(static_cast<std::size_t>(count));
+  for (int i = count - 1; i >= 0; --i) {
+    out[i] = static_cast<std::uint8_t>(bits >> (8 * (count - 1 - i)));
   }
-  int start = 0;
-  while (start < 7) {
-    const bool redundant_zero =
-        octets[start] == 0x00 && (octets[start + 1] & 0x80) == 0;
-    const bool redundant_ff =
-        octets[start] == 0xFF && (octets[start + 1] & 0x80) != 0;
-    if (!redundant_zero && !redundant_ff) break;
-    ++start;
+  header(tags::kInteger, static_cast<std::size_t>(count));
+}
+
+void Encoder::unsigned_integer(std::uint8_t tag, std::uint64_t value) {
+  // One octet per started 8 bits, plus a leading 0x00 when the top bit
+  // of the first value octet is set (std::bit_width(value) % 8 == 0).
+  const int count = std::bit_width(value) / 8 + 1;
+  std::uint8_t* out = prepend(static_cast<std::size_t>(count));
+  for (int i = count - 1; i >= 0; --i) {
+    const int shift = 8 * (count - 1 - i);
+    out[i] = shift < 64 ? static_cast<std::uint8_t>(value >> shift) : 0;
   }
-  write_tlv(out, tags::kInteger,
-            std::span(octets + start, static_cast<std::size_t>(8 - start)));
+  header(tag, static_cast<std::size_t>(count));
 }
 
-void write_unsigned(serde::Writer& out, std::uint8_t tag,
-                    std::uint64_t value) {
-  std::uint8_t octets[9];
-  octets[0] = 0x00;  // room for the sign-protection byte
-  for (int i = 0; i < 8; ++i) {
-    octets[i + 1] =
-        static_cast<std::uint8_t>((value >> (8 * (7 - i))) & 0xFF);
-  }
-  int start = 1;
-  while (start < 8 && octets[start] == 0x00) ++start;
-  // Keep a leading zero when the first value octet has the high bit set.
-  if ((octets[start] & 0x80) != 0) --start;
-  write_tlv(out, tag,
-            std::span(octets + start, static_cast<std::size_t>(9 - start)));
+void Encoder::octet_string(std::string_view value) {
+  std::copy(value.begin(), value.end(), prepend(value.size()));
+  header(tags::kOctetString, value.size());
 }
 
-void write_octet_string(serde::Writer& out, std::string_view value) {
-  write_tlv(out, tags::kOctetString,
-            std::span(reinterpret_cast<const std::uint8_t*>(value.data()),
-                      value.size()));
-}
-
-void write_null(serde::Writer& out) { write_tlv(out, tags::kNull, {}); }
-
-Status write_oid(serde::Writer& out, const Oid& oid) {
+bool Encoder::oid(const Oid& oid) {
   if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39)) {
-    return Status(Errc::malformed, "OID not encodable in X.690 form");
+    return false;
   }
-  serde::Writer content;
-  content.u8(static_cast<std::uint8_t>(40 * oid[0] + oid[1]));
-  for (std::size_t i = 2; i < oid.size(); ++i) {
-    const std::uint32_t arc = oid[i];
-    std::uint8_t groups[5];
-    int count = 0;
-    std::uint32_t remaining = arc;
-    do {
-      groups[count++] = static_cast<std::uint8_t>(remaining & 0x7F);
-      remaining >>= 7;
-    } while (remaining > 0);
-    for (int g = count - 1; g >= 1; --g) {
-      content.u8(static_cast<std::uint8_t>(groups[g] | 0x80));
+  oid_content(static_cast<std::uint8_t>(40 * oid[0] + oid[1]),
+              oid.arcs().subspan(2));
+  return true;
+}
+
+void Encoder::padded_oid(const Oid& oid) { oid_content(0, oid.arcs()); }
+
+void Encoder::oid_content(std::uint8_t head,
+                          std::span<const std::uint32_t> arcs) {
+  const std::size_t mark = size_;
+  for (auto arc = arcs.rbegin(); arc != arcs.rend(); ++arc) {
+    // Base-128, most significant group first, continuation bit on all
+    // but the last: written from the tail, the last group comes first.
+    std::uint32_t remaining = *arc;
+    *prepend(1) = static_cast<std::uint8_t>(remaining & 0x7F);
+    for (remaining >>= 7; remaining > 0; remaining >>= 7) {
+      *prepend(1) = static_cast<std::uint8_t>(0x80 | (remaining & 0x7F));
     }
-    content.u8(groups[0]);
   }
-  write_tlv(out, tags::kOid, content.bytes());
-  return {};
+  *prepend(1) = head;
+  wrap(tags::kOid, mark);
 }
 
 Header read_header(serde::Reader& r, std::size_t end) {
@@ -187,14 +178,25 @@ Oid read_oid(serde::Reader& r, std::size_t length) {
     r.fail(Errc::malformed, "empty OID");
     return {};
   }
-  std::vector<std::uint32_t> arcs;
-  const std::uint8_t head = r.u8();
-  arcs.push_back(head / 40 > 2 ? 2 : head / 40);
-  arcs.push_back(head / 40 > 2 ? head - 80 : head % 40);
+  // Parsed from the input in place, like read_octets: a local pointer
+  // keeps the loop in registers, where reading through `r` octet by
+  // octet reloaded the reader after every arc stored.
+  const std::span<const std::uint8_t> rest = r.remaining_span();
+  if (rest.size() < length) {
+    r.fail(Errc::malformed, "truncated OID");
+    return {};
+  }
+  r.skip(length);
+  const std::uint8_t* in = rest.data();
+  const std::uint8_t* const end = in + length;
+  Oid oid;
+  const std::uint8_t head = *in++;
+  oid.push_back(head / 40 > 2 ? 2 : head / 40);
+  oid.push_back(head / 40 > 2 ? head - 80 : head % 40);
   std::uint32_t arc = 0;
   int continuation = 0;
-  for (std::size_t i = 1; i < length; ++i) {
-    const std::uint8_t byte = r.u8();
+  for (; in != end; ++in) {
+    const std::uint8_t byte = *in;
     if (byte == 0x80 && continuation == 0) {
       // X.690 8.19.2: a subidentifier's leading octet is never 0x80, so
       // that each OID has one encoding.
@@ -213,12 +215,12 @@ Oid read_oid(serde::Reader& r, std::size_t length) {
       }
       continue;
     }
-    arcs.push_back(arc);
+    oid.push_back(arc);
     arc = 0;
     continuation = 0;
   }
   if (continuation != 0) r.fail(Errc::malformed, "truncated OID arc");
-  return Oid(std::move(arcs));
+  return oid;
 }
 
 }  // namespace collabqos::snmp::ber

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "collabqos/net/network.hpp"
 #include "collabqos/snmp/mib.hpp"
@@ -64,8 +65,10 @@ class Agent {
   COLLABQOS_COUNTER_SET(Counters, AgentStats, COLLABQOS_AGENT_COUNTERS);
 
   void handle(const net::Datagram& datagram);
-  [[nodiscard]] Pdu service(const Pdu& request);
+  /// Fills `response` (reused across requests) with the answer.
+  void service(const Pdu& request, Pdu& response);
   [[nodiscard]] bool authorized(const Pdu& request) const;
+  void send_next_reply();
   void evaluate_trap_rules();
 
   net::Network& network_;
@@ -76,6 +79,18 @@ class Agent {
   /// Artificial per-request processing delay (models agent latency).
   sim::Duration delay_ = sim::Duration::micros(500);
   Counters stats_;
+  /// The last request and its response; their buffers carry over.
+  Pdu request_;
+  Pdu response_;
+  /// Encoded replies waiting out `delay_`, oldest first. Every reply
+  /// waits the same delay, so they leave in arrival order; the timer
+  /// event for each carries only `this`.
+  struct Reply {
+    net::Address requester;
+    serde::SharedBytes bytes;
+  };
+  std::vector<Reply> replies_;
+  std::size_t next_reply_ = 0;
   struct ArmedRule {
     TrapRule rule;
     bool latched = false;  ///< true after firing, until the value recedes

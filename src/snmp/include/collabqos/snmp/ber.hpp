@@ -3,11 +3,13 @@
 // SEQUENCE, the SMI application types (Counter32/Gauge32/TimeTicks/
 // Counter64) and context-class PDU tags. Pdu::encode/decode sit on top
 // of this, so the simulated datagrams carry genuine SNMPv2c messages a
-// real dissector would parse. Encoding appends to a serde::Writer;
-// decoding reads through the one wire reader, serde::Reader.
+// real dissector would parse. Encoding builds each message from its tail
+// in one reused buffer; decoding reads through the one wire reader,
+// serde::Reader.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string_view>
 
@@ -38,21 +40,62 @@ inline constexpr std::uint8_t kGetBulkRequest = 0xA5;
 inline constexpr std::uint8_t kTrapV2 = 0xA7;
 }  // namespace tags
 
-/// Append one definite-length TLV: tag, length octets, raw content.
-void write_tlv(serde::Writer& out, std::uint8_t tag,
-               std::span<const std::uint8_t> content);
+/// Builds BER from the tail (net-snmp's reverse build). Each call
+/// prepends one TLV, so a constructed TLV is closed after its content,
+/// when its length is known: a message is encoded in one pass with no
+/// temporaries. clear() keeps the buffer, so an encoder reused across
+/// messages stops allocating once it has grown to the largest.
+class Encoder {
+ public:
+  Encoder() = default;
+  Encoder(const Encoder&) = delete;
+  Encoder& operator=(const Encoder&) = delete;
 
-/// INTEGER with minimal two's-complement content octets.
-void write_integer(serde::Writer& out, std::int64_t value);
-/// Unsigned value under an application tag (Counter32/Gauge32/...):
-/// minimal unsigned content with a leading 0x00 when the high bit is set.
-void write_unsigned(serde::Writer& out, std::uint8_t tag,
-                    std::uint64_t value);
-void write_octet_string(serde::Writer& out, std::string_view value);
-void write_null(serde::Writer& out);
-/// X.690 OID content: first two arcs fold into 40*a+b, the rest base-128.
-/// Requires at least 2 arcs with arcs[0] <= 2.
-Status write_oid(serde::Writer& out, const Oid& oid);
+  void clear() noexcept { size_ = 0; }
+  /// Octets written so far; a mark for wrap().
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// The encoding, first octet first.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {buffer_.get() + capacity_ - size_, size_};
+  }
+
+  /// Prepends a tag and a definite length (short form below 128).
+  void header(std::uint8_t tag, std::size_t length);
+  /// Closes a constructed TLV around everything written since `mark`.
+  void wrap(std::uint8_t tag, std::size_t mark) {
+    header(tag, size_ - mark);
+  }
+
+  /// INTEGER with minimal two's-complement content octets.
+  void integer(std::int64_t value);
+  /// Unsigned value under an application tag (Counter32/Gauge32/...):
+  /// minimal unsigned content with a leading 0x00 when the high bit is set.
+  void unsigned_integer(std::uint8_t tag, std::uint64_t value);
+  void octet_string(std::string_view value);
+  void null() { header(tags::kNull, 0); }
+  /// X.690 OID content: first two arcs fold into 40*a+b, the rest base-128.
+  /// Writes nothing and returns false unless the OID has at least 2 arcs,
+  /// arcs[0] <= 2, and arcs[1] <= 39 when arcs[0] < 2.
+  [[nodiscard]] bool oid(const Oid& oid);
+  /// The OID 0.0.<arcs>: how a PDU carries an OID X.690 cannot (toy
+  /// OIDs with fewer than two arcs, or a bad root). Always encodable.
+  void padded_oid(const Oid& oid);
+
+ private:
+  /// Room for `n` more octets in front of the current ones.
+  std::uint8_t* prepend(std::size_t n) {
+    if (capacity_ - size_ < n) grow(n);
+    size_ += n;
+    return buffer_.get() + capacity_ - size_;
+  }
+  void grow(std::size_t n);
+  /// Base-128 arcs and the folded head octet, then the OID header.
+  void oid_content(std::uint8_t head, std::span<const std::uint32_t> arcs);
+
+  std::unique_ptr<std::uint8_t[]> buffer_;
+  std::size_t capacity_ = 0;  ///< content sits at the buffer's tail
+  std::size_t size_ = 0;
+};
 
 // Reading. A read takes the reader over the whole message and the offset
 // `end` where the constructed TLV enclosing it (or the input) ends: a TLV

@@ -6,14 +6,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "collabqos/net/network.hpp"
 #include "collabqos/snmp/pdu.hpp"
 #include "collabqos/telemetry/counter_set.hpp"
+#include "collabqos/util/flat_table.hpp"
 
 namespace collabqos::snmp {
 
@@ -38,6 +39,7 @@ struct ManagerOptions {
 class Manager {
  public:
   using Callback = std::function<void(Result<Pdu>)>;
+  using WalkCallback = std::function<void(Result<std::vector<VarBind>>)>;
   using Options = ManagerOptions;
 
   Manager(net::Network& network, net::NodeId node, Options options = {});
@@ -63,13 +65,13 @@ class Manager {
   /// Walk an entire subtree; calls `callback` once with every varbind
   /// under `root` (in lexicographic order) or the first error.
   void walk(net::NodeId agent, const std::string& community, const Oid& root,
-            std::function<void(Result<std::vector<VarBind>>)> callback);
+            WalkCallback callback);
 
   /// Same result as walk(), but over GETBULK: ~max_repetitions objects
   /// per round trip instead of one.
   void bulk_walk(net::NodeId agent, const std::string& community,
                  const Oid& root, std::uint32_t max_repetitions,
-                 std::function<void(Result<std::vector<VarBind>>)> callback);
+                 WalkCallback callback);
 
   [[nodiscard]] ManagerStats stats() const noexcept { return stats_.view(); }
 
@@ -82,26 +84,51 @@ class Manager {
   /// Registry-backed counters; ManagerStats is the cheap view.
   COLLABQOS_COUNTER_SET(Counters, ManagerStats, COLLABQOS_MANAGER_COUNTERS);
 
+  /// A request awaiting its response. It keeps the encoded message, so
+  /// a retry resends the same buffer.
   struct Outstanding {
-    Pdu request;
+    serde::SharedBytes wire;
     net::Address agent;
     Callback callback;
     int attempts_left = 0;
     sim::EventId timeout_event = 0;
   };
+  /// A walk in progress. Each step's request callback carries only the
+  /// walk's id, so a step allocates no closure.
+  struct Walk {
+    net::NodeId agent{};
+    std::string community;
+    Oid root;
+    bool bulk = false;  ///< GETBULK steps, else GETNEXT
+    std::uint32_t max_repetitions = 0;
+    std::vector<VarBind> collected;
+    WalkCallback callback;
+  };
 
-  void send_request(Pdu pdu, net::Address agent, Callback callback);
+  /// Sends `request_` (type, community and bindings filled in by the
+  /// caller) under a fresh request id.
+  void send_request(net::NodeId agent, Callback callback);
   void transmit(std::uint32_t request_id);
   void on_datagram(const net::Datagram& datagram);
   void on_timeout(std::uint32_t request_id);
+  void start_walk(Walk walk);
+  void walk_step(std::uint64_t walk_id, const Oid& cursor);
+  void on_walk_response(std::uint64_t walk_id, Result<Pdu> result);
+  /// Fill `request_` for an OID-list request (NULL values, no error).
+  void prepare(PduType type, const std::string& community,
+               std::span<const Oid> oids);
 
   net::Network& network_;
   std::unique_ptr<net::Endpoint> endpoint_;
   std::unique_ptr<net::Endpoint> trap_endpoint_;
   TrapHandler trap_handler_;
   Options options_;
-  std::map<std::uint32_t, Outstanding> outstanding_;
+  FlatMap<Outstanding> outstanding_;  ///< by request id
   std::uint32_t next_request_id_ = 1;
+  FlatMap<Walk> walks_;  ///< by walk id
+  std::uint64_t next_walk_id_ = 1;
+  /// Scratch for building each request before it is encoded.
+  Pdu request_;
   Counters stats_;
 };
 

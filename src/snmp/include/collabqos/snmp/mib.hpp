@@ -1,11 +1,17 @@
-// Management information base: an ordered tree of managed objects with
+// Management information base: an ordered table of managed objects with
 // per-object access control and provider callbacks (the "instrumentation
 // routines" of the paper's §5.5).
+//
+// The table is compiled as objects register: one array kept sorted by
+// OID, so GET and GETNEXT are binary searches and a GETBULK walk steps
+// through consecutive entries. Agents register their objects at setup,
+// in OID order or close to it, so a registration is usually an append.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "collabqos/snmp/oid.hpp"
 #include "collabqos/snmp/value.hpp"
@@ -22,7 +28,8 @@ using Mutator = std::function<Status(const Value&)>;
 
 class Mib {
  public:
-  /// Register a static scalar value.
+  /// Register a static scalar value. Registering an OID again replaces
+  /// its object.
   void add_scalar(const Oid& oid, Value value, Access access = Access::read_only);
   /// Register a live (provider-backed) scalar.
   void add_provider(const Oid& oid, Provider provider,
@@ -34,18 +41,35 @@ class Mib {
   Status set(const Oid& oid, const Value& value);
 
   [[nodiscard]] bool contains(const Oid& oid) const {
-    return objects_.contains(oid);
+    return find(oid) != size();
   }
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
 
+  // Positional access, in OID order: what the agent answers from.
+  /// Position of `oid`, or size() when it is not registered.
+  [[nodiscard]] std::size_t find(const Oid& oid) const;
+  /// Position of the first object strictly after `oid` (size() if none).
+  [[nodiscard]] std::size_t upper_bound(const Oid& oid) const;
+  [[nodiscard]] const Oid& oid_at(std::size_t i) const {
+    return objects_[i].oid;
+  }
+  /// The object's current value (its provider's, when it has one).
+  [[nodiscard]] Value value_at(std::size_t i) const {
+    const Object& object = objects_[i];
+    return object.provider ? object.provider() : object.static_value;
+  }
+
  private:
   struct Object {
+    Oid oid;
     Access access = Access::read_only;
     Value static_value;
     Provider provider;   ///< when set, overrides static_value on reads
     Mutator mutator;     ///< when set, handles SET for read_write objects
   };
-  std::map<Oid, Object> objects_;
+  void insert(Object object);
+
+  std::vector<Object> objects_;  ///< sorted by oid, unique
 };
 
 }  // namespace collabqos::snmp

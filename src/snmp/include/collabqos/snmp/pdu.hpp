@@ -61,9 +61,14 @@ struct Pdu {
   std::uint32_t error_index = 0;  ///< 1-based varbind index, 0 = none
   std::vector<VarBind> bindings;
 
+  /// The BER message, built in one pass from its tail.
   [[nodiscard]] serde::Bytes encode() const;
   [[nodiscard]] static Result<Pdu> decode(
       std::span<const std::uint8_t> bytes);
+  /// decode() into `out`, reusing its buffers (a long-lived agent decodes
+  /// every request into one Pdu). `out` is unspecified after a failure.
+  [[nodiscard]] static Status decode_into(std::span<const std::uint8_t> bytes,
+                                          Pdu& out);
 
   /// Hard cap on varbinds per PDU, mirroring practical SNMP limits.
   static constexpr std::size_t kMaxBindings = 64;

@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "collabqos/snmp/oid.hpp"
+#include "collabqos/util/inline_array.hpp"
 #include "collabqos/util/result.hpp"
 
 namespace collabqos::snmp {
@@ -32,7 +34,7 @@ class Value {
   [[nodiscard]] static Value gauge(std::uint64_t v);
   [[nodiscard]] static Value counter(std::uint64_t v);
   [[nodiscard]] static Value timeticks(std::uint64_t hundredths);
-  [[nodiscard]] static Value octets(std::string v);
+  [[nodiscard]] static Value octets(std::string_view v);
   [[nodiscard]] static Value object_id(Oid v);
 
   [[nodiscard]] ValueType type() const noexcept { return type_; }
@@ -40,7 +42,9 @@ class Value {
   /// Typed accessors; Errc::malformed if the type does not match.
   [[nodiscard]] Result<std::int64_t> as_integer() const;
   [[nodiscard]] Result<std::uint64_t> as_unsigned() const;  ///< gauge/counter/ticks
-  [[nodiscard]] Result<std::string> as_octets() const;
+  /// The OCTET STRING in place: valid while this value lives and is not
+  /// assigned. Consumers that keep it copy it.
+  [[nodiscard]] Result<std::string_view> as_octets() const;
   [[nodiscard]] Result<Oid> as_object_id() const;
 
   /// Best-effort numeric view (integer/gauge/counter/ticks); malformed
@@ -54,7 +58,13 @@ class Value {
   }
 
  private:
-  std::variant<std::int64_t, std::uint64_t, std::string, Oid> data_;
+  /// Octet strings up to kInlineOctets bytes live inside the value, as
+  /// OIDs do: every telemetry family name fits, so copying or decoding
+  /// a directory entry does not allocate.
+  static constexpr std::size_t kInlineOctets = 48;
+  using Octets = InlineArray<char, kInlineOctets>;
+
+  std::variant<std::int64_t, std::uint64_t, Octets, Oid> data_;
   ValueType type_;
 };
 

@@ -44,174 +44,148 @@ Status Manager::listen_for_traps(TrapHandler handler) {
   return {};
 }
 
+void Manager::prepare(PduType type, const std::string& community,
+                      std::span<const Oid> oids) {
+  request_.type = type;
+  request_.community = community;
+  request_.error_status = ErrorStatus::no_error;
+  request_.error_index = 0;
+  request_.bindings.resize(oids.size());
+  for (std::size_t i = 0; i < oids.size(); ++i) {
+    request_.bindings[i] = VarBind{oids[i], Value{}};
+  }
+}
+
 void Manager::get(net::NodeId agent, const std::string& community,
                   std::vector<Oid> oids, Callback callback) {
-  Pdu pdu;
-  pdu.type = PduType::get;
-  pdu.community = community;
-  pdu.bindings.resize(oids.size());
-  for (std::size_t i = 0; i < oids.size(); ++i) {
-    pdu.bindings[i].oid = std::move(oids[i]);
-  }
-  send_request(std::move(pdu), net::Address{agent, kAgentPort},
-               std::move(callback));
+  prepare(PduType::get, community, oids);
+  send_request(agent, std::move(callback));
 }
 
 void Manager::get_next(net::NodeId agent, const std::string& community,
                        std::vector<Oid> oids, Callback callback) {
-  Pdu pdu;
-  pdu.type = PduType::get_next;
-  pdu.community = community;
-  pdu.bindings.resize(oids.size());
-  for (std::size_t i = 0; i < oids.size(); ++i) {
-    pdu.bindings[i].oid = std::move(oids[i]);
-  }
-  send_request(std::move(pdu), net::Address{agent, kAgentPort},
-               std::move(callback));
+  prepare(PduType::get_next, community, oids);
+  send_request(agent, std::move(callback));
 }
 
 void Manager::get_bulk(net::NodeId agent, const std::string& community,
                        std::vector<Oid> oids,
                        std::uint32_t max_repetitions, Callback callback) {
-  Pdu pdu;
-  pdu.type = PduType::get_bulk;
-  pdu.community = community;
-  pdu.error_index = max_repetitions;  // v2c field reuse
-  pdu.bindings.resize(oids.size());
-  for (std::size_t i = 0; i < oids.size(); ++i) {
-    pdu.bindings[i].oid = std::move(oids[i]);
-  }
-  send_request(std::move(pdu), net::Address{agent, kAgentPort},
-               std::move(callback));
+  prepare(PduType::get_bulk, community, oids);
+  request_.error_index = max_repetitions;  // v2c field reuse
+  send_request(agent, std::move(callback));
 }
 
 void Manager::set(net::NodeId agent, const std::string& community,
                   std::vector<VarBind> bindings, Callback callback) {
-  Pdu pdu;
-  pdu.type = PduType::set;
-  pdu.community = community;
-  pdu.bindings = std::move(bindings);
-  send_request(std::move(pdu), net::Address{agent, kAgentPort},
-               std::move(callback));
+  prepare(PduType::set, community, {});
+  request_.bindings.assign(bindings.begin(), bindings.end());
+  send_request(agent, std::move(callback));
 }
 
-void Manager::walk(
-    net::NodeId agent, const std::string& community, const Oid& root,
-    std::function<void(Result<std::vector<VarBind>>)> callback) {
-  // Accumulate results across chained GETNEXT steps. The closure holds
-  // only a weak self-reference; each in-flight request's callback keeps
-  // the strong one, so the chain stays alive exactly as long as a
-  // response is pending and is freed when the walk ends (no refcount
-  // cycle).
-  auto collected = std::make_shared<std::vector<VarBind>>();
-  auto step = std::make_shared<std::function<void(Oid)>>();
-  *step = [this, agent, community, root, collected,
-           weak = std::weak_ptr(step),
-           callback = std::move(callback)](Oid cursor) {
-    const auto self = weak.lock();
-    get_next(agent, community, {std::move(cursor)},
-             [root, collected, self, callback](Result<Pdu> result) {
-               if (!result) {
-                 callback(result.error());
-                 return;
-               }
-               const Pdu& pdu = result.value();
-               if (pdu.error_status == ErrorStatus::no_such_name ||
-                   pdu.bindings.empty() ||
-                   !root.is_prefix_of(pdu.bindings.front().oid)) {
-                 callback(std::move(*collected));  // walked past the subtree
-                 return;
-               }
-               if (pdu.error_status != ErrorStatus::no_error) {
-                 callback(Error{Errc::internal,
-                                std::string(to_string(pdu.error_status))});
-                 return;
-               }
-               collected->push_back(pdu.bindings.front());
-               (*self)(pdu.bindings.front().oid);
-             });
+void Manager::walk(net::NodeId agent, const std::string& community,
+                   const Oid& root, WalkCallback callback) {
+  start_walk(Walk{agent, community, root, false, 0, {}, std::move(callback)});
+}
+
+void Manager::bulk_walk(net::NodeId agent, const std::string& community,
+                        const Oid& root, std::uint32_t max_repetitions,
+                        WalkCallback callback) {
+  start_walk(Walk{agent, community, root, true, max_repetitions, {},
+                  std::move(callback)});
+}
+
+void Manager::start_walk(Walk walk) {
+  const std::uint64_t id = next_walk_id_++;
+  const Oid root = walk.root;
+  *walks_.try_emplace(id).first = std::move(walk);
+  walk_step(id, root);
+}
+
+void Manager::walk_step(std::uint64_t walk_id, const Oid& cursor) {
+  const Walk& walk = *walks_.find(walk_id);
+  prepare(walk.bulk ? PduType::get_bulk : PduType::get_next, walk.community,
+          {&cursor, 1});
+  request_.error_index = walk.max_repetitions;  // GETBULK field reuse
+  send_request(walk.agent, [this, walk_id](Result<Pdu> result) {
+    on_walk_response(walk_id, std::move(result));
+  });
+}
+
+void Manager::on_walk_response(std::uint64_t walk_id, Result<Pdu> result) {
+  Walk& walk = *walks_.find(walk_id);
+  // Ends the walk: the callback runs after the walk's entry is gone, so
+  // it may start another.
+  const auto finish = [this, walk_id, &walk](
+                          Result<std::vector<VarBind>> outcome) {
+    WalkCallback callback = std::move(walk.callback);
+    walks_.erase(walk_id);
+    callback(std::move(outcome));
   };
-  (*step)(root);
+  if (!result) return finish(result.error());
+  const Pdu& pdu = result.value();
+  if (!walk.bulk) {
+    // GETNEXT: done at noSuchName or at the first OID past the subtree.
+    if (pdu.error_status == ErrorStatus::no_such_name ||
+        pdu.bindings.empty() || !walk.root.is_prefix_of(pdu.bindings.front().oid)) {
+      return finish(std::move(walk.collected));
+    }
+    if (pdu.error_status != ErrorStatus::no_error) {
+      return finish(
+          Error{Errc::internal, std::string(to_string(pdu.error_status))});
+    }
+    walk.collected.push_back(pdu.bindings.front());
+    return walk_step(walk_id, pdu.bindings.front().oid);
+  }
+  if (pdu.error_status != ErrorStatus::no_error) {
+    return finish(
+        Error{Errc::internal, std::string(to_string(pdu.error_status))});
+  }
+  // GETBULK: done at the first OID outside the subtree, or at an empty
+  // batch (the agent walked off the end of its MIB).
+  for (const VarBind& vb : pdu.bindings) {
+    if (!walk.root.is_prefix_of(vb.oid)) {
+      return finish(std::move(walk.collected));
+    }
+    walk.collected.push_back(vb);
+  }
+  if (pdu.bindings.empty()) return finish(std::move(walk.collected));
+  walk_step(walk_id, pdu.bindings.back().oid);
 }
 
-void Manager::bulk_walk(
-    net::NodeId agent, const std::string& community, const Oid& root,
-    std::uint32_t max_repetitions,
-    std::function<void(Result<std::vector<VarBind>>)> callback) {
-  // Same weak-self pattern as walk() above: no refcount cycle.
-  auto collected = std::make_shared<std::vector<VarBind>>();
-  auto step = std::make_shared<std::function<void(Oid)>>();
-  *step = [this, agent, community, root, max_repetitions, collected,
-           weak = std::weak_ptr(step),
-           callback = std::move(callback)](Oid cursor) {
-    const auto self = weak.lock();
-    get_bulk(agent, community, {std::move(cursor)}, max_repetitions,
-             [root, collected, self, callback](Result<Pdu> result) {
-               if (!result) {
-                 callback(result.error());
-                 return;
-               }
-               const Pdu& pdu = result.value();
-               if (pdu.error_status != ErrorStatus::no_error) {
-                 callback(Error{Errc::internal,
-                                std::string(to_string(pdu.error_status))});
-                 return;
-               }
-               // Done at the first OID outside the subtree, or at an
-               // empty batch (the agent walked off the end of its MIB).
-               for (const VarBind& vb : pdu.bindings) {
-                 if (!root.is_prefix_of(vb.oid)) {
-                   callback(std::move(*collected));
-                   return;
-                 }
-                 collected->push_back(vb);
-               }
-               if (pdu.bindings.empty()) {
-                 callback(std::move(*collected));
-                 return;
-               }
-               (*self)(pdu.bindings.back().oid);
-             });
-  };
-  (*step)(root);
-}
-
-void Manager::send_request(Pdu pdu, net::Address agent, Callback callback) {
+void Manager::send_request(net::NodeId agent, Callback callback) {
   const std::uint32_t id = next_request_id_++;
-  pdu.request_id = id;
-  Outstanding out;
-  out.request = std::move(pdu);
-  out.agent = agent;
+  request_.request_id = id;
+  Outstanding& out = *outstanding_.try_emplace(id).first;
+  out.wire = request_.encode();
+  out.agent = net::Address{agent, kAgentPort};
   out.callback = std::move(callback);
   out.attempts_left = options_.retries;
-  outstanding_.emplace(id, std::move(out));
   ++stats_.requests;
   transmit(id);
 }
 
 void Manager::transmit(std::uint32_t request_id) {
-  auto it = outstanding_.find(request_id);
-  if (it == outstanding_.end()) return;
-  Outstanding& out = it->second;
-  (void)endpoint_->send(out.agent, out.request.encode());
-  out.timeout_event = network_.simulator().schedule_after(
+  Outstanding* out = outstanding_.find(request_id);
+  if (out == nullptr) return;
+  (void)endpoint_->send(out->agent, out->wire);
+  out->timeout_event = network_.simulator().schedule_after(
       options_.timeout, [this, request_id] { on_timeout(request_id); });
 }
 
 void Manager::on_timeout(std::uint32_t request_id) {
-  auto it = outstanding_.find(request_id);
-  if (it == outstanding_.end()) return;
-  Outstanding& out = it->second;
-  if (out.attempts_left > 0) {
-    --out.attempts_left;
+  Outstanding* out = outstanding_.find(request_id);
+  if (out == nullptr) return;
+  if (out->attempts_left > 0) {
+    --out->attempts_left;
     ++stats_.retries;
     CQ_DEBUG(kComponent) << "retrying request " << request_id;
     transmit(request_id);
     return;
   }
   ++stats_.timeouts;
-  Callback callback = std::move(out.callback);
-  outstanding_.erase(it);
+  Callback callback = std::move(out->callback);
+  outstanding_.erase(request_id);
   callback(Error{Errc::timeout, "agent did not respond"});
 }
 
@@ -225,12 +199,12 @@ void Manager::on_datagram(const net::Datagram& datagram) {
   }
   Pdu pdu = std::move(decoded).take();
   if (pdu.type != PduType::response) return;
-  auto it = outstanding_.find(pdu.request_id);
-  if (it == outstanding_.end()) return;  // late duplicate after timeout
-  if (datagram.source != it->second.agent) return;  // spoof guard
-  network_.simulator().cancel(it->second.timeout_event);
-  Callback callback = std::move(it->second.callback);
-  outstanding_.erase(it);
+  Outstanding* out = outstanding_.find(pdu.request_id);
+  if (out == nullptr) return;  // late duplicate after timeout
+  if (datagram.source != out->agent) return;  // spoof guard
+  network_.simulator().cancel(out->timeout_event);
+  Callback callback = std::move(out->callback);
+  outstanding_.erase(pdu.request_id);
   ++stats_.responses;
   if (pdu.error_status == ErrorStatus::no_access) {
     callback(Error{Errc::access_denied, "community rejected"});

@@ -36,35 +36,36 @@ PduType pdu_type_from_tag(serde::Reader& r, std::uint8_t tag) {
   return PduType::get;
 }
 
-Status write_value(serde::Writer& out, const Value& value) {
+/// Prepends one varbind value. An OBJECT IDENTIFIER value X.690 cannot
+/// carry writes nothing (the varbind then holds only its name).
+void write_value(ber::Encoder& out, const Value& value) {
   switch (value.type()) {
     case ValueType::integer:
-      ber::write_integer(out, value.as_integer().value());
-      return {};
+      out.integer(value.as_integer().value());
+      return;
     case ValueType::gauge:
-      ber::write_unsigned(out, ber::tags::kGauge32,
-                          std::min<std::uint64_t>(value.as_unsigned().value(),
-                                                  UINT32_MAX));
-      return {};
+      out.unsigned_integer(
+          ber::tags::kGauge32,
+          std::min<std::uint64_t>(value.as_unsigned().value(), UINT32_MAX));
+      return;
     case ValueType::counter:
-      ber::write_unsigned(out, ber::tags::kCounter64,
-                          value.as_unsigned().value());
-      return {};
+      out.unsigned_integer(ber::tags::kCounter64, value.as_unsigned().value());
+      return;
     case ValueType::timeticks:
-      ber::write_unsigned(out, ber::tags::kTimeTicks,
-                          std::min<std::uint64_t>(value.as_unsigned().value(),
-                                                  UINT32_MAX));
-      return {};
+      out.unsigned_integer(
+          ber::tags::kTimeTicks,
+          std::min<std::uint64_t>(value.as_unsigned().value(), UINT32_MAX));
+      return;
     case ValueType::octet_string:
-      ber::write_octet_string(out, value.as_octets().value());
-      return {};
+      out.octet_string(value.as_octets().value());
+      return;
     case ValueType::object_id:
-      return ber::write_oid(out, value.as_object_id().value());
+      (void)out.oid(value.as_object_id().value());
+      return;
     case ValueType::null:
-      ber::write_null(out);
-      return {};
+      out.null();
+      return;
   }
-  return Status(Errc::internal, "unencodable value type");
 }
 
 /// A value TLV that must end by `end`.
@@ -81,7 +82,7 @@ Value read_value(serde::Reader& r, std::size_t end) {
     case ber::tags::kTimeTicks:
       return Value::timeticks(ber::read_unsigned(r, h.length));
     case ber::tags::kOctetString:
-      return Value::octets(std::string(ber::read_octets(r, h.length)));
+      return Value::octets(ber::read_octets(r, h.length));
     case ber::tags::kOid:
       return Value::object_id(ber::read_oid(r, h.length));
     case ber::tags::kNull:
@@ -100,8 +101,19 @@ std::int64_t read_integer_field(serde::Reader& r, std::size_t end) {
 /// Undo the 0.0 prefix encode() gives OIDs that X.690 cannot carry.
 Oid strip_toy_padding(Oid oid) {
   if (oid.size() < 2 || oid[0] != 0 || oid[1] != 0) return oid;
-  return Oid(std::vector<std::uint32_t>(oid.arcs().begin() + 2,
-                                        oid.arcs().end()));
+  return Oid(oid.arcs().subspan(2));
+}
+
+/// The number of TLVs between the reader's offset and `end`, or 0 when
+/// they do not parse: the decoder sizes its varbind list with it.
+std::size_t count_tlvs(const serde::Reader& from, std::size_t end) {
+  serde::Reader r = from;
+  std::size_t count = 0;
+  while (r.ok() && r.offset() < end && count < Pdu::kMaxBindings) {
+    r.skip(ber::read_header(r, end).length);
+    ++count;
+  }
+  return r.ok() ? count : 0;
 }
 
 }  // namespace
@@ -132,40 +144,39 @@ std::string_view to_string(ErrorStatus status) noexcept {
 }
 
 serde::Bytes Pdu::encode() const {
-  // varbind-list := SEQUENCE OF SEQUENCE { OID, value }
-  serde::Writer varbind_list;
-  for (const VarBind& vb : bindings) {
-    serde::Writer one;
+  // Built from the tail, in a buffer each thread reuses: the varbinds
+  // last to first, each closed by its SEQUENCE header, then the list
+  // header, the three header INTEGERs, the PDU tag, the community, the
+  // version, and the message SEQUENCE around it all.
+  thread_local ber::Encoder out;
+  out.clear();
+  for (auto vb = bindings.rbegin(); vb != bindings.rend(); ++vb) {
+    const std::size_t mark = out.size();
+    write_value(out, vb->value);
     // Unencodable OIDs (fewer than 2 arcs) get a defensive padding so
     // internal tests with toy OIDs still round-trip: prefix 0.0.
-    if (auto status = ber::write_oid(one, vb.oid); !status.ok()) {
-      Oid padded = Oid{0, 0}.concat(vb.oid);
-      (void)ber::write_oid(one, padded);
-    }
-    (void)write_value(one, vb.value);
-    ber::write_tlv(varbind_list, ber::tags::kSequence, one.bytes());
+    if (!out.oid(vb->oid)) out.padded_oid(vb->oid);
+    out.wrap(ber::tags::kSequence, mark);
   }
-
-  // pdu-content := request-id, error-status, error-index, varbind-list
-  serde::Writer pdu_content;
-  ber::write_integer(pdu_content, static_cast<std::int64_t>(request_id));
-  ber::write_integer(pdu_content,
-                     static_cast<std::int64_t>(error_status));
-  ber::write_integer(pdu_content, static_cast<std::int64_t>(error_index));
-  ber::write_tlv(pdu_content, ber::tags::kSequence, varbind_list.bytes());
-
-  // message := SEQUENCE { version, community, [tag] pdu-content }
-  serde::Writer message_content;
-  ber::write_integer(message_content, kSnmpV2c);
-  ber::write_octet_string(message_content, community);
-  ber::write_tlv(message_content, pdu_tag(type), pdu_content.bytes());
-
-  serde::Writer message;
-  ber::write_tlv(message, ber::tags::kSequence, message_content.bytes());
-  return std::move(message).take();
+  out.wrap(ber::tags::kSequence, 0);
+  out.integer(static_cast<std::int64_t>(error_index));
+  out.integer(static_cast<std::int64_t>(error_status));
+  out.integer(static_cast<std::int64_t>(request_id));
+  out.wrap(pdu_tag(type), 0);
+  out.octet_string(community);
+  out.integer(kSnmpV2c);
+  out.wrap(ber::tags::kSequence, 0);
+  const std::span<const std::uint8_t> message = out.bytes();
+  return serde::Bytes(message.begin(), message.end());
 }
 
 Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
+  Pdu pdu;
+  if (Status status = decode_into(bytes, pdu); !status) return status.error();
+  return pdu;
+}
+
+Status Pdu::decode_into(std::span<const std::uint8_t> bytes, Pdu& pdu) {
   // One reader over the whole message: each constructed TLV bounds the
   // reads inside it by its end offset, and the first fault latches.
   serde::Reader r(bytes);
@@ -178,7 +189,6 @@ Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
     r.fail(Errc::unsupported, "unsupported SNMP version");
   }
 
-  Pdu pdu;
   pdu.community = ber::read_octets(
       r, ber::expect(r, ber::tags::kOctetString, message.end).length);
   const ber::Header body = ber::read_header(r, message.end);
@@ -215,6 +225,8 @@ Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
 
   const ber::Header list = ber::expect(r, ber::tags::kSequence, body.end);
   if (list.end != body.end) r.fail(Errc::malformed, "trailing fields in PDU");
+  pdu.bindings.clear();
+  pdu.bindings.reserve(count_tlvs(r, list.end));
   while (r.ok() && r.offset() < list.end) {
     if (pdu.bindings.size() >= kMaxBindings) {
       r.fail(Errc::malformed, "too many varbinds");
@@ -230,7 +242,7 @@ Result<Pdu> Pdu::decode(std::span<const std::uint8_t> bytes) {
     pdu.bindings.push_back(std::move(binding));
   }
   if (!r.ok()) return r.error();
-  return pdu;
+  return {};
 }
 
 }  // namespace collabqos::snmp

@@ -1,5 +1,6 @@
 #include "collabqos/snmp/telemetry_mib.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace collabqos::snmp {
@@ -10,21 +11,21 @@ void install_telemetry_instrumentation(
   mib.add_provider(oids::tassl_telemetry_count(), [&registry] {
     return Value::gauge(registry.family_count());
   });
-  // Families and their export ids are never removed or renumbered, so a
-  // name captured here stays the right key for live value reads. The
-  // instruments behind it may come and go; the family sum follows.
-  for (const auto& [export_id, name] : registry.export_directory()) {
-    mib.add_provider(oids::tassl_telemetry_name(export_id),
-                     [name] { return Value::octets(name); });
-    const auto kind = [&registry, &name] {
-      for (const auto& sample : registry.snapshot()) {
-        if (sample.name == name) return sample.kind;
-      }
-      return telemetry::InstrumentKind::counter;
-    }();
+  // Families and their export ids are never removed or renumbered, so
+  // each value provider resolves its family here, once; the instruments
+  // behind it may come and go, and the family sum follows. The names
+  // are static. The whole directory goes in before the values, so both
+  // runs register in OID order.
+  const auto directory = registry.export_directory();
+  for (const auto& family : directory) {
+    mib.add_scalar(oids::tassl_telemetry_name(family.export_id),
+                   Value::octets(family.name));
+  }
+  for (const auto& family : directory) {
     mib.add_provider(
-        oids::tassl_telemetry_value(export_id), [&registry, name, kind] {
-          const double v = registry.read(name);
+        oids::tassl_telemetry_value(family.export_id),
+        [&registry, ref = family.family, kind = family.kind] {
+          const double v = registry.read(ref);
           if (kind == telemetry::InstrumentKind::gauge) {
             return Value::gauge(static_cast<std::uint64_t>(
                 std::llround(std::max(0.0, v))));

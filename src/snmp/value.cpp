@@ -30,9 +30,9 @@ Value Value::timeticks(std::uint64_t hundredths) {
   return out;
 }
 
-Value Value::octets(std::string v) {
+Value Value::octets(std::string_view v) {
   Value out;
-  out.data_ = std::move(v);
+  out.data_ = Octets(v.data(), v.size());
   out.type_ = ValueType::octet_string;
   return out;
 }
@@ -62,11 +62,12 @@ Result<std::uint64_t> Value::as_unsigned() const {
   }
 }
 
-Result<std::string> Value::as_octets() const {
+Result<std::string_view> Value::as_octets() const {
   if (type_ != ValueType::octet_string) {
     return Error{Errc::malformed, "value is not OCTET STRING"};
   }
-  return std::get<std::string>(data_);
+  const Octets& octets = std::get<Octets>(data_);
+  return std::string_view(octets.data(), octets.size());
 }
 
 Result<Oid> Value::as_object_id() const {
@@ -100,7 +101,7 @@ std::string Value::to_string() const {
     case ValueType::timeticks:
       return "Timeticks: " + std::to_string(std::get<std::uint64_t>(data_));
     case ValueType::octet_string:
-      return "STRING: " + std::get<std::string>(data_);
+      return "STRING: " + std::string(as_octets().value());
     case ValueType::object_id:
       return "OID: " + std::get<Oid>(data_).to_string();
     case ValueType::null:

@@ -178,7 +178,30 @@ class Registration {
 /// The dotted-name family table. All mutation is cold-path (component
 /// construction/destruction); instrument updates never touch it.
 class MetricsRegistry {
+  struct Family;
+
  public:
+  /// A family resolved once: reading through it skips the name lookup.
+  /// Families are never removed, so a handle stays valid as long as the
+  /// registry does.
+  class FamilyRef {
+   public:
+    FamilyRef() = default;
+
+   private:
+    friend class MetricsRegistry;
+    explicit FamilyRef(const Family* family) noexcept : family_(family) {}
+    const Family* family_ = nullptr;
+  };
+
+  /// One row of the export directory.
+  struct ExportedFamily {
+    std::uint32_t export_id = 0;
+    std::string name;
+    InstrumentKind kind = InstrumentKind::counter;
+    FamilyRef family;
+  };
+
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -201,6 +224,9 @@ class MetricsRegistry {
   /// Summed value of a family (counter count / gauge level / histogram
   /// observation count); 0.0 for unknown names.
   [[nodiscard]] double read(std::string_view name) const;
+  /// As read(name), for a family resolved through export_directory();
+  /// 0.0 for a default-constructed handle.
+  [[nodiscard]] double read(FamilyRef family) const;
 
   /// All families, name-sorted. O(1) per family: a handful of relaxed
   /// loads, no coordination with writers.
@@ -215,9 +241,8 @@ class MetricsRegistry {
   /// Stable small-integer id for SNMP export arcs. Assigned on family
   /// creation, never reused or reordered within the process.
   [[nodiscard]] std::uint32_t export_id(std::string_view name) const;
-  /// (export id, family name) pairs in id order.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::string>>
-  export_directory() const;
+  /// Every family with its export id, name, kind and handle, in id order.
+  [[nodiscard]] std::vector<ExportedFamily> export_directory() const;
 
   [[nodiscard]] std::size_t family_count() const;
 

@@ -198,6 +198,12 @@ double MetricsRegistry::read(std::string_view name) const {
   return it == families_.end() ? 0.0 : family_value(it->second);
 }
 
+double MetricsRegistry::read(FamilyRef family) const {
+  if (family.family_ == nullptr) return 0.0;
+  std::scoped_lock lock(mutex_);
+  return family_value(*family.family_);
+}
+
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::scoped_lock lock(mutex_);
   std::vector<MetricSample> samples;
@@ -258,15 +264,19 @@ std::uint32_t MetricsRegistry::export_id(std::string_view name) const {
   return it == families_.end() ? 0 : it->second.export_id;
 }
 
-std::vector<std::pair<std::uint32_t, std::string>>
+std::vector<MetricsRegistry::ExportedFamily>
 MetricsRegistry::export_directory() const {
   std::scoped_lock lock(mutex_);
-  std::vector<std::pair<std::uint32_t, std::string>> directory;
+  std::vector<ExportedFamily> directory;
   directory.reserve(families_.size());
   for (const auto& [name, family] : families_) {
-    directory.emplace_back(family.export_id, name);
+    directory.push_back(
+        ExportedFamily{family.export_id, name, family.kind, FamilyRef(&family)});
   }
-  std::sort(directory.begin(), directory.end());
+  std::sort(directory.begin(), directory.end(),
+            [](const ExportedFamily& a, const ExportedFamily& b) {
+              return a.export_id < b.export_id;
+            });
   return directory;
 }
 

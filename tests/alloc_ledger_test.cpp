@@ -3,8 +3,9 @@
 // delivers datagrams to a warmed-up receiver peer: RTP decode,
 // reassembly, message decode, selector match and the hand-off to the
 // message handler. The sender's publish runs outside the count. It also
-// tallies the bytes that hostile counts in a few bytes of input can make
-// a decoder reserve.
+// pins the allocations of an SNMP GET and GETBULK round trip, and tallies
+// the bytes that hostile counts in a few bytes of input can make a
+// decoder reserve.
 //
 // The count does not drift with host speed, so it backs performance
 // claims that timing alone cannot. Built with GCC only: the count is a
@@ -21,6 +22,9 @@
 #include "collabqos/net/network.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/pubsub/roster.hpp"
+#include "collabqos/snmp/host_mib.hpp"
+#include "collabqos/snmp/manager.hpp"
+#include "collabqos/snmp/telemetry_mib.hpp"
 
 namespace {
 std::size_t g_allocations = 0;
@@ -189,6 +193,106 @@ TEST(HostileCountAllocations, MediaPacketCountReservesOnlyWhatItsBytesHold) {
 
 }  // namespace
 }  // namespace collabqos::pubsub
+
+namespace collabqos::snmp {
+namespace {
+
+/// A manager and an agent one hop apart. The agent runs the host's
+/// instrumentation and exports a registry of 40 families whose names,
+/// like the framework's own, are longer than a short-string buffer.
+class SnmpRoundTrip {
+ public:
+  SnmpRoundTrip() {
+    const net::NodeId host_node = network_.add_node("host");
+    agent_node_ = host_node;
+    agent_ = std::make_unique<Agent>(network_, host_node, "public", "rw");
+    manager_ = std::make_unique<Manager>(network_, network_.add_node("mgmt"));
+    install_host_instrumentation(*agent_, host_, simulator_);
+    install_interface_instrumentation(*agent_, network_, host_node);
+    for (int i = 0; i < 40; ++i) {
+      (void)registry_.counter("ledger.family_" + std::to_string(100 + i));
+    }
+    install_telemetry_instrumentation(*agent_, registry_);
+  }
+
+  /// Allocations made by `rounds` round trips after `warm_up` unmeasured
+  /// ones: the request `issue` sends (it counts only its manager call,
+  /// not the building of the call's arguments), then the simulator run
+  /// until the callback has the response.
+  template <typename Issue>
+  std::size_t allocations(Issue issue, int warm_up, int rounds) {
+    std::size_t total = 0;
+    for (int i = 0; i < warm_up + rounds; ++i) {
+      std::size_t answered = 0;
+      const bool counted = i >= warm_up;
+      g_allocations = 0;
+      issue(*manager_, agent_node_, counted,
+            [&answered](Result<Pdu> response) {
+              if (response.ok()) answered += response.value().bindings.size();
+            });
+      g_counting = counted;
+      simulator_.run_all();
+      g_counting = false;
+      if (counted) total += g_allocations;
+      EXPECT_GT(answered, 0u);
+    }
+    return total;
+  }
+
+ private:
+  sim::Simulator simulator_;
+  net::Network network_{simulator_, 5};
+  sim::Host host_{simulator_, "host"};
+  telemetry::MetricsRegistry registry_;
+  net::NodeId agent_node_{};
+  std::unique_ptr<Agent> agent_;
+  std::unique_ptr<Manager> manager_;
+};
+
+// Exact allocations of one state-poll GET (the five extension objects)
+// and one 16-repetition GETBULK of the telemetry subtree, manager request
+// to manager callback, network delivery included. Each is the encoded
+// request and response (a buffer and its shared owner each), the two
+// deliveries' events and the response's decoded varbind list. Before
+// the one-pass encoder, inline OIDs and the flat MIB, the same round
+// trips made 237 and 451.
+constexpr std::size_t kGetAllocations = 7;
+constexpr std::size_t kBulkAllocations = 7;
+TEST(SnmpAllocations, GetAndBulkRoundTripsArePinned) {
+  SnmpRoundTrip stack;
+  constexpr int kRounds = 50;
+  const std::size_t get = stack.allocations(
+      [](Manager& manager, net::NodeId agent, bool counted,
+         Manager::Callback done) {
+        std::vector<Oid> oids = {oids::tassl_cpu_load(),
+                                 oids::tassl_page_faults(),
+                                 oids::tassl_free_memory(),
+                                 oids::tassl_if_utilization(),
+                                 oids::tassl_bandwidth()};
+        g_counting = counted;
+        manager.get(agent, "public", std::move(oids), std::move(done));
+        g_counting = false;
+      },
+      3, kRounds);
+  const std::size_t bulk = stack.allocations(
+      [](Manager& manager, net::NodeId agent, bool counted,
+         Manager::Callback done) {
+        std::vector<Oid> oids = {oids::tassl_telemetry_root()};
+        g_counting = counted;
+        manager.get_bulk(agent, "public", std::move(oids), 16,
+                         std::move(done));
+        g_counting = false;
+      },
+      3, kRounds);
+  std::printf("snmp: GET round trip %.2f allocations, GETBULK(16) %.2f\n",
+              static_cast<double>(get) / kRounds,
+              static_cast<double>(bulk) / kRounds);
+  EXPECT_EQ(get, kGetAllocations * kRounds);
+  EXPECT_EQ(bulk, kBulkAllocations * kRounds);
+}
+
+}  // namespace
+}  // namespace collabqos::snmp
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);

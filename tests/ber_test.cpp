@@ -11,16 +11,20 @@ namespace {
 
 using serde::Bytes;
 
+Bytes encoded(const ber::Encoder& e) {
+  return Bytes(e.bytes().begin(), e.bytes().end());
+}
+
 Bytes encode_integer(std::int64_t v) {
-  serde::Writer w;
-  ber::write_integer(w, v);
-  return std::move(w).take();
+  ber::Encoder e;
+  e.integer(v);
+  return encoded(e);
 }
 
 Bytes encode_unsigned(std::uint8_t tag, std::uint64_t v) {
-  serde::Writer w;
-  ber::write_unsigned(w, tag, v);
-  return std::move(w).take();
+  ber::Encoder e;
+  e.unsigned_integer(tag, v);
+  return encoded(e);
 }
 
 TEST(Ber, IntegerMinimalEncodings) {
@@ -76,30 +80,32 @@ TEST(Ber, UnsignedRoundTrip) {
 
 TEST(Ber, OidKnownVector) {
   // The classic example: 1.3.6.1.2.1.1.1.0 -> 2B 06 01 02 01 01 01 00.
-  serde::Writer w;
-  ASSERT_TRUE(ber::write_oid(w, Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}).ok());
-  EXPECT_EQ(w.bytes(), (Bytes{0x06, 0x08, 0x2B, 0x06, 0x01, 0x02, 0x01,
-                              0x01, 0x01, 0x00}));
+  ber::Encoder e;
+  ASSERT_TRUE(e.oid(Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}));
+  EXPECT_EQ(encoded(e), (Bytes{0x06, 0x08, 0x2B, 0x06, 0x01, 0x02, 0x01,
+                               0x01, 0x01, 0x00}));
 }
 
 TEST(Ber, OidMultiByteArc) {
   // enterprise arc 26510 = 0x81 0xCF 0x0E in base-128.
-  serde::Writer w;
-  ASSERT_TRUE(ber::write_oid(w, Oid{1, 3, 6, 1, 4, 1, 26510}).ok());
-  EXPECT_EQ(w.bytes(), (Bytes{0x06, 0x08, 0x2B, 0x06, 0x01, 0x04, 0x01,
-                              0x81, 0xCF, 0x0E}));
-  serde::Reader r(w.bytes());
-  const ber::Header tlv = ber::expect(r, ber::tags::kOid, w.size());
+  ber::Encoder e;
+  ASSERT_TRUE(e.oid(Oid{1, 3, 6, 1, 4, 1, 26510}));
+  const Bytes bytes = encoded(e);
+  EXPECT_EQ(bytes, (Bytes{0x06, 0x08, 0x2B, 0x06, 0x01, 0x04, 0x01, 0x81,
+                          0xCF, 0x0E}));
+  serde::Reader r(bytes);
+  const ber::Header tlv = ber::expect(r, ber::tags::kOid, bytes.size());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(ber::read_oid(r, tlv.length), (Oid{1, 3, 6, 1, 4, 1, 26510}));
   EXPECT_TRUE(r.ok());
 }
 
 TEST(Ber, OidRejectsUnencodableRoots) {
-  serde::Writer w;
-  EXPECT_FALSE(ber::write_oid(w, Oid{9, 9}).ok());  // arcs[0] > 2
-  EXPECT_FALSE(ber::write_oid(w, Oid{1}).ok());     // fewer than 2 arcs
-  EXPECT_FALSE(ber::write_oid(w, Oid{1, 40}).ok()); // arcs[1] > 39
+  ber::Encoder e;
+  EXPECT_FALSE(e.oid(Oid{9, 9}));   // arcs[0] > 2
+  EXPECT_FALSE(e.oid(Oid{1}));      // fewer than 2 arcs
+  EXPECT_FALSE(e.oid(Oid{1, 40}));  // arcs[1] > 39
+  EXPECT_EQ(e.size(), 0u);          // and nothing was written
 }
 
 TEST(Ber, NonMinimalSubidentifierIsRejected) {
@@ -120,27 +126,31 @@ TEST(Ber, NonMinimalSubidentifierIsRejected) {
 }
 
 TEST(Ber, LongFormLength) {
-  const Bytes content(200, 0xAA);
-  serde::Writer w;
-  ber::write_tlv(w, ber::tags::kOctetString, content);
-  ASSERT_GE(w.size(), 3u);
-  EXPECT_EQ(w.bytes()[0], 0x04);
-  EXPECT_EQ(w.bytes()[1], 0x81);  // long form, 1 length octet
-  EXPECT_EQ(w.bytes()[2], 200);
-  serde::Reader r(w.bytes());
-  const ber::Header tlv = ber::read_header(r, w.size());
+  ber::Encoder e;
+  e.octet_string(std::string(200, '\xAA'));
+  const Bytes bytes = encoded(e);
+  ASSERT_GE(bytes.size(), 3u);
+  EXPECT_EQ(bytes[0], 0x04);
+  EXPECT_EQ(bytes[1], 0x81);  // long form, 1 length octet
+  EXPECT_EQ(bytes[2], 200);
+  serde::Reader r(bytes);
+  const ber::Header tlv = ber::read_header(r, bytes.size());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(tlv.length, 200u);
-  EXPECT_EQ(tlv.end, w.size());
+  EXPECT_EQ(tlv.end, bytes.size());
 }
 
 TEST(Ber, TwoByteLongFormLength) {
-  const Bytes content(1000, 0x11);
-  serde::Writer w;
-  ber::write_tlv(w, ber::tags::kSequence, content);
-  EXPECT_EQ(w.bytes()[1], 0x82);
-  EXPECT_EQ(w.bytes()[2], 0x03);
-  EXPECT_EQ(w.bytes()[3], 0xE8);
+  // A SEQUENCE around 1000 content octets: one OCTET STRING TLV of 996
+  // octets plus its tag and three length octets.
+  ber::Encoder e;
+  e.octet_string(std::string(996, '\x11'));
+  ASSERT_EQ(e.size(), 1000u);
+  e.wrap(ber::tags::kSequence, 0);
+  const Bytes bytes = encoded(e);
+  EXPECT_EQ(bytes[1], 0x82);
+  EXPECT_EQ(bytes[2], 0x03);
+  EXPECT_EQ(bytes[3], 0xE8);
 }
 
 TEST(Ber, MalformedInputsRejected) {
@@ -245,23 +255,20 @@ TEST(Ber, WholeMessageKnownVector) {
 /// max-repetitions).
 Bytes message_with(std::uint8_t pdu_tag, std::int64_t request_id,
                    std::int64_t status, std::int64_t index) {
-  serde::Writer binding;
-  EXPECT_TRUE(ber::write_oid(binding, Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}).ok());
-  ber::write_null(binding);
-  serde::Writer list;
-  ber::write_tlv(list, ber::tags::kSequence, binding.bytes());
-  serde::Writer pdu_content;
-  ber::write_integer(pdu_content, request_id);
-  ber::write_integer(pdu_content, status);
-  ber::write_integer(pdu_content, index);
-  ber::write_tlv(pdu_content, ber::tags::kSequence, list.bytes());
-  serde::Writer inner;
-  ber::write_integer(inner, 1);  // SNMPv2c
-  ber::write_octet_string(inner, "public");
-  ber::write_tlv(inner, pdu_tag, pdu_content.bytes());
-  serde::Writer message;
-  ber::write_tlv(message, ber::tags::kSequence, inner.bytes());
-  return std::move(message).take();
+  // Built from the tail, innermost TLV first.
+  ber::Encoder e;
+  e.null();
+  EXPECT_TRUE(e.oid(Oid{1, 3, 6, 1, 2, 1, 1, 1, 0}));
+  e.wrap(ber::tags::kSequence, 0);  // varbind
+  e.wrap(ber::tags::kSequence, 0);  // varbind list
+  e.integer(index);
+  e.integer(status);
+  e.integer(request_id);
+  e.wrap(pdu_tag, 0);
+  e.octet_string("public");
+  e.integer(1);  // SNMPv2c
+  e.wrap(ber::tags::kSequence, 0);
+  return encoded(e);
 }
 
 TEST(Ber, HeaderIntegersOutsideTheirFieldsAreRejected) {
@@ -288,19 +295,17 @@ TEST(Ber, HeaderIntegersOutsideTheirFieldsAreRejected) {
 }
 
 TEST(Ber, WrongVersionRejected) {
-  // Hand-build a v1 (version 0) message.
-  serde::Writer inner;
-  ber::write_integer(inner, 0);  // version 0 = SNMPv1
-  ber::write_octet_string(inner, "public");
-  serde::Writer pdu_content;
-  ber::write_integer(pdu_content, 1);
-  ber::write_integer(pdu_content, 0);
-  ber::write_integer(pdu_content, 0);
-  ber::write_tlv(pdu_content, ber::tags::kSequence, {});
-  ber::write_tlv(inner, ber::tags::kGetRequest, pdu_content.bytes());
-  serde::Writer message;
-  ber::write_tlv(message, ber::tags::kSequence, inner.bytes());
-  auto decoded = Pdu::decode(message.bytes());
+  // Hand-build a v1 (version 0) message, from the tail.
+  ber::Encoder e;
+  e.header(ber::tags::kSequence, 0);  // empty varbind list
+  e.integer(0);
+  e.integer(0);
+  e.integer(1);
+  e.wrap(ber::tags::kGetRequest, 0);
+  e.octet_string("public");
+  e.integer(0);  // version 0 = SNMPv1
+  e.wrap(ber::tags::kSequence, 0);
+  auto decoded = Pdu::decode(encoded(e));
   EXPECT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.code(), Errc::unsupported);
 }

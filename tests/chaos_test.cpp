@@ -135,6 +135,30 @@ TEST(ChaosSchedule, RejectsNonFiniteAndOverflowingNumbers) {
   EXPECT_EQ(far.value().events()[0].at.as_micros(), 9'000'000'000'000'000'000);
 }
 
+TEST(ChaosSchedule, RefusesWindowsPastTheHorizon) {
+  // Each number fits, but together they pass the horizon: `at + for`
+  // would overflow int64 microseconds in settles_at().
+  const auto far = chaos::ChaosSchedule::parse(
+      "at 1s loss nodes=a p=0.1\n"
+      "at 9000000000000s for 9000000000000s loss nodes=a p=0.1\n");
+  ASSERT_FALSE(far.ok());
+  EXPECT_EQ(far.error().code, Errc::malformed);
+  EXPECT_NE(far.error().message.find("line 2"), std::string::npos)
+      << far.error().message;
+  EXPECT_NE(far.error().message.find("horizon"), std::string::npos)
+      << far.error().message;
+  EXPECT_FALSE(chaos::ChaosSchedule::parse(
+                   "at 8000000000001s for 1000000000000s loss nodes=a p=0.1")
+                   .ok());
+  // A window that ends exactly at the horizon parses, and its clear time
+  // is exact.
+  const auto edge = chaos::ChaosSchedule::parse(
+      "at 8000000000000s for 1000000000000s loss nodes=a p=0.1");
+  ASSERT_TRUE(edge.ok()) << edge.error().message;
+  EXPECT_EQ(edge.value().last_change().as_micros(),
+            9'000'000'000'000'000'000);
+}
+
 // ------------------------------------------------------------- controller
 
 class ChaosControllerTest : public ::testing::Test {

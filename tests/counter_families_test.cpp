@@ -45,7 +45,7 @@ Families families_added_by(const std::function<void()>& construct) {
   Families added;
   const auto directory = registry.export_directory();
   for (std::size_t i = before; i < directory.size(); ++i) {
-    const std::string& name = directory[i].second;
+    const std::string& name = directory[i].name;
     added.emplace_back(name, kinds[name]);
   }
   return added;

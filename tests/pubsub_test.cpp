@@ -2,14 +2,103 @@
 // and the SemanticPeer substrate over the simulated network.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+
 #include "collabqos/pubsub/attribute.hpp"
 #include "collabqos/pubsub/message.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/pubsub/profile.hpp"
+#include "collabqos/pubsub/retransmit_buffer.hpp"
 #include "collabqos/pubsub/selector_cache.hpp"
+#include "collabqos/util/rng.hpp"
 
 namespace collabqos::pubsub {
 namespace {
+
+// ------------------------------------------------------ retransmit buffer
+
+/// The retransmit buffer as a tree plus a FIFO of keys: insert if absent,
+/// then evict the oldest while over capacity.
+class RetransmitModel {
+ public:
+  explicit RetransmitModel(std::size_t capacity) : capacity_(capacity) {}
+
+  void remember(const net::RtpPacket& packet) {
+    if (capacity_ == 0) return;
+    const std::pair<std::uint32_t, std::uint16_t> key{packet.timestamp,
+                                                      packet.fragment_index};
+    if (packets_.emplace(key, packet).second) {
+      order_.push_back(key);
+      while (order_.size() > capacity_) {
+        packets_.erase(order_.front());
+        order_.pop_front();
+      }
+    }
+  }
+  [[nodiscard]] const net::RtpPacket* find(std::uint32_t timestamp,
+                                           std::uint16_t fragment) const {
+    const auto it = packets_.find({timestamp, fragment});
+    return it == packets_.end() ? nullptr : &it->second;
+  }
+  [[nodiscard]] std::size_t size() const { return packets_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::map<std::pair<std::uint32_t, std::uint16_t>, net::RtpPacket> packets_;
+  std::deque<std::pair<std::uint32_t, std::uint16_t>> order_;
+};
+
+TEST(RetransmitBuffer, MatchesMapAndDequeModel) {
+  // Random sends (with resends of keys already held, which keep the first
+  // copy) and NACK lookups over small key spaces, so that keys repeat,
+  // wrap past eviction and come back. Each send carries a unique
+  // sequence number, which tells the copies of one key apart.
+  Rng rng(0x5E7D);
+  std::uint16_t sequence = 0;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (int round = 0; round < 200; ++round) {
+    const auto capacity =
+        static_cast<std::size_t>(rng.uniform_int(0, round % 4 == 0 ? 3 : 40));
+    const std::int64_t timestamps = rng.uniform_int(1, 24);
+    const std::int64_t fragments = rng.uniform_int(1, 12);
+    RetransmitBuffer buffer(capacity);
+    RetransmitModel model(capacity);
+    for (int op = 0; op < 400; ++op) {
+      const auto timestamp = static_cast<std::uint32_t>(
+          rng.uniform_int(0, timestamps - 1) * 0x10001);
+      const auto fragment =
+          static_cast<std::uint16_t>(rng.uniform_int(0, fragments - 1));
+      if (rng.chance(0.6)) {
+        net::RtpPacket packet;
+        packet.timestamp = timestamp;
+        packet.fragment_index = fragment;
+        packet.sequence = sequence++;
+        buffer.remember(packet);
+        model.remember(packet);
+        ASSERT_EQ(buffer.size(), model.size());
+        ASSERT_LE(buffer.size(), capacity);
+      } else {
+        const net::RtpPacket* got = buffer.find(timestamp, fragment);
+        const net::RtpPacket* want = model.find(timestamp, fragment);
+        ASSERT_EQ(got == nullptr, want == nullptr)
+            << "round " << round << " op " << op;
+        if (want == nullptr) {
+          ++misses;
+          continue;
+        }
+        ++hits;
+        EXPECT_EQ(got->sequence, want->sequence);
+        EXPECT_EQ(got->timestamp, timestamp);
+        EXPECT_EQ(got->fragment_index, fragment);
+      }
+    }
+  }
+  // Both outcomes occur often enough to mean something.
+  EXPECT_GT(hits, 5000u);
+  EXPECT_GT(misses, 5000u);
+}
 
 // ------------------------------------------------------------ attributes
 

@@ -1,8 +1,10 @@
-// The SNMP message decoder as it was before BER moved onto serde::Reader:
-// a TLV reader of its own that returns Result<Tlv>, content parsers that
-// return Result<T>, and a Pdu decode that checks every step. It stays here
-// only as the reference the rewritten Pdu::decode must match verdict for
-// verdict and field for field.
+// The SNMP message codec as it was before its rewrites, kept only as the
+// reference the library must match.
+//
+// Decoding, as it was before BER moved onto serde::Reader: a TLV reader
+// of its own that returns Result<Tlv>, content parsers that return
+// Result<T>, and a Pdu decode that checks every step. The rewritten
+// Pdu::decode must match it verdict for verdict and field for field.
 //
 // One known fault is kept as it was: the content check `offset_ + length`
 // wraps for an 8-octet length near 2^64, so such a TLV passes with a
@@ -13,17 +15,205 @@
 // octet is 0x80 is malformed (X.690 8.19.2), and so is a header INTEGER
 // its field cannot hold (request id and error index outside 0..2^32-1, a
 // GETBULK non-repeaters value outside one byte).
+//
+// Encoding, as it was before the one-pass reverse build: each nested TLV
+// is built in its own serde::Writer and copied into its parent's. The
+// rewritten Pdu::encode must produce the same bytes. The corpus and
+// hostile-input builders use these writers too.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "collabqos/snmp/ber.hpp"
 #include "collabqos/snmp/pdu.hpp"
 
 namespace collabqos::snmp::reference {
+
+// ------------------------------------------------------------- encoding
+
+inline void write_length(serde::Writer& out, std::size_t length) {
+  if (length < 128) {
+    out.u8(static_cast<std::uint8_t>(length));
+    return;
+  }
+  // Long form: 0x80 | count, then big-endian length octets.
+  std::uint8_t octets[8];
+  int count = 0;
+  std::size_t remaining = length;
+  while (remaining > 0) {
+    octets[count++] = static_cast<std::uint8_t>(remaining & 0xFF);
+    remaining >>= 8;
+  }
+  out.u8(static_cast<std::uint8_t>(0x80 | count));
+  for (int i = count - 1; i >= 0; --i) out.u8(octets[i]);
+}
+
+/// Append one definite-length TLV: tag, length octets, raw content.
+inline void write_tlv(serde::Writer& out, std::uint8_t tag,
+                      std::span<const std::uint8_t> content) {
+  out.u8(tag);
+  write_length(out, content.size());
+  for (const std::uint8_t byte : content) out.u8(byte);
+}
+
+/// INTEGER with minimal two's-complement content octets.
+inline void write_integer(serde::Writer& out, std::int64_t value) {
+  // Minimal two's-complement: strip redundant leading 0x00/0xFF octets.
+  std::uint8_t octets[8];
+  for (int i = 0; i < 8; ++i) {
+    octets[i] = static_cast<std::uint8_t>(
+        (static_cast<std::uint64_t>(value) >> (8 * (7 - i))) & 0xFF);
+  }
+  int start = 0;
+  while (start < 7) {
+    const bool redundant_zero =
+        octets[start] == 0x00 && (octets[start + 1] & 0x80) == 0;
+    const bool redundant_ff =
+        octets[start] == 0xFF && (octets[start + 1] & 0x80) != 0;
+    if (!redundant_zero && !redundant_ff) break;
+    ++start;
+  }
+  write_tlv(out, ber::tags::kInteger,
+            std::span(octets + start, static_cast<std::size_t>(8 - start)));
+}
+
+/// Unsigned value under an application tag (Counter32/Gauge32/...):
+/// minimal unsigned content with a leading 0x00 when the high bit is set.
+inline void write_unsigned(serde::Writer& out, std::uint8_t tag,
+                           std::uint64_t value) {
+  std::uint8_t octets[9];
+  octets[0] = 0x00;  // room for the sign-protection byte
+  for (int i = 0; i < 8; ++i) {
+    octets[i + 1] =
+        static_cast<std::uint8_t>((value >> (8 * (7 - i))) & 0xFF);
+  }
+  int start = 1;
+  while (start < 8 && octets[start] == 0x00) ++start;
+  // Keep a leading zero when the first value octet has the high bit set.
+  if ((octets[start] & 0x80) != 0) --start;
+  write_tlv(out, tag,
+            std::span(octets + start, static_cast<std::size_t>(9 - start)));
+}
+
+inline void write_octet_string(serde::Writer& out, std::string_view value) {
+  write_tlv(out, ber::tags::kOctetString,
+            std::span(reinterpret_cast<const std::uint8_t*>(value.data()),
+                      value.size()));
+}
+
+inline void write_null(serde::Writer& out) {
+  write_tlv(out, ber::tags::kNull, {});
+}
+
+/// X.690 OID content: first two arcs fold into 40*a+b, the rest base-128.
+/// Requires at least 2 arcs with arcs[0] <= 2.
+inline Status write_oid(serde::Writer& out, const Oid& oid) {
+  if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39)) {
+    return Status(Errc::malformed, "OID not encodable in X.690 form");
+  }
+  serde::Writer content;
+  content.u8(static_cast<std::uint8_t>(40 * oid[0] + oid[1]));
+  for (std::size_t i = 2; i < oid.size(); ++i) {
+    const std::uint32_t arc = oid[i];
+    std::uint8_t groups[5];
+    int count = 0;
+    std::uint32_t remaining = arc;
+    do {
+      groups[count++] = static_cast<std::uint8_t>(remaining & 0x7F);
+      remaining >>= 7;
+    } while (remaining > 0);
+    for (int g = count - 1; g >= 1; --g) {
+      content.u8(static_cast<std::uint8_t>(groups[g] | 0x80));
+    }
+    content.u8(groups[0]);
+  }
+  write_tlv(out, ber::tags::kOid, content.bytes());
+  return {};
+}
+
+inline std::uint8_t pdu_tag(PduType type) noexcept {
+  switch (type) {
+    case PduType::get: return ber::tags::kGetRequest;
+    case PduType::get_next: return ber::tags::kGetNextRequest;
+    case PduType::set: return ber::tags::kSetRequest;
+    case PduType::response: return ber::tags::kResponse;
+    case PduType::trap: return ber::tags::kTrapV2;
+    case PduType::get_bulk: return ber::tags::kGetBulkRequest;
+  }
+  return ber::tags::kGetRequest;
+}
+
+inline Status write_value(serde::Writer& out, const Value& value) {
+  switch (value.type()) {
+    case ValueType::integer:
+      write_integer(out, value.as_integer().value());
+      return {};
+    case ValueType::gauge:
+      write_unsigned(out, ber::tags::kGauge32,
+                     std::min<std::uint64_t>(value.as_unsigned().value(),
+                                             UINT32_MAX));
+      return {};
+    case ValueType::counter:
+      write_unsigned(out, ber::tags::kCounter64, value.as_unsigned().value());
+      return {};
+    case ValueType::timeticks:
+      write_unsigned(out, ber::tags::kTimeTicks,
+                     std::min<std::uint64_t>(value.as_unsigned().value(),
+                                             UINT32_MAX));
+      return {};
+    case ValueType::octet_string:
+      write_octet_string(out, value.as_octets().value());
+      return {};
+    case ValueType::object_id:
+      return write_oid(out, value.as_object_id().value());
+    case ValueType::null:
+      write_null(out);
+      return {};
+  }
+  return Status(Errc::internal, "unencodable value type");
+}
+
+/// Pdu::encode as it was.
+inline serde::Bytes encode(const Pdu& pdu) {
+  constexpr std::int64_t kSnmpV2c = 1;
+  // varbind-list := SEQUENCE OF SEQUENCE { OID, value }
+  serde::Writer varbind_list;
+  for (const VarBind& vb : pdu.bindings) {
+    serde::Writer one;
+    // Unencodable OIDs (fewer than 2 arcs) get a defensive padding so
+    // internal tests with toy OIDs still round-trip: prefix 0.0.
+    if (auto status = write_oid(one, vb.oid); !status.ok()) {
+      Oid padded = Oid{0, 0}.concat(vb.oid);
+      (void)write_oid(one, padded);
+    }
+    (void)write_value(one, vb.value);
+    write_tlv(varbind_list, ber::tags::kSequence, one.bytes());
+  }
+
+  // pdu-content := request-id, error-status, error-index, varbind-list
+  serde::Writer pdu_content;
+  write_integer(pdu_content, static_cast<std::int64_t>(pdu.request_id));
+  write_integer(pdu_content, static_cast<std::int64_t>(pdu.error_status));
+  write_integer(pdu_content, static_cast<std::int64_t>(pdu.error_index));
+  write_tlv(pdu_content, ber::tags::kSequence, varbind_list.bytes());
+
+  // message := SEQUENCE { version, community, [tag] pdu-content }
+  serde::Writer message_content;
+  write_integer(message_content, kSnmpV2c);
+  write_octet_string(message_content, pdu.community);
+  write_tlv(message_content, pdu_tag(pdu.type), pdu_content.bytes());
+
+  serde::Writer message;
+  write_tlv(message, ber::tags::kSequence, message_content.bytes());
+  return std::move(message).take();
+}
+
+// ------------------------------------------------------------- decoding
 
 /// A decoded TLV header plus its content span (borrowed from the input).
 struct Tlv {

@@ -114,8 +114,8 @@ TEST(MetricsRegistry, ExportIdsAreStableAndDenseInCreationOrder) {
   EXPECT_EQ(registry.export_id("unknown"), 0u);
   const auto directory = registry.export_directory();
   ASSERT_EQ(directory.size(), 2u);
-  EXPECT_EQ(directory[0].second, "first");
-  EXPECT_EQ(directory[1].second, "second");
+  EXPECT_EQ(directory[0].name, "first");
+  EXPECT_EQ(directory[1].name, "second");
 }
 
 TEST(Histogram, QuantileEstimatesBracketTheData) {

@@ -820,25 +820,25 @@ serde::Bytes join(std::initializer_list<serde::Bytes> parts) {
 
 serde::Bytes tlv(std::uint8_t tag, const serde::Bytes& content) {
   serde::Writer w;
-  snmp::ber::write_tlv(w, tag, content);
+  snmp::reference::write_tlv(w, tag, content);
   return std::move(w).take();
 }
 
 serde::Bytes ber_integer(std::int64_t v) {
   serde::Writer w;
-  snmp::ber::write_integer(w, v);
+  snmp::reference::write_integer(w, v);
   return std::move(w).take();
 }
 
 serde::Bytes ber_octets(std::string_view v) {
   serde::Writer w;
-  snmp::ber::write_octet_string(w, v);
+  snmp::reference::write_octet_string(w, v);
   return std::move(w).take();
 }
 
 serde::Bytes ber_oid(const snmp::Oid& oid) {
   serde::Writer w;
-  (void)snmp::ber::write_oid(w, oid);
+  (void)snmp::reference::write_oid(w, oid);
   return std::move(w).take();
 }
 
@@ -927,7 +927,7 @@ std::vector<std::pair<std::string, serde::Bytes>> snmp_pdus() {
   {
     // No encoder writes Counter32; a foreign agent may.
     serde::Writer value;
-    snmp::ber::write_unsigned(value, snmp::ber::tags::kCounter32,
+    snmp::reference::write_unsigned(value, snmp::ber::tags::kCounter32,
                               4000000000);
     Message m;
     m.pdu_tag = snmp::ber::tags::kResponse;
