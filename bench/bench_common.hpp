@@ -138,16 +138,8 @@ inline void print_metrics_snapshot() {
   std::printf("\ntelemetry snapshot (%zu families)\n", samples.size());
   print_rule();
   for (const auto& sample : samples) {
-    if (sample.kind == telemetry::InstrumentKind::histogram) {
-      if (sample.count == 0) continue;
-      std::printf("%-44s n=%llu sum=%.0f p50=%.0f p99=%.0f\n",
-                  sample.name.c_str(),
-                  static_cast<unsigned long long>(sample.count), sample.value,
-                  sample.p50, sample.p99);
-    } else {
-      if (sample.value == 0.0) continue;
-      std::printf("%-44s %.0f\n", sample.name.c_str(), sample.value);
-    }
+    if (sample.value == 0.0) continue;
+    std::printf("%-44s %.0f\n", sample.name.c_str(), sample.value);
   }
 }
 

@@ -3,7 +3,8 @@
 //
 // Workloads (see EXPERIMENTS.md):
 //   1. selector_match_compiled    — Selector::matches (bytecode VM)
-//   2. selector_match_interpreted — Selector::interpret (seed AST walk)
+//   2. selector_match_interpreted — the reference tree walk
+//      (tests/support/reference_selector.hpp), the seed's evaluator
 //   3. attributeset_find_by_name  — string-keyed lookup (interned path)
 //   4. stream_match_cold          — full decode + interpreted match: the
 //      seed receive path for every message of a steady-state stream
@@ -24,6 +25,7 @@
 #include "collabqos/pubsub/message.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/pubsub/selector_cache.hpp"
+#include "support/reference_selector.hpp"
 
 using namespace collabqos;
 using namespace collabqos::pubsub;
@@ -97,13 +99,21 @@ SemanticMessage make_message() {
   return message;
 }
 
-// The seed receive-path semantics: recursive AST interpretation of both
-// the message selector and the interest selector (capability rewrites
-// never trigger in this workload, so this equals the seed `match`).
-bool seed_match(const Profile& profile, const SemanticMessage& message) {
-  if (!message.selector.interpret(profile.attributes())) return false;
-  if (!profile.interest()) return true;
-  return profile.interest()->interpret(message.content);
+// The seed receive path: the message decoded, its selector decoded from
+// the wire into a tree and walked, and the profile's interest (a tree
+// built once, as the seed parsed it once) walked against the content.
+// The library's decode goes through `cache`, so the selector is decoded
+// once per message, by the reference. Capability rewrites never trigger
+// in this workload, so this equals the seed `match`.
+bool seed_match(const Profile& profile, const reference::Node* interest,
+                const serde::ByteChain& wire, SelectorCache& cache) {
+  auto decoded = SemanticMessage::decode(wire, cache);
+  serde::Reader r(wire);
+  (void)r.u8();  // the message's magic octet; its selector follows
+  const auto selector = reference::decode(r);
+  if (!reference::evaluate(*selector, profile.attributes())) return false;
+  return interest == nullptr ||
+         reference::evaluate(*interest, decoded.value().content);
 }
 
 struct Measurement {
@@ -162,17 +172,20 @@ int main() {
     return static_cast<std::uint64_t>(
         message.selector.matches(profile.attributes()));
   }));
+  const auto reference_tree = reference::tree_of(message.selector);
   results.push_back(time_workload("selector_match_interpreted", [&] {
     return static_cast<std::uint64_t>(
-        message.selector.interpret(profile.attributes()));
+        reference::evaluate(*reference_tree, profile.attributes()));
   }));
   results.push_back(time_workload("attributeset_find_by_name", [&] {
     return static_cast<std::uint64_t>(
         profile.attributes().find("capability.video.codec") != nullptr);
   }));
+  const auto interest_tree = reference::tree_of(*profile.interest());
+  SelectorCache seed_cache;
   results.push_back(time_workload("stream_match_cold", [&] {
-    auto decoded = SemanticMessage::decode(wire);
-    return static_cast<std::uint64_t>(seed_match(profile, decoded.value()));
+    return static_cast<std::uint64_t>(
+        seed_match(profile, interest_tree.get(), wire, seed_cache));
   }));
   SelectorCache cache;
   results.push_back(time_workload("stream_match_cached", [&] {

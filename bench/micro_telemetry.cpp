@@ -13,11 +13,10 @@
 //   3. registry_owned_increment   — registry-owned counter through a
 //      cached reference (the InferenceEngine pattern)
 //   4. gauge_set                  — one relaxed store of double bits
-//   5. histogram_observe          — bucketed observation
-//   6. tracer_disabled_check      — the branch every span site pays when
+//   5. tracer_disabled_check      — the branch every span site pays when
 //      tracing is off
-//   7. registry_read              — family read by dotted name (cold path)
-//   8. registry_snapshot          — full snapshot, amortised per family
+//   6. registry_read              — family read by dotted name (cold path)
+//   7. registry_snapshot          — full snapshot, amortised per family
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -84,8 +83,6 @@ int main() {
   telemetry::Counter& owned = registry.counter("bench.owned_counter");
   telemetry::Gauge gauge;
   auto gauge_registration = registry.attach("bench.gauge", gauge);
-  telemetry::Histogram histogram;
-  auto histogram_registration = registry.attach("bench.histogram", histogram);
   telemetry::Tracer& tracer = telemetry::Tracer::global();
   tracer.set_enabled(false);
 
@@ -105,11 +102,6 @@ int main() {
   results.push_back(time_workload("gauge_set", [&] {
     gauge.set(42.0);
     return static_cast<std::uint64_t>(gauge.value());
-  }));
-  std::uint64_t sample = 0;
-  results.push_back(time_workload("histogram_observe", [&] {
-    histogram.observe(static_cast<double>(++sample & 0xFFFF));
-    return histogram.count() & 1;
   }));
   results.push_back(time_workload("tracer_disabled_check", [&] {
     return static_cast<std::uint64_t>(tracer.enabled());

@@ -4,11 +4,10 @@
 // time dimension. A TimeSeriesSampler runs on the sim clock and, every
 // period, sweeps the MetricsRegistry into bounded ring-buffer series:
 // counters become cumulative points with a per-second rate, gauges
-// become levels, histograms carry rolling quantile estimates. The same
-// sampler can also observe *remote* processes by walking their
-// enterprises.26510.10 telemetry subtree through an snmp::Manager — one
-// node watching a fleet over the same management plane the inference
-// engine already uses (paper §5.5).
+// become levels. The same sampler can also observe *remote* processes by
+// walking their enterprises.26510.10 telemetry subtree through an
+// snmp::Manager — one node watching a fleet over the same management
+// plane the inference engine already uses (paper §5.5).
 //
 // Series are addressed by (host, metric); host "" is the local process,
 // remote hosts carry the name given to add_remote(). The AlertEngine
@@ -31,22 +30,19 @@
 
 namespace collabqos::observatory {
 
-enum class SeriesKind : std::uint8_t { counter, gauge, histogram };
+enum class SeriesKind : std::uint8_t { counter, gauge };
 
 [[nodiscard]] SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept;
 
 /// One sampled observation.
 struct SeriesPoint {
   sim::TimePoint time{};
-  /// Counters: cumulative count. Gauges: level. Histograms: cumulative
-  /// observation count.
+  /// Counters: cumulative count. Gauges: level.
   double value = 0.0;
   /// Per-second derivative against the previous retained point:
-  /// counters/histograms get an event rate (resets clamp to >= 0),
-  /// gauges get a signed level slope.
+  /// counters get an event rate (resets clamp to >= 0), gauges get a
+  /// signed level slope.
   double rate = 0.0;
-  double p50 = 0.0;  ///< histogram families only (rolling estimate)
-  double p99 = 0.0;  ///< histogram families only (rolling estimate)
 };
 
 /// Bounded ring of one metric's history; oldest points are evicted (and
@@ -138,8 +134,7 @@ class TimeSeriesSampler {
   /// series, creating it on first use. The remote walk path lands here;
   /// tests script series through it.
   void ingest(std::string_view host, std::string_view metric,
-              SeriesKind kind, double value, sim::TimePoint time,
-              double p50 = 0.0, double p99 = 0.0);
+              SeriesKind kind, double value, sim::TimePoint time);
 
   [[nodiscard]] const TimeSeries* find(std::string_view host,
                                        std::string_view metric) const;

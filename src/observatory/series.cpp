@@ -12,12 +12,8 @@ constexpr std::string_view kComponent = "observatory.sampler";
 }
 
 SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept {
-  switch (kind) {
-    case telemetry::InstrumentKind::counter: return SeriesKind::counter;
-    case telemetry::InstrumentKind::gauge: return SeriesKind::gauge;
-    case telemetry::InstrumentKind::histogram: return SeriesKind::histogram;
-  }
-  return SeriesKind::gauge;
+  return kind == telemetry::InstrumentKind::counter ? SeriesKind::counter
+                                                    : SeriesKind::gauge;
 }
 
 // -------------------------------------------------------------- TimeSeries
@@ -28,7 +24,7 @@ void TimeSeries::append(SeriesPoint point) {
     const double dt = (point.time - previous.time).as_seconds();
     if (dt > 0.0) {
       double delta = point.value - previous.value;
-      if (kind_ != SeriesKind::gauge && delta < 0.0) {
+      if (kind_ == SeriesKind::counter && delta < 0.0) {
         // A cumulative count went backwards: the source reset (component
         // churn, registry reset). Rate restarts from the new total.
         delta = point.value;
@@ -92,16 +88,8 @@ void TimeSeriesSampler::sample_now() {
 
 void TimeSeriesSampler::sample_local(sim::TimePoint now) {
   registry_.visit([this, now](const telemetry::MetricView& view) {
-    TimeSeries& series =
-        series_slot("", view.name, series_kind(view.kind));
-    SeriesPoint point;
-    point.time = now;
-    point.value = view.kind == telemetry::InstrumentKind::histogram
-                      ? static_cast<double>(view.count)
-                      : view.value;
-    point.p50 = view.p50;
-    point.p99 = view.p99;
-    series.append(point);
+    series_slot("", view.name, series_kind(view.kind))
+        .append(SeriesPoint{now, view.value});
     ++stats_.local_points;
   });
 }
@@ -157,13 +145,8 @@ void TimeSeriesSampler::ingest_walk(
 
 void TimeSeriesSampler::ingest(std::string_view host, std::string_view metric,
                                SeriesKind kind, double value,
-                               sim::TimePoint time, double p50, double p99) {
-  SeriesPoint point;
-  point.time = time;
-  point.value = value;
-  point.p50 = p50;
-  point.p99 = p99;
-  series_slot(host, metric, kind).append(point);
+                               sim::TimePoint time) {
+  series_slot(host, metric, kind).append(SeriesPoint{time, value});
 }
 
 TimeSeries& TimeSeriesSampler::series_slot(std::string_view host,

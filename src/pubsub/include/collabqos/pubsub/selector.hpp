@@ -41,12 +41,20 @@ struct Program;
 /// immutable AST), cheap to copy into every outgoing message.
 class Selector {
  public:
+  /// Deepest node a selector may hold, counted in edges from the root:
+  /// `a and b and c` is 2 deep. parse() and decode() both refuse a
+  /// deeper selector, so every selector a sender parses, a receiver can
+  /// decode.
+  static constexpr int kMaxDepth = 64;
+
   /// The always-true selector (broadcast to every profile). All default
   /// selectors share one compiled program; constructing one allocates
   /// nothing.
   Selector();
 
-  /// Parse from source text.
+  /// Parse from source text. Errc::malformed past kMaxDepth, and when
+  /// parentheses and `not`s nest more than 2 * kMaxDepth deep (enough
+  /// for to_string() of any selector kMaxDepth deep).
   [[nodiscard]] static Result<Selector> parse(std::string_view text);
 
   /// Evaluate against a profile/content attribute set. Runs the
@@ -54,12 +62,6 @@ class Selector {
   /// construction — no recursion, no allocation, attributes resolved by
   /// interned id.
   [[nodiscard]] bool matches(const AttributeSet& attributes) const;
-
-  /// Reference evaluator: the recursive AST walk the compiled program
-  /// replaced. Kept (and exercised by the property suite) as the
-  /// semantics oracle for `matches`, and by the matching bench as the
-  /// seed baseline.
-  [[nodiscard]] bool interpret(const AttributeSet& attributes) const;
 
   /// Canonical text form; parse(to_string()) reproduces the selector.
   [[nodiscard]] std::string to_string() const;

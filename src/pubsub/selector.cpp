@@ -1,5 +1,6 @@
 #include "collabqos/pubsub/selector.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cctype>
 #include <utility>
@@ -37,6 +38,8 @@ struct ExprNode {
     membership,
   };
   Kind kind = Kind::literal_true;
+  /// Edges from this node to its deepest descendant.
+  int height = 0;
   // and/or/not children (not uses only lhs).
   std::shared_ptr<const ExprNode> lhs;
   std::shared_ptr<const ExprNode> rhs;
@@ -92,6 +95,7 @@ NodePtr make_bool(bool value) {
 NodePtr make_binary(ExprNode::Kind kind, NodePtr lhs, NodePtr rhs) {
   auto node = std::make_shared<ExprNode>();
   node->kind = kind;
+  node->height = 1 + std::max(lhs->height, rhs->height);
   node->lhs = std::move(lhs);
   node->rhs = std::move(rhs);
   return node;
@@ -100,6 +104,7 @@ NodePtr make_binary(ExprNode::Kind kind, NodePtr lhs, NodePtr rhs) {
 NodePtr make_not(NodePtr operand) {
   auto node = std::make_shared<ExprNode>();
   node->kind = ExprNode::Kind::logical_not;
+  node->height = 1 + operand->height;
   node->lhs = std::move(operand);
   return node;
 }
@@ -127,58 +132,6 @@ NodePtr make_membership(std::string attribute,
   node->attribute = std::move(attribute);
   node->values = std::move(values);
   return node;
-}
-
-bool evaluate(const ExprNode& node, const AttributeSet& attributes) {
-  switch (node.kind) {
-    case ExprNode::Kind::literal_true:
-      return true;
-    case ExprNode::Kind::literal_false:
-      return false;
-    case ExprNode::Kind::logical_and:
-      return evaluate(*node.lhs, attributes) &&
-             evaluate(*node.rhs, attributes);
-    case ExprNode::Kind::logical_or:
-      return evaluate(*node.lhs, attributes) ||
-             evaluate(*node.rhs, attributes);
-    case ExprNode::Kind::logical_not:
-      return !evaluate(*node.lhs, attributes);
-    case ExprNode::Kind::exists:
-      return attributes.contains(node.attribute);
-    case ExprNode::Kind::membership: {
-      const AttributeValue* actual = attributes.find(node.attribute);
-      if (actual == nullptr) return false;
-      for (const AttributeValue& candidate : node.values) {
-        if (actual->equals(candidate)) return true;
-      }
-      return false;
-    }
-    case ExprNode::Kind::compare: {
-      const AttributeValue* actual = attributes.find(node.attribute);
-      if (actual == nullptr) return false;
-      switch (node.op) {
-        case Op::eq:
-          return actual->equals(node.value);
-        case Op::ne:
-          return !actual->equals(node.value);
-        default:
-          break;
-      }
-      const auto a = actual->as_number();
-      const auto b = node.value.as_number();
-      if (!a || !b || !actual->is_number() || !node.value.is_number()) {
-        return false;  // ordering requires two numbers
-      }
-      switch (node.op) {
-        case Op::lt: return *a < *b;
-        case Op::le: return *a <= *b;
-        case Op::gt: return *a > *b;
-        case Op::ge: return *a >= *b;
-        default: return false;
-      }
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------- compiler/VM
@@ -583,6 +536,15 @@ class Parser {
     return false;
   }
 
+  /// A node the decoder would refuse, or a nesting that would recurse
+  /// past what any such node needs, ends the parse.
+  static Error too_deep() {
+    return Error{Errc::malformed, "selector too deep"};
+  }
+
+  /// Enters one level of parentheses or `not`; false past the limit.
+  bool nest() { return ++nesting_ <= 2 * Selector::kMaxDepth; }
+
   Result<NodePtr> parse_or() {
     auto lhs = parse_and();
     if (!lhs) return lhs;
@@ -592,6 +554,7 @@ class Parser {
       if (!rhs) return rhs;
       node = make_binary(ExprNode::Kind::logical_or, std::move(node),
                          std::move(rhs).take());
+      if (node->height > Selector::kMaxDepth) return too_deep();
     }
     return node;
   }
@@ -605,15 +568,20 @@ class Parser {
       if (!rhs) return rhs;
       node = make_binary(ExprNode::Kind::logical_and, std::move(node),
                          std::move(rhs).take());
+      if (node->height > Selector::kMaxDepth) return too_deep();
     }
     return node;
   }
 
   Result<NodePtr> parse_unary() {
     if (take_keyword("not")) {
+      if (!nest()) return too_deep();
       auto operand = parse_unary();
+      --nesting_;
       if (!operand) return operand;
-      return make_not(std::move(operand).take());
+      NodePtr node = make_not(std::move(operand).take());
+      if (node->height > Selector::kMaxDepth) return too_deep();
+      return node;
     }
     return parse_primary();
   }
@@ -621,7 +589,9 @@ class Parser {
   Result<NodePtr> parse_primary() {
     if (peek().kind == Token::Kind::lparen) {
       take();
+      if (!nest()) return too_deep();
       auto inner = parse_or();
+      --nesting_;
       if (!inner) return inner;
       if (peek().kind != Token::Kind::rparen) {
         return Error{Errc::malformed, "expected ')'"};
@@ -710,6 +680,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t cursor_ = 0;
+  int nesting_ = 0;  ///< parentheses and `not`s open at the cursor
 };
 
 // -------------------------------------------------------------- codec
@@ -746,7 +717,7 @@ void encode_node(const ExprNode& node, serde::Writer& w) {
 
 /// Reads one node and its operands; null once `r` has failed.
 NodePtr decode_node(serde::Reader& r, int depth) {
-  if (depth > 64) {
+  if (depth > Selector::kMaxDepth) {
     r.fail(Errc::malformed, "selector too deep");
     return nullptr;
   }
@@ -844,10 +815,6 @@ Result<Selector> Selector::parse(std::string_view text) {
 
 bool Selector::matches(const AttributeSet& attributes) const {
   return detail::run(*program_, attributes);
-}
-
-bool Selector::interpret(const AttributeSet& attributes) const {
-  return detail::evaluate(*root_, attributes);
 }
 
 std::string Selector::to_string() const {

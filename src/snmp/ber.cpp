@@ -66,29 +66,32 @@ void Encoder::octet_string(std::string_view value) {
 }
 
 bool Encoder::oid(const Oid& oid) {
-  if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39)) {
+  if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39) ||
+      oid[1] > UINT32_MAX - 80) {
     return false;
   }
-  oid_content(static_cast<std::uint8_t>(40 * oid[0] + oid[1]),
-              oid.arcs().subspan(2));
+  oid_content(40 * oid[0] + oid[1], oid.arcs().subspan(2));
   return true;
 }
 
 void Encoder::padded_oid(const Oid& oid) { oid_content(0, oid.arcs()); }
 
-void Encoder::oid_content(std::uint8_t head,
+void Encoder::subidentifier(std::uint32_t value) {
+  // Base-128, most significant group first, continuation bit on all but
+  // the last: written from the tail, the last group comes first.
+  *prepend(1) = static_cast<std::uint8_t>(value & 0x7F);
+  for (value >>= 7; value > 0; value >>= 7) {
+    *prepend(1) = static_cast<std::uint8_t>(0x80 | (value & 0x7F));
+  }
+}
+
+void Encoder::oid_content(std::uint32_t head,
                           std::span<const std::uint32_t> arcs) {
   const std::size_t mark = size_;
   for (auto arc = arcs.rbegin(); arc != arcs.rend(); ++arc) {
-    // Base-128, most significant group first, continuation bit on all
-    // but the last: written from the tail, the last group comes first.
-    std::uint32_t remaining = *arc;
-    *prepend(1) = static_cast<std::uint8_t>(remaining & 0x7F);
-    for (remaining >>= 7; remaining > 0; remaining >>= 7) {
-      *prepend(1) = static_cast<std::uint8_t>(0x80 | (remaining & 0x7F));
-    }
+    subidentifier(*arc);
   }
-  *prepend(1) = head;
+  subidentifier(head);
   wrap(tags::kOid, mark);
 }
 
@@ -190,9 +193,6 @@ Oid read_oid(serde::Reader& r, std::size_t length) {
   const std::uint8_t* in = rest.data();
   const std::uint8_t* const end = in + length;
   Oid oid;
-  const std::uint8_t head = *in++;
-  oid.push_back(head / 40 > 2 ? 2 : head / 40);
-  oid.push_back(head / 40 > 2 ? head - 80 : head % 40);
   std::uint32_t arc = 0;
   int continuation = 0;
   for (; in != end; ++in) {
@@ -215,7 +215,14 @@ Oid read_oid(serde::Reader& r, std::size_t length) {
       }
       continue;
     }
-    oid.push_back(arc);
+    if (oid.empty()) {
+      // X.690 8.19.4: the first subidentifier is 40*a+b, with b < 40
+      // unless a is 2.
+      oid.push_back(arc < 80 ? arc / 40 : 2);
+      oid.push_back(arc < 80 ? arc % 40 : arc - 80);
+    } else {
+      oid.push_back(arc);
+    }
     arc = 0;
     continuation = 0;
   }

@@ -73,9 +73,10 @@ class Encoder {
   void unsigned_integer(std::uint8_t tag, std::uint64_t value);
   void octet_string(std::string_view value);
   void null() { header(tags::kNull, 0); }
-  /// X.690 OID content: first two arcs fold into 40*a+b, the rest base-128.
-  /// Writes nothing and returns false unless the OID has at least 2 arcs,
-  /// arcs[0] <= 2, and arcs[1] <= 39 when arcs[0] < 2.
+  /// X.690 OID content: first two arcs fold into 40*a+b, every
+  /// subidentifier base-128. Writes nothing and returns false unless the
+  /// OID has at least 2 arcs, arcs[0] <= 2, arcs[1] <= 39 when arcs[0] < 2,
+  /// and 40*a+b fits 32 bits.
   [[nodiscard]] bool oid(const Oid& oid);
   /// The OID 0.0.<arcs>: how a PDU carries an OID X.690 cannot (toy
   /// OIDs with fewer than two arcs, or a bad root). Always encodable.
@@ -89,8 +90,10 @@ class Encoder {
     return buffer_.get() + capacity_ - size_;
   }
   void grow(std::size_t n);
-  /// Base-128 arcs and the folded head octet, then the OID header.
-  void oid_content(std::uint8_t head, std::span<const std::uint32_t> arcs);
+  /// One base-128 subidentifier.
+  void subidentifier(std::uint32_t value);
+  /// Base-128 arcs and the folded head, then the OID header.
+  void oid_content(std::uint32_t head, std::span<const std::uint32_t> arcs);
 
   std::unique_ptr<std::uint8_t[]> buffer_;
   std::size_t capacity_ = 0;  ///< content sits at the buffer's tail
@@ -133,8 +136,9 @@ struct Header {
 /// OCTET STRING content, as a view of the input.
 [[nodiscard]] std::string_view read_octets(serde::Reader& r,
                                            std::size_t length);
-/// OID content: faults when empty, on an arc past 32 bits, an arc of more
-/// than 6 octets, or a truncated last arc.
+/// OID content: faults when empty, on a subidentifier past 32 bits, one of
+/// more than 6 octets or led by 0x80, or a truncated last one. The first
+/// subidentifier unfolds to two arcs (X.690 8.19.4).
 [[nodiscard]] Oid read_oid(serde::Reader& r, std::size_t length);
 
 }  // namespace collabqos::snmp::ber

@@ -62,13 +62,9 @@ class Manager {
                 std::vector<Oid> oids, std::uint32_t max_repetitions,
                 Callback callback);
 
-  /// Walk an entire subtree; calls `callback` once with every varbind
-  /// under `root` (in lexicographic order) or the first error.
-  void walk(net::NodeId agent, const std::string& community, const Oid& root,
-            WalkCallback callback);
-
-  /// Same result as walk(), but over GETBULK: ~max_repetitions objects
-  /// per round trip instead of one.
+  /// Walk an entire subtree over GETBULK, ~max_repetitions objects per
+  /// round trip; calls `callback` once with every varbind under `root`
+  /// (in lexicographic order) or the first error.
   void bulk_walk(net::NodeId agent, const std::string& community,
                  const Oid& root, std::uint32_t max_repetitions,
                  WalkCallback callback);
@@ -99,7 +95,6 @@ class Manager {
     net::NodeId agent{};
     std::string community;
     Oid root;
-    bool bulk = false;  ///< GETBULK steps, else GETNEXT
     std::uint32_t max_repetitions = 0;
     std::vector<VarBind> collected;
     WalkCallback callback;
@@ -111,7 +106,6 @@ class Manager {
   void transmit(std::uint32_t request_id);
   void on_datagram(const net::Datagram& datagram);
   void on_timeout(std::uint32_t request_id);
-  void start_walk(Walk walk);
   void walk_step(std::uint64_t walk_id, const Oid& cursor);
   void on_walk_response(std::uint64_t walk_id, Result<Pdu> result);
   /// Fill `request_` for an OID-list request (NULL values, no error).

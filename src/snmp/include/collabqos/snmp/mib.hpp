@@ -36,8 +36,6 @@ class Mib {
                     Access access = Access::read_only, Mutator mutator = {});
 
   [[nodiscard]] Result<Value> get(const Oid& oid) const;
-  /// Lexicographic successor strictly after `oid` (GETNEXT semantics).
-  [[nodiscard]] Result<std::pair<Oid, Value>> get_next(const Oid& oid) const;
   Status set(const Oid& oid, const Value& value);
 
   [[nodiscard]] bool contains(const Oid& oid) const {
@@ -45,7 +43,8 @@ class Mib {
   }
   [[nodiscard]] std::size_t size() const noexcept { return objects_.size(); }
 
-  // Positional access, in OID order: what the agent answers from.
+  // Positional access, in OID order: what the agent answers from. GETNEXT
+  // of `oid` is the object at upper_bound(oid).
   /// Position of `oid`, or size() when it is not registered.
   [[nodiscard]] std::size_t find(const Oid& oid) const;
   /// Position of the first object strictly after `oid` (size() if none).

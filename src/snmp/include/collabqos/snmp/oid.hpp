@@ -50,7 +50,6 @@ class Oid {
   }
 
   /// This OID extended by additional arcs (e.g. instance suffix ".0").
-  [[nodiscard]] Oid child(std::uint32_t arc) const;
   [[nodiscard]] Oid concat(const Oid& suffix) const;
 
   [[nodiscard]] std::string to_string() const;

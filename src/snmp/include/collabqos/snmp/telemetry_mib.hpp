@@ -9,8 +9,7 @@
 //   .0.0              number of exported metric families   (Gauge)
 //   .1.<id>.0         family name, dotted                  (OCTET STRING)
 //   .2.<id>.0         family value (summed across attached
-//                     instruments; histograms export their
-//                     observation count)                    (Counter/Gauge)
+//                     instruments)                          (Counter/Gauge)
 // <id> is the registry's stable export id, assigned at family creation.
 #pragma once
 

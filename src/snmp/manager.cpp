@@ -83,29 +83,18 @@ void Manager::set(net::NodeId agent, const std::string& community,
   send_request(agent, std::move(callback));
 }
 
-void Manager::walk(net::NodeId agent, const std::string& community,
-                   const Oid& root, WalkCallback callback) {
-  start_walk(Walk{agent, community, root, false, 0, {}, std::move(callback)});
-}
-
 void Manager::bulk_walk(net::NodeId agent, const std::string& community,
                         const Oid& root, std::uint32_t max_repetitions,
                         WalkCallback callback) {
-  start_walk(Walk{agent, community, root, true, max_repetitions, {},
-                  std::move(callback)});
-}
-
-void Manager::start_walk(Walk walk) {
   const std::uint64_t id = next_walk_id_++;
-  const Oid root = walk.root;
-  *walks_.try_emplace(id).first = std::move(walk);
+  *walks_.try_emplace(id).first =
+      Walk{agent, community, root, max_repetitions, {}, std::move(callback)};
   walk_step(id, root);
 }
 
 void Manager::walk_step(std::uint64_t walk_id, const Oid& cursor) {
   const Walk& walk = *walks_.find(walk_id);
-  prepare(walk.bulk ? PduType::get_bulk : PduType::get_next, walk.community,
-          {&cursor, 1});
+  prepare(PduType::get_bulk, walk.community, {&cursor, 1});
   request_.error_index = walk.max_repetitions;  // GETBULK field reuse
   send_request(walk.agent, [this, walk_id](Result<Pdu> result) {
     on_walk_response(walk_id, std::move(result));
@@ -124,25 +113,12 @@ void Manager::on_walk_response(std::uint64_t walk_id, Result<Pdu> result) {
   };
   if (!result) return finish(result.error());
   const Pdu& pdu = result.value();
-  if (!walk.bulk) {
-    // GETNEXT: done at noSuchName or at the first OID past the subtree.
-    if (pdu.error_status == ErrorStatus::no_such_name ||
-        pdu.bindings.empty() || !walk.root.is_prefix_of(pdu.bindings.front().oid)) {
-      return finish(std::move(walk.collected));
-    }
-    if (pdu.error_status != ErrorStatus::no_error) {
-      return finish(
-          Error{Errc::internal, std::string(to_string(pdu.error_status))});
-    }
-    walk.collected.push_back(pdu.bindings.front());
-    return walk_step(walk_id, pdu.bindings.front().oid);
-  }
   if (pdu.error_status != ErrorStatus::no_error) {
     return finish(
         Error{Errc::internal, std::string(to_string(pdu.error_status))});
   }
-  // GETBULK: done at the first OID outside the subtree, or at an empty
-  // batch (the agent walked off the end of its MIB).
+  // Done at the first OID outside the subtree, or at an empty batch (the
+  // agent walked off the end of its MIB).
   for (const VarBind& vb : pdu.bindings) {
     if (!walk.root.is_prefix_of(vb.oid)) {
       return finish(std::move(walk.collected));

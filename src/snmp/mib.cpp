@@ -51,12 +51,6 @@ Result<Value> Mib::get(const Oid& oid) const {
   return value_at(i);
 }
 
-Result<std::pair<Oid, Value>> Mib::get_next(const Oid& oid) const {
-  const std::size_t i = upper_bound(oid);
-  if (i == size()) return Error{Errc::no_such_object, "end of MIB view"};
-  return std::pair{oid_at(i), value_at(i)};
-}
-
 Status Mib::set(const Oid& oid, const Value& value) {
   const std::size_t i = find(oid);
   if (i == size()) return Status(Errc::no_such_object, oid.to_string());

@@ -2,12 +2,6 @@
 
 namespace collabqos::snmp {
 
-Oid Oid::child(std::uint32_t arc) const {
-  Oid out = *this;
-  out.push_back(arc);
-  return out;
-}
-
 Oid Oid::concat(const Oid& suffix) const {
   Oid out = *this;
   for (const std::uint32_t arc : suffix.arcs()) out.push_back(arc);

@@ -4,7 +4,7 @@
 // This module is the common plane those counters now live on.
 //
 // Design:
-//  * Instruments (Counter / Gauge / Histogram) are free-standing atomics.
+//  * Instruments (Counter / Gauge) are free-standing atomics.
 //    The hot path is one relaxed fetch_add — no lock, no lookup, no branch
 //    on registry state — so instrumented code pays ~1 ns whether or not
 //    anything is reading.
@@ -17,14 +17,13 @@
 //    automatically on destruction, the family (and its stable export id)
 //    remains. A detaching *counter's* final value folds into the family
 //    total, so counter families are process-lifetime monotonic — as the
-//    SNMP Counter64 export requires — while gauges and histograms read
-//    live instruments only.
+//    SNMP Counter64 export requires — while gauges read live instruments
+//    only.
 //  * `snapshot()` walks the families without stopping writers; export ids
 //    give every family a stable arc for the SNMP self-export subtree
 //    (snmp/telemetry_mib.hpp).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -91,38 +90,7 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
 };
 
-/// Power-of-two bucketed distribution for non-negative samples
-/// (latencies in ns/us, sizes in bytes). Exact count/sum, estimated
-/// quantiles (bucket midpoint interpolation, ~2x resolution).
-class Histogram {
- public:
-  /// Bucket i holds samples with bit_width(floor(v)) == i, i.e. bucket 0
-  /// is v < 1, bucket 1 is [1,2), bucket 2 is [2,4), ... capped at the
-  /// last bucket.
-  static constexpr std::size_t kBuckets = 48;
-
-  Histogram() = default;
-  Histogram(const Histogram&) = delete;
-  Histogram& operator=(const Histogram&) = delete;
-
-  void observe(double v) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const noexcept {
-    return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
-  }
-  /// Estimated quantile, q in [0,1]; 0 when empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
-
- private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{std::bit_cast<std::uint64_t>(0.0)};
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-};
-
-enum class InstrumentKind : std::uint8_t { counter, gauge, histogram };
+enum class InstrumentKind : std::uint8_t { counter, gauge };
 
 [[nodiscard]] std::string_view to_string(InstrumentKind kind) noexcept;
 
@@ -130,12 +98,8 @@ enum class InstrumentKind : std::uint8_t { counter, gauge, histogram };
 struct MetricSample {
   std::string name;
   InstrumentKind kind = InstrumentKind::counter;
-  /// counters: summed count; gauges: summed level; histograms: summed
-  /// sample total (i.e. the sum of observed values).
+  /// counters: summed count; gauges: summed level.
   double value = 0.0;
-  std::uint64_t count = 0;  ///< histograms only: number of observations
-  double p50 = 0.0;         ///< histograms only (estimate)
-  double p99 = 0.0;         ///< histograms only (estimate)
 };
 
 /// Allocation-free per-family view handed to MetricsRegistry::visit.
@@ -144,11 +108,7 @@ struct MetricSample {
 struct MetricView {
   std::string_view name;
   InstrumentKind kind = InstrumentKind::counter;
-  double value = 0.0;       ///< as MetricSample::value
-  std::uint64_t count = 0;  ///< histograms only: number of observations
-  double p50 = 0.0;         ///< histograms only (estimate)
-  double p95 = 0.0;         ///< histograms only (estimate)
-  double p99 = 0.0;         ///< histograms only (estimate)
+  double value = 0.0;  ///< as MetricSample::value
 };
 
 class MetricsRegistry;
@@ -218,11 +178,9 @@ class MetricsRegistry {
   /// instruments on read. The instrument must outlive the Registration.
   [[nodiscard]] Registration attach(std::string_view name, const Counter& c);
   [[nodiscard]] Registration attach(std::string_view name, const Gauge& g);
-  [[nodiscard]] Registration attach(std::string_view name,
-                                    const Histogram& h);
 
-  /// Summed value of a family (counter count / gauge level / histogram
-  /// observation count); 0.0 for unknown names.
+  /// Summed value of a family (counter count / gauge level); 0.0 for
+  /// unknown names.
   [[nodiscard]] double read(std::string_view name) const;
   /// As read(name), for a family resolved through export_directory();
   /// 0.0 for a default-constructed handle.
@@ -258,7 +216,7 @@ class MetricsRegistry {
     std::uint32_t export_id = 0;
     std::vector<Attachment> attached;
     /// Sum of final values of detached counters: keeps counter families
-    /// monotonic across component churn (gauges/histograms stay live-only).
+    /// monotonic across component churn (gauges stay live-only).
     double retired = 0.0;
     // Owned singleton storage (counter()/gauge()); attached like any
     // external instrument but lifetime-managed here.

@@ -1,57 +1,8 @@
 #include "collabqos/telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace collabqos::telemetry {
-
-// ------------------------------------------------------------------ Gauge
-
-// -------------------------------------------------------------- Histogram
-
-namespace {
-
-std::size_t bucket_index(double v) noexcept {
-  if (!(v >= 1.0)) return 0;  // negatives and NaN land in the floor bucket
-  const auto n = static_cast<std::uint64_t>(std::min(v, 9e18));
-  return std::min<std::size_t>(std::bit_width(n), Histogram::kBuckets - 1);
-}
-
-/// Midpoint of bucket i's value range (geometric spirit, cheap form).
-double bucket_mid(std::size_t i) noexcept {
-  if (i == 0) return 0.5;
-  const double lo = std::ldexp(1.0, static_cast<int>(i) - 1);
-  return lo * 1.5;
-}
-
-}  // namespace
-
-void Histogram::observe(double v) noexcept {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t expected = sum_bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    const std::uint64_t desired =
-        std::bit_cast<std::uint64_t>(std::bit_cast<double>(expected) + v);
-    if (sum_bits_.compare_exchange_weak(expected, desired,
-                                        std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(n);
-  double seen = 0.0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += static_cast<double>(buckets_[i].load(std::memory_order_relaxed));
-    if (seen >= target) return bucket_mid(i);
-  }
-  return bucket_mid(kBuckets - 1);
-}
 
 // ----------------------------------------------------------- Registration
 
@@ -59,7 +10,6 @@ std::string_view to_string(InstrumentKind kind) noexcept {
   switch (kind) {
     case InstrumentKind::counter: return "counter";
     case InstrumentKind::gauge: return "gauge";
-    case InstrumentKind::histogram: return "histogram";
   }
   return "?";
 }
@@ -167,27 +117,13 @@ Registration MetricsRegistry::attach(std::string_view name, const Gauge& g) {
   return attach_locked(name, InstrumentKind::gauge, &g);
 }
 
-Registration MetricsRegistry::attach(std::string_view name,
-                                     const Histogram& h) {
-  return attach_locked(name, InstrumentKind::histogram, &h);
-}
-
 double MetricsRegistry::family_value(const Family& family) noexcept {
   double total = family.kind == InstrumentKind::counter ? family.retired : 0.0;
   for (const Attachment& a : family.attached) {
-    switch (family.kind) {
-      case InstrumentKind::counter:
-        total += static_cast<double>(
-            static_cast<const Counter*>(a.instrument)->value());
-        break;
-      case InstrumentKind::gauge:
-        total += static_cast<const Gauge*>(a.instrument)->value();
-        break;
-      case InstrumentKind::histogram:
-        total += static_cast<double>(
-            static_cast<const Histogram*>(a.instrument)->count());
-        break;
-    }
+    total += family.kind == InstrumentKind::counter
+                 ? static_cast<double>(
+                       static_cast<const Counter*>(a.instrument)->value())
+                 : static_cast<const Gauge*>(a.instrument)->value();
   }
   return total;
 }
@@ -209,26 +145,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   std::vector<MetricSample> samples;
   samples.reserve(families_.size());
   for (const auto& [name, family] : families_) {
-    MetricSample sample;
-    sample.name = name;
-    sample.kind = family.kind;
-    if (family.kind == InstrumentKind::histogram) {
-      for (const Attachment& a : family.attached) {
-        const auto* histogram = static_cast<const Histogram*>(a.instrument);
-        sample.count += histogram->count();
-        sample.value += histogram->sum();
-        // Quantiles from the largest attached histogram: families almost
-        // always hold one instrument; a merged estimate is not worth the
-        // bookkeeping.
-        if (histogram->count() > 0) {
-          sample.p50 = histogram->quantile(0.5);
-          sample.p99 = histogram->quantile(0.99);
-        }
-      }
-    } else {
-      sample.value = family_value(family);
-    }
-    samples.push_back(std::move(sample));
+    samples.push_back(MetricSample{name, family.kind, family_value(family)});
   }
   return samples;
 }
@@ -237,24 +154,7 @@ void MetricsRegistry::visit(
     const std::function<void(const MetricView&)>& fn) const {
   std::scoped_lock lock(mutex_);
   for (const auto& [name, family] : families_) {
-    MetricView view;
-    view.name = name;
-    view.kind = family.kind;
-    if (family.kind == InstrumentKind::histogram) {
-      for (const Attachment& a : family.attached) {
-        const auto* histogram = static_cast<const Histogram*>(a.instrument);
-        view.count += histogram->count();
-        view.value += histogram->sum();
-        if (histogram->count() > 0) {
-          view.p50 = histogram->quantile(0.5);
-          view.p95 = histogram->quantile(0.95);
-          view.p99 = histogram->quantile(0.99);
-        }
-      }
-    } else {
-      view.value = family_value(family);
-    }
-    fn(view);
+    fn(MetricView{name, family.kind, family_value(family)});
   }
 }
 

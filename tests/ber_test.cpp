@@ -3,6 +3,8 @@
 // and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "collabqos/snmp/ber.hpp"
 #include "collabqos/snmp/pdu.hpp"
 
@@ -106,6 +108,42 @@ TEST(Ber, OidRejectsUnencodableRoots) {
   EXPECT_FALSE(e.oid(Oid{1}));      // fewer than 2 arcs
   EXPECT_FALSE(e.oid(Oid{1, 40}));  // arcs[1] > 39
   EXPECT_EQ(e.size(), 0u);          // and nothing was written
+}
+
+TEST(Ber, OidFirstSubidentifierIsBase128) {
+  // X.690 8.19.4: 40*a+b is a subidentifier like any other, so it takes
+  // more than one octet from 128 on. The first vector is X.690's own.
+  const std::pair<Oid, Bytes> vectors[] = {
+      {Oid{2, 100, 3}, Bytes{0x06, 0x03, 0x81, 0x34, 0x03}},
+      {Oid{2, 999, 1}, Bytes{0x06, 0x03, 0x88, 0x37, 0x01}},
+      {Oid{2, 47}, Bytes{0x06, 0x01, 0x7F}},
+      {Oid{2, 48}, Bytes{0x06, 0x02, 0x81, 0x00}},
+      // The largest 2.x: 40*2+x is 2^32-1.
+      {Oid{2, UINT32_MAX - 80},
+       Bytes{0x06, 0x05, 0x8F, 0xFF, 0xFF, 0xFF, 0x7F}},
+  };
+  for (const auto& [oid, bytes] : vectors) {
+    SCOPED_TRACE(oid.to_string());
+    ber::Encoder e;
+    ASSERT_TRUE(e.oid(oid));
+    EXPECT_EQ(encoded(e), bytes);
+    serde::Reader r(bytes);
+    const ber::Header tlv = ber::expect(r, ber::tags::kOid, bytes.size());
+    EXPECT_EQ(ber::read_oid(r, tlv.length), oid);
+    EXPECT_TRUE(r.ok());
+  }
+  // One past the largest has no encoding, and nothing is written.
+  ber::Encoder e;
+  EXPECT_FALSE(e.oid(Oid{2, UINT32_MAX - 79}));
+  EXPECT_EQ(e.size(), 0u);
+  // A first subidentifier past 32 bits, led by 0x80, or cut short is
+  // malformed.
+  for (const Bytes& content : {Bytes{0x90, 0x80, 0x80, 0x80, 0x00},
+                               Bytes{0x80, 0x01}, Bytes{0x81}}) {
+    serde::Reader r(content);
+    (void)ber::read_oid(r, content.size());
+    EXPECT_FALSE(r.ok());
+  }
 }
 
 TEST(Ber, NonMinimalSubidentifierIsRejected) {

@@ -42,9 +42,9 @@ sim::TimePoint at(double seconds) {
 
 TEST(TimeSeries, ComputesRatesFromConsecutivePoints) {
   TimeSeries series(SeriesKind::counter, 8);
-  series.append({at(0.0), 100.0, 0.0, 0.0, 0.0});
-  series.append({at(1.0), 160.0, 0.0, 0.0, 0.0});
-  series.append({at(3.0), 200.0, 0.0, 0.0, 0.0});
+  series.append({at(0.0), 100.0, 0.0});
+  series.append({at(1.0), 160.0, 0.0});
+  series.append({at(3.0), 200.0, 0.0});
   ASSERT_EQ(series.size(), 3u);
   EXPECT_DOUBLE_EQ(series.at(0).rate, 0.0);  // no predecessor
   EXPECT_DOUBLE_EQ(series.at(1).rate, 60.0);
@@ -53,20 +53,20 @@ TEST(TimeSeries, ComputesRatesFromConsecutivePoints) {
 
 TEST(TimeSeries, CounterResetRestartsRateInsteadOfGoingNegative) {
   TimeSeries series(SeriesKind::counter, 8);
-  series.append({at(0.0), 500.0, 0.0, 0.0, 0.0});
-  series.append({at(1.0), 30.0, 0.0, 0.0, 0.0});  // source restarted
+  series.append({at(0.0), 500.0, 0.0});
+  series.append({at(1.0), 30.0, 0.0});  // source restarted
   EXPECT_DOUBLE_EQ(series.back().rate, 30.0);
   // Gauges are levels: a falling level is a real negative slope.
   TimeSeries gauge(SeriesKind::gauge, 8);
-  gauge.append({at(0.0), 500.0, 0.0, 0.0, 0.0});
-  gauge.append({at(1.0), 30.0, 0.0, 0.0, 0.0});
+  gauge.append({at(0.0), 500.0, 0.0});
+  gauge.append({at(1.0), 30.0, 0.0});
   EXPECT_DOUBLE_EQ(gauge.back().rate, -470.0);
 }
 
 TEST(TimeSeries, RingEvictsOldestAndCounts) {
   TimeSeries series(SeriesKind::gauge, 3);
   for (int i = 0; i < 5; ++i) {
-    series.append({at(i), static_cast<double>(i), 0.0, 0.0, 0.0});
+    series.append({at(i), static_cast<double>(i), 0.0});
   }
   EXPECT_EQ(series.size(), 3u);
   EXPECT_EQ(series.evicted(), 2u);
@@ -77,7 +77,7 @@ TEST(TimeSeries, RingEvictsOldestAndCounts) {
 TEST(TimeSeries, WindowedAggregatesRespectTheHorizon) {
   TimeSeries series(SeriesKind::counter, 16);
   for (int i = 0; i <= 9; ++i) {
-    series.append({at(i), i * 10.0, 0.0, 0.0, 0.0});
+    series.append({at(i), i * 10.0, 0.0});
   }
   // Window of 2 s from the newest point (t=9) covers t=7..9.
   EXPECT_DOUBLE_EQ(series.max_rate_over(sim::Duration::seconds(2.0)), 10.0);
@@ -90,10 +90,8 @@ TEST(Sampler, SweepsLocalRegistryIntoSeries) {
   telemetry::MetricsRegistry registry;
   telemetry::Counter events;
   telemetry::Gauge level;
-  telemetry::Histogram sizes;
   auto r1 = registry.attach("app.events", events);
   auto r2 = registry.attach("app.level", level);
-  auto r3 = registry.attach("app.sizes", sizes);
 
   TimeSeriesSampler sampler(sim, registry);
   const auto advance = [&](double seconds) {
@@ -103,12 +101,10 @@ TEST(Sampler, SweepsLocalRegistryIntoSeries) {
 
   events += 10;
   level.set(42.0);
-  sizes.observe(100.0);
   sampler.sample_now();
   advance(1.0);
   events += 30;
   level.set(40.0);
-  sizes.observe(200.0);
   sampler.sample_now();
 
   const TimeSeries* counter_series = sampler.find("", "app.events");
@@ -122,15 +118,9 @@ TEST(Sampler, SweepsLocalRegistryIntoSeries) {
   EXPECT_DOUBLE_EQ(gauge_series->back().value, 40.0);
   EXPECT_DOUBLE_EQ(gauge_series->back().rate, -2.0);
 
-  // Histogram series carry the observation count plus rolling quantiles.
-  const TimeSeries* histogram_series = sampler.find("", "app.sizes");
-  ASSERT_NE(histogram_series, nullptr);
-  EXPECT_DOUBLE_EQ(histogram_series->back().value, 2.0);
-  EXPECT_GT(histogram_series->back().p50, 0.0);
-
-  EXPECT_EQ(sampler.series_count(), 3u);
+  EXPECT_EQ(sampler.series_count(), 2u);
   EXPECT_EQ(sampler.stats().ticks, 2u);
-  EXPECT_EQ(sampler.stats().local_points, 6u);
+  EXPECT_EQ(sampler.stats().local_points, 4u);
 }
 
 TEST(Sampler, PeriodicTimerDrivesTicksAndHooks) {

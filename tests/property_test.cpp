@@ -14,6 +14,7 @@
 #include "collabqos/pubsub/selector.hpp"
 #include "collabqos/util/rng.hpp"
 #include "collabqos/wireless/channel.hpp"
+#include "support/reference_selector.hpp"
 
 namespace collabqos {
 namespace {
@@ -142,21 +143,24 @@ TEST_P(Seeded, SelectorWireRoundTripPreservesSemantics) {
 
 TEST_P(Seeded, CompiledProgramAgreesWithAstInterpreter) {
   // parse → print → re-parse → compile must preserve match results: the
-  // compiled bytecode (matches) and the reference AST walk (interpret)
-  // of both the original and the reparsed selector all agree, for every
-  // randomized attribute set.
+  // compiled bytecode (matches) and the reference tree walk
+  // (support/reference_selector.hpp) of both the original and the
+  // reparsed selector all agree, for every randomized attribute set.
   Rng rng(GetParam() ^ 0x99AB);
   for (int trial = 0; trial < 40; ++trial) {
     const pubsub::Selector original = random_selector(rng);
     auto reparsed = pubsub::Selector::parse(original.to_string());
     ASSERT_TRUE(reparsed.ok()) << original.to_string();
+    const auto original_tree = pubsub::reference::tree_of(original);
+    const auto reparsed_tree = pubsub::reference::tree_of(reparsed.value());
     for (int probe = 0; probe < 20; ++probe) {
       const pubsub::AttributeSet attrs = random_attributes(rng);
-      const bool reference = original.interpret(attrs);
+      const bool reference =
+          pubsub::reference::evaluate(*original_tree, attrs);
       EXPECT_EQ(original.matches(attrs), reference) << original.to_string();
       EXPECT_EQ(reparsed.value().matches(attrs), reference)
           << original.to_string();
-      EXPECT_EQ(reparsed.value().interpret(attrs), reference)
+      EXPECT_EQ(pubsub::reference::evaluate(*reparsed_tree, attrs), reference)
           << original.to_string();
     }
   }
@@ -172,19 +176,19 @@ TEST(SelectorSemantics, TypeMismatchIsFalseInCompiledAndInterpretedPaths) {
   pubsub::AttributeSet matching;
   matching.set("x", 3);
   EXPECT_TRUE(s.matches(absent));
-  EXPECT_TRUE(s.interpret(absent));
+  EXPECT_TRUE(pubsub::reference::interpret(s, absent));
   EXPECT_TRUE(s.matches(mismatched));
-  EXPECT_TRUE(s.interpret(mismatched));
+  EXPECT_TRUE(pubsub::reference::interpret(s, mismatched));
   EXPECT_FALSE(s.matches(matching));
-  EXPECT_FALSE(s.interpret(matching));
+  EXPECT_FALSE(pubsub::reference::interpret(s, matching));
   // Ordering against a non-numeric literal is constant-false (the
-  // compiler folds it; the interpreter evaluates it) even when the
+  // compiler folds it; the reference evaluates it) even when the
   // attribute is a string that would compare lexicographically.
   const auto folded = pubsub::Selector::parse("not (x < 'zzz')").take();
   EXPECT_TRUE(folded.matches(mismatched));
-  EXPECT_TRUE(folded.interpret(mismatched));
+  EXPECT_TRUE(pubsub::reference::interpret(folded, mismatched));
   EXPECT_TRUE(folded.matches(matching));
-  EXPECT_TRUE(folded.interpret(matching));
+  EXPECT_TRUE(pubsub::reference::interpret(folded, matching));
 }
 
 TEST_P(Seeded, SelectorNegationInvolutes) {

@@ -5,6 +5,7 @@
 #include "collabqos/snmp/agent.hpp"
 #include "collabqos/snmp/host_mib.hpp"
 #include "collabqos/snmp/manager.hpp"
+#include "support/reference_walk.hpp"
 
 namespace collabqos::snmp {
 namespace {
@@ -27,7 +28,7 @@ TEST(Oid, PrefixRelation) {
 
 TEST(Oid, ChildAndConcat) {
   const Oid base{1, 3};
-  EXPECT_EQ(base.child(6), (Oid{1, 3, 6}));
+  EXPECT_EQ(base.concat(Oid{6}), (Oid{1, 3, 6}));
   EXPECT_EQ(base.concat(Oid{6, 1}), (Oid{1, 3, 6, 1}));
   EXPECT_EQ(base.to_string(), "1.3");
 }
@@ -116,16 +117,18 @@ TEST(Mib, GetNextWalksLexicographically) {
   mib.add_scalar(Oid{1, 3, 6, 1, 5}, Value::integer(1));
   mib.add_scalar(Oid{1, 4}, Value::integer(3));
 
-  auto first = mib.get_next(Oid{0});
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first.value().first, (Oid{1, 3, 6, 1, 5}));
-  auto second = mib.get_next(first.value().first);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(second.value().first, (Oid{1, 3, 6, 2}));
-  auto third = mib.get_next(second.value().first);
-  ASSERT_TRUE(third.ok());
-  EXPECT_EQ(third.value().first, (Oid{1, 4}));
-  EXPECT_FALSE(mib.get_next(third.value().first).ok());  // end of MIB
+  // GETNEXT answers the object at upper_bound, as the agent does.
+  const std::size_t first = mib.upper_bound(Oid{0});
+  ASSERT_LT(first, mib.size());
+  EXPECT_EQ(mib.oid_at(first), (Oid{1, 3, 6, 1, 5}));
+  EXPECT_EQ(mib.value_at(first), Value::integer(1));
+  const std::size_t second = mib.upper_bound(mib.oid_at(first));
+  ASSERT_LT(second, mib.size());
+  EXPECT_EQ(mib.oid_at(second), (Oid{1, 3, 6, 2}));
+  const std::size_t third = mib.upper_bound(mib.oid_at(second));
+  ASSERT_LT(third, mib.size());
+  EXPECT_EQ(mib.oid_at(third), (Oid{1, 4}));
+  EXPECT_EQ(mib.upper_bound(mib.oid_at(third)), mib.size());  // end of MIB
 }
 
 TEST(Mib, SetRespectsAccess) {
@@ -263,10 +266,10 @@ TEST_F(SnmpStackTest, RetriesSurviveLossyLink) {
 
 TEST_F(SnmpStackTest, WalkVisitsWholeExtensionSubtree) {
   Result<std::vector<VarBind>> walked = Error{Errc::internal, ""};
-  manager_->walk(host_node_, "public", oids::tassl_root(),
-                 [&](Result<std::vector<VarBind>> r) {
-                   walked = std::move(r);
-                 });
+  reference::getnext_walk(*manager_, host_node_, "public", oids::tassl_root(),
+                          [&](Result<std::vector<VarBind>> r) {
+                            walked = std::move(r);
+                          });
   sim_.run_all();
   ASSERT_TRUE(walked.ok());
   ASSERT_EQ(walked.value().size(), 5u);  // cpu, pf, mem, ifutil, bandwidth
@@ -379,10 +382,10 @@ TEST_F(SnmpStackTest, BulkWalkMatchesPlainWalk) {
   // mib-2 lies inside the MIB; the extension subtree ends it.
   for (const Oid& root : {Oid{1, 3, 6, 1, 2, 1}, oids::tassl_root()}) {
     Result<std::vector<VarBind>> plain = Error{Errc::internal, ""};
-    manager_->walk(host_node_, "public", root,
-                   [&](Result<std::vector<VarBind>> r) {
-                     plain = std::move(r);
-                   });
+    reference::getnext_walk(*manager_, host_node_, "public", root,
+                            [&](Result<std::vector<VarBind>> r) {
+                              plain = std::move(r);
+                            });
     sim_.run_all();
     ASSERT_TRUE(plain.ok());
     ASSERT_FALSE(plain.value().empty());
@@ -412,8 +415,9 @@ TEST_F(SnmpStackTest, BulkWalkUsesFewerRoundTrips) {
   }
   const std::uint64_t before_walk = manager_->stats().requests;
   Result<std::vector<VarBind>> plain = Error{Errc::internal, ""};
-  manager_->walk(host_node_, "public", oids::tassl_root(),
-                 [&](Result<std::vector<VarBind>> r) { plain = std::move(r); });
+  reference::getnext_walk(
+      *manager_, host_node_, "public", oids::tassl_root(),
+      [&](Result<std::vector<VarBind>> r) { plain = std::move(r); });
   sim_.run_all();
   const std::uint64_t walk_requests =
       manager_->stats().requests - before_walk;

@@ -16,6 +16,12 @@
 // its field cannot hold (request id and error index outside 0..2^32-1, a
 // GETBULK non-repeaters value outside one byte).
 //
+// One fault was mended here together with the library: both used to write
+// and read an OID's first subidentifier (40*a+b) as a single octet. Both
+// now treat it base-128 like every other subidentifier (X.690 8.19.4), so
+// 2.999.1 is 06 03 88 37 01. ber_test pins that with fixed vectors that do
+// not come from this file.
+//
 // Encoding, as it was before the one-pass reverse build: each nested TLV
 // is built in its own serde::Writer and copied into its parent's. The
 // rewritten Pdu::encode must produce the same bytes. The corpus and
@@ -110,16 +116,17 @@ inline void write_null(serde::Writer& out) {
   write_tlv(out, ber::tags::kNull, {});
 }
 
-/// X.690 OID content: first two arcs fold into 40*a+b, the rest base-128.
-/// Requires at least 2 arcs with arcs[0] <= 2.
+/// X.690 OID content: first two arcs fold into 40*a+b, every
+/// subidentifier base-128. Requires at least 2 arcs with arcs[0] <= 2,
+/// and 40*a+b within 32 bits.
 inline Status write_oid(serde::Writer& out, const Oid& oid) {
-  if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39)) {
+  if (oid.size() < 2 || oid[0] > 2 || (oid[0] < 2 && oid[1] > 39) ||
+      oid[1] > UINT32_MAX - 80) {
     return Status(Errc::malformed, "OID not encodable in X.690 form");
   }
   serde::Writer content;
-  content.u8(static_cast<std::uint8_t>(40 * oid[0] + oid[1]));
-  for (std::size_t i = 2; i < oid.size(); ++i) {
-    const std::uint32_t arc = oid[i];
+  for (std::size_t i = 1; i < oid.size(); ++i) {
+    const std::uint32_t arc = i == 1 ? 40 * oid[0] + oid[1] : oid[i];
     std::uint8_t groups[5];
     int count = 0;
     std::uint32_t remaining = arc;
@@ -313,12 +320,9 @@ inline Result<std::uint64_t> read_unsigned(
 inline Result<Oid> read_oid(std::span<const std::uint8_t> content) {
   if (content.empty()) return Error{Errc::malformed, "empty OID"};
   std::vector<std::uint32_t> arcs;
-  const std::uint8_t head = content[0];
-  arcs.push_back(head / 40 > 2 ? 2 : head / 40);
-  arcs.push_back(head / 40 > 2 ? head - 80 : head % 40);
   std::uint32_t arc = 0;
   int continuation = 0;
-  for (std::size_t i = 1; i < content.size(); ++i) {
+  for (std::size_t i = 0; i < content.size(); ++i) {
     const std::uint8_t byte = content[i];
     if (byte == 0x80 && continuation == 0) {
       return Error{Errc::malformed, "non-minimal OID arc"};
@@ -333,7 +337,13 @@ inline Result<Oid> read_oid(std::span<const std::uint8_t> content) {
       }
       continue;
     }
-    arcs.push_back(arc);
+    if (arcs.empty()) {
+      // The first subidentifier is 40*a+b, with b < 40 unless a is 2.
+      arcs.push_back(arc < 80 ? arc / 40 : 2);
+      arcs.push_back(arc < 80 ? arc % 40 : arc - 80);
+    } else {
+      arcs.push_back(arc);
+    }
     arc = 0;
     continuation = 0;
   }

@@ -919,7 +919,7 @@ std::vector<std::pair<std::string, serde::Bytes>> snmp_pdus() {
                 {oids::if_in_octets(), Value::counter(UINT64_MAX)},
                 {oids::sys_uptime(), Value::timeticks(360000)},
                 {oids::sys_descr(), Value::octets("community")},
-                {oids::tassl_root().child(7),
+                {oids::tassl_root().concat({7}),
                  Value::object_id(snmp::Oid{1, 3, 6, 1, 4, 1, 26510, 10,
                                             300000})},
                 {oids::sys_name(), Value{}}})
