@@ -48,6 +48,7 @@
 #include "collabqos/core/client.hpp"
 #include "collabqos/core/decision_audit.hpp"
 #include "collabqos/core/thin_client.hpp"
+#include "collabqos/media/image.hpp"
 #include "collabqos/observatory/alerts.hpp"
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/observatory/trace_analysis.hpp"
@@ -96,6 +97,8 @@ bool parse_args(int argc, char** argv, Options& options) {
     // Simulated seconds: positive, and at most about 31.7 years, so that
     // their microseconds fit a sim::Duration with room to spare.
     constexpr double kDurationMax = 1e9;
+    // An --image side N is refused when no receiver decodes an N x N
+    // image (media::plausible_extent).
     double value = 0.0;
     std::uint64_t integer = 0;
     if (arg == "--wired" && next_integer(integer, kIntMax)) {
@@ -109,7 +112,8 @@ bool parse_args(int argc, char** argv, Options& options) {
     } else if (arg == "--duration" && next_number(value) && value > 0.0 &&
                value <= kDurationMax) {
       options.duration_s = value;
-    } else if (arg == "--image" && next_integer(integer, kIntMax)) {
+    } else if (arg == "--image" && next_integer(integer, kIntMax) &&
+               media::plausible_extent(integer, integer)) {
       options.image = static_cast<int>(integer);
     } else if (arg == "--seed" && next_integer(integer, kSeedMax)) {
       options.seed = integer;
