@@ -98,7 +98,6 @@ class Testbed {
     station.manager = std::make_unique<snmp::Manager>(network_, station.node);
     core::ClientConfig config;
     config.name = name;
-    config.contract = contract;
     core::InferenceEngine engine(contract,
                                  core::PolicyDatabase::with_defaults());
     station.client = std::make_unique<core::CollaborationClient>(

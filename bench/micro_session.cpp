@@ -26,7 +26,6 @@ struct Fixture {
       core::ClientConfig config;
       config.name = "c";
       config.name += std::to_string(i);
-      config.monitor_system_state = false;
       config.rtcp_interval = {};  // no timers: pure event cost
       core::InferenceEngine engine(core::QoSContract{},
                                    core::PolicyDatabase::with_defaults());

@@ -25,10 +25,11 @@ Trader make_trader(net::Network& network, const core::SessionInfo& session,
                    const char* name, std::uint64_t id) {
   core::ClientConfig config;
   config.name = name;
-  config.monitor_system_state = false;  // trading floor: no host adaptation
   core::InferenceEngine engine(core::QoSContract{},
                                core::PolicyDatabase::with_defaults());
   Trader trader;
+  // No SNMP manager: the trading floor runs open loop, without host
+  // adaptation.
   trader.client = std::make_unique<core::CollaborationClient>(
       network, network.add_node(name), session, id, nullptr,
       std::move(engine), config);

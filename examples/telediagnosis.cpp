@@ -48,7 +48,6 @@ int main() {
     p.manager = std::make_unique<snmp::Manager>(network, p.node);
     core::ClientConfig config;
     config.name = name;
-    config.contract = contract;
     core::InferenceEngine engine(contract,
                                  core::PolicyDatabase::with_defaults());
     p.client = std::make_unique<core::CollaborationClient>(

@@ -23,6 +23,14 @@ namespace collabqos::chaos {
 namespace {
 
 constexpr std::string_view kBlobEvent = "chaos.blob";
+/// w0 publishes one multi-fragment object of kPayloadBytes per period.
+constexpr sim::Duration kPublishPeriod = sim::Duration::millis(500);
+constexpr std::size_t kPayloadBytes = 24 * 1024;
+/// Post-heal observation window; it exceeds kAlertClearBoundS.
+constexpr double kSettleS = 10.0;
+/// Every raised alert must be back at ok no later than the last heal
+/// plus this bound.
+constexpr double kAlertClearBoundS = 8.0;
 
 std::uint64_t chain_digest(const serde::ByteChain& chain) {
   Fnv1a hash;
@@ -82,7 +90,7 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
   const sim::TimePoint last_heal = start + schedule.last_change();
   const double total_s = std::max(
       options_.duration_s,
-      schedule.last_change().as_seconds() + options_.settle_s);
+      schedule.last_change().as_seconds() + kSettleS);
   const sim::TimePoint end_time = start + sim::Duration::seconds(total_s);
   // Stop publishing a little early so in-flight repair can drain.
   const sim::TimePoint publish_until =
@@ -229,12 +237,12 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
   std::uint64_t shares = 0;
   std::uint64_t shares_post_heal = 0;
   sim::PeriodicTimer publish_timer(
-      simulator, options_.publish_period, [&] {
+      simulator, kPublishPeriod, [&] {
         if (simulator.now() >= publish_until) return;
         ++shares;
         if (simulator.now() > last_heal) ++shares_post_heal;
         Rng rng(derive_seed(options_.seed, 0xB10Bu, shares));
-        serde::Bytes payload(options_.payload_bytes);
+        serde::Bytes payload(kPayloadBytes);
         for (std::size_t i = 0; i < payload.size(); i += 8) {
           const std::uint64_t word = rng();
           for (std::size_t j = 0; j < 8 && i + j < payload.size(); ++j) {
@@ -284,7 +292,7 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
 
   report.retransmissions = publisher.stats().retransmissions;
   const std::uint64_t fragments_per_object = std::max<std::uint64_t>(
-      1, (options_.payload_bytes + peer_options.mtu_payload - 1) /
+      1, (kPayloadBytes + peer_options.mtu_payload - 1) /
              peer_options.mtu_payload);
   report.repair_amplification =
       static_cast<double>(report.retransmissions) /
@@ -313,8 +321,7 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
         std::to_string(report.integrity_failures) +
         " corrupted payload(s) reached a subscriber handler");
   }
-  if (options_.expect_alerts && report.faults_injected > 0 &&
-      report.alerts_raised == 0) {
+  if (report.faults_injected > 0 && report.alerts_raised == 0) {
     report.violations.push_back(
         "no SLO alert fired while faults were active");
   }
@@ -324,7 +331,7 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
         " alert(s) still active at end of run");
   }
   const double clear_deadline =
-      last_heal.as_seconds() + options_.alert_clear_bound_s;
+      last_heal.as_seconds() + kAlertClearBoundS;
   if (report.alerts_raised > 0 && report.last_clear_s > clear_deadline) {
     report.violations.push_back(
         "alerts cleared at " + format_seconds(report.last_clear_s) +

@@ -7,7 +7,7 @@ SessionArchiver::SessionArchiver(net::Network& network, net::NodeId node,
                                  std::uint64_t peer_id,
                                  ArchiverOptions options)
     : options_(options) {
-  pubsub::PeerOptions peer_options = options_.peer;
+  pubsub::PeerOptions peer_options;
   peer_options.port = session.port;
   // Promiscuous: the archive must record messages addressed to profiles
   // other than its own.

@@ -38,7 +38,7 @@ BaseStationPeer::BaseStationPeer(net::Network& network, net::NodeId node,
     : network_(network),
       options_(options),
       transformers_(media::TransformerSuite::with_builtins()) {
-  pubsub::PeerOptions peer_options = options_.peer;
+  pubsub::PeerOptions peer_options;
   peer_options.port = session.port;
   // Promiscuous: the gateway interprets selectors against its *clients'*
   // profiles, not its own, so it must hear everything on the session.
@@ -88,7 +88,8 @@ BaseStationPeer::attach(AttachRequest request) {
   entry.profile = std::move(request.profile);
   by_address_.emplace(request.address, request.station);
   clients_.emplace(raw(request.station), std::move(entry));
-  rebalance();
+  // Power control re-runs after every join, leave and move.
+  (void)radio_->balance();
   auto assessment = radio_->assess(request.station);
   if (assessment) {
     CQ_INFO(kComponent) << "station " << raw(request.station)
@@ -107,7 +108,7 @@ Status BaseStationPeer::detach(wireless::StationId station) {
   by_address_.erase(it->second.address);
   clients_.erase(it);
   (void)radio_->leave(station);
-  rebalance();
+  (void)radio_->balance();
   return {};
 }
 
@@ -124,13 +125,13 @@ Status BaseStationPeer::update_profile(wireless::StationId station,
 Status BaseStationPeer::move(wireless::StationId station,
                              wireless::Position position) {
   const Status status = radio_->move(station, position);
-  if (status.ok()) rebalance();
+  if (status.ok()) (void)radio_->balance();
   return status;
 }
 
 Status BaseStationPeer::set_power(wireless::StationId station,
                                   double tx_power_mw) {
-  // Manual power settings bypass auto-balance (the Figure 9 experiment
+  // Manual power settings skip the balance (the Figure 9 experiment
   // varies power open-loop).
   return radio_->set_power(station, tx_power_mw);
 }
@@ -142,10 +143,6 @@ Result<pubsub::Profile> BaseStationPeer::profile_of(
     return Error{Errc::no_such_object, "unknown station"};
   }
   return it->second.profile;
-}
-
-void BaseStationPeer::rebalance() {
-  if (options_.auto_balance) (void)radio_->balance();
 }
 
 AdaptationDecision BaseStationPeer::decision_for(

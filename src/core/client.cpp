@@ -24,7 +24,7 @@ CollaborationClient::CollaborationClient(net::Network& network,
       engine_(std::move(engine)),
       concurrency_(client_id),
       transformers_(media::TransformerSuite::with_builtins()) {
-  pubsub::PeerOptions peer_options = config_.peer;
+  pubsub::PeerOptions peer_options;
   peer_options.port = session.port;
   peer_ = std::make_unique<pubsub::SemanticPeer>(network, node, session.group,
                                                  client_id, peer_options);
@@ -33,9 +33,9 @@ CollaborationClient::CollaborationClient(net::Network& network,
                            const pubsub::MatchDecision& decision) {
     on_message(message, decision);
   });
-  if (config_.monitor_system_state && manager != nullptr) {
+  if (manager != nullptr) {
     state_interface_ = std::make_unique<SystemStateInterface>(
-        *manager, node, network.simulator(), config_.state);
+        *manager, node, network.simulator());
     state_interface_->on_update(
         [this](const pubsub::AttributeSet&) { refresh_decision(); });
     state_interface_->start();

@@ -21,7 +21,6 @@ namespace collabqos::core {
 struct ArchiverOptions {
   /// FIFO retention bound (oldest events are evicted first).
   std::size_t capacity = 4096;
-  pubsub::PeerOptions peer{};
 };
 
 class SessionArchiver {

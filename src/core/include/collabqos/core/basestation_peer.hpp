@@ -60,11 +60,8 @@ struct BaseStationStats {
 };
 
 struct BaseStationOptions {
-  pubsub::PeerOptions peer{};
   wireless::ChannelParams channel{};
   wireless::RadioManagerParams radio{};
-  /// Re-run power control after joins/moves/power changes.
-  bool auto_balance = true;
   /// Admission cap on simultaneous wireless clients (paper §6.3.3 "there
   /// exists an upper limit to the number of clients"); nullopt = none.
   std::optional<std::size_t> client_limit;
@@ -145,7 +142,6 @@ class BaseStationPeer {
                          const pubsub::SemanticMessage& message);
   [[nodiscard]] AdaptationDecision decision_for(
       wireless::ModalityGrade grade, const pubsub::Profile& profile) const;
-  void rebalance();
 
   net::Network& network_;
   BaseStationOptions options_;

@@ -22,12 +22,6 @@ namespace collabqos::core {
 
 struct ClientConfig {
   std::string name;
-  QoSContract contract{};
-  pubsub::PeerOptions peer{};
-  SystemStateOptions state{};
-  /// When false the client runs open-loop (no SNMP polling); tests and
-  /// the base station's client registry use this.
-  bool monitor_system_state = true;
   /// Sample RTP receiver reports into the decision state (keys
   /// "net.loss.fraction", "net.jitter.ms") at this cadence; zero
   /// disables network-quality monitoring.
@@ -43,6 +37,8 @@ class CollaborationClient {
                                           const MediaAdaptationReport&)>;
   using OperationHandler = std::function<void(const Operation&)>;
 
+  /// Polls the local host's state through `manager`; a null manager
+  /// runs open loop (no SNMP polling). The engine holds the QoS contract.
   CollaborationClient(net::Network& network, net::NodeId node,
                       const SessionInfo& session, std::uint64_t client_id,
                       snmp::Manager* manager, InferenceEngine engine,

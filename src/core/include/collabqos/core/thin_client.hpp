@@ -23,7 +23,6 @@ struct ThinClientConfig {
   wireless::Position position{};
   double tx_power_mw = 100.0;
   wireless::BatteryState battery{};
-  pubsub::PeerOptions peer{};
 };
 
 class ThinClient {

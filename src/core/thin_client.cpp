@@ -7,7 +7,7 @@ ThinClient::ThinClient(net::Network& network, net::NodeId node,
                        wireless::StationId station, std::uint64_t peer_id,
                        ThinClientConfig config)
     : station_(station), config_(std::move(config)) {
-  pubsub::PeerOptions peer_options = config_.peer;
+  pubsub::PeerOptions peer_options;
   peer_options.port = session.port;
   peer_options.join_multicast = false;
   peer_ = std::make_unique<pubsub::SemanticPeer>(network, node, session.group,

@@ -20,11 +20,7 @@ std::string_view to_string(Severity severity) noexcept {
   return "?";
 }
 
-AlertEngine::AlertEngine(TimeSeriesSampler& sampler)
-    : AlertEngine(sampler, Options{}) {}
-
-AlertEngine::AlertEngine(TimeSeriesSampler& sampler, Options options)
-    : sampler_(sampler), options_(options) {
+AlertEngine::AlertEngine(TimeSeriesSampler& sampler) : sampler_(sampler) {
   auto& registry = telemetry::MetricsRegistry::global();
   stats_.attach(registry);
   active_gauge_ = &registry.gauge("observatory.alerts.active");
@@ -162,7 +158,7 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
   record.from = from;
   record.to = to;
   record.value = value;
-  if (history_.size() >= options_.history_capacity) history_.pop_front();
+  if (history_.size() >= kHistoryCapacity) history_.pop_front();
   history_.push_back(record);
 
   if (peer_ == nullptr) return;

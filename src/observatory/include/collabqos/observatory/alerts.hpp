@@ -88,14 +88,12 @@ struct AlertEngineStats {
 
 class AlertEngine {
  public:
-  struct Options {
-    std::size_t history_capacity = 1024;
-  };
+  /// Transitions history() keeps; older ones are dropped first.
+  static constexpr std::size_t kHistoryCapacity = 1024;
 
   /// Registers itself as a tick hook on `sampler`: rules re-evaluate
   /// after every sweep. The sampler must outlive the engine.
   explicit AlertEngine(TimeSeriesSampler& sampler);
-  AlertEngine(TimeSeriesSampler& sampler, Options options);
 
   void add_rule(SloRule rule);
 
@@ -153,7 +151,6 @@ class AlertEngine {
                                        Severity from) const noexcept;
 
   TimeSeriesSampler& sampler_;
-  Options options_;
   pubsub::SemanticPeer* peer_ = nullptr;
   std::vector<SloRule> rules_;
   std::map<InstanceKey, Instance, std::less<>> instances_;

@@ -47,7 +47,6 @@ struct PeerStats {
 struct PeerOptions {
   net::Port port = 5004;          ///< session data port (RTP convention)
   std::size_t mtu_payload = 1400; ///< fragment size on the wire
-  sim::Duration reassembly_flush = sim::Duration::millis(250);
   /// Wireless thin clients communicate only by unicast through their
   /// base station (paper §4.2); they bind but do not join the group.
   bool join_multicast = true;
@@ -60,19 +59,14 @@ struct PeerOptions {
   /// which retransmits from a bounded buffer. Set attempts to 0 to run
   /// pure best-effort.
   int nack_attempts = 2;
-  std::size_t retransmit_buffer_packets = 2048;
-  /// Reassembly memory bound under sustained loss (see
-  /// net::RtpReceiver::Options::pending_byte_budget); 0 = unbounded.
-  /// 8 MiB comfortably holds dozens of in-flight maximum-size objects.
-  std::size_t reassembly_byte_budget = 8 * 1024 * 1024;
-  /// Distinct selectors cached on the receive path (steady-state streams
-  /// re-send the same selector every message; a hit skips its decode and
-  /// compile). 0 disables caching.
-  std::size_t selector_cache_entries = SelectorCache::kDefaultCapacity;
 };
 
 class SemanticPeer {
  public:
+  /// Fragments the sender keeps for retransmission; a NACK for an older
+  /// one draws nothing.
+  static constexpr std::size_t kRetransmitBufferPackets = 2048;
+
   /// `handler` receives every message this peer's profile accepts.
   using MessageHandler =
       std::function<void(const SemanticMessage&, const MatchDecision&)>;
@@ -92,7 +86,9 @@ class SemanticPeer {
   void on_message(MessageHandler handler) { handler_ = std::move(handler); }
 
   /// Multicast a semantic message to the session. Sender id/sequence are
-  /// stamped here.
+  /// stamped here. Errc::out_of_range, and nothing sent, when the
+  /// selector is deeper than Selector::kMaxDepth: no receiver could
+  /// decode it (and_with and negate can build one).
   Status publish(SemanticMessage message);
 
   /// Unicast variant (wireless client -> base station leg).

@@ -67,8 +67,13 @@ class Selector {
   [[nodiscard]] std::string to_string() const;
 
   /// Structural combinators (used by the QoS layer to refine selectors).
+  /// Neither checks kMaxDepth; SemanticPeer refuses to send a result
+  /// deeper than that.
   [[nodiscard]] Selector and_with(const Selector& other) const;
   [[nodiscard]] Selector negate() const;
+
+  /// Deepest node, counted in edges from the root as for kMaxDepth.
+  [[nodiscard]] int depth() const noexcept;
 
   /// Convenience builders.
   [[nodiscard]] static Selector always();

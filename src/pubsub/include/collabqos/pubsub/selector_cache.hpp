@@ -44,6 +44,7 @@ class SelectorCache {
 
   static constexpr std::size_t kDefaultCapacity = 128;
 
+  /// `capacity` is at least 1.
   explicit SelectorCache(std::size_t capacity = kDefaultCapacity,
                          HashFn hash = &fingerprint);
 

@@ -14,6 +14,13 @@ namespace {
 constexpr std::string_view kComponent = "pubsub.peer";
 constexpr std::uint8_t kSemanticPayloadType = 96;  // dynamic RTP PT range
 constexpr std::uint8_t kNackMagic = 0xA8;          // distinct from RTP 0xA7
+/// A partial object is delivered (and dropped as incomplete) this long
+/// after its last fragment arrived; NACKs go out at half of it.
+constexpr sim::Duration kReassemblyFlush = sim::Duration::millis(250);
+/// Reassembly memory bound under sustained loss (see
+/// net::RtpReceiver::Options::pending_byte_budget): 8 MiB comfortably
+/// holds dozens of in-flight maximum-size objects.
+constexpr std::size_t kReassemblyByteBudget = 8 * 1024 * 1024;
 
 std::string_view verdict_name(MatchDecision::Kind kind) noexcept {
   switch (kind) {
@@ -45,10 +52,9 @@ SemanticPeer::SemanticPeer(net::Network& network, net::NodeId node,
       peer_id_(peer_id),
       options_(options),
       packetizer_(static_cast<std::uint32_t>(peer_id), options.mtu_payload),
-      receiver_(net::RtpReceiver::Options{options.reassembly_flush,
-                                          options.reassembly_byte_budget}),
-      selector_cache_(options.selector_cache_entries),
-      sent_(options.retransmit_buffer_packets) {
+      receiver_(net::RtpReceiver::Options{kReassemblyFlush,
+                                          kReassemblyByteBudget}),
+      sent_(kRetransmitBufferPackets) {
   auto endpoint = network.bind(node, options.port);
   if (!endpoint) {
     throw std::runtime_error("SemanticPeer: cannot bind: " +
@@ -71,7 +77,7 @@ SemanticPeer::SemanticPeer(net::Network& network, net::NodeId node,
   // It ticks at half the flush window: missing fragments get NACKed (and
   // the object touched) before the partial-delivery deadline.
   flush_timer_ = std::make_unique<sim::PeriodicTimer>(
-      network.simulator(), options.reassembly_flush * 0.5,
+      network.simulator(), kReassemblyFlush * 0.5,
       [this] { repair_tick(); });
 }
 
@@ -80,6 +86,10 @@ SemanticPeer::~SemanticPeer() = default;
 Status SemanticPeer::transmit(
     const SemanticMessage& message, std::uint32_t transport_timestamp,
     const std::function<Status(serde::ByteChain)>& sink) {
+  if (message.selector.depth() > Selector::kMaxDepth) {
+    return Status(Errc::out_of_range,
+                  "selector deeper than any receiver decodes");
+  }
   auto& copies = telemetry::PipelineCounters::global();
   const std::uint64_t copied_before = copies.total.value();
   const serde::SharedBytes encoded = message.encode();
@@ -204,7 +214,7 @@ void SemanticPeer::on_datagram(const net::Datagram& datagram) {
 void SemanticPeer::repair_tick() {
   const sim::TimePoint now = network_.simulator().now();
   if (options_.nack_attempts > 0) {
-    const sim::Duration nack_after = options_.reassembly_flush * 0.5;
+    const sim::Duration nack_after = kReassemblyFlush * 0.5;
     for (const auto& summary : receiver_.pending_summaries(now)) {
       if (summary.age < nack_after || summary.missing.empty()) continue;
       ArqState* arq = arq_.find(

@@ -832,6 +832,8 @@ Selector Selector::negate() const {
   return Selector(detail::make_not(root_));
 }
 
+int Selector::depth() const noexcept { return root_->height; }
+
 Selector Selector::always() { return Selector(); }
 
 Selector Selector::equals(std::string attribute, AttributeValue value) {

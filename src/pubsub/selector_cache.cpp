@@ -1,12 +1,14 @@
 #include "collabqos/pubsub/selector_cache.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace collabqos::pubsub {
 
 SelectorCache::SelectorCache(std::size_t capacity, HashFn hash)
     : capacity_(capacity), hash_(hash) {
+  assert(capacity >= 1);  // a miss evicts lru_.back() once full
   stats_.attach(telemetry::MetricsRegistry::global());
 }
 
@@ -29,8 +31,6 @@ std::uint64_t SelectorCache::fingerprint(std::span<const std::uint8_t> bytes) {
 }
 
 Selector SelectorCache::decode(serde::Reader& r) {
-  if (capacity_ == 0) return Selector::decode(r);
-
   // Find the selector's byte span without decoding it. If the structural
   // scan rejects the input, defer to the real decoder for the error.
   const auto span = r.remaining_span();

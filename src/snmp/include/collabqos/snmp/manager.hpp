@@ -31,18 +31,17 @@ struct ManagerStats {
   COLLABQOS_COUNTER_FIELDS(COLLABQOS_MANAGER_COUNTERS)
 };
 
-struct ManagerOptions {
-  sim::Duration timeout = sim::Duration::millis(500);
-  int retries = 2;  ///< additional attempts after the first
-};
-
 class Manager {
  public:
   using Callback = std::function<void(Result<Pdu>)>;
   using WalkCallback = std::function<void(Result<std::vector<VarBind>>)>;
-  using Options = ManagerOptions;
 
-  Manager(net::Network& network, net::NodeId node, Options options = {});
+  /// A request gives up after kRetries further attempts, each sent when
+  /// the previous one saw no response within kTimeout.
+  static constexpr sim::Duration kTimeout = sim::Duration::millis(500);
+  static constexpr int kRetries = 2;
+
+  Manager(net::Network& network, net::NodeId node);
 
   /// GET one or more OIDs from the agent at `agent` (node:161).
   void get(net::NodeId agent, const std::string& community,
@@ -116,7 +115,6 @@ class Manager {
   std::unique_ptr<net::Endpoint> endpoint_;
   std::unique_ptr<net::Endpoint> trap_endpoint_;
   TrapHandler trap_handler_;
-  Options options_;
   FlatMap<Outstanding> outstanding_;  ///< by request id
   std::uint32_t next_request_id_ = 1;
   FlatMap<Walk> walks_;  ///< by walk id

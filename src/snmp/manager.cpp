@@ -11,8 +11,8 @@ namespace {
 constexpr std::string_view kComponent = "snmp.manager";
 }
 
-Manager::Manager(net::Network& network, net::NodeId node, Options options)
-    : network_(network), options_(options) {
+Manager::Manager(net::Network& network, net::NodeId node)
+    : network_(network) {
   auto endpoint = network.bind(node);
   if (!endpoint) {
     throw std::runtime_error("snmp::Manager: cannot bind: " +
@@ -136,7 +136,7 @@ void Manager::send_request(net::NodeId agent, Callback callback) {
   out.wire = request_.encode();
   out.agent = net::Address{agent, kAgentPort};
   out.callback = std::move(callback);
-  out.attempts_left = options_.retries;
+  out.attempts_left = kRetries;
   ++stats_.requests;
   transmit(id);
 }
@@ -146,7 +146,7 @@ void Manager::transmit(std::uint32_t request_id) {
   if (out == nullptr) return;
   (void)endpoint_->send(out->agent, out->wire);
   out->timeout_event = network_.simulator().schedule_after(
-      options_.timeout, [this, request_id] { on_timeout(request_id); });
+      kTimeout, [this, request_id] { on_timeout(request_id); });
 }
 
 void Manager::on_timeout(std::uint32_t request_id) {

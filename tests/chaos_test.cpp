@@ -591,8 +591,6 @@ TEST(ResilienceHarness, SameSeedRunsAreBitIdentical) {
 TEST(ResilienceHarness, EmptyScheduleRunsCleanWithoutAlerts) {
   chaos::HarnessOptions options;
   options.duration_s = 12.0;
-  options.settle_s = 2.0;
-  options.expect_alerts = false;  // nothing to detect
   chaos::ResilienceHarness harness(options);
   const chaos::ResilienceReport report =
       harness.run(chaos::ChaosSchedule::parse("").value());

@@ -23,7 +23,6 @@ class ExtensionTest : public ::testing::Test {
       const std::string& name, std::uint64_t id) {
     core::ClientConfig config;
     config.name = name;
-    config.monitor_system_state = false;
     core::InferenceEngine engine(core::QoSContract{},
                                  core::PolicyDatabase::with_defaults());
     return std::make_unique<core::CollaborationClient>(

@@ -151,7 +151,6 @@ TEST_F(FailureTest, BaseStationDetachMidSessionStopsForwarding) {
 
   core::ClientConfig wired_config;
   wired_config.name = "wired";
-  wired_config.monitor_system_state = false;
   core::InferenceEngine engine(core::QoSContract{},
                                core::PolicyDatabase::with_defaults());
   core::CollaborationClient wired(network_, network_.add_node("wired"),
@@ -195,7 +194,6 @@ TEST_F(FailureTest, BatteryDeathSilencesThinClient) {
   // Media stops flowing to the dead client.
   core::ClientConfig wired_config;
   wired_config.name = "wired";
-  wired_config.monitor_system_state = false;
   core::InferenceEngine engine(core::QoSContract{},
                                core::PolicyDatabase::with_defaults());
   core::CollaborationClient wired(network_, network_.add_node("wired"),
@@ -214,7 +212,6 @@ TEST_F(FailureTest, BatteryDeathSilencesThinClient) {
 TEST_F(FailureTest, LossStormDropsMediaButClientRecovers) {
   core::ClientConfig config;
   config.name = "c";
-  config.monitor_system_state = false;
   auto make = [&](const char* name, std::uint64_t id) {
     core::ClientConfig c = config;
     c.name = name;

@@ -56,7 +56,6 @@ class IntegrationTest : public ::testing::Test {
     station.manager = std::make_unique<snmp::Manager>(network_, station.node);
     ClientConfig config;
     config.name = name;
-    config.contract = contract;
     InferenceEngine engine(contract, PolicyDatabase::with_defaults());
     station.client = std::make_unique<CollaborationClient>(
         network_, station.node, session_, id, station.manager.get(),
@@ -370,7 +369,6 @@ TEST_F(WirelessIntegration, PowerControlKeepsBothClientsServed) {
   options.radio.power_control_enabled = true;
   options.radio.power_control.target_sir_db = 5.0;
   options.radio.power_control.min_power_mw = 0.01;
-  options.peer.port = 5008;
   BaseStationPeer controlled(network_, network_.add_node("bs-pc"), session_,
                              902, options);
   auto near = make_thin("near-pc", 21, 121, {15.0, 0.0});
@@ -393,7 +391,6 @@ TEST_F(WirelessIntegration, PowerControlKeepsBothClientsServed) {
 TEST_F(WirelessIntegration, ClientLimitRejectsExtraAttach) {
   core::BaseStationOptions options;
   options.client_limit = 1;
-  options.peer.port = 5006;  // distinct port; separate gateway instance
   BaseStationPeer limited(network_, network_.add_node("bs2"), session_, 901,
                           options);
   auto first = make_thin("one", 11, 111, {10.0, 0.0});

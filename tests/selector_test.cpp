@@ -368,6 +368,9 @@ TEST(SelectorDepth, ParserAndDecoderAgreeAtTheLimit) {
   auto deepest = Selector::parse(and_chain(65));
   ASSERT_TRUE(deepest.ok()) << deepest.error().message;
   EXPECT_TRUE(decodes(deepest.value()));
+  EXPECT_EQ(deepest.value().depth(), Selector::kMaxDepth);
+  EXPECT_EQ(deepest.value().and_with(Selector::always()).depth(),
+            Selector::kMaxDepth + 1);
   // Its printed form nests 64 parentheses and still parses.
   EXPECT_TRUE(Selector::parse(deepest.value().to_string()).ok());
   // 66 terms: the parser refuses what the decoder would refuse.
