@@ -1,7 +1,6 @@
 // Shared scaffolding for the figure-regeneration benches: a complete
 // simulated test-bed (the paper's "several Windows NT workstations on the
-// local network") with wired stations (host + embedded SNMP agent +
-// manager + collaboration client) and a base station cell.
+// local network") whose wired stations are core::Workstations.
 #pragma once
 
 #include <cstdio>
@@ -10,10 +9,9 @@
 
 #include "collabqos/app/image_viewer.hpp"
 #include "collabqos/core/basestation_peer.hpp"
-#include "collabqos/core/client.hpp"
 #include "collabqos/core/thin_client.hpp"
+#include "collabqos/core/workstation.hpp"
 #include "collabqos/observatory/trace_analysis.hpp"
-#include "collabqos/snmp/host_mib.hpp"
 #include "collabqos/telemetry/metrics.hpp"
 #include "collabqos/telemetry/trace.hpp"
 
@@ -67,16 +65,6 @@ class ObserveMode {
   bool smoke_ = false;
 };
 
-/// One wired workstation with the full SNMP/adaptation stack.
-struct WiredStation {
-  net::NodeId node{};
-  std::unique_ptr<sim::Host> host;
-  std::unique_ptr<snmp::Agent> agent;
-  std::unique_ptr<snmp::Manager> manager;
-  std::unique_ptr<core::CollaborationClient> client;
-  std::unique_ptr<app::ImageViewer> viewer;
-};
-
 class Testbed {
  public:
   Testbed() {
@@ -85,33 +73,10 @@ class Testbed {
     session_ = directory_.create("eval-session", objective, {}).take();
   }
 
-  WiredStation make_wired(const std::string& name, std::uint64_t id,
-                          core::QoSContract contract = {}) {
-    WiredStation station;
-    station.node = network_.add_node(name);
-    station.host = std::make_unique<sim::Host>(sim_, name);
-    station.agent = std::make_unique<snmp::Agent>(network_, station.node,
-                                                  "public", "secret");
-    snmp::install_host_instrumentation(*station.agent, *station.host, sim_);
-    snmp::install_interface_instrumentation(*station.agent, network_,
-                                            station.node);
-    station.manager = std::make_unique<snmp::Manager>(network_, station.node);
-    core::ClientConfig config;
-    config.name = name;
-    core::InferenceEngine engine(contract,
-                                 core::PolicyDatabase::with_defaults());
-    station.client = std::make_unique<core::CollaborationClient>(
-        network_, station.node, session_, id, station.manager.get(),
-        std::move(engine), config);
-    station.viewer = std::make_unique<app::ImageViewer>(*station.client);
-    return station;
-  }
-
   void run_for(double seconds) {
     sim_.run_until(sim_.now() + sim::Duration::seconds(seconds));
   }
 
-  [[nodiscard]] sim::Simulator& simulator() noexcept { return sim_; }
   [[nodiscard]] net::Network& network() noexcept { return network_; }
   [[nodiscard]] const core::SessionInfo& session() const noexcept {
     return session_;

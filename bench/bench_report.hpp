@@ -18,27 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "collabqos/telemetry/trace.hpp"
+
 namespace collabqos::bench {
 
 namespace detail {
 inline void append_json_string(std::string& out, std::string_view text) {
   out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out += telemetry::json_escape(text);
   out.push_back('"');
 }
 

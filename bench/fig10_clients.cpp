@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   radio.power_control_enabled = false;
   wireless::RadioResourceManager manager(params, radio);
 
-  const double sigma2 =
-      params.noise_reference_power_mw * std::pow(10.0, -params.noise_kappa_db / 10.0);
+  const double sigma2 = manager.channel().noise_power_mw();
   const double power_mw = 100.0;
   const auto distance_for = [&](double received_mw) {
     return std::pow(power_mw / received_mw, 0.25);  // alpha = 4, k = 1

@@ -26,22 +26,23 @@ int main(int argc, char** argv) {
 
   for (int cpu = 30; cpu <= 100; cpu += mode.stride(5, 35)) {
     bench::Testbed bed;
-    auto sender = bed.make_wired("sender", 1);
-    auto receiver = bed.make_wired("receiver", 2);
-    receiver.host->set_cpu_process(
+    core::Workstation sender(bed.network(), bed.session(), "sender", 1);
+    core::Workstation receiver(bed.network(), bed.session(), "receiver", 2);
+    app::ImageViewer sender_viewer(sender.client());
+    receiver.host().set_cpu_process(
         std::make_unique<sim::ConstantProcess>(cpu));
     bed.run_for(2.0);
-    if (!sender.viewer->share(image, "fig7", "incident overview").ok()) {
+    if (!sender_viewer.share(image, "fig7", "incident overview").ok()) {
       std::fprintf(stderr, "share failed\n");
       return 1;
     }
     bed.run_for(6.0);
-    if (receiver.client->receptions().empty()) {
+    if (receiver.client().receptions().empty()) {
       std::fprintf(stderr, "no reception at cpu=%d\n", cpu);
       return 1;
     }
     const core::MediaAdaptationReport& report =
-        receiver.client->receptions().back();
+        receiver.client().receptions().back();
     std::printf("%9d%% %10d %12.1f %12.2f %12.3f  %s\n", cpu,
                 report.packets_used,
                 static_cast<double>(report.bytes_used) / 1024.0,

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "collabqos/core/adaptation.hpp"
+#include "collabqos/core/basestation_peer.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/sketch.hpp"
 #include "collabqos/wireless/basestation.hpp"
@@ -23,7 +23,6 @@ int main() {
   const media::MediaObject object(std::move(media_in));
   const auto suite = media::TransformerSuite::with_builtins();
 
-  wireless::GradeThresholds thresholds;  // -6 / 0 / 4 dB
   std::printf(
       "Base-station modality thresholding (paper §6.3: thresholds for\n"
       "text-only, text+base-image sketch, or full image description)\n");
@@ -34,29 +33,13 @@ int main() {
 
   const std::size_t full_bytes = object.size_bytes();
   for (double sir = -10.0; sir <= 10.0; sir += 2.0) {
-    wireless::ModalityGrade grade;
-    if (sir >= thresholds.image_db) {
-      grade = wireless::ModalityGrade::full_image;
-    } else if (sir >= thresholds.sketch_db) {
-      grade = wireless::ModalityGrade::text_sketch;
-    } else if (sir >= thresholds.text_db) {
-      grade = wireless::ModalityGrade::text_only;
-    } else {
-      grade = wireless::ModalityGrade::none;
-    }
+    const wireless::ModalityGrade grade = wireless::grade_for_sir(sir);
     if (grade == wireless::ModalityGrade::none) {
       std::printf("%10.1f %-14s %14s %10s\n", sir, "none", "(dropped)", "-");
       continue;
     }
-    core::AdaptationDecision decision;
-    decision.packets = 16;
-    decision.modality = grade == wireless::ModalityGrade::full_image
-                            ? media::Modality::image
-                        : grade == wireless::ModalityGrade::text_sketch
-                            ? media::Modality::sketch
-                            : media::Modality::text;
-    if (decision.modality != media::Modality::image) decision.packets = 0;
-    auto adapted = core::adapt_media(object, decision, suite);
+    auto adapted =
+        core::adapt_media(object, core::decision_for_grade(grade), suite);
     if (!adapted) {
       std::fprintf(stderr, "adaptation failed\n");
       return 1;

@@ -16,21 +16,12 @@
 #include "collabqos/app/image_viewer.hpp"
 #include "collabqos/app/whiteboard.hpp"
 #include "collabqos/core/basestation_peer.hpp"
-#include "collabqos/core/client.hpp"
 #include "collabqos/core/thin_client.hpp"
-#include "collabqos/snmp/host_mib.hpp"
+#include "collabqos/core/workstation.hpp"
 
 using namespace collabqos;
 
 namespace {
-
-struct Wired {
-  net::NodeId node;
-  std::unique_ptr<sim::Host> host;
-  std::unique_ptr<snmp::Agent> agent;
-  std::unique_ptr<snmp::Manager> manager;
-  std::unique_ptr<core::CollaborationClient> client;
-};
 
 void print_thin(const char* name, const core::ThinClient& client) {
   std::printf("  %-12s received:", name);
@@ -61,30 +52,13 @@ int main() {
   std::printf("discovered %zu crisis session(s); joining '%s'\n\n",
               found.size(), found.front().name.c_str());
 
-  const auto make_wired = [&](const char* name, std::uint64_t id) {
-    Wired w;
-    w.node = network.add_node(name);
-    w.host = std::make_unique<sim::Host>(simulator, name);
-    w.agent = std::make_unique<snmp::Agent>(network, w.node, "public", "rw");
-    snmp::install_host_instrumentation(*w.agent, *w.host, simulator);
-    w.manager = std::make_unique<snmp::Manager>(network, w.node);
-    core::ClientConfig config;
-    config.name = name;
-    core::InferenceEngine engine(core::QoSContract{},
-                                 core::PolicyDatabase::with_defaults());
-    w.client = std::make_unique<core::CollaborationClient>(
-        network, w.node, session, id, w.manager.get(), std::move(engine),
-        config);
-    return w;
-  };
-
-  Wired command = make_wired("command-post", 1);
-  Wired analyst = make_wired("analyst", 2);
-  app::ImageViewer command_viewer(*command.client);
-  app::ImageViewer analyst_viewer(*analyst.client);
-  app::ChatArea command_chat(*command.client);
-  app::ChatArea analyst_chat(*analyst.client);
-  app::Whiteboard command_board(*command.client);
+  core::Workstation command(network, session, "command-post", 1);
+  core::Workstation analyst(network, session, "analyst", 2);
+  app::ImageViewer command_viewer(command.client());
+  app::ImageViewer analyst_viewer(analyst.client());
+  app::ChatArea command_chat(command.client());
+  app::ChatArea analyst_chat(analyst.client());
+  app::Whiteboard command_board(command.client());
 
   // The wireless cell: base station as gateway + two handheld responders.
   core::BaseStationOptions bs_options;
@@ -176,7 +150,7 @@ int main() {
   // --- act 3: shared annotations stay consistent everywhere ------------
   (void)command_board.draw({0.2, 0.2, 0.8, 0.8, 0xFFFF0000, 3.0, 0});
   run(2.0);
-  app::Whiteboard analyst_board(*analyst.client);
+  app::Whiteboard analyst_board(analyst.client());
   std::printf(
       "\nwhiteboard: command drew %zu stroke(s); analyst's replica holds "
       "%zu\n",

@@ -10,8 +10,7 @@
 #include <memory>
 
 #include "collabqos/app/image_viewer.hpp"
-#include "collabqos/core/client.hpp"
-#include "collabqos/snmp/host_mib.hpp"
+#include "collabqos/core/workstation.hpp"
 
 using namespace collabqos;
 
@@ -30,34 +29,11 @@ int main() {
   // 3. Two workstations. Each gets a simulated host, an embedded SNMP
   //    extension agent, an SNMP manager, and a collaboration client with
   //    the default (paper-calibrated) policy database.
-  struct Station {
-    net::NodeId node;
-    std::unique_ptr<sim::Host> host;
-    std::unique_ptr<snmp::Agent> agent;
-    std::unique_ptr<snmp::Manager> manager;
-    std::unique_ptr<core::CollaborationClient> client;
-  };
-  const auto make_station = [&](const char* name, std::uint64_t id) {
-    Station s;
-    s.node = network.add_node(name);
-    s.host = std::make_unique<sim::Host>(simulator, name);
-    s.agent = std::make_unique<snmp::Agent>(network, s.node, "public", "rw");
-    snmp::install_host_instrumentation(*s.agent, *s.host, simulator);
-    s.manager = std::make_unique<snmp::Manager>(network, s.node);
-    core::ClientConfig config;
-    config.name = name;
-    core::InferenceEngine engine(core::QoSContract{},
-                                 core::PolicyDatabase::with_defaults());
-    s.client = std::make_unique<core::CollaborationClient>(
-        network, s.node, session, id, s.manager.get(), std::move(engine),
-        config);
-    return s;
-  };
-  Station alice = make_station("alice", 1);
-  Station bob = make_station("bob", 2);
+  core::Workstation alice(network, session, "alice", 1);
+  core::Workstation bob(network, session, "bob", 2);
 
-  app::ImageViewer alice_viewer(*alice.client);
-  app::ImageViewer bob_viewer(*bob.client);
+  app::ImageViewer alice_viewer(alice.client());
+  app::ImageViewer bob_viewer(bob.client());
 
   // 4. Share an image while Bob's host is idle, then again under heavy
   //    page-fault pressure.
@@ -71,7 +47,7 @@ int main() {
   (void)alice_viewer.share(image, "img-idle", "the area, host idle");
   run(3.0);
 
-  bob.host->set_page_fault_process(
+  bob.host().set_page_fault_process(
       std::make_unique<sim::ConstantProcess>(90.0));  // ladder: 1 packet
   run(2.0);
   (void)alice_viewer.share(image, "img-pressed", "the area, host pressed");

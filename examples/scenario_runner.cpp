@@ -45,14 +45,13 @@
 #include "collabqos/chaos/harness.hpp"
 #include "collabqos/chaos/schedule.hpp"
 #include "collabqos/core/basestation_peer.hpp"
-#include "collabqos/core/client.hpp"
 #include "collabqos/core/decision_audit.hpp"
 #include "collabqos/core/thin_client.hpp"
+#include "collabqos/core/workstation.hpp"
 #include "collabqos/media/image.hpp"
 #include "collabqos/observatory/alerts.hpp"
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/observatory/trace_analysis.hpp"
-#include "collabqos/snmp/host_mib.hpp"
 #include "collabqos/snmp/telemetry_mib.hpp"
 #include "collabqos/telemetry/trace.hpp"
 #include "collabqos/util/string_util.hpp"
@@ -131,15 +130,6 @@ bool parse_args(int argc, char** argv, Options& options) {
          options.loss >= 0.0 && options.loss < 1.0 && options.image >= 16;
 }
 
-struct Wired {
-  net::NodeId node;
-  std::unique_ptr<sim::Host> host;
-  std::unique_ptr<snmp::Agent> agent;
-  std::unique_ptr<snmp::Manager> manager;
-  std::unique_ptr<core::CollaborationClient> client;
-  std::unique_ptr<app::ImageViewer> viewer;
-};
-
 // --chaos path: hand the run to the resilience harness instead of the
 // ad-hoc scenario below. Returns the process exit status.
 int run_chaos(const Options& options) {
@@ -202,32 +192,20 @@ int main(int argc, char** argv) {
   const core::SessionInfo session =
       directory.create("scenario", objective, {}).take();
 
-  // Wired stations.
-  std::vector<Wired> wired;
+  // Wired stations, each with the viewer that records what it displays.
+  std::vector<core::Workstation> wired;
+  std::vector<std::unique_ptr<app::ImageViewer>> viewers;
   for (int i = 0; i < options.wired; ++i) {
-    Wired w;
-    const std::string name = "wired-" + std::to_string(i + 1);
-    w.node = network.add_node(name);
-    w.host = std::make_unique<sim::Host>(simulator, name);
-    w.agent = std::make_unique<snmp::Agent>(network, w.node, "public", "rw");
-    snmp::install_host_instrumentation(*w.agent, *w.host, simulator);
-    snmp::install_interface_instrumentation(*w.agent, network, w.node);
-    w.manager = std::make_unique<snmp::Manager>(network, w.node);
-    core::ClientConfig config;
-    config.name = name;
-    core::InferenceEngine engine(core::QoSContract{},
-                                 core::PolicyDatabase::with_defaults());
-    w.client = std::make_unique<core::CollaborationClient>(
-        network, w.node, session, static_cast<std::uint64_t>(i + 1),
-        w.manager.get(), std::move(engine), config);
-    w.viewer = std::make_unique<app::ImageViewer>(*w.client);
-    wired.push_back(std::move(w));
+    wired.emplace_back(network, session, "wired-" + std::to_string(i + 1),
+                       static_cast<std::uint64_t>(i + 1));
+    viewers.push_back(
+        std::make_unique<app::ImageViewer>(wired.back().client()));
   }
 
   // Perturbations on wired client 1 (index 1 when present, else 0):
   const std::size_t victim = wired.size() > 1 ? 1 : 0;
   if (options.pf_ramp) {
-    wired[victim].host->set_page_fault_process(
+    wired[victim].host().set_page_fault_process(
         std::make_unique<sim::RampProcess>(
             30.0, 100.0, simulator.now(),
             sim::Duration::seconds(options.duration_s)));
@@ -235,7 +213,7 @@ int main(int argc, char** argv) {
   if (options.loss > 0.0) {
     net::LinkParams lossy;
     lossy.loss_probability = options.loss;
-    (void)network.set_link_params(wired[victim].node, lossy);
+    (void)network.set_link_params(wired[victim].node(), lossy);
   }
 
   // Wireless cell.
@@ -274,7 +252,7 @@ int main(int argc, char** argv) {
   };
   Observatory obs;
   const std::string watched_host =
-      options.observe ? wired[victim].client->name() : std::string();
+      options.observe ? wired[victim].client().name() : std::string();
   if (options.observe) {
     telemetry::Tracer::global().set_capacity(std::size_t{1} << 18);
     telemetry::Tracer::global().set_enabled(true);
@@ -282,7 +260,7 @@ int main(int argc, char** argv) {
 
     // The watched station exports its telemetry registry over SNMP; the
     // observer walks it like any other managed device (paper §5.5).
-    snmp::install_telemetry_instrumentation(*wired[victim].agent);
+    snmp::install_telemetry_instrumentation(wired[victim].agent());
 
     obs.node = network.add_node("observer");
     obs.manager = std::make_unique<snmp::Manager>(network, obs.node);
@@ -290,7 +268,7 @@ int main(int argc, char** argv) {
         network, obs.node, session.group, 999);
     obs.sampler = std::make_unique<observatory::TimeSeriesSampler>(
         simulator, telemetry::MetricsRegistry::global());
-    obs.sampler->add_remote(watched_host, *obs.manager, wired[victim].node,
+    obs.sampler->add_remote(watched_host, *obs.manager, wired[victim].node(),
                             "public");
     obs.engine = std::make_unique<observatory::AlertEngine>(*obs.sampler);
     obs.engine->publish_via(obs.peer.get());
@@ -355,7 +333,7 @@ int main(int argc, char** argv) {
   int shares = 0;
   sim::PeriodicTimer share_timer(
       simulator, sim::Duration::seconds(2.0), [&] {
-        (void)wired[0].viewer->share(image,
+        (void)viewers[0]->share(image,
                                      "img-" + std::to_string(++shares),
                                      "periodic incident overview");
       });
@@ -378,18 +356,18 @@ int main(int argc, char** argv) {
               "texts", "dropped", "last-packets");
   for (std::size_t i = 0; i < wired.size(); ++i) {
     std::size_t images = 0, sketches = 0, texts = 0;
-    for (const app::Display& d : wired[i].viewer->displays()) {
+    for (const app::Display& d : viewers[i]->displays()) {
       switch (d.modality) {
         case media::Modality::image: ++images; break;
         case media::Modality::sketch: ++sketches; break;
         default: ++texts; break;
       }
     }
-    const auto& stats = wired[i].client->peer_stats();
+    const auto& stats = wired[i].client().peer_stats();
     std::printf("%-12s %9zu %9zu %9zu %9llu %12d\n",
-                wired[i].client->name().c_str(), images, sketches, texts,
+                wired[i].client().name().c_str(), images, sketches, texts,
                 static_cast<unsigned long long>(stats.incomplete_dropped),
-                wired[i].client->last_decision().packets);
+                wired[i].client().last_decision().packets);
   }
   for (const auto& client : thin) {
     const auto& got = client->received_by_modality();

@@ -11,6 +11,7 @@
 #include "collabqos/core/client.hpp"
 #include "collabqos/core/session.hpp"
 #include "collabqos/core/thin_client.hpp"
+#include "collabqos/core/workstation.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/image.hpp"
 #include "collabqos/media/sketch.hpp"

@@ -16,6 +16,7 @@
 #include "collabqos/observatory/alerts.hpp"
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/pubsub/peer.hpp"
+#include "collabqos/telemetry/trace.hpp"
 #include "collabqos/util/hash.hpp"
 
 namespace collabqos::chaos {
@@ -438,10 +439,7 @@ std::string ResilienceReport::to_json() const {
   for (std::size_t i = 0; i < violations.size(); ++i) {
     if (i > 0) out += ", ";
     out += '"';
-    for (const char c : violations[i]) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
+    out += telemetry::json_escape(violations[i]);
     out += '"';
   }
   out += "], ";

@@ -31,6 +31,14 @@ std::optional<media::Modality> modality_from_name(std::string_view name) {
 
 }  // namespace
 
+AdaptationDecision decision_for_grade(wireless::ModalityGrade grade,
+                                      media::Modality ceiling) {
+  AdaptationDecision decision;
+  decision.modality = weaker_modality(modality_for_grade(grade), ceiling);
+  decision.packets = decision.modality == media::Modality::image ? 16 : 0;
+  return decision;
+}
+
 BaseStationPeer::BaseStationPeer(net::Network& network, net::NodeId node,
                                  const SessionInfo& session,
                                  std::uint64_t peer_id,
@@ -147,20 +155,18 @@ Result<pubsub::Profile> BaseStationPeer::profile_of(
 
 AdaptationDecision BaseStationPeer::decision_for(
     wireless::ModalityGrade grade, const pubsub::Profile& profile) const {
-  AdaptationDecision decision;
-  decision.packets = 16;
-  decision.modality = modality_for_grade(grade);
   // The client's expressed preference can only weaken further (a client
   // in text mode receives text even on a perfect channel).
+  media::Modality ceiling = media::Modality::image;
   if (const pubsub::AttributeValue* preference =
           profile.attributes().find("prefer.modality")) {
     if (const auto name = preference->as_string()) {
       if (const auto preferred = modality_from_name(*name)) {
-        decision.modality = weaker_modality(decision.modality, *preferred);
+        ceiling = *preferred;
       }
     }
   }
-  if (decision.modality != media::Modality::image) decision.packets = 0;
+  const AdaptationDecision decision = decision_for_grade(grade, ceiling);
   if (auto& audit = DecisionAuditLog::global(); audit.enabled()) {
     DecisionRecord record;
     record.time = network_.simulator().now();
@@ -245,11 +251,9 @@ void BaseStationPeer::on_uplink(const pubsub::SemanticMessage& message,
     }
     auto object = media::MediaObject::decode(message.payload);
     if (object) {
-      AdaptationDecision decision;
-      decision.packets = 16;
-      decision.modality = modality_for_grade(grade.value());
-      if (decision.modality != media::Modality::image) decision.packets = 0;
-      auto adapted = adapt_media(object.value(), decision, transformers_);
+      auto adapted = adapt_media(object.value(),
+                                 decision_for_grade(grade.value()),
+                                 transformers_);
       if (adapted) {
         relayed.payload = serde::ByteChain(adapted.value().first.encode());
         relayed.content.set("media.modality",

@@ -59,6 +59,14 @@ struct BaseStationStats {
   COLLABQOS_COUNTER_FIELDS(COLLABQOS_BASE_STATION_COUNTERS)
 };
 
+/// What the base station forwards at `grade`: the full progressive image
+/// (16 packets) at full_image, otherwise the sketch or text abstraction
+/// with no image packets. A weaker `ceiling` (the client's preferred
+/// modality) caps the modality.
+[[nodiscard]] AdaptationDecision decision_for_grade(
+    wireless::ModalityGrade grade,
+    media::Modality ceiling = media::Modality::image);
+
 struct BaseStationOptions {
   wireless::ChannelParams channel{};
   wireless::RadioManagerParams radio{};

@@ -130,6 +130,7 @@ class SemanticPeer {
   void on_object(const net::RtpObject& object);
   /// `transport_timestamp` keys RTP reassembly; it must be unique per
   /// transmission from this peer (relays of foreign messages included).
+  /// A message counts as published once its last fragment reaches `sink`.
   Status transmit(const SemanticMessage& message,
                   std::uint32_t transport_timestamp,
                   const std::function<Status(serde::ByteChain)>& sink);

@@ -118,13 +118,13 @@ Status SemanticPeer::transmit(
     sent_.remember(packet);
     if (auto status = sink(packet.wire()); !status.ok()) return status;
   }
+  ++stats_.published;
   return {};
 }
 
 Status SemanticPeer::publish(SemanticMessage message) {
   message.sender_id = peer_id_;
   message.sequence = next_sequence_++;
-  ++stats_.published;
   CQ_TRACE(kComponent) << "peer " << peer_id_ << " publishes "
                        << message.event_type;
   if (auto& tracer = telemetry::Tracer::global(); tracer.enabled()) {
@@ -147,7 +147,6 @@ Status SemanticPeer::send_to(net::Address destination,
                              SemanticMessage message) {
   message.sender_id = peer_id_;
   message.sequence = next_sequence_++;
-  ++stats_.published;
   return transmit(message, static_cast<std::uint32_t>(message.sequence),
                   [this, destination](serde::ByteChain bytes) {
                     return endpoint_->send(destination, std::move(bytes));
@@ -156,7 +155,6 @@ Status SemanticPeer::send_to(net::Address destination,
 
 Status SemanticPeer::relay_to(net::Address destination,
                               const SemanticMessage& message) {
-  ++stats_.published;
   // The transport timestamp comes from this peer's own sequence space so
   // replays of different senders' messages never collide in reassembly.
   return transmit(message, static_cast<std::uint32_t>(next_sequence_++),

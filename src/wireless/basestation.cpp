@@ -28,6 +28,16 @@ std::string_view to_string(ModalityGrade grade) noexcept {
   return "?";
 }
 
+ModalityGrade grade_for_sir(double sir_db) noexcept {
+  constexpr double kImageDb = 4.0;
+  constexpr double kSketchDb = 0.0;
+  constexpr double kTextDb = -6.0;
+  if (sir_db >= kImageDb) return ModalityGrade::full_image;
+  if (sir_db >= kSketchDb) return ModalityGrade::text_sketch;
+  if (sir_db >= kTextDb) return ModalityGrade::text_only;
+  return ModalityGrade::none;
+}
+
 RadioResourceManager::RadioResourceManager(ChannelParams channel_params,
                                            RadioManagerParams params)
     : channel_(channel_params), params_(params) {}
@@ -85,14 +95,6 @@ Status RadioResourceManager::set_power(StationId id, double tx_power_mw) {
 
 Result<double> RadioResourceManager::sir_db(StationId id) const {
   return channel_.sir_db(id);
-}
-
-ModalityGrade RadioResourceManager::grade_for_sir(double sir_db) const noexcept {
-  const GradeThresholds& t = params_.thresholds;
-  if (sir_db >= t.image_db) return ModalityGrade::full_image;
-  if (sir_db >= t.sketch_db) return ModalityGrade::text_sketch;
-  if (sir_db >= t.text_db) return ModalityGrade::text_only;
-  return ModalityGrade::none;
 }
 
 Result<ModalityGrade> RadioResourceManager::grade(StationId id) const {

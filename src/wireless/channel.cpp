@@ -6,6 +6,14 @@
 
 namespace collabqos::wireless {
 
+namespace {
+constexpr double kPathLossExponent = 4.0;  ///< urban-cell alpha
+constexpr double kReferenceGain = 1.0;     ///< gain at 1 m
+constexpr double kMinDistance = 1.0;  ///< clamp to avoid the d->0 singularity
+constexpr double kNoiseReferencePowerMw = 100.0;  ///< P_ref of the noise model
+constexpr double kPowerControlToleranceDb = 0.1;
+}  // namespace
+
 void Channel::upsert(StationId id, Transmitter transmitter) {
   stations_[raw(id)] = transmitter;
 }
@@ -55,10 +63,9 @@ Result<double> Channel::path_gain(StationId id) const {
   if (it == stations_.end()) {
     return Error{Errc::no_such_object, "unknown station"};
   }
-  const double distance = std::max(params_.path_loss.min_distance,
-                                   it->second.position.distance_to_origin());
-  return params_.path_loss.reference_gain /
-         std::pow(distance, params_.path_loss.exponent);
+  const double distance =
+      std::max(kMinDistance, it->second.position.distance_to_origin());
+  return kReferenceGain / std::pow(distance, kPathLossExponent);
 }
 
 Result<double> Channel::received_power_mw(StationId id) const {
@@ -72,7 +79,7 @@ Result<double> Channel::received_power_mw(StationId id) const {
 }
 
 double Channel::noise_power_mw() const noexcept {
-  return params_.noise_reference_power_mw * from_db(-params_.noise_kappa_db);
+  return kNoiseReferencePowerMw * from_db(-params_.noise_kappa_db);
 }
 
 Result<double> Channel::sir(StationId id) const {
@@ -125,7 +132,7 @@ double power_control_step(Channel& channel, PowerControlParams params) {
     const double scale = target / current.value();
     const double new_power =
         std::clamp(transmitter.value().tx_power_mw * scale,
-                   params.min_power_mw, params.max_power_mw);
+                   params.min_power_mw, kMaxPowerMw);
     const double error_db =
         std::fabs(to_db(current.value()) - params.target_sir_db);
     updates.push_back({id, new_power, error_db});
@@ -144,7 +151,7 @@ PowerControlOutcome run_power_control(Channel& channel,
   for (int i = 0; i < params.max_iterations; ++i) {
     const double worst = power_control_step(channel, params);
     ++outcome.iterations;
-    if (worst <= params.tolerance_db) {
+    if (worst <= kPowerControlToleranceDb) {
       outcome.converged = true;
       break;
     }

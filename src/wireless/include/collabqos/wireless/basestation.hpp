@@ -26,11 +26,10 @@ enum class ModalityGrade : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(ModalityGrade grade) noexcept;
 
-struct GradeThresholds {
-  double text_db = -6.0;
-  double sketch_db = 0.0;
-  double image_db = 4.0;  ///< the paper's "SIR threshold for image ... 4 db"
-};
+/// The grade a client's SIR earns: full image from 4 dB (the paper's "SIR
+/// threshold for image ... 4 db"), text+sketch from 0 dB, text only from
+/// -6 dB, and nothing below.
+[[nodiscard]] ModalityGrade grade_for_sir(double sir_db) noexcept;
 
 struct BatteryState {
   double capacity_mwh = 5000.0;
@@ -49,7 +48,6 @@ struct RadioClientState {
 };
 
 struct RadioManagerParams {
-  GradeThresholds thresholds{};
   PowerControlParams power_control{};
   bool power_control_enabled = true;
   /// Overshoot margin above the power-control target beyond which the BS
@@ -111,8 +109,6 @@ class RadioResourceManager {
   }
 
  private:
-  [[nodiscard]] ModalityGrade grade_for_sir(double sir_db) const noexcept;
-
   Channel channel_;
   RadioManagerParams params_;
   std::map<std::uint32_t, RadioClientState> clients_;

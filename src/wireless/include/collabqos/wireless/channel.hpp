@@ -40,16 +40,10 @@ struct Position {
   }
 };
 
-struct PathLossParams {
-  double exponent = 4.0;        ///< urban-cell alpha
-  double reference_gain = 1.0;  ///< gain at 1 m
-  double min_distance = 1.0;    ///< clamp to avoid the d->0 singularity
-};
-
+/// The path gain is 1 / d^4 (urban-cell alpha, unit gain at 1 m, d
+/// clamped to 1 m), and the noise floor is 100 mW / 10^(kappa/10).
 struct ChannelParams {
-  PathLossParams path_loss{};
-  double noise_reference_power_mw = 100.0;  ///< P_ref of the noise model
-  double noise_kappa_db = 50.0;             ///< noise floor P_ref/10^(kappa/10)
+  double noise_kappa_db = 50.0;  ///< noise floor P_ref/10^(kappa/10)
   /// Matched-filter despreading gain applied to the wanted signal. The
   /// paper's power-control reference [9] (Goodman & Mandayam) is a CDMA
   /// uplink, where the detector SIR is G_p * P_i G_i / (sum + sigma^2);
@@ -112,13 +106,15 @@ class Channel {
 /// Distributed target-SIR power control (Foschini–Miljanic iteration,
 /// the classic result the paper's power-control discussion [9] builds on):
 ///   P_i <- P_i * target_i / SIR_i, clamped to [min, max].
+/// The iteration stops once every SIR is within 0.1 dB of its target.
 struct PowerControlParams {
   double target_sir_db = 7.0;
   double min_power_mw = 1.0;
-  double max_power_mw = 1000.0;
   int max_iterations = 100;
-  double tolerance_db = 0.1;
 };
+
+/// The power ceiling of every transmitter under power control.
+inline constexpr double kMaxPowerMw = 1000.0;
 
 struct PowerControlOutcome {
   bool converged = false;

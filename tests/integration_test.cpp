@@ -10,20 +10,16 @@
 #include "collabqos/core/basestation_peer.hpp"
 #include "collabqos/core/client.hpp"
 #include "collabqos/core/thin_client.hpp"
-#include "collabqos/snmp/host_mib.hpp"
+#include "collabqos/core/workstation.hpp"
 
 namespace collabqos {
 namespace {
 
 using core::AttachRequest;
 using core::BaseStationPeer;
-using core::ClientConfig;
-using core::CollaborationClient;
-using core::InferenceEngine;
-using core::PolicyDatabase;
-using core::QoSContract;
 using core::SessionInfo;
 using core::ThinClient;
+using core::Workstation;
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -31,36 +27,6 @@ class IntegrationTest : public ::testing::Test {
     pubsub::AttributeSet objective;
     objective.set("domain", "crisis");
     session_ = directory_.create("incident", objective, {}).take();
-  }
-
-  /// A wired client with its own host + embedded SNMP agent + manager.
-  struct WiredStation {
-    net::NodeId node{};
-    std::unique_ptr<sim::Host> host;
-    std::unique_ptr<snmp::Agent> agent;
-    std::unique_ptr<snmp::Manager> manager;
-    std::unique_ptr<CollaborationClient> client;
-  };
-
-  WiredStation make_wired(const std::string& name, std::uint64_t id,
-                          QoSContract contract = {}) {
-    WiredStation station;
-    station.node = network_.add_node(name);
-    station.host = std::make_unique<sim::Host>(sim_, name);
-    station.agent =
-        std::make_unique<snmp::Agent>(network_, station.node, "public",
-                                      "secret");
-    snmp::install_host_instrumentation(*station.agent, *station.host, sim_);
-    snmp::install_interface_instrumentation(*station.agent, network_,
-                                            station.node);
-    station.manager = std::make_unique<snmp::Manager>(network_, station.node);
-    ClientConfig config;
-    config.name = name;
-    InferenceEngine engine(contract, PolicyDatabase::with_defaults());
-    station.client = std::make_unique<CollaborationClient>(
-        network_, station.node, session_, id, station.manager.get(),
-        std::move(engine), config);
-    return station;
   }
 
   void run_for(double seconds) {
@@ -77,11 +43,26 @@ class IntegrationTest : public ::testing::Test {
   SessionInfo session_;
 };
 
+// The workstation's agent serves every object the client polls, so the
+// poll set stays whole and all five inputs reach the inference engine.
+TEST_F(IntegrationTest, WorkstationAgentServesEveryPolledInput) {
+  Workstation station(network_, session_, "station", 1);
+  run_for(1.0);
+  const core::SystemStateInterface* state = station.client().system_state();
+  ASSERT_NE(state, nullptr);
+  ASSERT_TRUE(state->fresh());
+  for (const char* key : {"cpu.load", "page.faults", "memory.free",
+                          "if.utilization", "bandwidth.kbps"}) {
+    EXPECT_TRUE(state->state().contains(std::string_view(key))) << key;
+  }
+  EXPECT_EQ(state->failures(), 0u);
+}
+
 TEST_F(IntegrationTest, IdleClientReceivesFullImage) {
-  auto sender = make_wired("sender", 1);
-  auto receiver = make_wired("receiver", 2);
-  app::ImageViewer sender_viewer(*sender.client);
-  app::ImageViewer receiver_viewer(*receiver.client);
+  Workstation sender(network_, session_, "sender", 1);
+  Workstation receiver(network_, session_, "receiver", 2);
+  app::ImageViewer sender_viewer(sender.client());
+  app::ImageViewer receiver_viewer(receiver.client());
 
   run_for(1.0);  // let SNMP polling seed the state
   ASSERT_TRUE(
@@ -99,33 +80,33 @@ TEST_F(IntegrationTest, IdleClientReceivesFullImage) {
 }
 
 TEST_F(IntegrationTest, PageFaultPressureCutsPacketsPerLadder) {
-  auto sender = make_wired("sender", 1);
-  auto receiver = make_wired("receiver", 2);
-  app::ImageViewer viewer(*receiver.client);
+  Workstation sender(network_, session_, "sender", 1);
+  Workstation receiver(network_, session_, "receiver", 2);
+  app::ImageViewer viewer(receiver.client());
 
-  receiver.host->set_page_fault_process(
+  receiver.host().set_page_fault_process(
       std::make_unique<sim::ConstantProcess>(75.0));  // ladder: 2 packets
   run_for(2.0);
 
-  app::ImageViewer sender_viewer(*sender.client);
+  app::ImageViewer sender_viewer(sender.client());
   ASSERT_TRUE(sender_viewer.share(crisis_image(), "img", "area").ok());
   run_for(2.0);
 
-  ASSERT_EQ(receiver.client->receptions().size(), 1u);
-  EXPECT_EQ(receiver.client->receptions()[0].packets_used, 2);
+  ASSERT_EQ(receiver.client().receptions().size(), 1u);
+  EXPECT_EQ(receiver.client().receptions()[0].packets_used, 2);
   // The sender still shipped everything; adaptation is local.
-  EXPECT_EQ(receiver.client->receptions()[0].packets_available, 16);
+  EXPECT_EQ(receiver.client().receptions()[0].packets_available, 16);
 }
 
 TEST_F(IntegrationTest, CpuSaturationDropsToTextDescription) {
-  auto sender = make_wired("sender", 1);
-  auto receiver = make_wired("receiver", 2);
-  app::ImageViewer viewer(*receiver.client);
-  receiver.host->set_cpu_process(
+  Workstation sender(network_, session_, "sender", 1);
+  Workstation receiver(network_, session_, "receiver", 2);
+  app::ImageViewer viewer(receiver.client());
+  receiver.host().set_cpu_process(
       std::make_unique<sim::ConstantProcess>(100.0));
   run_for(2.0);
 
-  app::ImageViewer sender_viewer(*sender.client);
+  app::ImageViewer sender_viewer(sender.client());
   ASSERT_TRUE(
       sender_viewer.share(crisis_image(), "img", "two buildings").ok());
   run_for(2.0);
@@ -137,12 +118,12 @@ TEST_F(IntegrationTest, CpuSaturationDropsToTextDescription) {
 }
 
 TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
-  auto sender = make_wired("sender", 1);
-  auto receiver = make_wired("receiver", 2);
-  receiver.host->set_page_fault_process(std::make_unique<sim::RampProcess>(
+  Workstation sender(network_, session_, "sender", 1);
+  Workstation receiver(network_, session_, "receiver", 2);
+  receiver.host().set_page_fault_process(std::make_unique<sim::RampProcess>(
       30.0, 100.0, sim_.now(), sim::Duration::seconds(60.0)));
 
-  app::ImageViewer sender_viewer(*sender.client);
+  app::ImageViewer sender_viewer(sender.client());
   std::vector<int> packets_over_time;
   for (int step = 0; step < 6; ++step) {
     run_for(10.0);
@@ -152,7 +133,7 @@ TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
                     .ok());
   }
   run_for(3.0);
-  for (const auto& report : receiver.client->receptions()) {
+  for (const auto& report : receiver.client().receptions()) {
     packets_over_time.push_back(report.packets_used);
   }
   ASSERT_EQ(packets_over_time.size(), 6u);
@@ -165,16 +146,16 @@ TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
 }
 
 TEST_F(IntegrationTest, InterestProfileSuppressesUnwantedMedia) {
-  auto sender = make_wired("sender", 1);
-  auto receiver = make_wired("receiver", 2);
-  receiver.client->profile().set_interest(
+  Workstation sender(network_, session_, "sender", 1);
+  Workstation receiver(network_, session_, "receiver", 2);
+  receiver.client().profile().set_interest(
       pubsub::Selector::parse("media.type == 'telemetry'").take());
-  app::ImageViewer sender_viewer(*sender.client);
+  app::ImageViewer sender_viewer(sender.client());
   run_for(1.0);
   ASSERT_TRUE(sender_viewer.share(crisis_image(64), "img", "x").ok());
   run_for(2.0);
-  EXPECT_TRUE(receiver.client->receptions().empty());
-  EXPECT_GE(receiver.client->peer_stats().rejected, 1u);
+  EXPECT_TRUE(receiver.client().receptions().empty());
+  EXPECT_GE(receiver.client().peer_stats().rejected, 1u);
 }
 
 // ------------------------------------------------------------- wireless
@@ -220,6 +201,26 @@ class WirelessIntegration : public IntegrationTest {
   std::unique_ptr<BaseStationPeer> bs_;
 };
 
+TEST(BaseStationDecision, GradeSetsModalityAndPacketBudget) {
+  using wireless::ModalityGrade;
+  const auto expect = [](ModalityGrade grade, media::Modality ceiling,
+                         media::Modality modality, int packets) {
+    const core::AdaptationDecision decision =
+        core::decision_for_grade(grade, ceiling);
+    EXPECT_EQ(decision.modality, modality) << to_string(grade);
+    EXPECT_EQ(decision.packets, packets) << to_string(grade);
+  };
+  constexpr media::Modality kImage = media::Modality::image;
+  expect(ModalityGrade::full_image, kImage, kImage, 16);
+  expect(ModalityGrade::text_sketch, kImage, media::Modality::sketch, 0);
+  expect(ModalityGrade::text_only, kImage, media::Modality::text, 0);
+  // A preference weaker than the grade caps the modality.
+  expect(ModalityGrade::full_image, media::Modality::speech,
+         media::Modality::speech, 0);
+  expect(ModalityGrade::text_only, media::Modality::sketch,
+         media::Modality::text, 0);
+}
+
 TEST_F(WirelessIntegration, AttachReturnsServiceAssessment) {
   auto thin = make_thin("palm-1", 1, 101, {30.0, 0.0});
   auto assessment = thin->attach(*bs_);
@@ -243,8 +244,8 @@ TEST_F(WirelessIntegration, NearClientGetsFullImageFarClientGetsText) {
   ASSERT_EQ(bs_->grade(wireless::make_station(2)).value(),
             wireless::ModalityGrade::text_only);
 
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(
       viewer.share(crisis_image(), "img", "overview of the area").ok());
@@ -261,8 +262,8 @@ TEST_F(WirelessIntegration, MidSirClientGetsSketch) {
   ASSERT_TRUE(mid->attach(*bs_).ok());
   // Find a distance whose SIR lands in [0, 4) dB -> text+sketch.
   ASSERT_TRUE(move_until_grade(*mid, wireless::ModalityGrade::text_sketch));
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(viewer.share(crisis_image(), "img", "sector map").ok());
   run_for(3.0);
@@ -274,8 +275,8 @@ TEST_F(WirelessIntegration, UplinkImageIsRelayedToSessionAndOtherClients) {
   auto other = make_thin("w-other", 2, 102, {18.0, 0.0});
   ASSERT_TRUE(sender->attach(*bs_).ok());
   ASSERT_TRUE(other->attach(*bs_).ok());
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer wired_viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer wired_viewer(wired.client());
 
   media::ImageMedia m;
   const media::Image image = crisis_image(64);
@@ -309,8 +310,8 @@ TEST_F(WirelessIntegration, WeakUplinkIsAbstractedBeforeRelay) {
   ASSERT_EQ(bs_->grade(wireless::make_station(1)).value(),
             wireless::ModalityGrade::text_only);
 
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
 
   media::ImageMedia m;
   const media::Image image = crisis_image(64);
@@ -337,8 +338,8 @@ TEST_F(WirelessIntegration, PreferTextProfileIsHonoredOnGoodChannel) {
   thin->profile().set("prefer.modality", "text");
   ASSERT_TRUE(thin->push_profile().ok());
 
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(viewer.share(crisis_image(64), "img", "area").ok());
   run_for(3.0);
@@ -352,8 +353,8 @@ TEST_F(WirelessIntegration, PreferSpeechProfileDeliversAudio) {
   thin->profile().set("prefer.modality", "speech");
   ASSERT_TRUE(thin->push_profile().ok());
 
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(viewer.share(crisis_image(64), "img", "spoken summary").ok());
   run_for(3.0);
@@ -407,8 +408,8 @@ TEST_F(WirelessIntegration, ArchiveReplayReachesLateThinClient) {
   // endpoint (which accepts unicast despite not being in the group).
   core::SessionArchiver archive(network_, network_.add_node("vault"),
                                 session_, 500);
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(viewer.share(crisis_image(64), "early", "before join").ok());
   run_for(2.0);
@@ -444,8 +445,8 @@ TEST_F(WirelessIntegration, ProfileInterestFiltersAtBaseStation) {
       pubsub::Selector::parse("media.type == 'telemetry'").take());
   ASSERT_TRUE(thin->push_profile().ok());
 
-  auto wired = make_wired("wired", 1);
-  app::ImageViewer viewer(*wired.client);
+  Workstation wired(network_, session_, "wired", 1);
+  app::ImageViewer viewer(wired.client());
   run_for(1.0);
   ASSERT_TRUE(viewer.share(crisis_image(64), "img", "x").ok());
   run_for(3.0);

@@ -10,13 +10,12 @@
 #include <vector>
 
 #include "collabqos/app/image_viewer.hpp"
-#include "collabqos/core/client.hpp"
 #include "collabqos/core/decision_audit.hpp"
 #include "collabqos/core/events.hpp"
+#include "collabqos/core/workstation.hpp"
 #include "collabqos/observatory/alerts.hpp"
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/observatory/trace_analysis.hpp"
-#include "collabqos/snmp/host_mib.hpp"
 #include "collabqos/snmp/telemetry_mib.hpp"
 #include "collabqos/telemetry/trace.hpp"
 
@@ -455,45 +454,19 @@ TEST(ClosedLoop, OverloadToAlertToAuditedDecisionToLatencyBreakdown) {
     const core::SessionInfo session =
         directory.create("ops", {}, {}).take();
 
-    struct Station {
-      net::NodeId node{};
-      std::unique_ptr<sim::Host> host;
-      std::unique_ptr<snmp::Agent> agent;
-      std::unique_ptr<snmp::Manager> manager;
-      std::unique_ptr<core::CollaborationClient> client;
-      std::unique_ptr<app::ImageViewer> viewer;
-    };
-    const auto make_station = [&](const std::string& name,
-                                  std::uint64_t id) {
-      Station s;
-      s.node = network.add_node(name);
-      s.host = std::make_unique<sim::Host>(sim, name);
-      s.agent =
-          std::make_unique<snmp::Agent>(network, s.node, "public", "rw");
-      snmp::install_host_instrumentation(*s.agent, *s.host, sim);
-      s.manager = std::make_unique<snmp::Manager>(network, s.node);
-      core::ClientConfig config;
-      config.name = name;
-      core::InferenceEngine engine(core::QoSContract{},
-                                   core::PolicyDatabase::with_defaults());
-      s.client = std::make_unique<core::CollaborationClient>(
-          network, s.node, session, id, s.manager.get(), std::move(engine),
-          config);
-      s.viewer = std::make_unique<app::ImageViewer>(*s.client);
-      return s;
-    };
-    Station sender = make_station("sender", 1);
-    Station receiver = make_station("receiver", 2);
-    Station watched = make_station("watched", 3);
+    core::Workstation sender(network, session, "sender", 1);
+    core::Workstation receiver(network, session, "receiver", 2);
+    core::Workstation watched(network, session, "watched", 3);
+    app::ImageViewer sender_viewer(sender.client());
 
     // Observer node: manager for the SNMP leg, peer for the alert leg.
     const net::NodeId observer = network.add_node("observer");
     snmp::Manager obs_manager(network, observer);
     pubsub::SemanticPeer alert_peer(network, observer, session.group, 900);
-    snmp::install_telemetry_instrumentation(*watched.agent);
+    snmp::install_telemetry_instrumentation(watched.agent());
 
     TimeSeriesSampler sampler(sim, telemetry::MetricsRegistry::global());
-    sampler.add_remote("watched", obs_manager, watched.node, "public");
+    sampler.add_remote("watched", obs_manager, watched.node(), "public");
     AlertEngine engine(sampler);
     engine.publish_via(&alert_peer);
     SloRule rule;
@@ -513,9 +486,9 @@ TEST(ClosedLoop, OverloadToAlertToAuditedDecisionToLatencyBreakdown) {
     int shares = 0;
     sim::PeriodicTimer share_timer(
         sim, sim::Duration::millis(500), [&] {
-          (void)sender.viewer->share(image,
-                                     "img-" + std::to_string(++shares),
-                                     "load");
+          (void)sender_viewer.share(image,
+                                    "img-" + std::to_string(++shares),
+                                    "load");
         });
     share_timer.start();
     sim.run_until(sim.now() + sim::Duration::seconds(8.0));
@@ -538,10 +511,10 @@ TEST(ClosedLoop, OverloadToAlertToAuditedDecisionToLatencyBreakdown) {
     // 3. The alert reached the clients through ordinary matching and
     //    became an inference input.
     EXPECT_NE(
-        receiver.client->alert_state().find("alert.traffic-surge"),
+        receiver.client().alert_state().find("alert.traffic-surge"),
         nullptr);
     EXPECT_NE(
-        watched.client->alert_state().find("alert.traffic-surge"),
+        watched.client().alert_state().find("alert.traffic-surge"),
         nullptr);
 
     // 4. ... and is in the decision audit log next to the QoS inputs.

@@ -562,11 +562,13 @@ TEST_F(PeerTest, MessageBeyondFragmentFieldsIsRefusedUnsent) {
   sim_.run_all();
   EXPECT_EQ(network_.stats().datagrams_sent, 0u);
   EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(alice->stats().published, 0u);
 
   // The refusals left the peer usable.
   ASSERT_TRUE(alice->publish(text_message("small")).ok());
   sim_.run_all();
   EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(alice->stats().published, 1u);
 }
 
 TEST_F(PeerTest, LossyLinkDropsIncompleteMessagesBestEffort) {
@@ -723,11 +725,13 @@ TEST_F(SelectorDepth, PeerSendsNoSelectorAReceiverWouldRefuse) {
   sim_.run_all();
   EXPECT_EQ(sent(), before);
   EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(alice->stats().published, 0u);
 
   ASSERT_TRUE(alice->publish(text_message("x", deepest)).ok());
   sim_.run_all();
   EXPECT_GT(sent(), before);
   EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(alice->stats().published, 1u);
   EXPECT_EQ(bob->stats().undecodable, 0u);
 }
 

@@ -15,7 +15,6 @@ constexpr StationId kC = make_station(3);
 
 ChannelParams quiet_channel() {
   ChannelParams params;
-  params.noise_reference_power_mw = 100.0;
   params.noise_kappa_db = 120.0;  // negligible noise floor
   return params;
 }
@@ -142,9 +141,9 @@ TEST(PowerControl, InfeasibleTargetHitsBoundsWithoutConverging) {
   EXPECT_FALSE(outcome.converged);
   const double pa = channel.transmitter(kA).value().tx_power_mw;
   const double pb = channel.transmitter(kB).value().tx_power_mw;
-  EXPECT_TRUE(pa >= params.max_power_mw - 1e-6 ||
+  EXPECT_TRUE(pa >= kMaxPowerMw - 1e-6 ||
               pa <= params.min_power_mw + 1e-6 ||
-              pb >= params.max_power_mw - 1e-6);
+              pb >= kMaxPowerMw - 1e-6);
 }
 
 TEST(PowerControl, NearClientEndsUpTransmittingLess) {
@@ -183,9 +182,17 @@ TEST(RadioManager, RejectsNonPositivePower) {
   EXPECT_EQ(manager.join(kA, {50.0, 0.0}, 0.0).code(), Errc::out_of_range);
 }
 
+TEST(RadioManager, GradeThresholdsAreInclusive) {
+  EXPECT_EQ(grade_for_sir(4.0), ModalityGrade::full_image);
+  EXPECT_EQ(grade_for_sir(3.99), ModalityGrade::text_sketch);
+  EXPECT_EQ(grade_for_sir(0.0), ModalityGrade::text_sketch);
+  EXPECT_EQ(grade_for_sir(-0.01), ModalityGrade::text_only);
+  EXPECT_EQ(grade_for_sir(-6.0), ModalityGrade::text_only);
+  EXPECT_EQ(grade_for_sir(-6.01), ModalityGrade::none);
+}
+
 TEST(RadioManager, GradeLadderFollowsSir) {
   RadioManagerParams radio = default_radio();
-  radio.thresholds = {-6.0, 0.0, 4.0};
   ChannelParams channel = quiet_channel();
   channel.noise_kappa_db = 60.0;  // appreciable noise so SNR is finite
   RadioResourceManager manager(channel, radio);
