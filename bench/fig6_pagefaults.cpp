@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
     core::Workstation sender(bed.network(), bed.session(), "sender", 1);
     core::Workstation receiver(bed.network(), bed.session(), "receiver", 2);
     app::ImageViewer sender_viewer(sender.client());
+    app::ImageViewer receiver_viewer(receiver.client());
     receiver.host().set_page_fault_process(
         std::make_unique<sim::ConstantProcess>(page_faults));
     bed.run_for(2.0);  // SNMP polls settle
@@ -44,12 +45,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     bed.run_for(5.0);
-    if (receiver.client().receptions().empty()) {
+    if (receiver_viewer.displays().empty()) {
       std::fprintf(stderr, "no reception at pf=%d\n", page_faults);
       return 1;
     }
     const core::MediaAdaptationReport& report =
-        receiver.client().receptions().back();
+        receiver_viewer.displays().back().report;
     std::printf("%12d %10d %12.1f %12.2f %12.3f\n", page_faults,
                 report.packets_used,
                 static_cast<double>(report.bytes_used) / 1024.0,

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     core::Workstation sender(bed.network(), bed.session(), "sender", 1);
     core::Workstation receiver(bed.network(), bed.session(), "receiver", 2);
     app::ImageViewer sender_viewer(sender.client());
+    app::ImageViewer receiver_viewer(receiver.client());
     receiver.host().set_cpu_process(
         std::make_unique<sim::ConstantProcess>(cpu));
     bed.run_for(2.0);
@@ -37,12 +38,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     bed.run_for(6.0);
-    if (receiver.client().receptions().empty()) {
+    if (receiver_viewer.displays().empty()) {
       std::fprintf(stderr, "no reception at cpu=%d\n", cpu);
       return 1;
     }
     const core::MediaAdaptationReport& report =
-        receiver.client().receptions().back();
+        receiver_viewer.displays().back().report;
     std::printf("%9d%% %10d %12.1f %12.2f %12.3f  %s\n", cpu,
                 report.packets_used,
                 static_cast<double>(report.bytes_used) / 1024.0,

@@ -4,16 +4,7 @@
 // decoded at the prefixes its receivers use (1, 2, 4, 8 and all 16
 // packets; the mean accepted count is about 11, but no receiver decodes
 // 11), and a 512x512 colour scene decoded at 4, 11 and 16 packets.
-//
-// main() keeps glibc from trimming the heap, as a long session's heap
-// stays warm: otherwise every decode maps and faults in fresh pages for
-// its buffers, a cost the session does not pay.
 #include <benchmark/benchmark.h>
-
-#include <cstdlib>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/sketch.hpp"
@@ -128,14 +119,4 @@ BENCHMARK(BM_TextToSpeech)->Arg(64)->Arg(1024);
 
 }  // namespace
 
-int main(int argc, char** argv) {
-#if defined(__GLIBC__)
-  mallopt(M_MMAP_THRESHOLD, 32 << 20);
-  mallopt(M_TRIM_THRESHOLD, 64 << 20);
-#endif
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

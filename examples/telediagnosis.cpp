@@ -88,12 +88,13 @@ int main() {
     std::printf("%-14s modality=%-6s packets=%2d bytes=%8zu", name.c_str(),
                 std::string(media::to_string(d.modality)).c_str(),
                 d.report.packets_used, d.report.bytes_used);
-    if (d.modality == media::Modality::image && d.image.has_value()) {
+    const app::Screen& screen = viewer->screen();
+    if (d.modality == media::Modality::image && screen.image.has_value()) {
       std::printf("  (lossless=%s)",
-                  d.image->pixels() == slice.pixels() ? "yes" : "no");
+                  screen.image->pixels() == slice.pixels() ? "yes" : "no");
     }
     if (d.modality == media::Modality::text) {
-      std::printf("\n               text: \"%s\"", d.text.c_str());
+      std::printf("\n               text: \"%s\"", screen.text.c_str());
     }
     std::printf("\n");
   }

@@ -47,30 +47,32 @@ void ImageViewer::on_media(const pubsub::SemanticMessage& message,
   }
   display.modality = object.modality();
   display.report = report;
+  displays_.push_back(std::move(display));
+
+  screen_.image.reset();
   switch (object.modality()) {
     case media::Modality::image: {
       const auto* media = object.get_if<media::ImageMedia>();
       auto decoded = media::decode_progressive(
           media->encoded, media->encoded.packets.size());
-      if (decoded) display.image = std::move(decoded).take();
-      display.text = media->description;
+      if (decoded) screen_.image = std::move(decoded).take();
+      screen_.text = media->description;
       break;
     }
     case media::Modality::sketch: {
       const auto* media = object.get_if<media::SketchMedia>();
       auto rendered = media::render_sketch(media->sketch);
-      if (rendered) display.image = std::move(rendered).take();
-      display.text = media->sketch.description;
+      if (rendered) screen_.image = std::move(rendered).take();
+      screen_.text = media->sketch.description;
       break;
     }
     case media::Modality::text:
-      display.text = object.get_if<media::TextMedia>()->text;
+      screen_.text = object.get_if<media::TextMedia>()->text;
       break;
     case media::Modality::speech:
-      display.text = object.get_if<media::SpeechMedia>()->transcript;
+      screen_.text = object.get_if<media::SpeechMedia>()->transcript;
       break;
   }
-  displays_.push_back(std::move(display));
 }
 
 }  // namespace collabqos::app

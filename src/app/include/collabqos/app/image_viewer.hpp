@@ -15,13 +15,18 @@
 
 namespace collabqos::app {
 
-/// One displayed (post-adaptation) object.
+/// The record of one displayed (post-adaptation) object: what arrived and
+/// the quality it was shown at.
 struct Display {
   std::string object_id;
   media::Modality modality = media::Modality::text;
+  core::MediaAdaptationReport report;
+};
+
+/// What the viewer shows now: the content of the latest display.
+struct Screen {
   std::optional<media::Image> image;  ///< when modality is image/sketch
   std::string text;                   ///< description / text fallback
-  core::MediaAdaptationReport report;
 };
 
 class ImageViewer {
@@ -35,10 +40,14 @@ class ImageViewer {
                pubsub::Selector audience = pubsub::Selector::always(),
                media::CodecParams codec = {});
 
-  /// Everything displayed so far, in arrival order.
+  /// The record of everything displayed so far, in arrival order.
   [[nodiscard]] const std::vector<Display>& displays() const noexcept {
     return displays_;
   }
+
+  /// The decoded or rendered image and the text of the latest display;
+  /// empty before the first. Earlier displays' content is not kept.
+  [[nodiscard]] const Screen& screen() const noexcept { return screen_; }
 
  private:
   void on_media(const pubsub::SemanticMessage& message,
@@ -47,6 +56,7 @@ class ImageViewer {
 
   core::CollaborationClient& client_;
   std::vector<Display> displays_;
+  Screen screen_;
 };
 
 }  // namespace collabqos::app

@@ -201,9 +201,6 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
     return;
   }
   const auto& [presented, report] = adapted.value();
-  if (object.value().modality() == media::Modality::image) {
-    receptions_.push_back(report);
-  }
   for (const auto& handler : media_handlers_) {
     handler(message, presented, report);
   }

@@ -102,12 +102,6 @@ class CollaborationClient {
     return last_decision_;
   }
 
-  /// Adaptation reports for every image received (Figure 6/7 material).
-  [[nodiscard]] const std::vector<MediaAdaptationReport>& receptions()
-      const noexcept {
-    return receptions_;
-  }
-
   /// Latest sampled network-quality attributes (empty until the first
   /// RTCP sampling tick with traffic).
   [[nodiscard]] const pubsub::AttributeSet& network_state() const noexcept {
@@ -143,7 +137,6 @@ class CollaborationClient {
   ConcurrencyController concurrency_;
   media::TransformerSuite transformers_;
   AdaptationDecision last_decision_;
-  std::vector<MediaAdaptationReport> receptions_;
   std::vector<MediaHandler> media_handlers_;
   std::vector<OperationHandler> operation_handlers_;
 };

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <memory>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -18,6 +17,7 @@
 #include "codec_kernels.hpp"
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/haar.hpp"
+#include "scratch.hpp"
 
 namespace collabqos::media {
 
@@ -27,10 +27,11 @@ constexpr std::uint8_t kHeaderMagic = 0xC1;
 
 /// Flattened per-coefficient state across all channels, in global
 /// progressive scan order (channel-major, subband or raster scan within
-/// a channel).
+/// a channel), held in the call's scratch.
 struct CoefficientSet {
-  std::vector<std::uint32_t> magnitudes;
-  std::vector<std::uint8_t> signs;  // 1 = negative
+  const std::uint32_t* magnitudes = nullptr;
+  const std::uint8_t* signs = nullptr;  // 1 = negative
+  std::size_t size = 0;
   int top_plane = 0;
 };
 
@@ -118,22 +119,16 @@ inline void ycocg_inverse(std::int32_t& y, std::int32_t& co,
   cg = static_cast<std::int32_t>(b);
 }
 
-/// Uninitialised storage for `count` values that are written before they
-/// are read.
-template <class T>
-std::unique_ptr<T[]> buffer(std::size_t count) {
-  return std::make_unique_for_overwrite<T[]>(count);
-}
-
 CoefficientSet flatten(const Image& image, const CodecParams& params,
-                       bool ycocg) {
+                       bool ycocg, detail::Scratch& scratch) {
   const int channels = image.channels();
   const std::size_t per_channel = image.pixel_count();
+  const std::size_t n = per_channel * static_cast<std::size_t>(channels);
   // Channel planes back to back, transformed in place with one scratch.
-  const auto samples = buffer<std::int32_t>(per_channel * channels);
+  std::int32_t* const samples = scratch.samples.get(n);
   const std::uint8_t* src = image.pixels().data();
   if (channels == 3) {
-    std::int32_t* p0 = samples.get();
+    std::int32_t* p0 = samples;
     std::int32_t* p1 = p0 + per_channel;
     std::int32_t* p2 = p1 + per_channel;
     for (std::size_t p = 0; p < per_channel; ++p) {
@@ -146,32 +141,35 @@ CoefficientSet flatten(const Image& image, const CodecParams& params,
       p2[p] = b;
     }
   } else {
-    std::copy_n(src, per_channel, samples.get());
+    std::copy_n(src, per_channel, samples);
   }
-  const auto scratch = buffer<std::int32_t>(per_channel);
+  std::int32_t* const plane = scratch.haar_plane.get(per_channel);
   for (int c = 0; c < channels; ++c) {
-    forward_haar_inplace(samples.get() + c * per_channel, image.width(),
-                         image.height(), params.levels, scratch.get());
+    forward_haar_inplace(samples + c * per_channel, image.width(),
+                         image.height(), params.levels, plane);
   }
 
   const auto rects =
       scan_rects(image.width(), image.height(), params.levels,
                  params.scan == CodecParams::Scan::raster);
-  CoefficientSet set;
-  set.magnitudes.resize(per_channel * static_cast<std::size_t>(channels));
-  set.signs.resize(set.magnitudes.size());
+  std::uint32_t* const all_magnitudes = scratch.magnitudes.get(n);
+  std::uint8_t* const all_signs = scratch.signs.get(n);
   std::uint32_t all_bits = 0;
   for (int c = 0; c < channels; ++c) {
     const std::size_t base = static_cast<std::size_t>(c) * per_channel;
-    const std::int32_t* data = samples.get() + base;
-    std::uint32_t* magnitudes = set.magnitudes.data() + base;
-    std::uint8_t* signs = set.signs.data() + base;
+    const std::int32_t* data = samples + base;
+    std::uint32_t* magnitudes = all_magnitudes + base;
+    std::uint8_t* signs = all_signs + base;
     for_each_scan_row(rects, image.width(),
                       [&](std::size_t k, std::size_t i, std::size_t length) {
                         all_bits |= gather_row(data + i, magnitudes + k,
                                                signs + k, length);
                       });
   }
+  CoefficientSet set;
+  set.magnitudes = all_magnitudes;
+  set.signs = all_signs;
+  set.size = n;
   set.top_plane = all_bits > 0 ? 32 - std::countl_zero(all_bits) - 1 : 0;
   return set;
 }
@@ -182,26 +180,22 @@ using Pass = std::vector<std::uint8_t>;
 // A significance bitmap holds one bit per scan position, 64 positions to
 // a word, set once the position is significant. Walking its set bits
 // visits the significant positions in order.
-using Bitmap = std::vector<std::uint64_t>;
 
 /// Each magnitude's significance row: the plane of its top set bit plus
 /// one (0 for a zero magnitude), padded with zeros to whole words. The
 /// float conversion is exact below 2^24, and a coefficient of 8-bit
 /// samples stays below 2^10: the S-transform's low band keeps its
 /// input's range and its high band is at most that range's width.
-std::vector<std::uint8_t> significance_rows(
-    const std::vector<std::uint32_t>& magnitudes, std::size_t words) {
-  std::vector<std::uint8_t> rows(words * 64, 0);
-  const std::uint32_t* __restrict in = magnitudes.data();
-  std::uint8_t* __restrict out = rows.data();
-  for (std::size_t i = 0; i < magnitudes.size(); ++i) {
+void significance_rows(const std::uint32_t* __restrict in, std::size_t n,
+                       std::size_t words, std::uint8_t* __restrict out) {
+  for (std::size_t i = 0; i < n; ++i) {
     assert(in[i] < 1u << 24);
     const auto exponent = static_cast<std::int32_t>(
         std::bit_cast<std::uint32_t>(static_cast<float>(
             static_cast<std::int32_t>(in[i]))) >> 23);
     out[i] = static_cast<std::uint8_t>(std::max(exponent - 126, 0));
   }
-  return rows;
+  std::fill(out + n, out + words * 64, std::uint8_t{0});
 }
 
 /// Bit i set iff bytes[i] == value, over 64 bytes.
@@ -619,25 +613,27 @@ const Kernels& active_kernels() {
   return kPortableKernels;
 }
 
-/// All passes of `set`, two per plane from the top.
+/// All passes of `set`, two per plane from the top. The codes of a pass
+/// take the scratch's samples, which flatten has consumed.
 std::vector<Pass> encode_passes(const CoefficientSet& set,
-                                const Kernels& kernels) {
-  const std::size_t n = set.magnitudes.size();
+                                const Kernels& kernels,
+                                detail::Scratch& scratch) {
+  const std::size_t n = set.size;
   const std::size_t words = (n + 63) / 64;
-  const std::vector<std::uint8_t> rows = significance_rows(set.magnitudes, words);
-  Bitmap significant(words, 0);
-  Bitmap newly(words, 0);
-  const auto codes = buffer<std::uint32_t>(n);
+  std::uint8_t* const rows = scratch.rows.get(words * 64);
+  significance_rows(set.magnitudes, n, words, rows);
+  std::uint64_t* const significant = scratch.significant.zeroed(words);
+  std::uint64_t* const newly = scratch.newly.zeroed(words);
+  auto* const codes = reinterpret_cast<std::uint32_t*>(scratch.samples.get(n));
   std::size_t significant_count = 0;
   std::vector<Pass> passes;
   passes.reserve(2 * static_cast<std::size_t>(set.top_plane + 1));
   for (int plane = set.top_plane; plane >= 0; --plane) {
     passes.push_back(kernels.encode_significance(
-        rows.data(), static_cast<std::uint8_t>(plane + 1), set.signs.data(),
-        significant.data(), significant_count, n, newly.data(), codes.get()));
-    passes.push_back(kernels.encode_refinement(set.magnitudes.data(),
-                                               significant.data(), newly.data(),
-                                               words, plane, significant_count));
+        rows, static_cast<std::uint8_t>(plane + 1), set.signs, significant,
+        significant_count, n, newly, codes));
+    passes.push_back(kernels.encode_refinement(
+        set.magnitudes, significant, newly, words, plane, significant_count));
   }
   return passes;
 }
@@ -781,8 +777,9 @@ EncodedImage encode_with(const Image& image, CodecParams params,
                          const Kernels& kernels) {
   assert(!image.empty());
   const bool ycocg = params.color_transform && image.channels() == 3;
-  const CoefficientSet set = flatten(image, params, ycocg);
-  const std::vector<Pass> passes = encode_passes(set, kernels);
+  const detail::ScratchLease scratch(image.pixels().size());
+  const CoefficientSet set = flatten(image, params, ycocg, *scratch);
+  const std::vector<Pass> passes = encode_passes(set, kernels, *scratch);
   EncodedImage out;
   out.packets = frame_packets(passes, params.max_packets);
   Header h;
@@ -809,21 +806,22 @@ Result<Image> decode_with(std::span<const std::uint8_t> header,
       static_cast<std::size_t>(h.width) * static_cast<std::size_t>(h.height);
   const std::size_t n = per_channel * static_cast<std::size_t>(h.channels);
 
-  std::vector<std::uint32_t> magnitudes(n, 0);
-  std::vector<std::uint8_t> signs(n, 0);
+  const detail::ScratchLease scratch(n);
+  std::uint32_t* const magnitudes = scratch->magnitudes.zeroed(n);
+  std::uint8_t* const signs = scratch->signs.zeroed(n);
   // The bitmap of encode_passes. `newly` marks what the last significance
   // pass found until the refinement pass after it merges it in.
   const std::size_t words = (n + 63) / 64;
-  Bitmap significant(words, 0);
-  Bitmap newly(words, 0);
+  std::uint64_t* const significant = scratch->significant.zeroed(words);
+  std::uint64_t* const newly = scratch->newly.zeroed(words);
   std::size_t significant_count = 0;
   // Lowest plane whose bit is known, for the positions of each bitmap.
   int significant_plane = 0;
   int newly_plane = 0;
   // The samples of the inverse transform. Until the scatter, the buffer
   // holds a significance pass's codes between reading and placing them.
-  const auto samples = buffer<std::int32_t>(n);
-  auto* const codes = reinterpret_cast<std::uint32_t*>(samples.get());
+  std::int32_t* const samples = scratch->samples.get(n);
+  auto* const codes = reinterpret_cast<std::uint32_t*>(samples);
 
   // Replay passes in order until packets run out or a gap appears.
   int plane = h.top_plane;
@@ -842,16 +840,16 @@ Result<Image> decode_with(std::span<const std::uint8_t> header,
       }
       if (doing_significance) {
         if (const PassFault fault = kernels.decode_significance(
-                blob, n - significant_count, significant.data(), plane,
-                newly.data(), magnitudes.data(), signs.data(), codes)) {
+                blob, n - significant_count, significant, plane, newly,
+                magnitudes, signs, codes)) {
           return Error{Errc::malformed, fault};
         }
         newly_plane = plane;
         doing_significance = false;
       } else {
         if (const PassFault fault = kernels.decode_refinement(
-                blob, significant.data(), newly.data(), words, plane,
-                magnitudes.data(), significant_count)) {
+                blob, significant, newly, words, plane, magnitudes,
+                significant_count)) {
           return Error{Errc::malformed, fault};
         }
         significant_plane = plane;
@@ -862,7 +860,7 @@ Result<Image> decode_with(std::span<const std::uint8_t> header,
   }
 
   // Mid-interval estimate for coefficients with unknown lower bits.
-  const auto add_half = [&](const Bitmap& marked, int lowest) {
+  const auto add_half = [&](const std::uint64_t* marked, int lowest) {
     if (lowest <= 0) return;
     const std::uint32_t half = 1u << (lowest - 1);
     for (std::size_t w = 0; w < words; ++w) {
@@ -877,17 +875,17 @@ Result<Image> decode_with(std::span<const std::uint8_t> header,
   // Scan order back to channel planes, each inverted in place with one
   // scratch plane.
   const auto rects = scan_rects(h.width, h.height, h.levels, h.raster_scan);
-  const auto scratch = buffer<std::int32_t>(per_channel);
+  std::int32_t* const plane_scratch = scratch->haar_plane.get(per_channel);
   for (int c = 0; c < h.channels; ++c) {
     const std::size_t base = static_cast<std::size_t>(c) * per_channel;
-    std::int32_t* data = samples.get() + base;
-    const std::uint32_t* m = magnitudes.data() + base;
-    const std::uint8_t* negative = signs.data() + base;
+    std::int32_t* data = samples + base;
+    const std::uint32_t* m = magnitudes + base;
+    const std::uint8_t* negative = signs + base;
     for_each_scan_row(rects, h.width,
                       [&](std::size_t k, std::size_t i, std::size_t length) {
                         scatter_row(m + k, negative + k, data + i, length);
                       });
-    inverse_haar_inplace(data, h.width, h.height, h.levels, scratch.get());
+    inverse_haar_inplace(data, h.width, h.height, h.levels, plane_scratch);
   }
 
   Image image(h.width, h.height, h.channels);
@@ -895,7 +893,7 @@ Result<Image> decode_with(std::span<const std::uint8_t> header,
   const auto clamp_u8 = [](std::int32_t v) {
     return static_cast<std::uint8_t>(std::clamp(v, 0, 255));
   };
-  const std::int32_t* p0 = samples.get();
+  const std::int32_t* p0 = samples;
   if (h.channels == 3) {
     const std::int32_t* p1 = p0 + per_channel;
     const std::int32_t* p2 = p1 + per_channel;

@@ -4,9 +4,11 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "collabqos/media/bitio.hpp"
+#include "scratch.hpp"
 
 namespace collabqos::media {
 
@@ -21,7 +23,7 @@ constexpr std::size_t kLowMask = kBuckets - 1;
 /// interleaved tables: most pixels share one key, and with one table
 /// every increment would wait for the one before it.
 template <std::size_t N, class Key>
-std::array<std::uint32_t, N> histogram(const std::vector<std::int32_t>& values,
+std::array<std::uint32_t, N> histogram(std::span<const std::int32_t> values,
                                        Key key) {
   std::array<std::array<std::uint32_t, N>, 4> lanes{};
   const std::size_t size = values.size();
@@ -92,15 +94,23 @@ Sketch extract_sketch(const Image& image, std::string description,
   const auto width = static_cast<std::size_t>(w);
 
   // Sobel gradients in integers. |gx|, |gy| <= 1020, so g2 = gx^2 + gy^2
-  // is exact; border pixels keep g2 = 0. Rows of restrict pointers, so
-  // the loop vectorises.
-  std::vector<std::int32_t> g2(width * static_cast<std::size_t>(h), 0);
+  // is exact; border pixels have g2 = 0. Rows of restrict pointers, so
+  // the loop vectorises. g2 lives in the thread's scratch, whose stale
+  // contents the border rows and columns are cleared of.
+  const detail::ScratchLease scratch(image.pixels().size());
+  const std::span<std::int32_t> g2(
+      scratch->samples.get(width * static_cast<std::size_t>(h)),
+      width * static_cast<std::size_t>(h));
+  std::fill_n(g2.begin(), width, 0);
+  std::fill_n(g2.end() - static_cast<std::ptrdiff_t>(width), width, 0);
   for (int y = 1; y + 1 < h; ++y) {
     const std::uint8_t* __restrict up =
         pixels + static_cast<std::size_t>(y - 1) * width;
     const std::uint8_t* __restrict mid = up + width;
     const std::uint8_t* __restrict down = mid + width;
     std::int32_t* __restrict out = g2.data() + static_cast<std::size_t>(y) * width;
+    out[0] = 0;
+    out[w - 1] = 0;
     for (int x = 1; x + 1 < w; ++x) {
       const int gx = (up[x + 1] + 2 * mid[x + 1] + down[x + 1]) -
                      (up[x - 1] + 2 * mid[x - 1] + down[x - 1]);

@@ -3,9 +3,9 @@
 // delivers datagrams to a warmed-up receiver peer: RTP decode,
 // reassembly, message decode, selector match and the hand-off to the
 // message handler. The sender's publish runs outside the count. It also
-// pins the allocations of an SNMP GET and GETBULK round trip, and tallies
-// the bytes that hostile counts in a few bytes of input can make a
-// decoder reserve.
+// pins the allocations of an SNMP GET and GETBULK round trip and of warm
+// codec and sketch calls, and tallies the bytes that hostile counts in a
+// few bytes of input can make a decoder reserve.
 //
 // The count does not drift with host speed, so it backs performance
 // claims that timing alone cannot. Built with GCC only: the count is a
@@ -18,7 +18,9 @@
 #include <new>
 #include <string>
 
+#include "collabqos/media/codec.hpp"
 #include "collabqos/media/media_object.hpp"
+#include "collabqos/media/sketch.hpp"
 #include "collabqos/net/network.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/pubsub/roster.hpp"
@@ -293,6 +295,106 @@ TEST(SnmpAllocations, GetAndBulkRoundTripsArePinned) {
 
 }  // namespace
 }  // namespace collabqos::snmp
+
+namespace collabqos::media {
+namespace {
+
+struct Tally {
+  std::size_t allocations = 0;
+  std::size_t bytes = 0;
+  bool operator==(const Tally&) const = default;
+};
+
+void PrintTo(const Tally& tally, std::ostream* out) {
+  *out << tally.allocations << " allocations, " << tally.bytes << " bytes";
+}
+
+/// Allocations made by one call of `f`.
+template <typename F>
+Tally tally(F&& f) {
+  g_allocations = 0;
+  g_bytes = 0;
+  g_counting = true;
+  f();
+  g_counting = false;
+  return {g_allocations, g_bytes};
+}
+
+/// perfbench's imagery scene: 256 x 256 grayscale.
+Image imagery_scene() {
+  return render_scene(make_crisis_scene(256, 256, 1), 1);
+}
+
+// Warm calls on perfbench's imagery scene take every image-sized
+// temporary from the thread's scratch. What they allocate is their output
+// and a few small vectors: encode its passes, packets and header; decode
+// the 65,536-byte image; the sketch its decimated edge map, run-length
+// code and description. Before the scratch the same calls made 108
+// allocations of 1,312,796 bytes (encode), 16 of 934,384 (decode, either
+// prefix) and 25 of 280,269 (sketch).
+constexpr Tally kEncode{100, 116764};
+constexpr Tally kDecode16{10, 66032};
+constexpr Tally kDecode1{10, 66032};
+constexpr Tally kSketch{24, 18125};
+
+TEST(CodecAllocations, WarmCallsAllocateOnlyTheirOutput) {
+  const Image scene = imagery_scene();
+  const EncodedImage encoded = encode_progressive(scene);
+  ASSERT_EQ(encoded.packets.size(), 16u);
+  (void)decode_progressive(encoded, 16);
+  (void)extract_sketch(scene, "overview");
+
+  const Tally encode = tally([&] { (void)encode_progressive(scene); });
+  const Tally decode16 = tally([&] {
+    ASSERT_TRUE(decode_progressive(encoded, 16).ok());
+  });
+  const Tally decode1 = tally([&] {
+    ASSERT_TRUE(decode_progressive(encoded, 1).ok());
+  });
+  const Tally sketch = tally([&] { (void)extract_sketch(scene, "overview"); });
+  std::printf(
+      "codec: encode %zu allocations (%zu B), decode 16 packets %zu (%zu B), "
+      "1 packet %zu (%zu B), sketch %zu (%zu B)\n",
+      encode.allocations, encode.bytes, decode16.allocations, decode16.bytes,
+      decode1.allocations, decode1.bytes, sketch.allocations, sketch.bytes);
+  EXPECT_EQ(encode, kEncode);
+  EXPECT_EQ(decode16, kDecode16);
+  EXPECT_EQ(decode1, kDecode1);
+  EXPECT_EQ(sketch, kSketch);
+}
+
+// A call above the kept bound frees the scratch as it returns, so that a
+// large or hostile header cannot pin its buffers on the thread. The next
+// imagery decode grows the scratch again; the one after it is warm.
+TEST(CodecAllocations, OversizeCallReleasesItsScratch) {
+  const Image scene = imagery_scene();
+  const EncodedImage encoded = encode_progressive(scene);
+  // 1024 x 1024 samples: above the bound of a 512 x 512 colour image.
+  const EncodedImage large =
+      encode_progressive(render_scene(make_crisis_scene(1024, 1024, 1), 1));
+  (void)decode_progressive(encoded, 16);
+  const Tally warm = tally([&] {
+    ASSERT_TRUE(decode_progressive(encoded, 16).ok());
+  });
+  EXPECT_EQ(warm, kDecode16);
+
+  ASSERT_TRUE(decode_progressive(large, 1).ok());
+  const Tally regrown = tally([&] {
+    ASSERT_TRUE(decode_progressive(encoded, 16).ok());
+  });
+  // The scratch of 65,536 samples: samples, Haar plane and magnitudes of
+  // 4 bytes each, signs of 1, and two bitmaps of 1,024 words.
+  constexpr std::size_t kScratchBytes = 65536 * (4 + 4 + 4 + 1) + 2 * 1024 * 8;
+  EXPECT_EQ(regrown.allocations, warm.allocations + 6);
+  EXPECT_EQ(regrown.bytes, warm.bytes + kScratchBytes);
+  const Tally again = tally([&] {
+    ASSERT_TRUE(decode_progressive(encoded, 16).ok());
+  });
+  EXPECT_EQ(again, warm);
+}
+
+}  // namespace
+}  // namespace collabqos::media
 
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "collabqos/app/chat.hpp"
 #include "collabqos/app/image_viewer.hpp"
@@ -159,8 +161,54 @@ TEST_F(AppTest, ImageViewerRecordsQualityOfDisplays) {
   EXPECT_EQ(display->modality, media::Modality::image);
   EXPECT_GT(display->report.bits_per_pixel, 0.0);
   EXPECT_GT(display->report.compression_ratio, 1.0);
-  ASSERT_TRUE(display->image.has_value());
-  EXPECT_EQ(display->image->pixels(), image.pixels());
+  ASSERT_TRUE(bob_viewer.screen().image.has_value());
+  EXPECT_EQ(bob_viewer.screen().image->pixels(), image.pixels());
+  EXPECT_EQ(bob_viewer.screen().text, "axial slice");
+}
+
+/// A type that carries shown content: an image or a text.
+template <class T>
+concept CarriesContent = requires(const T& shown) { shown.image; } ||
+                         requires(const T& shown) { shown.text; };
+
+// The viewer's memory tracks the screen, not the session: a record per
+// display, and the content of the latest one only.
+static_assert(!CarriesContent<Display>);
+static_assert(CarriesContent<Screen>);
+
+TEST_F(AppTest, ViewerKeepsEveryRecordAndOneScreen) {
+  auto alice = make_client("alice", 1);
+  auto bob = make_client("bob", 2);
+  ImageViewer alice_viewer(*alice);
+  ImageViewer bob_viewer(*bob);
+  EXPECT_FALSE(bob_viewer.screen().image.has_value());
+  EXPECT_TRUE(bob_viewer.screen().text.empty());
+
+  const std::vector<media::Image> images = {
+      render_scene(media::make_medical_scene(64, 64), 1),
+      render_scene(media::make_crisis_scene(80, 48, 1), 2),
+      render_scene(media::make_medical_scene(48, 72), 3)};
+  const std::vector<std::string> ids = {"scan-1", "scan-2", "scan-3"};
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    ASSERT_TRUE(
+        alice_viewer.share(images[i], ids[i], "view " + ids[i]).ok());
+    settle();
+  }
+
+  ASSERT_EQ(bob_viewer.displays().size(), 3u);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Display& display = bob_viewer.displays()[i];
+    EXPECT_EQ(display.object_id, ids[i]);
+    EXPECT_EQ(display.modality, media::Modality::image);
+    EXPECT_EQ(display.report.packets_used, 16);
+  }
+  const Screen& screen = bob_viewer.screen();
+  ASSERT_TRUE(screen.image.has_value());
+  EXPECT_EQ(screen.image->width(), 48);
+  EXPECT_EQ(screen.image->height(), 72);
+  EXPECT_EQ(screen.image->pixels(), images[2].pixels());
+  EXPECT_NE(screen.image->pixels(), images[0].pixels());
+  EXPECT_EQ(screen.text, "view scan-3");
 }
 
 TEST_F(AppTest, ChatAndBoardCoexistOnOneClient) {

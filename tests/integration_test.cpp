@@ -73,10 +73,11 @@ TEST_F(IntegrationTest, IdleClientReceivesFullImage) {
   const app::Display& display = receiver_viewer.displays()[0];
   EXPECT_EQ(display.modality, media::Modality::image);
   EXPECT_EQ(display.report.packets_used, 16);
-  ASSERT_TRUE(display.image.has_value());
-  EXPECT_EQ(display.image->width(), 128);
+  const app::Screen& screen = receiver_viewer.screen();
+  ASSERT_TRUE(screen.image.has_value());
+  EXPECT_EQ(screen.image->width(), 128);
   // Idle system: lossless delivery.
-  EXPECT_EQ(display.image->pixels(), crisis_image().pixels());
+  EXPECT_EQ(screen.image->pixels(), crisis_image().pixels());
 }
 
 TEST_F(IntegrationTest, PageFaultPressureCutsPacketsPerLadder) {
@@ -92,10 +93,10 @@ TEST_F(IntegrationTest, PageFaultPressureCutsPacketsPerLadder) {
   ASSERT_TRUE(sender_viewer.share(crisis_image(), "img", "area").ok());
   run_for(2.0);
 
-  ASSERT_EQ(receiver.client().receptions().size(), 1u);
-  EXPECT_EQ(receiver.client().receptions()[0].packets_used, 2);
+  ASSERT_EQ(viewer.displays().size(), 1u);
+  EXPECT_EQ(viewer.displays()[0].report.packets_used, 2);
   // The sender still shipped everything; adaptation is local.
-  EXPECT_EQ(receiver.client().receptions()[0].packets_available, 16);
+  EXPECT_EQ(viewer.displays()[0].report.packets_available, 16);
 }
 
 TEST_F(IntegrationTest, CpuSaturationDropsToTextDescription) {
@@ -113,8 +114,7 @@ TEST_F(IntegrationTest, CpuSaturationDropsToTextDescription) {
 
   ASSERT_EQ(viewer.displays().size(), 1u);
   EXPECT_EQ(viewer.displays()[0].modality, media::Modality::text);
-  EXPECT_NE(viewer.displays()[0].text.find("two buildings"),
-            std::string::npos);
+  EXPECT_NE(viewer.screen().text.find("two buildings"), std::string::npos);
 }
 
 TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
@@ -123,6 +123,7 @@ TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
   receiver.host().set_page_fault_process(std::make_unique<sim::RampProcess>(
       30.0, 100.0, sim_.now(), sim::Duration::seconds(60.0)));
 
+  app::ImageViewer viewer(receiver.client());
   app::ImageViewer sender_viewer(sender.client());
   std::vector<int> packets_over_time;
   for (int step = 0; step < 6; ++step) {
@@ -133,8 +134,8 @@ TEST_F(IntegrationTest, AdaptationTracksLoadRamp) {
                     .ok());
   }
   run_for(3.0);
-  for (const auto& report : receiver.client().receptions()) {
-    packets_over_time.push_back(report.packets_used);
+  for (const app::Display& display : viewer.displays()) {
+    packets_over_time.push_back(display.report.packets_used);
   }
   ASSERT_EQ(packets_over_time.size(), 6u);
   // Non-increasing as the page-fault pressure ramps up, 16 -> 1.
@@ -150,11 +151,12 @@ TEST_F(IntegrationTest, InterestProfileSuppressesUnwantedMedia) {
   Workstation receiver(network_, session_, "receiver", 2);
   receiver.client().profile().set_interest(
       pubsub::Selector::parse("media.type == 'telemetry'").take());
+  app::ImageViewer viewer(receiver.client());
   app::ImageViewer sender_viewer(sender.client());
   run_for(1.0);
   ASSERT_TRUE(sender_viewer.share(crisis_image(64), "img", "x").ok());
   run_for(2.0);
-  EXPECT_TRUE(receiver.client().receptions().empty());
+  EXPECT_TRUE(viewer.displays().empty());
   EXPECT_GE(receiver.client().peer_stats().rejected, 1u);
 }
 
@@ -327,8 +329,7 @@ TEST_F(WirelessIntegration, WeakUplinkIsAbstractedBeforeRelay) {
 
   ASSERT_EQ(viewer.displays().size(), 1u);
   EXPECT_EQ(viewer.displays()[0].modality, media::Modality::text);
-  EXPECT_NE(viewer.displays()[0].text.find("casualty report"),
-            std::string::npos);
+  EXPECT_NE(viewer.screen().text.find("casualty report"), std::string::npos);
 }
 
 TEST_F(WirelessIntegration, PreferTextProfileIsHonoredOnGoodChannel) {
