@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
   wireless::ChannelParams params;
   params.noise_kappa_db = 62.0;  // operating point straddles the grades
   wireless::Channel channel(params);
-  channel.upsert(kA, {{90.0, 0.0}, 25.0, true});
-  channel.upsert(kB, {{70.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{90.0, 0.0}, 25.0});
+  channel.upsert(kB, {{70.0, 0.0}, 100.0});
 
   std::printf(
       "Figure 9: two wireless clients, client A's tx power stepped up\n"

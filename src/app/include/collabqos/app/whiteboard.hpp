@@ -1,8 +1,8 @@
-// The shared whiteboard (paper §4.1). Strokes and clears are
-// concurrency-controlled operations; the canvas materialises from the
-// per-object log in total order, so concurrent strokes from different
-// clients never lose information ("if two users select information ...
-// concurrency control ... ensures that no information is lost").
+// The shared whiteboard (paper §4.1). Strokes are concurrency-controlled
+// operations; the canvas materialises from the per-object log in total
+// order, so concurrent strokes from different clients never lose
+// information ("if two users select information ... concurrency control
+// ... ensures that no information is lost").
 #pragma once
 
 #include <cstdint>
@@ -30,11 +30,8 @@ class Whiteboard {
              std::string board = "whiteboard.main");
 
   Status draw(Stroke stroke);
-  /// Clear the canvas (strokes ordered before the clear disappear at
-  /// every replica; later strokes survive).
-  Status clear();
 
-  /// Canvas contents in draw order after applying clears.
+  /// Canvas contents in draw order.
   [[nodiscard]] std::vector<Stroke> strokes() const;
 
   [[nodiscard]] const std::string& board() const noexcept { return board_; }

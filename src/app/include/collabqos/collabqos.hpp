@@ -3,7 +3,6 @@
 #pragma once
 
 #include "collabqos/app/chat.hpp"
-#include "collabqos/app/floor_control.hpp"
 #include "collabqos/app/image_viewer.hpp"
 #include "collabqos/app/whiteboard.hpp"
 #include "collabqos/core/archive.hpp"

@@ -33,19 +33,11 @@ Status Whiteboard::draw(Stroke stroke) {
   return client_.publish_operation(board_, "wb.stroke", stroke.encode());
 }
 
-Status Whiteboard::clear() {
-  return client_.publish_operation(board_, "wb.clear", {});
-}
-
 std::vector<Stroke> Whiteboard::strokes() const {
   std::vector<Stroke> canvas;
   const core::ObjectLog* log = client_.concurrency().log(board_);
   if (log == nullptr) return canvas;
   for (const core::Operation* op : log->ordered()) {
-    if (op->kind == "wb.clear") {
-      canvas.clear();
-      continue;
-    }
     if (op->kind != "wb.stroke") continue;
     auto stroke = Stroke::decode(op->payload);
     if (!stroke) continue;

@@ -21,14 +21,6 @@ media::Modality modality_for_grade(wireless::ModalityGrade grade) noexcept {
   return media::Modality::text;
 }
 
-std::optional<media::Modality> modality_from_name(std::string_view name) {
-  if (name == "text") return media::Modality::text;
-  if (name == "speech") return media::Modality::speech;
-  if (name == "sketch") return media::Modality::sketch;
-  if (name == "image") return media::Modality::image;
-  return std::nullopt;
-}
-
 }  // namespace
 
 AdaptationDecision decision_for_grade(wireless::ModalityGrade grade,
@@ -86,7 +78,7 @@ BaseStationPeer::attach(AttachRequest request) {
     return Error{Errc::conflict, "station already attached"};
   }
   if (auto status = radio_->join(request.station, request.position,
-                                 request.tx_power_mw, request.battery);
+                                 request.tx_power_mw);
       !status.ok()) {
     return status.error();
   }
@@ -120,37 +112,11 @@ Status BaseStationPeer::detach(wireless::StationId station) {
   return {};
 }
 
-Status BaseStationPeer::update_profile(wireless::StationId station,
-                                       pubsub::Profile profile) {
-  const auto it = clients_.find(raw(station));
-  if (it == clients_.end()) {
-    return Status(Errc::no_such_object, "unknown station");
-  }
-  it->second.profile = std::move(profile);
-  return {};
-}
-
 Status BaseStationPeer::move(wireless::StationId station,
                              wireless::Position position) {
   const Status status = radio_->move(station, position);
   if (status.ok()) (void)radio_->balance();
   return status;
-}
-
-Status BaseStationPeer::set_power(wireless::StationId station,
-                                  double tx_power_mw) {
-  // Manual power settings skip the balance (the Figure 9 experiment
-  // varies power open-loop).
-  return radio_->set_power(station, tx_power_mw);
-}
-
-Result<pubsub::Profile> BaseStationPeer::profile_of(
-    wireless::StationId station) const {
-  const auto it = clients_.find(raw(station));
-  if (it == clients_.end()) {
-    return Error{Errc::no_such_object, "unknown station"};
-  }
-  return it->second.profile;
 }
 
 AdaptationDecision BaseStationPeer::decision_for(
@@ -161,7 +127,7 @@ AdaptationDecision BaseStationPeer::decision_for(
   if (const pubsub::AttributeValue* preference =
           profile.attributes().find("prefer.modality")) {
     if (const auto name = preference->as_string()) {
-      if (const auto preferred = modality_from_name(*name)) {
+      if (const auto preferred = media::modality_from_string(*name)) {
         ceiling = *preferred;
       }
     }

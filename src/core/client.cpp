@@ -9,7 +9,10 @@ namespace collabqos::core {
 
 namespace {
 constexpr std::string_view kComponent = "core.client";
-}
+/// Cadence at which RTP receiver reports are sampled into the decision
+/// state (keys "net.loss.fraction", "net.jitter.ms").
+constexpr sim::Duration kRtcpInterval = sim::Duration::seconds(1.0);
+}  // namespace
 
 CollaborationClient::CollaborationClient(net::Network& network,
                                          net::NodeId node,
@@ -40,12 +43,10 @@ CollaborationClient::CollaborationClient(net::Network& network,
         [this](const pubsub::AttributeSet&) { refresh_decision(); });
     state_interface_->start();
   }
-  if (config_.rtcp_interval > sim::Duration{}) {
-    rtcp_timer_ = std::make_unique<sim::PeriodicTimer>(
-        network.simulator(), config_.rtcp_interval,
-        [this] { sample_network_quality(); });
-    rtcp_timer_->start();
-  }
+  rtcp_timer_ = std::make_unique<sim::PeriodicTimer>(
+      network.simulator(), kRtcpInterval,
+      [this] { sample_network_quality(); });
+  rtcp_timer_->start();
   refresh_decision();
 }
 
@@ -123,22 +124,6 @@ Status CollaborationClient::publish_operation(std::string object_id,
   return peer_->publish(std::move(message));
 }
 
-namespace {
-
-/// Modality named by a transform-capability value, if any.
-std::optional<media::Modality> modality_named(
-    const pubsub::AttributeValue& value) {
-  const auto name = value.as_string();
-  if (!name) return std::nullopt;
-  if (*name == "text") return media::Modality::text;
-  if (*name == "speech") return media::Modality::speech;
-  if (*name == "sketch") return media::Modality::sketch;
-  if (*name == "image") return media::Modality::image;
-  return std::nullopt;
-}
-
-}  // namespace
-
 void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
                                      const pubsub::MatchDecision& decision) {
   if (message.event_type == events::kOperation) {
@@ -187,7 +172,8 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
   // presentation modality when the declared capability names one.
   if (decision.kind ==
       pubsub::MatchDecision::Kind::accepted_with_transformation) {
-    if (const auto target = modality_named(decision.transformation.to)) {
+    const auto name = decision.transformation.to.as_string();
+    if (const auto target = media::modality_from_string(name.value_or(""))) {
       effective.modality = weaker_modality(effective.modality, *target);
       if (effective.modality != media::Modality::image) {
         effective.packets = 0;

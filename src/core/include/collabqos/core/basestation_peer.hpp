@@ -6,11 +6,10 @@
 //
 // Responsibilities implemented here:
 //  * peer in the session multicast group;
-//  * per-wireless-client profile registry (semantic interpretation for
-//    thin clients happens HERE, not at the clients);
+//  * per-wireless-client profile, kept from the attach request (semantic
+//    interpretation for thin clients happens HERE, not at the clients);
 //  * SIR-driven modality grading per client (text / text+sketch / full
-//    image thresholds), power control and battery conservation via the
-//    radio resource manager;
+//    image thresholds) and power control via the radio resource manager;
 //  * uplink: unicast event from a wireless client is multicast to the
 //    session and unicast to the other wireless clients;
 //  * downlink: multicast traffic is matched against each wireless
@@ -40,7 +39,6 @@ struct AttachRequest {
   pubsub::Profile profile;         ///< kept and evaluated at the BS
   wireless::Position position{};
   double tx_power_mw = 100.0;
-  wireless::BatteryState battery{};
 };
 
 /// The base station's counters, declared once
@@ -90,13 +88,8 @@ class BaseStationPeer {
       AttachRequest request);
   Status detach(wireless::StationId station);
 
-  /// Profile updates pushed by the thin client ("profiles are maintained
-  /// and are modifiable by clients").
-  Status update_profile(wireless::StationId station, pubsub::Profile profile);
-
-  /// Mobility / radio updates.
+  /// Mobility update.
   Status move(wireless::StationId station, wireless::Position position);
-  Status set_power(wireless::StationId station, double tx_power_mw);
 
   /// Uplink entry point: a registered client's event arrives by unicast
   /// (called from the network receive path; exposed for tests).
@@ -106,8 +99,8 @@ class BaseStationPeer {
   /// Chaos plane: take the relay plane out of service and back. While
   /// out, uplink and downlink traffic is dropped (counted in
   /// core.base_station.outage_dropped); the control plane (attach /
-  /// detach / profile updates) keeps working, modelling a data-plane
-  /// failure with an intact management channel.
+  /// detach / move) keeps working, modelling a data-plane failure with an
+  /// intact management channel.
   void set_out_of_service(bool out) noexcept { out_of_service_ = out; }
 
   [[nodiscard]] wireless::RadioResourceManager& radio() noexcept {
@@ -122,8 +115,6 @@ class BaseStationPeer {
   [[nodiscard]] std::size_t client_count() const noexcept {
     return clients_.size();
   }
-  [[nodiscard]] Result<pubsub::Profile> profile_of(
-      wireless::StationId station) const;
 
   /// The modality grade currently assigned to a client.
   [[nodiscard]] Result<wireless::ModalityGrade> grade(

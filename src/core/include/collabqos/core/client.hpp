@@ -22,10 +22,6 @@ namespace collabqos::core {
 
 struct ClientConfig {
   std::string name;
-  /// Sample RTP receiver reports into the decision state (keys
-  /// "net.loss.fraction", "net.jitter.ms") at this cadence; zero
-  /// disables network-quality monitoring.
-  sim::Duration rtcp_interval = sim::Duration::seconds(1.0);
 };
 
 class CollaborationClient {

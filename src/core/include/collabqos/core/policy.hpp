@@ -42,7 +42,6 @@ class PolicyDatabase {
  public:
   void add(PolicyRule rule);
   [[nodiscard]] std::size_t size() const noexcept { return rules_.size(); }
-  bool remove(const std::string& name);
 
   /// Evaluate every rule against `state`; matching directives combine
   /// most-restrictively.

@@ -46,11 +46,8 @@ class SessionDirectory {
   [[nodiscard]] std::vector<SessionInfo> discover(
       const pubsub::Selector& filter) const;
 
-  [[nodiscard]] Result<SessionInfo> lookup(std::string_view name) const;
-
-  /// Membership accounting (the base station / clients call these).
+  /// Membership accounting against the session's member limit.
   Status join(std::string_view name);
-  Status leave(std::string_view name);
 
   [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
 

@@ -3,11 +3,10 @@
 // behalf. The client communicates by unicast only — uplink events go to
 // the base station; adapted session traffic arrives back by unicast.
 //
-// Control-plane actions (attach, profile updates, mobility, power) are
-// modelled as direct calls into the BaseStationPeer: in the paper these
-// ride the 802.11-era association/management channel, which carries no
-// QoS-relevant payload, so simulating its datagrams would add noise
-// without behaviour.
+// Control-plane actions (attach, detach, mobility) are modelled as direct
+// calls into the BaseStationPeer: in the paper these ride the 802.11-era
+// association/management channel, which carries no QoS-relevant payload,
+// so simulating its datagrams would add noise without behaviour.
 #pragma once
 
 #include <functional>
@@ -22,7 +21,6 @@ struct ThinClientConfig {
   std::string name;
   wireless::Position position{};
   double tx_power_mw = 100.0;
-  wireless::BatteryState battery{};
 };
 
 class ThinClient {
@@ -42,15 +40,14 @@ class ThinClient {
       BaseStationPeer& base_station);
   Status detach();
 
-  /// Local profile; push_profile() syncs it to the base station.
+  /// Local profile. attach() hands it to the base station, which matches
+  /// session traffic against that copy.
   [[nodiscard]] pubsub::Profile& profile() noexcept {
     return peer_->profile();
   }
-  Status push_profile();
 
-  /// Mobility and radio control (relayed to the BS radio manager).
+  /// Mobility (relayed to the BS radio manager).
   Status move(wireless::Position position);
-  Status set_power(double tx_power_mw);
 
   /// Share media into the session via the base station.
   Status share_media(const media::MediaObject& object,

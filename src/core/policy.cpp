@@ -9,15 +9,6 @@ namespace collabqos::core {
 
 void PolicyDatabase::add(PolicyRule rule) { rules_.push_back(std::move(rule)); }
 
-bool PolicyDatabase::remove(const std::string& name) {
-  const auto it =
-      std::remove_if(rules_.begin(), rules_.end(),
-                     [&name](const PolicyRule& r) { return r.name == name; });
-  const bool removed = it != rules_.end();
-  rules_.erase(it, rules_.end());
-  return removed;
-}
-
 PolicyOutcome PolicyDatabase::evaluate(
     const pubsub::AttributeSet& state) const {
   PolicyOutcome outcome;

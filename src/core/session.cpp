@@ -28,14 +28,6 @@ std::vector<SessionInfo> SessionDirectory::discover(
   return matches;
 }
 
-Result<SessionInfo> SessionDirectory::lookup(std::string_view name) const {
-  const auto it = sessions_.find(name);
-  if (it == sessions_.end()) {
-    return Error{Errc::no_such_object, "unknown session"};
-  }
-  return it->second;
-}
-
 Status SessionDirectory::join(std::string_view name) {
   const auto it = sessions_.find(name);
   if (it == sessions_.end()) {
@@ -46,18 +38,6 @@ Status SessionDirectory::join(std::string_view name) {
     return Status(Errc::resource_limit, "session is full");
   }
   ++info.member_count;
-  return {};
-}
-
-Status SessionDirectory::leave(std::string_view name) {
-  const auto it = sessions_.find(name);
-  if (it == sessions_.end()) {
-    return Status(Errc::no_such_object, "unknown session");
-  }
-  if (it->second.member_count == 0) {
-    return Status(Errc::out_of_range, "no members to remove");
-  }
-  --it->second.member_count;
   return {};
 }
 

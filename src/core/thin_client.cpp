@@ -36,7 +36,6 @@ Result<wireless::RadioResourceManager::ServiceAssessment> ThinClient::attach(
   request.profile = peer_->profile();
   request.position = config_.position;
   request.tx_power_mw = config_.tx_power_mw;
-  request.battery = config_.battery;
   auto assessment = base_station.attach(std::move(request));
   if (assessment) base_station_ = &base_station;
   return assessment;
@@ -51,27 +50,12 @@ Status ThinClient::detach() {
   return status;
 }
 
-Status ThinClient::push_profile() {
-  if (base_station_ == nullptr) {
-    return Status(Errc::unreachable, "not attached");
-  }
-  return base_station_->update_profile(station_, peer_->profile());
-}
-
 Status ThinClient::move(wireless::Position position) {
   if (base_station_ == nullptr) {
     return Status(Errc::unreachable, "not attached");
   }
   config_.position = position;
   return base_station_->move(station_, position);
-}
-
-Status ThinClient::set_power(double tx_power_mw) {
-  if (base_station_ == nullptr) {
-    return Status(Errc::unreachable, "not attached");
-  }
-  config_.tx_power_mw = tx_power_mw;
-  return base_station_->set_power(station_, tx_power_mw);
 }
 
 Status ThinClient::share_media(const media::MediaObject& object,

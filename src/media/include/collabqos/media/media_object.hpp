@@ -4,7 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "collabqos/media/codec.hpp"
@@ -23,6 +25,9 @@ enum class Modality : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(Modality modality) noexcept;
+/// The modality that to_string() names `name`; nullopt for any other name.
+[[nodiscard]] std::optional<Modality> modality_from_string(
+    std::string_view name) noexcept;
 
 struct TextMedia {
   std::string text;

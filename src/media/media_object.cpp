@@ -21,6 +21,14 @@ std::string_view to_string(Modality modality) noexcept {
   return "?";
 }
 
+std::optional<Modality> modality_from_string(std::string_view name) noexcept {
+  for (const Modality modality : {Modality::text, Modality::speech,
+                                  Modality::sketch, Modality::image}) {
+    if (name == to_string(modality)) return modality;
+  }
+  return std::nullopt;
+}
+
 Modality MediaObject::modality() const noexcept {
   return static_cast<Modality>(content_.index());
 }

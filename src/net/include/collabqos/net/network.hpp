@@ -78,7 +78,6 @@ class Endpoint {
   }
 
   Status join(GroupId group);
-  Status leave(GroupId group);
   [[nodiscard]] bool member_of(GroupId group) const;
 
   /// Whether multicast sends loop back to this endpoint when it is a
@@ -179,7 +178,6 @@ class Network {
                                                        Port port = 0);
 
   [[nodiscard]] NetworkStats stats() const noexcept { return stats_.view(); }
-  [[nodiscard]] Result<NodeStats> node_stats(NodeId node) const;
   [[nodiscard]] sim::Simulator& simulator() noexcept { return simulator_; }
 
   /// Maximum datagram payload the network accepts (enforced; senders
@@ -209,7 +207,6 @@ class Network {
                         serde::ByteChain payload);
   void unbind(Endpoint& endpoint);
   void join_group(Endpoint& endpoint, GroupId group);
-  void leave_group(Endpoint& endpoint, GroupId group);
   /// Evaluate uplink at the source and downlink at each destination; on
   /// survival, schedule delivery.
   void route(Address source, Address destination, bool via_multicast,

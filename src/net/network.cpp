@@ -46,15 +46,6 @@ Status Endpoint::join(GroupId group) {
   return {};
 }
 
-Status Endpoint::leave(GroupId group) {
-  if (!member_of(group)) {
-    return Status(Errc::no_such_object, "not a member");
-  }
-  groups_.erase(raw(group));
-  network_->leave_group(*this, group);
-  return {};
-}
-
 bool Endpoint::member_of(GroupId group) const {
   return groups_.contains(raw(group));
 }
@@ -138,14 +129,6 @@ Result<std::unique_ptr<Endpoint>> Network::bind(NodeId node, Port port) {
   return endpoint;
 }
 
-Result<NodeStats> Network::node_stats(NodeId node) const {
-  const auto it = nodes_.find(raw(node));
-  if (it == nodes_.end()) {
-    return Error{Errc::no_such_object, "unknown node"};
-  }
-  return it->second.counters->view();
-}
-
 Result<NodeId> Network::find_node(std::string_view name) const {
   for (const auto& [id, node] : nodes_) {
     if (node.name == name) return make_node(id);
@@ -166,13 +149,6 @@ void Network::unbind(Endpoint& endpoint) {
 
 void Network::join_group(Endpoint& endpoint, GroupId group) {
   groups_[raw(group)].insert(endpoint.address_);
-}
-
-void Network::leave_group(Endpoint& endpoint, GroupId group) {
-  auto it = groups_.find(raw(group));
-  if (it == groups_.end()) return;
-  it->second.erase(endpoint.address_);
-  if (it->second.empty()) groups_.erase(it);
 }
 
 Status Network::send_unicast(Endpoint& from, Address to,

@@ -27,10 +27,6 @@ struct TransformCapability {
   AttributeValue from;
   AttributeValue to;
 
-  void encode(serde::Writer& w) const;
-  /// Reads one capability; a fault latches in `r` (check r.ok()).
-  [[nodiscard]] static TransformCapability decode(serde::Reader& r);
-
   friend bool operator==(const TransformCapability& a,
                          const TransformCapability& b) noexcept {
     return a.attribute == b.attribute && a.from == b.from && a.to == b.to;
@@ -39,8 +35,7 @@ struct TransformCapability {
 
 class Profile {
  public:
-  /// Monotone version stamp; bumped on every mutation so the wireless
-  /// base station can cache wireless-client profiles coherently.
+  /// Monotone version stamp, bumped on every mutation.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   [[nodiscard]] const AttributeSet& attributes() const noexcept {
@@ -58,10 +53,6 @@ class Profile {
     return capabilities_;
   }
   void add_capability(TransformCapability capability);
-
-  void encode(serde::Writer& w) const;
-  /// Reads one profile; a fault latches in `r` (check r.ok()).
-  [[nodiscard]] static Profile decode(serde::Reader& r);
 
  private:
   AttributeSet attributes_;

@@ -9,8 +9,7 @@ Host::Host(Simulator& simulator, std::string name)
       name_(std::move(name)),
       cpu_(std::make_unique<ConstantProcess>(0.0)),
       page_faults_(std::make_unique<ConstantProcess>(0.0)),
-      memory_(std::make_unique<ConstantProcess>(256.0 * 1024.0)),
-      if_util_(std::make_unique<ConstantProcess>(0.0)) {}
+      memory_(std::make_unique<ConstantProcess>(256.0 * 1024.0)) {}
 
 void Host::set_cpu_process(std::unique_ptr<LoadProcess> process) {
   cpu_ = std::move(process);
@@ -21,9 +20,6 @@ void Host::set_page_fault_process(std::unique_ptr<LoadProcess> process) {
 void Host::set_memory_process(std::unique_ptr<LoadProcess> process) {
   memory_ = std::move(process);
 }
-void Host::set_if_utilization_process(std::unique_ptr<LoadProcess> process) {
-  if_util_ = std::move(process);
-}
 
 HostMetrics Host::metrics() {
   const TimePoint now = simulator_.now();
@@ -31,7 +27,6 @@ HostMetrics Host::metrics() {
   m.cpu_load_percent = std::clamp(cpu_->sample(now), 0.0, 100.0);
   m.page_faults = std::max(0.0, page_faults_->sample(now));
   m.free_memory_kb = std::max(0.0, memory_->sample(now));
-  m.if_utilization_percent = std::clamp(if_util_->sample(now), 0.0, 100.0);
   return m;
 }
 

@@ -18,7 +18,9 @@ struct HostMetrics {
   double cpu_load_percent = 0.0;   ///< 0..100
   double page_faults = 0.0;        ///< faults observed in the last window
   double free_memory_kb = 0.0;
-  double if_utilization_percent = 0.0;  ///< primary interface, 0..100
+  /// Primary interface, 0..100. No load process drives it: it reads 0,
+  /// and the host MIB exports it as such.
+  double if_utilization_percent = 0.0;
 };
 
 class Host {
@@ -32,7 +34,6 @@ class Host {
   void set_cpu_process(std::unique_ptr<LoadProcess> process);
   void set_page_fault_process(std::unique_ptr<LoadProcess> process);
   void set_memory_process(std::unique_ptr<LoadProcess> process);
-  void set_if_utilization_process(std::unique_ptr<LoadProcess> process);
 
   /// Sample all metrics at the current virtual time (clamped to their
   /// physical ranges).
@@ -44,7 +45,6 @@ class Host {
   std::unique_ptr<LoadProcess> cpu_;
   std::unique_ptr<LoadProcess> page_faults_;
   std::unique_ptr<LoadProcess> memory_;
-  std::unique_ptr<LoadProcess> if_util_;
 };
 
 }  // namespace collabqos::sim

@@ -1,6 +1,5 @@
 #include "collabqos/snmp/host_mib.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace collabqos::snmp {
@@ -44,25 +43,6 @@ void install_interface_instrumentation(Agent& agent, net::Network& network,
     const double bps = params ? params.value().bandwidth_bps : 0.0;
     return Value::gauge(static_cast<std::uint64_t>(bps / 1000.0));
   });
-}
-
-void install_router_instrumentation(Agent& agent, net::Network& network,
-                                    net::NodeId node) {
-  Mib& mib = agent.mib();
-  const auto counter = [&network, node](auto member) {
-    return [&network, node, member] {
-      const auto stats = network.node_stats(node);
-      return Value::counter(stats ? stats.value().*member : 0);
-    };
-  };
-  mib.add_provider(oids::if_in_octets(),
-                   counter(&net::NodeStats::bytes_in));
-  mib.add_provider(oids::if_out_octets(),
-                   counter(&net::NodeStats::bytes_out));
-  mib.add_provider(oids::if_in_packets(),
-                   counter(&net::NodeStats::datagrams_in));
-  mib.add_provider(oids::if_out_packets(),
-                   counter(&net::NodeStats::datagrams_out));
 }
 
 }  // namespace collabqos::snmp

@@ -20,11 +20,4 @@ void install_host_instrumentation(Agent& agent, sim::Host& host,
 void install_interface_instrumentation(Agent& agent, net::Network& network,
                                        net::NodeId node);
 
-/// The "standard agent" of a network element (paper §2: "Routers and
-/// switches have standard agents to monitor the local parameters"):
-/// MIB-II interfaces-group octet/packet counters fed from the simulated
-/// node's live traffic statistics.
-void install_router_instrumentation(Agent& agent, net::Network& network,
-                                    net::NodeId node);
-
 }  // namespace collabqos::snmp

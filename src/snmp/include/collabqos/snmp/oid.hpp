@@ -77,10 +77,6 @@ inline constexpr Oid kSysDescr{1, 3, 6, 1, 2, 1, 1, 1, 0};
 inline constexpr Oid kSysUptime{1, 3, 6, 1, 2, 1, 1, 3, 0};
 inline constexpr Oid kSysName{1, 3, 6, 1, 2, 1, 1, 5, 0};
 inline constexpr Oid kHrProcessorLoad{1, 3, 6, 1, 2, 1, 25, 3, 3, 1, 2, 1};
-inline constexpr Oid kIfInOctets{1, 3, 6, 1, 2, 1, 2, 2, 1, 10, 1};
-inline constexpr Oid kIfOutOctets{1, 3, 6, 1, 2, 1, 2, 2, 1, 16, 1};
-inline constexpr Oid kIfInPackets{1, 3, 6, 1, 2, 1, 2, 2, 1, 11, 1};
-inline constexpr Oid kIfOutPackets{1, 3, 6, 1, 2, 1, 2, 2, 1, 17, 1};
 inline constexpr Oid kTasslRoot{1, 3, 6, 1, 4, 1, 26510};
 inline constexpr Oid kTasslCpuLoad{1, 3, 6, 1, 4, 1, 26510, 1, 1, 0};
 inline constexpr Oid kTasslPageFaults{1, 3, 6, 1, 4, 1, 26510, 1, 2, 0};
@@ -101,20 +97,6 @@ static_assert(kHrProcessorLoad.size() == Oid::kInlineArcs,
 /// host-resources hrProcessorLoad (single-CPU instance).
 [[nodiscard]] constexpr const Oid& hr_processor_load() noexcept {
   return kHrProcessorLoad;
-}
-/// mgmt.mib-2.interfaces.ifTable: octet/packet counters of interface 1
-/// (what routers and switches expose through their standard agents).
-[[nodiscard]] constexpr const Oid& if_in_octets() noexcept {
-  return kIfInOctets;
-}
-[[nodiscard]] constexpr const Oid& if_out_octets() noexcept {
-  return kIfOutOctets;
-}
-[[nodiscard]] constexpr const Oid& if_in_packets() noexcept {
-  return kIfInPackets;
-}
-[[nodiscard]] constexpr const Oid& if_out_packets() noexcept {
-  return kIfOutPackets;
 }
 /// Subtree root for the framework's embedded extension agent
 /// (enterprises.26510 — "TASSL" — chosen inside the private arc).

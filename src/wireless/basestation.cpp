@@ -43,7 +43,7 @@ RadioResourceManager::RadioResourceManager(ChannelParams channel_params,
     : channel_(channel_params), params_(params) {}
 
 Status RadioResourceManager::join(StationId id, Position position,
-                                  double tx_power_mw, BatteryState battery) {
+                                  double tx_power_mw) {
   if (clients_.contains(raw(id))) {
     return Status(Errc::conflict, "station already joined");
   }
@@ -54,9 +54,8 @@ Status RadioResourceManager::join(StationId id, Position position,
   state.id = id;
   state.position = position;
   state.tx_power_mw = tx_power_mw;
-  state.battery = battery;
   clients_.emplace(raw(id), state);
-  channel_.upsert(id, Transmitter{position, tx_power_mw, true});
+  channel_.upsert(id, Transmitter{position, tx_power_mw});
   static telemetry::Counter& joins = radio_counter("wireless.radio.joins");
   ++joins;
   return {};
@@ -102,7 +101,6 @@ Result<ModalityGrade> RadioResourceManager::grade(StationId id) const {
   if (it == clients_.end()) {
     return Error{Errc::no_such_object, "unknown station"};
   }
-  if (it->second.battery.remaining_mwh <= 0.0) return ModalityGrade::none;
   auto sir = channel_.sir_db(id);
   if (!sir) return sir.error();
   return grade_for_sir(sir.value());
@@ -156,21 +154,6 @@ std::size_t RadioResourceManager::conserve_battery() {
       radio_counter("wireless.radio.battery_power_reductions");
   reductions += adjusted;
   return adjusted;
-}
-
-void RadioResourceManager::advance_time(double seconds) {
-  for (auto& [id, state] : clients_) {
-    if (state.battery.remaining_mwh <= 0.0) continue;
-    const double drained_mwh = state.tx_power_mw * seconds / 3600.0;
-    state.battery.remaining_mwh =
-        std::max(0.0, state.battery.remaining_mwh - drained_mwh);
-    if (state.battery.remaining_mwh <= 0.0) {
-      (void)channel_.set_transmitting(make_station(id), false);
-      static telemetry::Counter& depleted =
-          radio_counter("wireless.radio.batteries_depleted");
-      ++depleted;
-    }
-  }
 }
 
 Result<RadioResourceManager::ServiceAssessment>

@@ -49,15 +49,6 @@ Status Channel::set_power(StationId id, double tx_power_mw) {
   return {};
 }
 
-Status Channel::set_transmitting(StationId id, bool transmitting) {
-  const auto it = stations_.find(raw(id));
-  if (it == stations_.end()) {
-    return Status(Errc::no_such_object, "unknown station");
-  }
-  it->second.transmitting = transmitting;
-  return {};
-}
-
 Result<double> Channel::path_gain(StationId id) const {
   const auto it = stations_.find(raw(id));
   if (it == stations_.end()) {
@@ -91,13 +82,10 @@ Result<double> Channel::sir(StationId id) const {
   if (!signal) return signal.error();
   double interference = noise_power_mw();
   for (const auto& [other_id, other] : stations_) {
-    if (other_id == raw(id) || !other.transmitting) continue;
+    if (other_id == raw(id)) continue;
     auto power = received_power_mw(make_station(other_id));
     if (!power) return power.error();
     interference += power.value();
-  }
-  if (!it->second.transmitting) {
-    return Error{Errc::unsupported, "station is not transmitting"};
   }
   return params_.processing_gain * signal.value() / interference;
 }
@@ -126,7 +114,7 @@ double power_control_step(Channel& channel, PowerControlParams params) {
   std::vector<Update> updates;
   for (const StationId id : channel.stations()) {
     const auto transmitter = channel.transmitter(id);
-    if (!transmitter || !transmitter.value().transmitting) continue;
+    if (!transmitter) continue;
     const auto current = channel.sir(id);
     if (!current) continue;
     const double scale = target / current.value();

@@ -31,20 +31,10 @@ enum class ModalityGrade : std::uint8_t {
 /// -6 dB, and nothing below.
 [[nodiscard]] ModalityGrade grade_for_sir(double sir_db) noexcept;
 
-struct BatteryState {
-  double capacity_mwh = 5000.0;
-  double remaining_mwh = 5000.0;
-
-  [[nodiscard]] double fraction() const noexcept {
-    return capacity_mwh > 0.0 ? remaining_mwh / capacity_mwh : 0.0;
-  }
-};
-
 struct RadioClientState {
   StationId id{};
   Position position{};
   double tx_power_mw = 100.0;
-  BatteryState battery{};
 };
 
 struct RadioManagerParams {
@@ -63,8 +53,7 @@ class RadioResourceManager {
                        RadioManagerParams params);
 
   /// Admit a client. Fails with Errc::conflict if the id is taken.
-  Status join(StationId id, Position position, double tx_power_mw,
-              BatteryState battery = {});
+  Status join(StationId id, Position position, double tx_power_mw);
   Status leave(StationId id);
   [[nodiscard]] std::size_t client_count() const noexcept {
     return clients_.size();
@@ -86,10 +75,6 @@ class RadioResourceManager {
   /// target + margin are asked to scale power down to the target.
   /// Returns the number of clients adjusted.
   std::size_t conserve_battery();
-
-  /// Drain batteries for `seconds` of transmission at current powers.
-  /// Clients whose battery empties stop transmitting (grade -> none).
-  void advance_time(double seconds);
 
   /// Basic service assessment at admission (paper §4.2: "the base
   /// station evaluates its distance, transmitting rate and power ...

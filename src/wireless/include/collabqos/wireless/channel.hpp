@@ -57,7 +57,6 @@ struct ChannelParams {
 struct Transmitter {
   Position position{};
   double tx_power_mw = 100.0;
-  bool transmitting = true;  ///< idle stations cause no interference
 };
 
 /// The uplink channel of one cell (client -> BS, the only direction the
@@ -77,7 +76,6 @@ class Channel {
   [[nodiscard]] Result<Transmitter> transmitter(StationId id) const;
   Status set_position(StationId id, Position position);
   Status set_power(StationId id, double tx_power_mw);
-  Status set_transmitting(StationId id, bool transmitting);
 
   /// Path gain from `id` to the base station.
   [[nodiscard]] Result<double> path_gain(StationId id) const;
@@ -121,8 +119,8 @@ struct PowerControlOutcome {
   int iterations = 0;
 };
 
-/// Run the iteration on every transmitting station in `channel` until all
-/// SIRs are within tolerance of the target or a power bound binds.
+/// Run the iteration on every station in `channel` until all SIRs are
+/// within tolerance of the target or a power bound binds.
 PowerControlOutcome run_power_control(Channel& channel,
                                       PowerControlParams params);
 

@@ -103,25 +103,6 @@ TEST_F(AppTest, WhiteboardStrokesReplicate) {
   }
 }
 
-TEST_F(AppTest, WhiteboardClearDropsEarlierStrokesEverywhere) {
-  auto alice = make_client("alice", 1);
-  auto bob = make_client("bob", 2);
-  Whiteboard alice_board(*alice);
-  Whiteboard bob_board(*bob);
-
-  ASSERT_TRUE(alice_board.draw({0, 0, 1, 1, 0xFF000000, 1.0, 0}).ok());
-  settle();
-  ASSERT_TRUE(bob_board.clear().ok());
-  settle();
-  ASSERT_TRUE(alice_board.draw({2, 2, 3, 3, 0xFF000000, 1.0, 0}).ok());
-  settle();
-
-  ASSERT_EQ(alice_board.strokes().size(), 1u);
-  ASSERT_EQ(bob_board.strokes().size(), 1u);
-  EXPECT_DOUBLE_EQ(alice_board.strokes()[0].x0, 2.0);
-  EXPECT_DOUBLE_EQ(bob_board.strokes()[0].x0, 2.0);
-}
-
 TEST_F(AppTest, StrokeCodecRoundTrip) {
   const Stroke stroke{1.5, -2.5, 100.25, 42.0, 0xAABBCCDD, 3.5, 0};
   auto decoded = Stroke::decode(stroke.encode());

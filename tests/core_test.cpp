@@ -117,16 +117,6 @@ TEST(Policy, MatchingRulesCombineMostRestrictively) {
   EXPECT_EQ(outcome.matched_rules.size(), 2u);
 }
 
-TEST(Policy, RemoveDeletesRules) {
-  PolicyDatabase db = PolicyDatabase::with_defaults();
-  const std::size_t before = db.size();
-  EXPECT_TRUE(db.remove("battery-text"));
-  EXPECT_FALSE(db.remove("battery-text"));
-  EXPECT_EQ(db.size(), before - 1);
-  EXPECT_FALSE(db.evaluate(state_with("battery.fraction", 0.1))
-                   .max_modality.has_value());
-}
-
 // --------------------------------------------------------------- inference
 
 InferenceEngine default_engine() {
@@ -345,14 +335,17 @@ TEST(ObjectLog, MaterializeFoldsInOrder) {
 
 // ---------------------------------------------------------------- session
 
-TEST(SessionDirectory, CreateAndLookup) {
+TEST(SessionDirectory, CreateAndDiscover) {
   SessionDirectory directory;
   pubsub::AttributeSet objective;
   objective.set("domain", "crisis");
   auto session = directory.create("incident-7", objective, {});
   ASSERT_TRUE(session.ok());
-  EXPECT_EQ(directory.lookup("incident-7").value().name, "incident-7");
-  EXPECT_FALSE(directory.lookup("nope").ok());
+  EXPECT_EQ(session.value().name, "incident-7");
+  const auto found = directory.discover(
+      pubsub::Selector::parse("domain == 'crisis'").take());
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found[0].name, "incident-7");
   EXPECT_EQ(directory.create("incident-7", {}, {}).code(), Errc::conflict);
 }
 
@@ -390,10 +383,7 @@ TEST(SessionDirectory, MemberLimitEnforced) {
   EXPECT_TRUE(directory.join("small").ok());
   EXPECT_TRUE(directory.join("small").ok());
   EXPECT_EQ(directory.join("small").code(), Errc::resource_limit);
-  EXPECT_TRUE(directory.leave("small").ok());
-  EXPECT_TRUE(directory.join("small").ok());
   EXPECT_FALSE(directory.join("missing").ok());
-  EXPECT_FALSE(directory.leave("empty-none").ok());
 }
 
 // ------------------------------------------------------------- adaptation

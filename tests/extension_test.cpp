@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "collabqos/app/chat.hpp"
-#include "collabqos/app/floor_control.hpp"
 #include "collabqos/app/image_viewer.hpp"
 #include "collabqos/core/archive.hpp"
 #include "collabqos/core/client.hpp"
@@ -246,95 +245,6 @@ TEST_F(TrapTest, TrapFastPathBeatsThePollingClock) {
   EXPECT_DOUBLE_EQ(state.state().find("cpu.load")->as_number().value(),
                    95.0);
   EXPECT_NE(before, 95.0);
-}
-
-// ------------------------------------------------------------ floor control
-
-TEST_F(ExtensionTest, FloorIsGrantedInRequestOrderEverywhere) {
-  auto alice = make_client("alice", 1);
-  auto bob = make_client("bob", 2);
-  app::FloorControl alice_floor(*alice, "whiteboard.main");
-  app::FloorControl bob_floor(*bob, "whiteboard.main");
-
-  // Concurrent requests: both fire before any delivery settles.
-  ASSERT_TRUE(alice_floor.request().ok());
-  ASSERT_TRUE(bob_floor.request().ok());
-  run_for(2.0);
-
-  // Same lamport, ties broken by peer id: alice (1) holds, bob queues —
-  // at BOTH replicas.
-  EXPECT_EQ(alice_floor.holder().value(), 1u);
-  EXPECT_EQ(bob_floor.holder().value(), 1u);
-  EXPECT_TRUE(alice_floor.has_floor());
-  EXPECT_FALSE(bob_floor.has_floor());
-  ASSERT_EQ(bob_floor.queue().size(), 1u);
-  EXPECT_EQ(bob_floor.queue()[0], 2u);
-}
-
-TEST_F(ExtensionTest, ReleasePassesFloorToNextInQueue) {
-  auto alice = make_client("alice", 1);
-  auto bob = make_client("bob", 2);
-  app::FloorControl alice_floor(*alice, "doc");
-  app::FloorControl bob_floor(*bob, "doc");
-  ASSERT_TRUE(alice_floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(bob_floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(alice_floor.has_floor());
-
-  ASSERT_TRUE(alice_floor.release().ok());
-  run_for(1.0);
-  EXPECT_TRUE(bob_floor.has_floor());
-  EXPECT_FALSE(alice_floor.has_floor());
-  EXPECT_TRUE(bob_floor.queue().empty());
-}
-
-TEST_F(ExtensionTest, FloorRequestIsIdempotentAndReleaseGuarded) {
-  auto alice = make_client("alice", 1);
-  app::FloorControl floor(*alice, "doc");
-  ASSERT_TRUE(floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(floor.request().ok());  // no double-queue
-  run_for(1.0);
-  EXPECT_TRUE(floor.queue().empty());
-  ASSERT_TRUE(floor.release().ok());
-  run_for(1.0);
-  EXPECT_FALSE(floor.holder().has_value());
-  EXPECT_EQ(floor.release().code(), Errc::no_such_object);
-}
-
-TEST_F(ExtensionTest, RevokeRecoversFromCrashedHolder) {
-  auto alice = make_client("alice", 1);
-  auto bob = make_client("bob", 2);
-  app::FloorControl alice_floor(*alice, "doc");
-  app::FloorControl bob_floor(*bob, "doc");
-  ASSERT_TRUE(alice_floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(bob_floor.request().ok());
-  run_for(1.0);
-  // Alice "crashes"; bob revokes her floor and takes over.
-  ASSERT_TRUE(bob_floor.revoke(1).ok());
-  run_for(1.0);
-  EXPECT_TRUE(bob_floor.has_floor());
-  EXPECT_FALSE(bob_floor.revoke(42).ok());  // unknown peer
-}
-
-TEST_F(ExtensionTest, ReRequestAfterReleaseJoinsBackOfQueue) {
-  auto alice = make_client("alice", 1);
-  auto bob = make_client("bob", 2);
-  app::FloorControl alice_floor(*alice, "doc");
-  app::FloorControl bob_floor(*bob, "doc");
-  ASSERT_TRUE(alice_floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(bob_floor.request().ok());
-  run_for(1.0);
-  ASSERT_TRUE(alice_floor.release().ok());
-  run_for(1.0);
-  ASSERT_TRUE(alice_floor.request().ok());  // rejoin
-  run_for(1.0);
-  EXPECT_TRUE(bob_floor.has_floor());
-  ASSERT_EQ(bob_floor.queue().size(), 1u);
-  EXPECT_EQ(bob_floor.queue()[0], 1u);
 }
 
 // --------------------------------------------------- RTCP network quality

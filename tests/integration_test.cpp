@@ -334,10 +334,9 @@ TEST_F(WirelessIntegration, WeakUplinkIsAbstractedBeforeRelay) {
 
 TEST_F(WirelessIntegration, PreferTextProfileIsHonoredOnGoodChannel) {
   auto thin = make_thin("saver", 1, 101, {15.0, 0.0});
-  ASSERT_TRUE(thin->attach(*bs_).ok());
   // "User B is running low on power and decides to go into text-mode."
   thin->profile().set("prefer.modality", "text");
-  ASSERT_TRUE(thin->push_profile().ok());
+  ASSERT_TRUE(thin->attach(*bs_).ok());
 
   Workstation wired(network_, session_, "wired", 1);
   app::ImageViewer viewer(wired.client());
@@ -350,9 +349,8 @@ TEST_F(WirelessIntegration, PreferTextProfileIsHonoredOnGoodChannel) {
 
 TEST_F(WirelessIntegration, PreferSpeechProfileDeliversAudio) {
   auto thin = make_thin("audio-first", 1, 101, {15.0, 0.0});
-  ASSERT_TRUE(thin->attach(*bs_).ok());
   thin->profile().set("prefer.modality", "speech");
-  ASSERT_TRUE(thin->push_profile().ok());
+  ASSERT_TRUE(thin->attach(*bs_).ok());
 
   Workstation wired(network_, session_, "wired", 1);
   app::ImageViewer viewer(wired.client());
@@ -441,10 +439,9 @@ TEST_F(WirelessIntegration, ArchiveCapturesUplinkRelays) {
 
 TEST_F(WirelessIntegration, ProfileInterestFiltersAtBaseStation) {
   auto thin = make_thin("choosy", 1, 101, {15.0, 0.0});
-  ASSERT_TRUE(thin->attach(*bs_).ok());
   thin->profile().set_interest(
       pubsub::Selector::parse("media.type == 'telemetry'").take());
-  ASSERT_TRUE(thin->push_profile().ok());
+  ASSERT_TRUE(thin->attach(*bs_).ok());
 
   Workstation wired(network_, session_, "wired", 1);
   app::ImageViewer viewer(wired.client());

@@ -364,6 +364,16 @@ TEST(Quality, BppAndRatio) {
 
 // ----------------------------------------------------------- MediaObject
 
+TEST(Media, ModalityNamesRoundTrip) {
+  for (const Modality modality : {Modality::text, Modality::speech,
+                                  Modality::sketch, Modality::image}) {
+    EXPECT_EQ(modality_from_string(to_string(modality)), modality);
+  }
+  EXPECT_EQ(modality_from_string("video"), std::nullopt);
+  EXPECT_EQ(modality_from_string(""), std::nullopt);
+  EXPECT_EQ(modality_from_string("Text"), std::nullopt);
+}
+
 TEST(MediaObject, TextRoundTrip) {
   const MediaObject object(TextMedia{"status: all clear"});
   auto decoded = MediaObject::decode(object.encode());

@@ -445,8 +445,7 @@ TEST_P(Seeded, RemovingAnyInterfererNeverHurtsAnyone) {
   for (int s = 0; s < stations; ++s) {
     channel.upsert(wireless::make_station(static_cast<std::uint32_t>(s + 1)),
                    {{rng.uniform(5.0, 300.0), rng.uniform(-100.0, 100.0)},
-                    rng.uniform(10.0, 500.0),
-                    true});
+                    rng.uniform(10.0, 500.0)});
   }
   const auto victim = wireless::make_station(1);
   const double before = channel.sir(victim).value();
@@ -465,8 +464,7 @@ TEST_P(Seeded, PowerControlNeverDiverges) {
   for (int s = 0; s < stations; ++s) {
     channel.upsert(wireless::make_station(static_cast<std::uint32_t>(s + 1)),
                    {{rng.uniform(10.0, 150.0), 0.0},
-                    rng.uniform(10.0, 500.0),
-                    true});
+                    rng.uniform(10.0, 500.0)});
   }
   wireless::PowerControlParams control;
   control.target_sir_db = rng.uniform(-5.0, 10.0);

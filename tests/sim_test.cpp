@@ -329,11 +329,10 @@ TEST(Host, MetricsFollowProcessesAndClamp) {
   Host host(sim, "ws1");
   host.set_cpu_process(std::make_unique<ConstantProcess>(150.0));   // clamps
   host.set_page_fault_process(std::make_unique<ConstantProcess>(-5.0));
-  host.set_if_utilization_process(std::make_unique<ConstantProcess>(55.0));
   const HostMetrics m = host.metrics();
   EXPECT_DOUBLE_EQ(m.cpu_load_percent, 100.0);
   EXPECT_DOUBLE_EQ(m.page_faults, 0.0);
-  EXPECT_DOUBLE_EQ(m.if_utilization_percent, 55.0);
+  EXPECT_DOUBLE_EQ(m.if_utilization_percent, 0.0);
 }
 
 TEST(Host, MetricsTrackSimTime) {

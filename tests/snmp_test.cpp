@@ -438,37 +438,6 @@ TEST_F(SnmpStackTest, BulkWalkUsesFewerRoundTrips) {
   EXPECT_LT(bulk_requests * 4, walk_requests);  // >= 4x fewer round trips
 }
 
-TEST_F(SnmpStackTest, RouterCountersTrackTraffic) {
-  install_router_instrumentation(*agent_, network_, host_node_);
-  // Generate some unicast traffic into the host node.
-  auto src = network_.bind(mgmt_node_).take();
-  auto sink = network_.bind(host_node_, 9000).take();
-  sink->on_receive([](const net::Datagram&) {});
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(src->send({host_node_, 9000}, serde::Bytes(100, 1)).ok());
-  }
-  // One outbound datagram so ifOutOctets has something to count.
-  ASSERT_TRUE(sink->send(src->address(), serde::Bytes(64, 2)).ok());
-  sim_.run_all();
-
-  Result<Pdu> response = Error{Errc::internal, ""};
-  manager_->get(host_node_, "public",
-                {oids::if_in_octets(), oids::if_in_packets(),
-                 oids::if_out_octets()},
-                [&](Result<Pdu> r) { response = std::move(r); });
-  sim_.run_all();
-  ASSERT_TRUE(response.ok());
-  const double in_octets =
-      response.value().bindings[0].value.as_number().value();
-  const double in_packets =
-      response.value().bindings[1].value.as_number().value();
-  const double out_octets =
-      response.value().bindings[2].value.as_number().value();
-  EXPECT_GE(in_octets, 1000.0);  // 10 x 100B plus SNMP requests
-  EXPECT_GE(in_packets, 10.0);
-  EXPECT_GT(out_octets, 0.0);  // the agent's own responses
-}
-
 class PageFaultLadderProbe
     : public SnmpStackTest,
       public ::testing::WithParamInterface<double> {};

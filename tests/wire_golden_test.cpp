@@ -1,8 +1,8 @@
 // Golden corpus for the wire formats: RTP datagrams, semantic messages
 // and the selectors they carry, the NACK control datagram, a 3-fragment
-// RTP object, and the serde records the layers above exchange (profiles,
-// roster datagrams, media objects, operations, state entries and
-// whiteboard strokes), and the BER-encoded SNMP messages: every PDU
+// RTP object, and the serde records the layers above exchange (roster
+// datagrams, media objects, operations, state entries and whiteboard
+// strokes), and the BER-encoded SNMP messages: every PDU
 // shape the manager, agents and trap sinks exchange, and hand-made
 // hostile requests with what an agent counts for each. Every byte
 // string, decode result and corrupt-input verdict below is pinned in
@@ -34,7 +34,6 @@
 #include "collabqos/net/rtp.hpp"
 #include "collabqos/pubsub/message.hpp"
 #include "collabqos/pubsub/peer.hpp"
-#include "collabqos/pubsub/profile.hpp"
 #include "collabqos/pubsub/roster.hpp"
 #include "collabqos/pubsub/selector_cache.hpp"
 #include "collabqos/snmp/agent.hpp"
@@ -422,15 +421,6 @@ std::string reencoded(std::span<const std::uint8_t> again,
   return out;
 }
 
-std::string profile_verdict(const serde::Bytes& bytes) {
-  serde::Reader r(bytes);
-  const pubsub::Profile profile = pubsub::Profile::decode(r);
-  if (!r.ok()) return errc(r.error().code);
-  serde::Writer w;
-  profile.encode(w);
-  return reencoded(w.bytes(), r.offset());
-}
-
 constexpr std::uint8_t kRosterRegister = 0xB1;
 constexpr std::uint8_t kRosterUpdate = 0xB2;
 
@@ -541,22 +531,6 @@ media::Image gradient_image() {
 /// decode, built the way their encoders build them.
 std::vector<Record> records() {
   std::vector<Record> out;
-  {
-    pubsub::Profile profile;
-    profile.set("role", "medic");
-    profile.set("zone", 2);
-    profile.set("bandwidth.kbps", 256.5);
-    profile.set("display.color", true);
-    profile.set_interest(
-        pubsub::Selector::parse(
-            "media.modality in ('text', 'image') and topic == 'note'")
-            .value());
-    profile.add_capability({"format", "mpeg2", "jpeg"});
-    profile.add_capability({"media.modality", "image", "sketch"});
-    serde::Writer w;
-    profile.encode(w);
-    out.push_back({"profile", std::move(w).take(), profile_verdict});
-  }
   {
     serde::Writer w;
     w.u8(kRosterRegister);
@@ -704,7 +678,8 @@ std::vector<Line> mutation_lines() {
 
 std::vector<Line> record_mutation_lines() {
   std::vector<Line> lines;
-  std::uint64_t seed = 50;
+  // Seed 50 mutated the client profile, which went with its wire form.
+  std::uint64_t seed = 51;
   for (const Record& record : records()) {
     // Seeds 57-63 mutated the serde form of the seven SNMP value types,
     // which went when BER became a value's only encoding.
@@ -889,6 +864,10 @@ snmp::Pdu make_pdu(snmp::PduType type, std::string community,
   return pdu;
 }
 
+/// MIB-II ifInOctets of interface 1: a counter that a foreign agent
+/// (a router's) would serve; no agent here does.
+const snmp::Oid kIfInOctets{1, 3, 6, 1, 2, 1, 2, 2, 1, 10, 1};
+
 /// Every PDU shape the stack sends or must accept: the manager's requests,
 /// the agent's responses (every value type, a GETBULK batch and the
 /// telemetry walk the observatory ingests), a trap, long-form lengths and
@@ -916,7 +895,7 @@ std::vector<std::pair<std::string, serde::Bytes>> snmp_pdus() {
                {{oids::tassl_free_memory(), Value::integer(-123456)},
                 {oids::tassl_cpu_load(), Value::integer(42)},
                 {oids::tassl_page_faults(), Value::gauge(4000000000)},
-                {oids::if_in_octets(), Value::counter(UINT64_MAX)},
+                {kIfInOctets, Value::counter(UINT64_MAX)},
                 {oids::sys_uptime(), Value::timeticks(360000)},
                 {oids::sys_descr(), Value::octets("community")},
                 {oids::tassl_root().concat({7}),
@@ -932,7 +911,7 @@ std::vector<std::pair<std::string, serde::Bytes>> snmp_pdus() {
     Message m;
     m.pdu_tag = snmp::ber::tags::kResponse;
     m.request_id = ber_integer(5);
-    m.varbinds = {{ber_oid(oids::if_in_octets()), value.bytes()}};
+    m.varbinds = {{ber_oid(kIfInOctets), value.bytes()}};
     out.emplace_back("response counter32", m.bytes());
   }
   out.emplace_back(

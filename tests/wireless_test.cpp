@@ -21,8 +21,8 @@ ChannelParams quiet_channel() {
 
 TEST(Channel, PathGainFollowsPowerLaw) {
   Channel channel;
-  channel.upsert(kA, {{100.0, 0.0}, 100.0, true});
-  channel.upsert(kB, {{50.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{100.0, 0.0}, 100.0});
+  channel.upsert(kB, {{50.0, 0.0}, 100.0});
   const double ga = channel.path_gain(kA).value();
   const double gb = channel.path_gain(kB).value();
   // alpha = 4: halving distance raises gain by 16x.
@@ -31,7 +31,7 @@ TEST(Channel, PathGainFollowsPowerLaw) {
 
 TEST(Channel, MinDistanceClampsSingularity) {
   Channel channel;
-  channel.upsert(kA, {{0.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{0.0, 0.0}, 100.0});
   EXPECT_TRUE(std::isfinite(channel.path_gain(kA).value()));
   EXPECT_LE(channel.path_gain(kA).value(), 1.0 + 1e-12);
 }
@@ -40,7 +40,7 @@ TEST(Channel, SingleClientSirIsSnr) {
   ChannelParams params = quiet_channel();
   params.noise_kappa_db = 60.0;  // finite SNR for an exact comparison
   Channel channel(params);
-  channel.upsert(kA, {{10.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{10.0, 0.0}, 100.0});
   const double signal = channel.received_power_mw(kA).value();
   const double expected =
       params.processing_gain * signal / channel.noise_power_mw();
@@ -49,9 +49,9 @@ TEST(Channel, SingleClientSirIsSnr) {
 
 TEST(Channel, Equation1MatchesManualComputation) {
   Channel channel(quiet_channel());
-  channel.upsert(kA, {{30.0, 0.0}, 120.0, true});
-  channel.upsert(kB, {{0.0, 60.0}, 250.0, true});
-  channel.upsert(kC, {{40.0, 40.0}, 90.0, true});
+  channel.upsert(kA, {{30.0, 0.0}, 120.0});
+  channel.upsert(kB, {{0.0, 60.0}, 250.0});
+  channel.upsert(kC, {{40.0, 40.0}, 90.0});
   const double pa = channel.received_power_mw(kA).value();
   const double pb = channel.received_power_mw(kB).value();
   const double pc = channel.received_power_mw(kC).value();
@@ -65,30 +65,19 @@ TEST(Channel, Equation1MatchesManualComputation) {
 
 TEST(Channel, RemovingInterfererNeverHurts) {
   Channel channel(quiet_channel());
-  channel.upsert(kA, {{30.0, 0.0}, 100.0, true});
-  channel.upsert(kB, {{40.0, 0.0}, 100.0, true});
-  channel.upsert(kC, {{50.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{30.0, 0.0}, 100.0});
+  channel.upsert(kB, {{40.0, 0.0}, 100.0});
+  channel.upsert(kC, {{50.0, 0.0}, 100.0});
   const double with_c = channel.sir(kA).value();
   channel.remove(kC);
   const double without_c = channel.sir(kA).value();
   EXPECT_GT(without_c, with_c);
 }
 
-TEST(Channel, IdleStationCausesNoInterference) {
-  Channel channel(quiet_channel());
-  channel.upsert(kA, {{30.0, 0.0}, 100.0, true});
-  channel.upsert(kB, {{30.0, 0.0}, 100.0, true});
-  const double busy = channel.sir(kA).value();
-  ASSERT_TRUE(channel.set_transmitting(kB, false).ok());
-  const double idle = channel.sir(kA).value();
-  EXPECT_GT(idle, busy * 100.0);
-  EXPECT_FALSE(channel.sir(kB).ok());  // non-transmitting has no SIR
-}
-
 TEST(Channel, UniformPowerScalingInvariantWhenNoiseNegligible) {
   Channel channel(quiet_channel());
-  channel.upsert(kA, {{30.0, 0.0}, 100.0, true});
-  channel.upsert(kB, {{60.0, 0.0}, 150.0, true});
+  channel.upsert(kA, {{30.0, 0.0}, 100.0});
+  channel.upsert(kB, {{60.0, 0.0}, 150.0});
   const double before = channel.sir_db(kA).value();
   ASSERT_TRUE(channel.set_power(kA, 200.0).ok());
   ASSERT_TRUE(channel.set_power(kB, 300.0).ok());
@@ -107,7 +96,7 @@ TEST(Channel, UnknownStationErrors) {
 
 TEST(Channel, NegativePowerRejected) {
   Channel channel;
-  channel.upsert(kA, {{10.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{10.0, 0.0}, 100.0});
   EXPECT_EQ(channel.set_power(kA, -1.0).code(), Errc::out_of_range);
 }
 
@@ -117,8 +106,8 @@ TEST(PowerControl, ConvergesForFeasibleTargets) {
   ChannelParams params_with_noise = quiet_channel();
   params_with_noise.noise_kappa_db = 60.0;  // anchors the fixed point
   Channel channel(params_with_noise);
-  channel.upsert(kA, {{40.0, 0.0}, 500.0, true});
-  channel.upsert(kB, {{80.0, 0.0}, 20.0, true});
+  channel.upsert(kA, {{40.0, 0.0}, 500.0});
+  channel.upsert(kB, {{80.0, 0.0}, 20.0});
   PowerControlParams params;
   params.target_sir_db = 7.0;  // the paper's target; feasible with G_p
   params.max_iterations = 200;
@@ -130,8 +119,8 @@ TEST(PowerControl, ConvergesForFeasibleTargets) {
 
 TEST(PowerControl, InfeasibleTargetHitsBoundsWithoutConverging) {
   Channel channel(quiet_channel());
-  channel.upsert(kA, {{40.0, 0.0}, 100.0, true});
-  channel.upsert(kB, {{40.0, 0.0}, 100.0, true});
+  channel.upsert(kA, {{40.0, 0.0}, 100.0});
+  channel.upsert(kB, {{40.0, 0.0}, 100.0});
   PowerControlParams params;
   // Feasibility for two equal clients requires gamma < G_p (each is the
   // other's interference): 30 dB > 20 dB of processing gain.
@@ -150,8 +139,8 @@ TEST(PowerControl, NearClientEndsUpTransmittingLess) {
   ChannelParams params_with_noise = quiet_channel();
   params_with_noise.noise_kappa_db = 60.0;
   Channel channel(params_with_noise);
-  channel.upsert(kA, {{20.0, 0.0}, 100.0, true});   // near
-  channel.upsert(kB, {{100.0, 0.0}, 100.0, true});  // far
+  channel.upsert(kA, {{20.0, 0.0}, 100.0});   // near
+  channel.upsert(kB, {{100.0, 0.0}, 100.0});  // far
   PowerControlParams params;
   params.target_sir_db = 7.0;
   params.min_power_mw = 0.01;
@@ -262,29 +251,6 @@ TEST(RadioManager, ConserveBatteryLowersOvershooters) {
   EXPECT_EQ(adjusted, 1u);
   EXPECT_LT(manager.state(kA).value().tx_power_mw, 800.0);
   EXPECT_NEAR(manager.sir_db(kA).value(), 4.0, 0.5);
-}
-
-TEST(RadioManager, BatteryDrainsAndSilencesClient) {
-  RadioResourceManager manager(quiet_channel(), default_radio());
-  BatteryState battery;
-  battery.capacity_mwh = 10.0;
-  battery.remaining_mwh = 10.0;
-  ASSERT_TRUE(manager.join(kA, {10.0, 0.0}, 100.0, battery).ok());
-  EXPECT_NE(manager.grade(kA).value(), ModalityGrade::none);
-  // 100 mW for 360 s = 10 mWh: exactly drains the battery.
-  manager.advance_time(360.0);
-  EXPECT_DOUBLE_EQ(manager.state(kA).value().battery.remaining_mwh, 0.0);
-  EXPECT_EQ(manager.grade(kA).value(), ModalityGrade::none);
-}
-
-TEST(RadioManager, PartialDrainKeepsFraction) {
-  RadioResourceManager manager(quiet_channel(), default_radio());
-  BatteryState battery;
-  battery.capacity_mwh = 100.0;
-  battery.remaining_mwh = 100.0;
-  ASSERT_TRUE(manager.join(kA, {10.0, 0.0}, 200.0, battery).ok());
-  manager.advance_time(900.0);  // 200mW * 0.25h = 50 mWh
-  EXPECT_NEAR(manager.state(kA).value().battery.fraction(), 0.5, 1e-9);
 }
 
 TEST(ModalityGrade, NamesAreStable) {
