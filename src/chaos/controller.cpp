@@ -3,13 +3,8 @@
 #include <algorithm>
 
 #include "collabqos/util/hash.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::chaos {
-
-namespace {
-constexpr std::string_view kComponent = "chaos.ctl";
-}  // namespace
 
 ChaosController::ChaosController(net::Network& network, std::uint64_t seed)
     : network_(network), seed_(seed) {
@@ -54,8 +49,8 @@ void ChaosController::inject(const ChaosEvent& event, std::uint64_t index) {
       event, Rng(derive_seed(seed_, index, event.seed)));
 
   // Resolve schedule names against the live network. Unknown names are
-  // counted and logged, never fatal: a schedule written for a larger
-  // topology still injects what it can.
+  // counted (the resilience report prints the count), never fatal: a
+  // schedule written for a larger topology still injects what it can.
   const auto resolve = [this](const std::vector<std::string>& names,
                               std::set<net::NodeId>& out) {
     for (const std::string& name : names) {
@@ -63,7 +58,6 @@ void ChaosController::inject(const ChaosEvent& event, std::uint64_t index) {
         out.insert(node.value());
       } else {
         ++stats_.unresolved_names;
-        CQ_WARN(kComponent) << "schedule names unknown node '" << name << "'";
       }
     }
   };
@@ -105,10 +99,6 @@ void ChaosController::inject(const ChaosEvent& event, std::uint64_t index) {
   }
 
   ++stats_.faults_injected;
-  CQ_INFO(kComponent) << "inject " << to_string(event.kind) << " (line "
-                      << event.line << ") for "
-                      << (event.timed() ? to_string(event.duration)
-                                        : std::string("ever"));
   if (event.timed()) {
     network_.simulator().schedule_after(event.duration,
                                         [this, id] { clear(id); });
@@ -128,8 +118,6 @@ void ChaosController::clear(std::uint64_t id) {
     dispatch_target(fault.event, false);
   }
   ++stats_.faults_cleared;
-  CQ_INFO(kComponent) << "clear " << to_string(fault.event.kind) << " (line "
-                      << fault.event.line << ")";
   active_.erase(it);
 }
 
@@ -138,7 +126,6 @@ void ChaosController::dispatch_target(const ChaosEvent& event, bool active) {
     const auto it = targets_.find(name);
     if (it == targets_.end()) {
       ++stats_.unresolved_names;
-      CQ_WARN(kComponent) << "no target registered for '" << name << "'";
       continue;
     }
     it->second(event, active);

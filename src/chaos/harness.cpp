@@ -285,6 +285,7 @@ ResilienceReport ResilienceHarness::run(const ChaosSchedule& schedule) {
   report.fault_drops = chaos_stats.datagrams_dropped;
   report.duplicates = chaos_stats.datagrams_duplicated;
   report.corruptions = chaos_stats.datagrams_corrupted;
+  report.unresolved_names = chaos_stats.unresolved_names;
   report.link_drops = network.stats().datagrams_dropped_loss;
   report.corrupt_detected = static_cast<std::uint64_t>(
       registry.read("rtp.corrupt_detected") - corrupt_before);
@@ -401,6 +402,12 @@ std::string ResilienceReport::to_text() const {
       static_cast<unsigned long long>(corrupt_detected),
       static_cast<unsigned long long>(reassembly_evicted),
       static_cast<unsigned long long>(outage_dropped)));
+  if (unresolved_names > 0) {
+    add(std::snprintf(line, sizeof line,
+                      "chaos: %llu schedule name(s) matched no node or "
+                      "target and were skipped\n",
+                      static_cast<unsigned long long>(unresolved_names)));
+  }
   add(std::snprintf(
       line, sizeof line,
       "repair: %llu NACKs, %llu retransmissions (amplification %.3f), "

@@ -61,6 +61,8 @@ struct ResilienceReport {
   std::uint64_t corrupt_detected = 0;   ///< RTP checksum rejections
   std::uint64_t reassembly_evicted = 0; ///< byte-budget evictions
   std::uint64_t outage_dropped = 0;     ///< BS data-plane drops
+  /// Schedule names that matched no node or target (skipped, not fatal).
+  std::uint64_t unresolved_names = 0;
   // Repair.
   std::uint64_t nacks_sent = 0;
   std::uint64_t retransmissions = 0;

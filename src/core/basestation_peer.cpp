@@ -1,13 +1,10 @@
 #include "collabqos/core/basestation_peer.hpp"
 
 #include "collabqos/core/decision_audit.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::core {
 
 namespace {
-constexpr std::string_view kComponent = "core.bs";
-
 media::Modality modality_for_grade(wireless::ModalityGrade grade) noexcept {
   switch (grade) {
     case wireless::ModalityGrade::full_image:
@@ -90,14 +87,7 @@ BaseStationPeer::attach(AttachRequest request) {
   clients_.emplace(raw(request.station), std::move(entry));
   // Power control re-runs after every join, leave and move.
   (void)radio_->balance();
-  auto assessment = radio_->assess(request.station);
-  if (assessment) {
-    CQ_INFO(kComponent) << "station " << raw(request.station)
-                        << " attached: SIR=" << assessment.value().sir_db
-                        << "dB grade="
-                        << to_string(assessment.value().grade);
-  }
-  return assessment;
+  return radio_->assess(request.station);
 }
 
 Status BaseStationPeer::detach(wireless::StationId station) {
@@ -178,8 +168,6 @@ void BaseStationPeer::forward_to_client(
         adapt_media(object.value(), decision, transformers_);
     if (!adapted) {
       ++stats_.adaptation_failures;
-      CQ_DEBUG(kComponent) << "adaptation failed: "
-                           << adapted.error().message;
       return;
     }
     outgoing.payload = serde::ByteChain(adapted.value().first.encode());

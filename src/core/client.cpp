@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "collabqos/core/decision_audit.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::core {
 
 namespace {
-constexpr std::string_view kComponent = "core.client";
 /// Cadence at which RTP receiver reports are sampled into the decision
 /// state (keys "net.loss.fraction", "net.jitter.ms").
 constexpr sim::Duration kRtcpInterval = sim::Duration::seconds(1.0);
@@ -78,9 +76,6 @@ void CollaborationClient::refresh_decision() {
   state.merge(network_state_);
   state.merge(alert_state_);
   last_decision_ = engine_.decide(state);
-  CQ_TRACE(kComponent) << config_.name << " decision: packets="
-                       << last_decision_.packets << " modality="
-                       << media::to_string(last_decision_.modality);
   if (auto& audit = DecisionAuditLog::global(); audit.enabled()) {
     DecisionRecord record;
     record.time = simulator_->now();
@@ -115,7 +110,7 @@ Status CollaborationClient::publish_operation(std::string object_id,
                                               serde::Bytes payload) {
   Operation op = concurrency_.originate(std::move(object_id),
                                         std::move(kind), std::move(payload));
-  concurrency_.integrate(op);  // local echo (multicast loopback is off)
+  concurrency_.integrate(op);  // local echo: multicast skips the sender
   pubsub::SemanticMessage message;
   message.event_type = std::string(events::kOperation);
   message.payload = serde::ByteChain(op.encode());
@@ -128,10 +123,7 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
                                      const pubsub::MatchDecision& decision) {
   if (message.event_type == events::kOperation) {
     auto op = Operation::decode(message.payload);
-    if (!op) {
-      CQ_DEBUG(kComponent) << config_.name << " bad operation payload";
-      return;
-    }
+    if (!op) return;
     if (concurrency_.integrate(op.value())) {
       for (const auto& handler : operation_handlers_) handler(op.value());
     }
@@ -161,10 +153,7 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
     return;  // unknown event classes are ignored, not errors
   }
   auto object = media::MediaObject::decode(message.payload);
-  if (!object) {
-    CQ_DEBUG(kComponent) << config_.name << " undecodable media payload";
-    return;
-  }
+  if (!object) return;
   refresh_decision();
   AdaptationDecision effective = last_decision_;
   // An accept-with-transformation verdict from semantic matching (the
@@ -181,11 +170,7 @@ void CollaborationClient::on_message(const pubsub::SemanticMessage& message,
     }
   }
   auto adapted = adapt_media(object.value(), effective, transformers_);
-  if (!adapted) {
-    CQ_DEBUG(kComponent) << config_.name
-                         << " adaptation failed: " << adapted.error().message;
-    return;
-  }
+  if (!adapted) return;
   const auto& [presented, report] = adapted.value();
   for (const auto& handler : media_handlers_) {
     handler(message, presented, report);

@@ -42,7 +42,7 @@ class InferenceEngine {
                   CpuLoadMapping cpu_mapping = {});
 
   /// Decide from a state attribute snapshot (keys: "cpu.load",
-  /// "page.faults", "battery.fraction", "if.utilization", "sir.db", ...).
+  /// "page.faults", "net.loss.fraction", "net.jitter.ms", ...).
   [[nodiscard]] AdaptationDecision decide(
       const pubsub::AttributeSet& state) const;
 

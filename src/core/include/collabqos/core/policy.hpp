@@ -4,7 +4,7 @@
 // A policy rule is a semantic-selector condition over the *state*
 // attribute set plus an adaptation directive. Multiple matching rules
 // combine most-restrictively (fewest packets, weakest modality), so a
-// battery rule and a CPU rule compose without ordering pitfalls.
+// loss rule and a page-fault rule compose without ordering pitfalls.
 #pragma once
 
 #include <optional>
@@ -52,8 +52,10 @@ class PolicyDatabase {
   ///  - page-fault ladder: <44 -> 16, <58 -> 8, <72 -> 4, <86 -> 2,
   ///    >=86 -> 1 packet ("packets vary from 1 to 16 in powers of 2
   ///    corresponding to page faults varying from 30 to 100");
-  ///  - battery guard: battery.fraction < 0.15 -> text only;
-  ///  - congested interface: if.utilization > 90 -> sketch at most.
+  ///  - lossy network: net.loss.fraction > 0.3 -> sketch at most,
+  ///    > 0.6 -> text only;
+  ///  - jittery network: net.jitter.ms > 80 -> at most half the
+  ///    contract's packets.
   [[nodiscard]] static PolicyDatabase with_defaults();
 
  private:

@@ -47,7 +47,7 @@ AdaptationDecision InferenceEngine::decide(
     }
   }
 
-  // Policy database (page-fault ladder, battery/congestion rules, user
+  // Policy database (page-fault ladder, network-quality rules, user
   // rules).
   const PolicyOutcome outcome = policies_.evaluate(state);
   decision.matched_rules = outcome.matched_rules;

@@ -63,14 +63,6 @@ PolicyDatabase PolicyDatabase::with_defaults() {
   db.add(rule("pf-1", "page.faults >= 86",
               {.max_packets = 1, .max_modality = {},
                .max_resolution_fraction = {}}));
-  // Battery guard for thin clients.
-  db.add(rule("battery-text", "battery.fraction < 0.15",
-              {.max_packets = {}, .max_modality = media::Modality::text,
-               .max_resolution_fraction = {}}));
-  // Congested interface: abstract the image to its sketch.
-  db.add(rule("congested-sketch", "if.utilization > 90",
-              {.max_packets = {}, .max_modality = media::Modality::sketch,
-               .max_resolution_fraction = {}}));
   // Network-quality rules fed by RTCP receiver reports (paper §5.5 lists
   // bandwidth, latency and jitter among the monitored parameters).
   db.add(rule("lossy-net-sketch", "net.loss.fraction > 0.3",

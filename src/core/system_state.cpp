@@ -4,13 +4,10 @@
 #include <iterator>
 
 #include "collabqos/snmp/oid.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::core {
 
 namespace {
-constexpr std::string_view kComponent = "core.state";
-
 /// The extension objects the interface polls, in poll order, and the
 /// state attribute each one feeds.
 struct Polled {
@@ -47,7 +44,6 @@ Status SystemStateInterface::enable_trap_fast_path() {
       [this, alive = alive_](net::NodeId source, const snmp::Pdu&) {
         if (!*alive) return;
         if (source != agent_node_) return;  // someone else's host
-        CQ_DEBUG(kComponent) << "trap fast path: immediate poll";
         poll_now();
       });
 }
@@ -60,8 +56,6 @@ void SystemStateInterface::poll_now() {
                  if (!result) {
                    ++failures_;
                    fresh_ = false;
-                   CQ_DEBUG(kComponent)
-                       << "poll failed: " << result.error().message;
                    return;
                  }
                  apply(result.value());
@@ -75,8 +69,6 @@ void SystemStateInterface::apply(const snmp::Pdu& response) {
     // The agent does not implement this object; stop asking for it
     // (the standard manager workaround for sparse extension MIBs).
     const std::size_t index = response.error_index - 1;
-    CQ_WARN(kComponent) << "agent lacks " << poll_oids_[index].to_string()
-                        << "; dropping it from the poll set";
     poll_oids_.erase(poll_oids_.begin() + static_cast<std::ptrdiff_t>(index));
     poll_now();  // retry immediately with the reduced set
     return;

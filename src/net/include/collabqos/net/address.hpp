@@ -6,7 +6,6 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace collabqos::net {
 
@@ -42,8 +41,6 @@ struct Address {
 
   friend constexpr auto operator<=>(const Address&, const Address&) = default;
 };
-
-[[nodiscard]] std::string to_string(Address address);
 
 }  // namespace collabqos::net
 

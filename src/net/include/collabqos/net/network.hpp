@@ -66,9 +66,8 @@ class Endpoint {
     return send(destination, serde::ByteChain(std::move(payload)));
   }
 
-  /// Unreliable multicast send to every current member of `group`
-  /// (including the sender itself if joined and loopback enabled). All
-  /// members receive the same shared buffers.
+  /// Unreliable multicast send to every current member of `group` except
+  /// the sender itself. All members receive the same shared buffers.
   Status send_multicast(GroupId group, serde::ByteChain payload);
   Status send_multicast(GroupId group, serde::SharedBytes payload) {
     return send_multicast(group, serde::ByteChain(std::move(payload)));
@@ -80,10 +79,6 @@ class Endpoint {
   Status join(GroupId group);
   [[nodiscard]] bool member_of(GroupId group) const;
 
-  /// Whether multicast sends loop back to this endpoint when it is a
-  /// member of the target group (default: off, matching typical sockets).
-  void set_multicast_loopback(bool enabled) noexcept { loopback_ = enabled; }
-
  private:
   friend class Network;
   Endpoint(Network& network, Address address) noexcept
@@ -93,7 +88,6 @@ class Endpoint {
   Address address_;
   ReceiveHandler handler_;
   std::set<std::uint32_t> groups_;
-  bool loopback_ = false;
 };
 
 /// Chaos-plane verdict for one datagram crossing source -> destination,

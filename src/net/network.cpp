@@ -1,23 +1,11 @@
 #include "collabqos/net/network.hpp"
 
 #include <cassert>
-#include <cstdio>
 
 #include "collabqos/telemetry/pipeline.hpp"
 #include "collabqos/util/hash.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::net {
-
-namespace {
-constexpr std::string_view kComponent = "net";
-}
-
-std::string to_string(Address address) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%u:%u", raw(address.node), address.port);
-  return buf;
-}
 
 // ---------------------------------------------------------------- Endpoint
 
@@ -189,7 +177,7 @@ Status Network::send_multicast(Endpoint& from, GroupId group,
   // Copy membership: delivery callbacks may join/leave.
   const std::vector<Address> members(it->second.begin(), it->second.end());
   for (const Address member : members) {
-    if (member == from.address_ && !from.loopback_) continue;
+    if (member == from.address_) continue;
     route(from.address_, member, /*via_multicast=*/true, group, payload,
           up.delay);
   }
@@ -241,9 +229,6 @@ void Network::route(Address source, Address destination, bool via_multicast,
     schedule_delivery(datagram, total + fault.duplicate_skew);
   }
   schedule_delivery(std::move(datagram), total);
-  CQ_TRACE(kComponent) << "routed " << payload.size() << "B "
-                       << to_string(source) << " -> "
-                       << to_string(destination);
 }
 
 void Network::schedule_delivery(Datagram datagram, sim::Duration delay) {

@@ -3,13 +3,8 @@
 #include <limits>
 
 #include "collabqos/core/events.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::observatory {
-
-namespace {
-constexpr std::string_view kComponent = "observatory.alerts";
-}
 
 std::string_view to_string(Severity severity) noexcept {
   switch (severity) {
@@ -56,7 +51,7 @@ void AlertEngine::evaluate_rule(const SloRule& rule, std::string_view host,
         (series == nullptr || series->empty())
             ? std::numeric_limits<double>::infinity()
             : (now - series->back().time).as_seconds();
-    step_instance(rule, host, silent_s, true, now);
+    step_instance(rule, host, silent_s, now);
     return;
   }
   if (series == nullptr || series->empty()) {
@@ -65,7 +60,7 @@ void AlertEngine::evaluate_rule(const SloRule& rule, std::string_view host,
   const SeriesPoint& point = series->back();
   const double signal =
       rule.signal == Signal::rate ? point.rate : point.value;
-  step_instance(rule, host, signal, true, now);
+  step_instance(rule, host, signal, now);
 }
 
 Severity AlertEngine::raw_severity(const SloRule& rule,
@@ -92,9 +87,7 @@ bool AlertEngine::inside_clear_band(const SloRule& rule, double signal,
 }
 
 void AlertEngine::step_instance(const SloRule& rule, std::string_view host,
-                                double signal, bool signal_known,
-                                sim::TimePoint now) {
-  if (!signal_known) return;
+                                double signal, sim::TimePoint now) {
   Instance& instance =
       instances_[InstanceKey{rule.name, std::string(host)}];
   const Severity raw = raw_severity(rule, signal);
@@ -145,10 +138,6 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
     ++stats_.cleared;
   }
   active_gauge_->set(static_cast<double>(active()));
-  CQ_INFO(kComponent) << rule.name << (host.empty() ? "" : "@")
-                      << host << ": " << to_string(from) << " -> "
-                      << to_string(to) << " (" << rule.metric << " = "
-                      << value << ")";
 
   AlertTransition record;
   record.time = now;
@@ -176,11 +165,7 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
                                                   : record.host);
   message.content.set("value", value);
   message.content.set("time.s", now.as_seconds());
-  if (const Status status = peer_->publish(std::move(message)); !status.ok()) {
-    CQ_WARN(kComponent) << "alert publish failed: " << status.error().message;
-  } else {
-    ++stats_.published;
-  }
+  if (peer_->publish(std::move(message)).ok()) ++stats_.published;
 }
 
 Severity AlertEngine::severity(std::string_view rule,

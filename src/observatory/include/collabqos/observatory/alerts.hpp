@@ -141,7 +141,7 @@ class AlertEngine {
   void evaluate_rule(const SloRule& rule, std::string_view host,
                      const TimeSeries* series, sim::TimePoint now);
   void step_instance(const SloRule& rule, std::string_view host,
-                     double signal, bool signal_known, sim::TimePoint now);
+                     double signal, sim::TimePoint now);
   void transition(const SloRule& rule, std::string_view host,
                   Instance& instance, Severity to, double value,
                   sim::TimePoint now);

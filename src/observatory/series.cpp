@@ -3,13 +3,8 @@
 #include <algorithm>
 
 #include "collabqos/snmp/oid.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::observatory {
-
-namespace {
-constexpr std::string_view kComponent = "observatory.sampler";
-}
 
 SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept {
   return kind == telemetry::InstrumentKind::counter ? SeriesKind::counter
@@ -102,8 +97,6 @@ void TimeSeriesSampler::walk_remote(Remote& remote) {
       [this, &remote](Result<std::vector<snmp::VarBind>> walked) {
         if (!walked) {
           ++stats_.remote_failures;
-          CQ_DEBUG(kComponent) << "walk of " << remote.host
-                               << " failed: " << walked.error().message;
           return;
         }
         const sim::TimePoint now = simulator_.now();

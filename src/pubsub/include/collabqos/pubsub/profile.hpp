@@ -35,9 +35,6 @@ struct TransformCapability {
 
 class Profile {
  public:
-  /// Monotone version stamp, bumped on every mutation.
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
-
   [[nodiscard]] const AttributeSet& attributes() const noexcept {
     return attributes_;
   }
@@ -58,7 +55,6 @@ class Profile {
   AttributeSet attributes_;
   std::optional<Selector> interest_;
   std::vector<TransformCapability> capabilities_;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace collabqos::pubsub

@@ -6,12 +6,10 @@
 
 #include "collabqos/telemetry/pipeline.hpp"
 #include "collabqos/telemetry/trace.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::pubsub {
 
 namespace {
-constexpr std::string_view kComponent = "pubsub.peer";
 constexpr std::uint8_t kSemanticPayloadType = 96;  // dynamic RTP PT range
 constexpr std::uint8_t kNackMagic = 0xA8;          // distinct from RTP 0xA7
 /// A partial object is delivered (and dropped as incomplete) this long
@@ -125,8 +123,6 @@ Status SemanticPeer::transmit(
 Status SemanticPeer::publish(SemanticMessage message) {
   message.sender_id = peer_id_;
   message.sequence = next_sequence_++;
-  CQ_TRACE(kComponent) << "peer " << peer_id_ << " publishes "
-                       << message.event_type;
   if (auto& tracer = telemetry::Tracer::global(); tracer.enabled()) {
     telemetry::Span span;
     span.trace_id = telemetry::make_trace_id(
@@ -300,8 +296,6 @@ void SemanticPeer::on_object(const net::RtpObject& object) {
   }
   if (!decoded) {
     ++stats_.undecodable;
-    CQ_DEBUG(kComponent) << "peer " << peer_id_
-                         << " dropped undecodable message";
     return;
   }
   const SemanticMessage& message = decoded.value();

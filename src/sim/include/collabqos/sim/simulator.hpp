@@ -20,7 +20,7 @@ namespace collabqos::sim {
 /// once its slot is released.
 using EventId = std::uint64_t;
 
-class Simulator : public Clock {
+class Simulator {
  public:
   using Action = std::function<void()>;
 
@@ -29,7 +29,7 @@ class Simulator : public Clock {
   Simulator& operator=(const Simulator&) = delete;
 
   /// Current virtual time.
-  [[nodiscard]] TimePoint now() const noexcept override { return now_; }
+  [[nodiscard]] TimePoint now() const noexcept { return now_; }
 
   /// Schedule `action` at absolute time `when` (>= now). Events scheduled
   /// for the same instant run in scheduling order (FIFO).

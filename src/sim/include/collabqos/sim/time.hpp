@@ -4,7 +4,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace collabqos::sim {
 
@@ -77,18 +76,6 @@ class TimePoint {
   constexpr explicit TimePoint(std::int64_t micros) noexcept
       : micros_(micros) {}
   std::int64_t micros_ = 0;
-};
-
-/// "12.345s" rendering for logs.
-[[nodiscard]] std::string to_string(Duration d);
-
-/// Read-only virtual-clock interface. Consumers that only need "what time
-/// is it" (Logging's line prefixes, telemetry stamps) take a
-/// `const Clock*` instead of depending on the full Simulator.
-class Clock {
- public:
-  virtual ~Clock() = default;
-  [[nodiscard]] virtual TimePoint now() const noexcept = 0;
 };
 
 }  // namespace collabqos::sim

@@ -1,15 +1,8 @@
 #include "collabqos/sim/simulator.hpp"
 
 #include <cassert>
-#include <cstdio>
 
 namespace collabqos::sim {
-
-std::string to_string(Duration d) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6fs", d.as_seconds());
-  return buf;
-}
 
 EventId Simulator::schedule_at(TimePoint when, Action action) {
   assert(when >= now_ && "cannot schedule into the past");

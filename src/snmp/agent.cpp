@@ -3,13 +3,8 @@
 #include <stdexcept>
 
 #include "collabqos/telemetry/pipeline.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::snmp {
-
-namespace {
-constexpr std::string_view kComponent = "snmp.agent";
-}
 
 Agent::Agent(net::Network& network, net::NodeId node,
              std::string read_community, std::string write_community)
@@ -41,8 +36,6 @@ void Agent::handle(const net::Datagram& datagram) {
       datagram.payload, telemetry::PipelineCounters::global().gather);
   if (!Pdu::decode_into(flat, request_)) {
     ++stats_.malformed;
-    CQ_DEBUG(kComponent) << "malformed request from "
-                         << to_string(datagram.source);
     return;  // real agents drop undecodable datagrams silently
   }
   if (request_.type == PduType::response || request_.type == PduType::trap) {
@@ -100,8 +93,6 @@ void Agent::evaluate_trap_rules() {
     if (crossed && !armed.latched) {
       armed.latched = true;
       (void)send_trap(trap_sink_, {VarBind{armed.rule.oid, value.value()}});
-      CQ_DEBUG(kComponent) << "trap fired for "
-                           << armed.rule.oid.to_string();
     } else if (!crossed) {
       armed.latched = false;  // re-arm once the value recedes
     }

@@ -3,13 +3,8 @@
 #include <stdexcept>
 
 #include "collabqos/telemetry/pipeline.hpp"
-#include "collabqos/util/logging.hpp"
 
 namespace collabqos::snmp {
-
-namespace {
-constexpr std::string_view kComponent = "snmp.manager";
-}
 
 Manager::Manager(net::Network& network, net::NodeId node)
     : network_(network) {
@@ -155,7 +150,6 @@ void Manager::on_timeout(std::uint32_t request_id) {
   if (out->attempts_left > 0) {
     --out->attempts_left;
     ++stats_.retries;
-    CQ_DEBUG(kComponent) << "retrying request " << request_id;
     transmit(request_id);
     return;
   }
@@ -169,10 +163,7 @@ void Manager::on_datagram(const net::Datagram& datagram) {
   const serde::SharedBytes flat = telemetry::flatten_counted(
       datagram.payload, telemetry::PipelineCounters::global().gather);
   auto decoded = Pdu::decode(flat);
-  if (!decoded) {
-    CQ_DEBUG(kComponent) << "undecodable response dropped";
-    return;
-  }
+  if (!decoded) return;
   Pdu pdu = std::move(decoded).take();
   if (pdu.type != PduType::response) return;
   Outstanding* out = outstanding_.find(pdu.request_id);

@@ -559,6 +559,10 @@ TEST(ResilienceHarness, CannedScheduleHoldsEveryInvariant) {
   EXPECT_EQ(report.alerts_active_at_end, 0u);
   EXPECT_GT(report.delivered, 0u);
   EXPECT_GT(report.resyncs, 0u);  // the crashed client came back
+  // Every name in the drill resolves, so the report has no skipped-name line.
+  EXPECT_EQ(report.unresolved_names, 0u);
+  EXPECT_EQ(report.to_text().find("matched no node or target"),
+            std::string::npos);
   // The report serialises (smoke: both forms non-empty and JSON-shaped).
   EXPECT_FALSE(report.to_text().empty());
   const std::string json = report.to_json();
@@ -598,6 +602,22 @@ TEST(ResilienceHarness, EmptyScheduleRunsCleanWithoutAlerts) {
   EXPECT_EQ(report.faults_injected, 0u);
   EXPECT_EQ(report.integrity_failures, 0u);
   EXPECT_GT(report.delivered, 0u);
+}
+
+TEST(ResilienceHarness, UnknownScheduleNamesAreReportedNotFatal) {
+  const auto schedule = chaos::ChaosSchedule::parse(
+      "at 4s for 8s burst  nodes=w1 p_gb=0.25 p_bg=0.2 loss_bad=0.9\n"
+      "at 5s for 3s loss   nodes=ghost p=0.5\n"
+      "at 6s for 1s outage target=ghost\n");
+  ASSERT_TRUE(schedule.ok());
+  chaos::HarnessOptions options;
+  options.duration_s = 12.0;
+  const chaos::ResilienceReport report =
+      chaos::ResilienceHarness(options).run(schedule.value());
+  EXPECT_TRUE(report.ok()) << report.to_text();
+  EXPECT_GE(report.unresolved_names, 1u);
+  EXPECT_NE(report.to_text().find("matched no node or target"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -87,18 +87,18 @@ TEST(Policy, NoPageFaultKeyStillGrantsFull) {
   EXPECT_EQ(outcome.max_packets.value(), 16);
 }
 
-TEST(Policy, BatteryRuleForcesText) {
+TEST(Policy, HeavyLossForcesText) {
   const PolicyDatabase db = PolicyDatabase::with_defaults();
   const PolicyOutcome outcome =
-      db.evaluate(state_with("battery.fraction", 0.1));
+      db.evaluate(state_with("net.loss.fraction", 0.7));
   ASSERT_TRUE(outcome.max_modality.has_value());
   EXPECT_EQ(outcome.max_modality.value(), media::Modality::text);
 }
 
-TEST(Policy, CongestionRuleCapsToSketch) {
+TEST(Policy, LossRuleCapsToSketch) {
   const PolicyDatabase db = PolicyDatabase::with_defaults();
   const PolicyOutcome outcome =
-      db.evaluate(state_with("if.utilization", 95.0));
+      db.evaluate(state_with("net.loss.fraction", 0.4));
   EXPECT_EQ(outcome.max_modality.value(), media::Modality::sketch);
 }
 
@@ -197,8 +197,8 @@ TEST(Inference, ModalityFloorHonored) {
   contract.min_modality = media::Modality::sketch;
   InferenceEngine engine(contract, PolicyDatabase::with_defaults());
   const auto decision =
-      engine.decide(state_with("battery.fraction", 0.05));
-  // Battery rule says text; the user's floor says sketch: floor wins.
+      engine.decide(state_with("net.loss.fraction", 0.7));
+  // The loss rule says text; the user's floor says sketch: floor wins.
   EXPECT_EQ(decision.modality, media::Modality::sketch);
 }
 

@@ -139,26 +139,9 @@ TEST_F(NetworkTest, MulticastReachesAllMembersExceptSender) {
 
   ASSERT_TRUE(pa->send_multicast(group, bytes_of("hi")).ok());
   sim_.run_all();
-  EXPECT_EQ(a_got, 0);  // loopback off by default
+  EXPECT_EQ(a_got, 0);  // a sender never hears its own multicast
   EXPECT_EQ(b_got, 1);
   EXPECT_EQ(c_got, 1);
-}
-
-TEST_F(NetworkTest, MulticastLoopbackOptIn) {
-  const NodeId a = network_.add_node("a");
-  const GroupId group = make_group(1);
-  auto pa = network_.bind(a, 5004).take();
-  ASSERT_TRUE(pa->join(group).ok());
-  pa->set_multicast_loopback(true);
-  int got = 0;
-  pa->on_receive([&](const Datagram& d) {
-    ++got;
-    EXPECT_TRUE(d.via_multicast);
-    EXPECT_EQ(raw(d.group), raw(group));
-  });
-  ASSERT_TRUE(pa->send_multicast(group, bytes_of("self")).ok());
-  sim_.run_all();
-  EXPECT_EQ(got, 1);
 }
 
 TEST_F(NetworkTest, LeaveStopsDelivery) {

@@ -167,21 +167,6 @@ TEST(AttributeSet, CodecRoundTrip) {
   EXPECT_EQ(decoded, attrs);
 }
 
-// --------------------------------------------------------------- profile
-
-TEST(Profile, VersionBumpsOnEveryMutation) {
-  Profile profile;
-  const auto v0 = profile.version();
-  profile.set("a", 1);
-  const auto v1 = profile.version();
-  EXPECT_GT(v1, v0);
-  profile.set_interest(Selector::always());
-  EXPECT_GT(profile.version(), v1);
-  const auto v2 = profile.version();
-  profile.add_capability({"video.encoding", "MPEG2", "JPEG"});
-  EXPECT_GT(profile.version(), v2);
-}
-
 // ----------------------------------------------- Figure 3 interpretation
 
 SemanticMessage mpeg2_video_message() {

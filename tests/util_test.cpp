@@ -7,11 +7,9 @@
 #include <utility>
 #include <vector>
 
-#include "collabqos/sim/time.hpp"
 #include "collabqos/util/crc32c.hpp"
 #include "collabqos/util/decibel.hpp"
 #include "collabqos/util/hash.hpp"
-#include "collabqos/util/logging.hpp"
 #include "collabqos/util/result.hpp"
 #include "collabqos/util/rng.hpp"
 #include "collabqos/util/stats.hpp"
@@ -313,68 +311,6 @@ TEST(Crc32c, HardwarePathMatchesTable) {
           << "offset " << offset << " length " << length;
     }
   }
-}
-
-// -------------------------------------------------------------- logging
-
-class FixedClock final : public sim::Clock {
- public:
-  explicit FixedClock(double seconds)
-      : now_(sim::TimePoint{} + sim::Duration::seconds(seconds)) {}
-  [[nodiscard]] sim::TimePoint now() const noexcept override { return now_; }
-
- private:
-  sim::TimePoint now_;
-};
-
-/// Captures lines through a sink and restores global logging state.
-class LoggingCaptureTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    previous_level_ = Logging::level();
-    Logging::set_level(LogLevel::trace);
-    Logging::set_sink([this](LogLevel level, std::string_view line) {
-      levels.push_back(level);
-      lines.emplace_back(line);
-    });
-  }
-  void TearDown() override {
-    Logging::set_sink({});
-    Logging::set_clock(nullptr);
-    Logging::set_level(previous_level_);
-  }
-
-  std::vector<LogLevel> levels;
-  std::vector<std::string> lines;
-
- private:
-  LogLevel previous_level_ = LogLevel::info;
-};
-
-TEST_F(LoggingCaptureTest, SinkReceivesFormattedLines) {
-  CQ_WARN("util.test") << "value=" << 42;
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(levels[0], LogLevel::warn);
-  EXPECT_EQ(lines[0], "[warn] util.test: value=42");
-}
-
-TEST_F(LoggingCaptureTest, RegisteredClockPrefixesVirtualTime) {
-  const FixedClock clock(12.345);
-  Logging::set_clock(&clock);
-  CQ_INFO("util.test") << "tick";
-  Logging::set_clock(nullptr);
-  CQ_INFO("util.test") << "tock";
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "[t=12.345s] [info] util.test: tick");
-  EXPECT_EQ(lines[1], "[info] util.test: tock");
-}
-
-TEST_F(LoggingCaptureTest, DisabledLevelsNeverReachTheSink) {
-  Logging::set_level(LogLevel::warn);
-  CQ_DEBUG("util.test") << "suppressed";
-  CQ_ERROR("util.test") << "kept";
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(levels[0], LogLevel::error);
 }
 
 }  // namespace
