@@ -16,23 +16,22 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <vector>
 
 namespace collabqos::media {
 
-class BitWriter {
+/// MSB-first bits into memory the caller owns, sized for everything it
+/// will put plus the 8 bytes each put stores at once: there is no capacity
+/// check, so a pass whose worst case is known writes without one.
+class BitSink {
  public:
-  BitWriter() = default;
-  /// Start with room for `capacity` bytes (a size hint; the writer grows
-  /// past it).
-  explicit BitWriter(std::size_t capacity) { reserve(capacity + 8); }
+  explicit BitSink(std::uint8_t* out) noexcept : out_(out) {}
 
-  void put(bool bit) { put_bits(bit ? 1u : 0u, 1); }
+  void put(bool bit) noexcept { put_bits(bit ? 1u : 0u, 1); }
   /// `value`, which must be below 2^count, in `count` bits (0..64), MSB
   /// first.
-  void put_bits(std::uint64_t value, int count) {
+  void put_bits(std::uint64_t value, int count) noexcept {
     assert(count >= 0 && count <= 64);
     assert(count == 64 || value >> count == 0);
     if (count > kMaxPut) {
@@ -43,7 +42,7 @@ class BitWriter {
     put_short(value, count);
   }
   /// Elias-gamma code for n >= 1: (width - 1) zeros, then n in width bits.
-  void put_gamma(std::uint64_t n) {
+  void put_gamma(std::uint64_t n) noexcept {
     assert(n >= 1);
     const int width = std::bit_width(n);
     if (2 * width - 1 <= kMaxPut) {
@@ -54,20 +53,15 @@ class BitWriter {
     }
   }
   /// Run-length: gamma(run+1) so zero-length runs are representable.
-  void put_run(std::uint64_t run) { put_gamma(run + 1); }
+  void put_run(std::uint64_t run) noexcept { put_gamma(run + 1); }
 
-  /// Flush partial byte (zero-padded) and return the buffer.
-  [[nodiscard]] std::vector<std::uint8_t> finish() {
-    // The partial byte, if any, is already stored at size_.
-    const std::size_t size = size_ + (used_ > 0 ? 1 : 0);
-    std::vector<std::uint8_t> out(buffer_.get(), buffer_.get() + size);
-    buffer_.reset();
-    capacity_ = 0;
-    size_ = 0;
-    acc_ = 0;
-    used_ = 0;
-    return out;
+  /// The bytes written so far, a partial last one zero-padded (it is
+  /// already stored).
+  [[nodiscard]] std::size_t size() const noexcept {
+    return size_ + (used_ > 0 ? 1 : 0);
   }
+  /// Carry on in `out`, which holds a copy of what was written.
+  void move_to(std::uint8_t* out) noexcept { out_ = out; }
 
  private:
   /// Longest put that fits beside the at most 7 pending bits.
@@ -76,35 +70,60 @@ class BitWriter {
   /// `count` <= kMaxPut bits. The accumulator is stored out, as 8
   /// big-endian bytes, after every put: its whole bytes are final, and the
   /// next store rewrites the partial one.
-  void put_short(std::uint64_t value, int count) {
+  void put_short(std::uint64_t value, int count) noexcept {
     assert(count >= 0 && count <= kMaxPut && used_ < 8);
     acc_ |= value << (63 - used_ - count) << 1;
     used_ += count;
-    if (capacity_ - size_ < 8) {
-      reserve(std::max<std::size_t>(64, 2 * capacity_));
-    }
     std::uint64_t word = acc_;
     if constexpr (std::endian::native == std::endian::little) {
       word = __builtin_bswap64(word);
     }
-    std::memcpy(buffer_.get() + size_, &word, 8);
+    std::memcpy(out_ + size_, &word, 8);
     const int whole = used_ & ~7;
     size_ += static_cast<std::size_t>(whole >> 3);
     acc_ <<= whole;
     used_ &= 7;
   }
-  void reserve(std::size_t capacity) {
-    auto grown = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
-    if (size_ > 0) std::memcpy(grown.get(), buffer_.get(), size_);
-    buffer_ = std::move(grown);
-    capacity_ = capacity;
-  }
 
-  std::unique_ptr<std::uint8_t[]> buffer_;  ///< size_ bytes written
-  std::size_t capacity_ = 0;
-  std::size_t size_ = 0;
+  std::uint8_t* out_;
+  std::size_t size_ = 0;   ///< whole bytes written
   std::uint64_t acc_ = 0;  ///< the top used_ bits are pending output
   int used_ = 0;           ///< always < 8 between calls
+};
+
+/// A BitSink into a buffer of its own that grows as it fills.
+class BitWriter {
+ public:
+  void put(bool bit) { put_bits(bit ? 1u : 0u, 1); }
+  void put_bits(std::uint64_t value, int count) {
+    make_room();
+    sink_.put_bits(value, count);
+  }
+  void put_gamma(std::uint64_t n) {
+    make_room();
+    sink_.put_gamma(n);
+  }
+  void put_run(std::uint64_t run) { put_gamma(run + 1); }
+
+  /// Flush partial byte (zero-padded) and return the buffer.
+  [[nodiscard]] std::vector<std::uint8_t> finish() {
+    buffer_.resize(sink_.size());
+    std::vector<std::uint8_t> out = std::move(buffer_);
+    *this = BitWriter();
+    return out;
+  }
+
+ private:
+  /// One put stores at most 16 bytes past the whole ones written.
+  void make_room() {
+    if (buffer_.size() - sink_.size() < 16) {
+      buffer_.resize(std::max<std::size_t>(64, 2 * buffer_.size()));
+      sink_.move_to(buffer_.data());
+    }
+  }
+
+  std::vector<std::uint8_t> buffer_;
+  BitSink sink_{nullptr};
 };
 
 /// Reads what BitWriter wrote. A read past the end latches the reader into
@@ -156,6 +175,23 @@ class BitReader {
     avail_ -= length;
     bit = static_cast<unsigned>(code & 1);
     return (code >> 1) - 1;
+  }
+
+  /// The next `count` bits (1..32) into `value` without reading them, when
+  /// the data still holds that many; false, and `value` untouched,
+  /// otherwise.
+  [[nodiscard]] bool peek_bits(int count, std::uint64_t& value) noexcept {
+    assert(count >= 1 && count <= 32);
+    if (avail_ < 32) refill();
+    if (avail_ < count) return false;
+    value = acc_ >> (64 - count);
+    return true;
+  }
+  /// Read `count` bits that a successful peek_bits just showed.
+  void skip_bits(int count) noexcept {
+    assert(count >= 0 && count <= avail_);
+    acc_ <<= count;
+    avail_ -= count;
   }
 
   /// False once any read ran past the data or met an over-long gamma code.

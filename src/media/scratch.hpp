@@ -47,6 +47,20 @@ class ScratchBuffer {
     std::fill_n(data, count, T{});
     return data;
   }
+  /// At least `count` values, the first `kept` of them as the last call
+  /// left them; growth at least doubles the buffer.
+  T* keep(std::size_t count, std::size_t kept) {
+    if (count > capacity_) {
+      const std::size_t capacity = std::max(count, 2 * capacity_);
+      auto grown = std::make_unique_for_overwrite<T[]>(capacity);
+      std::copy_n(data_.get(), kept, grown.get());
+      data_ = std::move(grown);
+      capacity_ = capacity;
+    }
+    return data_.get();
+  }
+  [[nodiscard]] const T* data() const noexcept { return data_.get(); }
+
  private:
   std::unique_ptr<T[]> data_;
   std::size_t capacity_ = 0;
@@ -62,6 +76,7 @@ struct Scratch {
   ScratchBuffer<std::uint32_t> magnitudes;
   ScratchBuffer<std::uint8_t> signs;
   ScratchBuffer<std::uint8_t> rows;  ///< encoder's significance rows
+  ScratchBuffer<std::uint8_t> stream;  ///< encoder's passes, back to back
   ScratchBuffer<std::uint64_t> significant;
   ScratchBuffer<std::uint64_t> newly;
 };
