@@ -1,6 +1,8 @@
 #include "collabqos/core/decision_audit.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "collabqos/telemetry/trace.hpp"
 
@@ -73,8 +75,17 @@ std::string DecisionAuditLog::to_jsonl(const DecisionRecord& record) {
   out += ",\"client\":\"";
   out += telemetry::json_escape(record.client);
   out += "\",\"inputs\":{";
+  // By name, not in the set's order, which follows the order in which the
+  // process first interned each name.
+  std::vector<const pubsub::AttributeSet::Entry*> inputs;
+  inputs.reserve(record.inputs.size());
+  for (const auto& entry : record.inputs) inputs.push_back(&entry);
+  std::sort(inputs.begin(), inputs.end(), [](const auto* a, const auto* b) {
+    return a->name() < b->name();
+  });
   bool first = true;
-  for (const auto& entry : record.inputs) {
+  for (const auto* input : inputs) {
+    const auto& entry = *input;
     if (!first) out += ',';
     first = false;
     out += '"';

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "collabqos/media/bitio.hpp"
 #include "collabqos/media/codec.hpp"
 #include "collabqos/media/image.hpp"
 #include "collabqos/media/sketch.hpp"
+#include "collabqos/serde/wire.hpp"
 #include "collabqos/util/rng.hpp"
 #include "media/codec_kernels.hpp"
 #include "support/legacy_sketch.hpp"
@@ -200,6 +202,148 @@ TEST(CodecDiff, MatchesReferenceOnMutatedStreams) {
                          std::span<const serde::Bytes>(packets.data(), count),
                          what + " trial " + std::to_string(trial));
     }
+  }
+}
+
+/// Encoded on every build as the reference encodes it, and every prefix
+/// decoded as the reference decodes it.
+void expect_same_codec(const Image& image, const CodecParams& params,
+                       const std::string& what) {
+  const EncodedImage want = reference::encode_progressive(image, params);
+  for (const Build build : kernel_builds()) {
+    const EncodedImage got = encode_on(build, image, params);
+    ASSERT_EQ(got.header, want.header) << what << name(build);
+    ASSERT_EQ(got.packets, want.packets) << what << name(build);
+  }
+  for (std::size_t count = 0; count <= want.packets.size(); ++count) {
+    expect_same_decode(want.header,
+                       std::span<const serde::Bytes>(want.packets.data(), count),
+                       what + " prefix " + std::to_string(count));
+  }
+}
+
+TEST(CodecDiff, MatchesReferenceOnFullSizeScenes) {
+  // Noise and gradients at the imagery extent: dense late planes, whose
+  // significance passes read many codes per table step.
+  Rng rng(256);
+  for (int kind = 0; kind < 4; ++kind) {
+    Image image(256, 256, 1);
+    for (int y = 0; y < 256; ++y) {
+      for (int x = 0; x < 256; ++x) {
+        const int value = kind % 2 == 0
+                              ? pick(rng, 0, 255)
+                              : (x * (kind + 1) + y * 3) % 256 + pick(rng, -2, 2);
+        image.set(x, y, 0, static_cast<std::uint8_t>(std::clamp(value, 0, 255)));
+      }
+    }
+    CodecParams params;
+    params.max_packets = kind < 2 ? 16 : 64;
+    expect_same_codec(image, params, "256x256 kind " + std::to_string(kind));
+  }
+}
+
+TEST(CodecDiff, RunsAtAndPastTheTableReach) {
+  // Raster scan, no levels: the coefficients are the pixels, so every
+  // plane's significance pass has these runs between its bright pixels.
+  // A table entry reaches runs of up to 62; 63 and 64 take the one-code
+  // step.
+  for (const int run : {30, 31, 62, 63, 64}) {
+    for (const int before : {0, 1, 5, 11}) {
+      std::vector<int> bright;
+      int x = before;
+      for (int i = 0; i < 4; ++i) {
+        bright.push_back(x);
+        x += run + 1;
+      }
+      Image image(x + 3, 1, 1);
+      for (const int at : bright) image.set(at, 0, 0, 200);
+      image.set(x + 1, 0, 0, 3);  // short runs right after a long one
+      CodecParams params;
+      params.levels = 0;
+      params.scan = CodecParams::Scan::raster;
+      params.max_packets = 32;
+      expect_same_codec(image, params,
+                        "run " + std::to_string(run) + " after " +
+                            std::to_string(before));
+    }
+  }
+}
+
+TEST(CodecDiff, TableStepsThatExhaustThePass) {
+  // Every position significant at the top plane: codes of run 0, six to a
+  // table step, whose last step takes exactly the positions left (a
+  // multiple of six) or stops short of them.
+  for (int n = 1; n <= 26; ++n) {
+    Image image(n, 1, 1);
+    for (int x = 0; x < n; ++x) image.set(x, 0, 0, static_cast<std::uint8_t>(128 + x));
+    CodecParams params;
+    params.levels = 0;
+    params.scan = CodecParams::Scan::raster;
+    params.max_packets = 32;
+    expect_same_codec(image, params, std::to_string(n) + " positions");
+  }
+}
+
+TEST(CodecDiff, ExtentsOffWholeWords) {
+  // Scans whose length is not a multiple of 64: the last bitmap word is
+  // partial, and the magnitudes and signs run on past it.
+  Rng rng(64);
+  const std::tuple<int, int, int> extents[] = {{257, 3, 1}, {65, 65, 3}, {63, 1, 1}, {65, 1, 3}};
+  for (const auto& [width, height, channels] : extents) {
+    for (int kind = 0; kind < 2; ++kind) {
+      Image image(width, height, channels);
+      for (int y = 0; y < height; ++y) {
+        for (int x = 0; x < width; ++x) {
+          for (int c = 0; c < channels; ++c) {
+            const int value = kind == 0 ? pick(rng, 0, 255) : (x + 2 * y + 40 * c) % 256;
+            image.set(x, y, c, static_cast<std::uint8_t>(value));
+          }
+        }
+      }
+      CodecParams params;
+      params.max_packets = 32;
+      expect_same_codec(image, params,
+                        describe(width, height, channels, params) + " kind " +
+                            std::to_string(kind));
+    }
+  }
+}
+
+TEST(CodecDiff, TruncationAtEveryByteOfADenseSignificancePass) {
+  // One pass to a packet. The largest significance pass of a noise image
+  // is cut at every byte and framed again, so that the pass decoder, not
+  // the framing, meets the end of its data.
+  Rng rng(77);
+  Image image(48, 48, 1);
+  for (int y = 0; y < 48; ++y) {
+    for (int x = 0; x < 48; ++x) {
+      image.set(x, y, 0, static_cast<std::uint8_t>(pick(rng, 0, 255)));
+    }
+  }
+  CodecParams params;
+  params.max_packets = 64;
+  const EncodedImage encoded = reference::encode_progressive(image, params);
+  const auto pass_of = [](const serde::Bytes& packet) {
+    serde::Reader reader(packet);
+    EXPECT_EQ(reader.varint(), 1u);
+    return reader.blob();
+  };
+  // Significance passes are the even packets.
+  std::size_t densest = 0;
+  for (std::size_t i = 0; i < encoded.packets.size(); i += 2) {
+    if (encoded.packets[i].size() > encoded.packets[densest].size()) densest = i;
+  }
+  const serde::Bytes pass = pass_of(encoded.packets[densest]);
+  ASSERT_GT(pass.size(), 100u);
+  for (std::size_t cut = 0; cut <= pass.size(); ++cut) {
+    std::vector<serde::Bytes> packets(encoded.packets.begin(),
+                                      encoded.packets.begin() +
+                                          static_cast<std::ptrdiff_t>(densest) + 1);
+    serde::Writer framed;
+    framed.varint(1);
+    framed.blob(std::span<const std::uint8_t>(pass.data(), cut));
+    packets.back() = std::move(framed).take();
+    expect_same_decode(encoded.header, packets, "cut at " + std::to_string(cut));
   }
 }
 

@@ -183,6 +183,22 @@ TEST(DecisionAuditLog, RecordsRoundTripToJsonl) {
   audit.set_enabled(false);
 }
 
+TEST(DecisionAuditLog, JsonlInputsFollowNamesNotInternOrder) {
+  // Interned in reverse alphabetical order: the set holds them that way,
+  // the line by name.
+  core::DecisionRecord record;
+  record.inputs.set("zz.audit.order.last", 1);
+  record.inputs.set("aa.audit.order.first", 2);
+  record.inputs.set("mm.audit.order.middle", 3);
+  ASSERT_EQ(record.inputs.begin()->name(), "zz.audit.order.last");
+  const std::string line = core::DecisionAuditLog::to_jsonl(record);
+  EXPECT_NE(line.find("\"inputs\":{\"aa.audit.order.first\":\"2\","
+                      "\"mm.audit.order.middle\":\"3\","
+                      "\"zz.audit.order.last\":\"1\"}"),
+            std::string::npos)
+      << line;
+}
+
 TEST(DecisionAuditLog, RingBoundDropsOldestAndCounts) {
   auto& audit = core::DecisionAuditLog::global();
   audit.clear();
