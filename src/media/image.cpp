@@ -27,16 +27,19 @@ void Image::set(int x, int y, int c, std::uint8_t value) {
   pixels_[(static_cast<std::size_t>(y) * width_ + x) * channels_ + c] = value;
 }
 
-Image Image::to_grayscale() const {
-  if (channels_ == 1) return *this;
-  Image gray(width_, height_, 1);
-  const std::uint8_t* rgb = pixels_.data();
-  std::uint8_t* out = gray.pixels_.data();
-  for (std::size_t p = 0; p < pixel_count(); ++p, rgb += 3) {
-    const double luma = 0.299 * rgb[0] + 0.587 * rgb[1] + 0.114 * rgb[2];
-    out[p] = static_cast<std::uint8_t>(std::clamp(luma, 0.0, 255.0));
+void Image::gray_row(int y, std::uint8_t* out) const {
+  const auto width = static_cast<std::size_t>(width_);
+  const std::uint8_t* in =
+      pixels_.data() + static_cast<std::size_t>(y) * width *
+                           static_cast<std::size_t>(channels_);
+  if (channels_ == 1) {
+    std::copy_n(in, width, out);
+    return;
   }
-  return gray;
+  for (std::size_t x = 0; x < width; ++x, in += 3) {
+    const double luma = 0.299 * in[0] + 0.587 * in[1] + 0.114 * in[2];
+    out[x] = static_cast<std::uint8_t>(std::clamp(luma, 0.0, 255.0));
+  }
 }
 
 namespace {

@@ -57,8 +57,9 @@ class Image {
     return pixels_;
   }
 
-  /// Grayscale conversion (ITU-R 601 luma weights); identity for 1-channel.
-  [[nodiscard]] Image to_grayscale() const;
+  /// Row y in grayscale (ITU-R 601 luma weights) into the width() values
+  /// at `out`; a copy for 1-channel.
+  void gray_row(int y, std::uint8_t* out) const;
 
  private:
   int width_ = 0;

@@ -31,18 +31,23 @@ TEST(Image, ConstructionAndAccess) {
 }
 
 TEST(Image, GrayscaleLumaWeights) {
-  Image color(1, 1, 3);
+  Image color(2, 1, 3);
   color.set(0, 0, 0, 255);  // pure red
-  const Image gray = color.to_grayscale();
-  EXPECT_EQ(gray.channels(), 1);
-  EXPECT_NEAR(gray.at(0, 0, 0), 76, 1);  // 0.299*255
+  color.set(1, 0, 1, 255);  // pure green
+  std::uint8_t gray[2] = {};
+  color.gray_row(0, gray);
+  EXPECT_NEAR(gray[0], 76, 1);   // 0.299*255
+  EXPECT_NEAR(gray[1], 149, 1);  // 0.587*255
 }
 
 TEST(Image, GrayscaleOfGrayIsIdentity) {
   Scene scene = make_medical_scene(32, 32);
   const Image image = render_scene(scene);
-  const Image gray = image.to_grayscale();
-  EXPECT_EQ(gray.pixels(), image.pixels());
+  std::vector<std::uint8_t> gray(image.pixels().size());
+  for (int y = 0; y < image.height(); ++y) {
+    image.gray_row(y, gray.data() + static_cast<std::size_t>(y) * 32);
+  }
+  EXPECT_EQ(gray, image.pixels());
 }
 
 TEST(Scene, RenderIsDeterministic) {

@@ -14,10 +14,23 @@
 
 namespace collabqos::media::legacy {
 
+/// The grayscale image extract_sketch used to convert a colour image to
+/// in one call (ITU-R 601 luma weights); a copy of a gray one.
+inline Image to_grayscale(const Image& image) {
+  if (image.channels() == 1) return image;
+  Image gray(image.width(), image.height(), 1);
+  const std::uint8_t* rgb = image.pixels().data();
+  for (std::size_t p = 0; p < image.pixel_count(); ++p, rgb += 3) {
+    const double luma = 0.299 * rgb[0] + 0.587 * rgb[1] + 0.114 * rgb[2];
+    gray.pixels()[p] = static_cast<std::uint8_t>(std::clamp(luma, 0.0, 255.0));
+  }
+  return gray;
+}
+
 /// The decimated binary edge map extract_sketch run-length codes.
 inline std::vector<std::uint8_t> sketch_edges(const Image& image,
                                               SketchParams params = {}) {
-  const Image gray = image.to_grayscale();
+  const Image gray = to_grayscale(image);
   const int w = gray.width();
   const int h = gray.height();
   std::vector<double> gradient(static_cast<std::size_t>(w) * h, 0.0);
