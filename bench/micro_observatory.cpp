@@ -164,7 +164,7 @@ int main() {
     return sampler.series_count();
   }));
 
-  observatory::TimeSeries series(observatory::SeriesKind::counter, 256);
+  observatory::TimeSeries series(telemetry::InstrumentKind::counter, 256);
   double total = 0.0;
   results.push_back(time_workload("series_append", [&] {
     total += 17.0;

@@ -1,10 +1,37 @@
 #include "collabqos/observatory/alerts.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "collabqos/core/events.hpp"
 
 namespace collabqos::observatory {
+
+namespace {
+
+Severity raw_severity(const SloRule& rule, double signal) noexcept {
+  if (rule.kind == RuleKind::lower) {
+    if (signal <= rule.critical) return Severity::critical;
+    if (signal <= rule.warning) return Severity::warning;
+    return Severity::ok;
+  }
+  // upper and absence: breach on rising signal
+  if (signal >= rule.critical) return Severity::critical;
+  if (signal >= rule.warning) return Severity::warning;
+  return Severity::ok;
+}
+
+bool inside_clear_band(const SloRule& rule, double signal,
+                       Severity from) noexcept {
+  const double threshold =
+      from == Severity::critical ? rule.critical : rule.warning;
+  if (rule.kind == RuleKind::lower) {
+    return signal > threshold * (1.0 + rule.hysteresis);
+  }
+  return signal < threshold * (1.0 - rule.hysteresis);
+}
+
+}  // namespace
 
 std::string_view to_string(Severity severity) noexcept {
   switch (severity) {
@@ -22,74 +49,58 @@ AlertEngine::AlertEngine(TimeSeriesSampler& sampler) : sampler_(sampler) {
   sampler.on_tick([this](sim::TimePoint now) { evaluate(now); });
 }
 
-void AlertEngine::add_rule(SloRule rule) { rules_.push_back(std::move(rule)); }
+void AlertEngine::add_rule(SloRule rule) {
+  BoundRule& bound = rules_.emplace_back();
+  bound.rule = std::move(rule);
+  bound.wildcard =
+      bound.rule.host.empty() && bound.rule.kind != RuleKind::absence;
+  if (!bound.wildcard) bound.instances.emplace_back().host = bound.rule.host;
+  for (std::size_t i = 0; i < bound_; ++i) bind(bound, sampler_.entry(i));
+}
+
+void AlertEngine::bind(BoundRule& bound, const SeriesEntry& entry) {
+  if (entry.metric != bound.rule.metric) return;
+  std::vector<Instance>& instances = bound.instances;
+  if (!bound.wildcard) {
+    if (entry.host == bound.rule.host) instances[0].series = &entry.series;
+    return;
+  }
+  // A new host joins at its place in name order.
+  const auto at = std::lower_bound(
+      instances.begin(), instances.end(), entry.host,
+      [](const Instance& instance, const std::string& host) {
+        return instance.host < host;
+      });
+  Instance& instance = *instances.emplace(at);
+  instance.host = entry.host;
+  instance.series = &entry.series;
+}
 
 void AlertEngine::evaluate(sim::TimePoint now) {
   ++stats_.evaluations;
-  for (const SloRule& rule : rules_) {
-    if (!rule.host.empty() || rule.kind == RuleKind::absence) {
-      evaluate_rule(rule, rule.host, sampler_.find(rule.host, rule.metric),
-                    now);
-      continue;
-    }
-    // Wildcard host: every host currently carrying the metric is an
-    // independent alert instance.
-    sampler_.visit([&](const SeriesKey& key, const TimeSeries& series) {
-      if (key.metric == rule.metric) {
-        evaluate_rule(rule, key.host, &series, now);
-      }
-    });
+  for (; bound_ < sampler_.series_count(); ++bound_) {
+    for (BoundRule& bound : rules_) bind(bound, sampler_.entry(bound_));
+  }
+  for (BoundRule& bound : rules_) {
+    for (Instance& instance : bound.instances) step(bound.rule, instance, now);
   }
 }
 
-void AlertEngine::evaluate_rule(const SloRule& rule, std::string_view host,
-                                const TimeSeries* series,
-                                sim::TimePoint now) {
+void AlertEngine::step(const SloRule& rule, Instance& instance,
+                       sim::TimePoint now) {
+  const TimeSeries* series = instance.series;
+  const bool fed = series != nullptr && !series->empty();
+  double signal = 0.0;
   if (rule.kind == RuleKind::absence) {
     // A series that never appeared, or stopped updating, is the breach.
-    const double silent_s =
-        (series == nullptr || series->empty())
-            ? std::numeric_limits<double>::infinity()
-            : (now - series->back().time).as_seconds();
-    step_instance(rule, host, silent_s, now);
-    return;
-  }
-  if (series == nullptr || series->empty()) {
+    signal = fed ? (now - series->back().time).as_seconds()
+                 : std::numeric_limits<double>::infinity();
+  } else if (fed) {
+    const SeriesPoint& point = series->back();
+    signal = rule.signal == Signal::rate ? point.rate : point.value;
+  } else {
     return;  // nothing to judge; threshold rules wait for data
   }
-  const SeriesPoint& point = series->back();
-  const double signal =
-      rule.signal == Signal::rate ? point.rate : point.value;
-  step_instance(rule, host, signal, now);
-}
-
-Severity AlertEngine::raw_severity(const SloRule& rule,
-                                   double signal) const noexcept {
-  if (rule.kind == RuleKind::lower) {
-    if (signal <= rule.critical) return Severity::critical;
-    if (signal <= rule.warning) return Severity::warning;
-    return Severity::ok;
-  }
-  // upper and absence: breach on rising signal
-  if (signal >= rule.critical) return Severity::critical;
-  if (signal >= rule.warning) return Severity::warning;
-  return Severity::ok;
-}
-
-bool AlertEngine::inside_clear_band(const SloRule& rule, double signal,
-                                    Severity from) const noexcept {
-  const double threshold =
-      from == Severity::critical ? rule.critical : rule.warning;
-  if (rule.kind == RuleKind::lower) {
-    return signal > threshold * (1.0 + rule.hysteresis);
-  }
-  return signal < threshold * (1.0 - rule.hysteresis);
-}
-
-void AlertEngine::step_instance(const SloRule& rule, std::string_view host,
-                                double signal, sim::TimePoint now) {
-  Instance& instance =
-      instances_[InstanceKey{rule.name, std::string(host)}];
   const Severity raw = raw_severity(rule, signal);
   if (raw == instance.state) {
     instance.pending = false;
@@ -104,7 +115,7 @@ void AlertEngine::step_instance(const SloRule& rule, std::string_view host,
       instance.pending_since = now;
     }
     if (now - instance.pending_since >= rule.for_duration) {
-      transition(rule, host, instance, raw, signal, now);
+      transition(rule, instance, raw, signal, now);
     }
     return;
   }
@@ -121,13 +132,12 @@ void AlertEngine::step_instance(const SloRule& rule, std::string_view host,
     instance.clearing_since = now;
   }
   if (now - instance.clearing_since >= rule.clear_duration) {
-    transition(rule, host, instance, raw, signal, now);
+    transition(rule, instance, raw, signal, now);
   }
 }
 
-void AlertEngine::transition(const SloRule& rule, std::string_view host,
-                             Instance& instance, Severity to, double value,
-                             sim::TimePoint now) {
+void AlertEngine::transition(const SloRule& rule, Instance& instance,
+                             Severity to, double value, sim::TimePoint now) {
   const Severity from = instance.state;
   instance.state = to;
   instance.pending = false;
@@ -139,16 +149,9 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
   }
   active_gauge_->set(static_cast<double>(active()));
 
-  AlertTransition record;
-  record.time = now;
-  record.rule = rule.name;
-  record.metric = rule.metric;
-  record.host = std::string(host);
-  record.from = from;
-  record.to = to;
-  record.value = value;
   if (history_.size() >= kHistoryCapacity) history_.pop_front();
-  history_.push_back(record);
+  history_.push_back(
+      {now, rule.name, rule.metric, instance.host, from, to, value});
 
   if (peer_ == nullptr) return;
   // Alerts ride the session substrate as ordinary semantic messages:
@@ -159,10 +162,10 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
   message.content.set("kind", "alert");
   message.content.set("severity", std::string(to_string(to)));
   message.content.set("previous", std::string(to_string(from)));
-  message.content.set("rule", record.rule);
-  message.content.set("metric", record.metric);
-  message.content.set("host", record.host.empty() ? std::string("local")
-                                                  : record.host);
+  message.content.set("rule", rule.name);
+  message.content.set("metric", rule.metric);
+  message.content.set("host", instance.host.empty() ? std::string("local")
+                                                    : instance.host);
   message.content.set("value", value);
   message.content.set("time.s", now.as_seconds());
   if (peer_->publish(std::move(message)).ok()) ++stats_.published;
@@ -170,15 +173,21 @@ void AlertEngine::transition(const SloRule& rule, std::string_view host,
 
 Severity AlertEngine::severity(std::string_view rule,
                                std::string_view host) const {
-  const auto it =
-      instances_.find(InstanceKey{std::string(rule), std::string(host)});
-  return it == instances_.end() ? Severity::ok : it->second.state;
+  for (const BoundRule& bound : rules_) {
+    if (bound.rule.name != rule) continue;
+    for (const Instance& instance : bound.instances) {
+      if (instance.host == host) return instance.state;
+    }
+  }
+  return Severity::ok;
 }
 
 std::size_t AlertEngine::active() const {
   std::size_t n = 0;
-  for (const auto& [key, instance] : instances_) {
-    if (instance.state > Severity::ok) ++n;
+  for (const BoundRule& bound : rules_) {
+    for (const Instance& instance : bound.instances) {
+      n += instance.state > Severity::ok ? 1 : 0;
+    }
   }
   return n;
 }

@@ -13,9 +13,9 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "collabqos/observatory/series.hpp"
 #include "collabqos/pubsub/peer.hpp"
@@ -95,6 +95,7 @@ class AlertEngine {
   /// after every sweep. The sampler must outlive the engine.
   explicit AlertEngine(TimeSeriesSampler& sampler);
 
+  /// Rules evaluate in the order they are added.
   void add_rule(SloRule rule);
 
   /// Publish transitions on the session substrate through `peer`
@@ -120,12 +121,10 @@ class AlertEngine {
   }
 
  private:
-  struct InstanceKey {
-    std::string rule;
-    std::string host;
-    auto operator<=>(const InstanceKey&) const = default;
-  };
+  /// One (rule, host) alert instance.
   struct Instance {
+    std::string host;
+    const TimeSeries* series = nullptr;  ///< sampler-owned; null until seen
     Severity state = Severity::ok;
     /// Escalation damping: target severity and since when the signal
     /// has continuously supported it.
@@ -137,23 +136,29 @@ class AlertEngine {
     sim::TimePoint clearing_since{};
     bool clearing = false;
   };
+  /// A rule and its instances. A rule that names a host has one from the
+  /// start, and so does an absence rule ("" is the local host): a
+  /// wildcard cannot miss a series that never existed. A wildcard rule
+  /// gains one per host that carries its metric, kept in host-name order,
+  /// the order its transitions come out in.
+  struct BoundRule {
+    SloRule rule;
+    bool wildcard = false;
+    std::vector<Instance> instances;
+  };
 
-  void evaluate_rule(const SloRule& rule, std::string_view host,
-                     const TimeSeries* series, sim::TimePoint now);
-  void step_instance(const SloRule& rule, std::string_view host,
-                     double signal, sim::TimePoint now);
-  void transition(const SloRule& rule, std::string_view host,
-                  Instance& instance, Severity to, double value,
-                  sim::TimePoint now);
-  [[nodiscard]] Severity raw_severity(const SloRule& rule,
-                                      double signal) const noexcept;
-  [[nodiscard]] bool inside_clear_band(const SloRule& rule, double signal,
-                                       Severity from) const noexcept;
+  void bind(BoundRule& bound, const SeriesEntry& entry);
+  /// Advance one instance's state machine on its series' newest point.
+  void step(const SloRule& rule, Instance& instance, sim::TimePoint now);
+  void transition(const SloRule& rule, Instance& instance, Severity to,
+                  double value, sim::TimePoint now);
 
   TimeSeriesSampler& sampler_;
   pubsub::SemanticPeer* peer_ = nullptr;
-  std::vector<SloRule> rules_;
-  std::map<InstanceKey, Instance, std::less<>> instances_;
+  std::vector<BoundRule> rules_;
+  /// Sampler series [0, bound_) are bound to every rule; evaluate() binds
+  /// the ones created since.
+  std::size_t bound_ = 0;
   std::deque<AlertTransition> history_;
 
   COLLABQOS_COUNTER_SET(Counters, AlertEngineStats, COLLABQOS_ALERT_COUNTERS);

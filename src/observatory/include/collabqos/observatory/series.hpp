@@ -10,9 +10,10 @@
 // plane the inference engine already uses (paper §5.5).
 //
 // Series are addressed by (host, metric); host "" is the local process,
-// remote hosts carry the name given to add_remote(). The AlertEngine
-// (alerts.hpp) evaluates SLO rules against these series after every
-// sweep.
+// remote hosts carry the name given to add_remote(). Each series is
+// resolved once, when first seen, into a table in creation order; the
+// sweeps reach it through a slot per export id, and the AlertEngine
+// (alerts.hpp) binds its rules to the table's entries.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "collabqos/sim/simulator.hpp"
@@ -29,10 +31,6 @@
 #include "collabqos/telemetry/metrics.hpp"
 
 namespace collabqos::observatory {
-
-enum class SeriesKind : std::uint8_t { counter, gauge };
-
-[[nodiscard]] SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept;
 
 /// One sampled observation.
 struct SeriesPoint {
@@ -49,14 +47,16 @@ struct SeriesPoint {
 /// counted) once `capacity` is reached.
 class TimeSeries {
  public:
-  TimeSeries(SeriesKind kind, std::size_t capacity)
+  TimeSeries(telemetry::InstrumentKind kind, std::size_t capacity)
       : kind_(kind), capacity_(capacity > 0 ? capacity : 1) {}
 
   /// Append a point (times must be non-decreasing); fills in
   /// `point.rate` from the previous retained point.
   void append(SeriesPoint point);
 
-  [[nodiscard]] SeriesKind kind() const noexcept { return kind_; }
+  [[nodiscard]] telemetry::InstrumentKind kind() const noexcept {
+    return kind_;
+  }
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   [[nodiscard]] bool empty() const noexcept { return points_.empty(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
@@ -71,18 +71,17 @@ class TimeSeries {
   [[nodiscard]] double max_rate_over(sim::Duration window) const;
 
  private:
-  SeriesKind kind_;
+  telemetry::InstrumentKind kind_;
   std::size_t capacity_;
   std::deque<SeriesPoint> points_;
   std::uint64_t evicted_ = 0;
 };
 
-/// Series address. Host "" is the local process.
-struct SeriesKey {
+/// One entry of the sampler's series table: a series and its address.
+struct SeriesEntry {
   std::string host;
   std::string metric;
-
-  auto operator<=>(const SeriesKey&) const = default;
+  TimeSeries series;
 };
 
 struct SamplerOptions {
@@ -131,19 +130,21 @@ class TimeSeriesSampler {
   void sample_now();
 
   /// Manual ingestion: append one observation to the (host, metric)
-  /// series, creating it on first use. The remote walk path lands here;
-  /// tests script series through it.
+  /// series, creating it on first use. Tests script series through it.
   void ingest(std::string_view host, std::string_view metric,
-              SeriesKind kind, double value, sim::TimePoint time);
+              telemetry::InstrumentKind kind, double value,
+              sim::TimePoint time);
 
   [[nodiscard]] const TimeSeries* find(std::string_view host,
                                        std::string_view metric) const;
-  [[nodiscard]] std::size_t series_count() const noexcept;
-
-  /// Visit every series as (key, series); iteration order is host then
-  /// metric. The engine's rule sweep.
-  void visit(const std::function<void(const SeriesKey&, const TimeSeries&)>&
-                 fn) const;
+  [[nodiscard]] std::size_t series_count() const noexcept {
+    return table_.size();
+  }
+  /// The i-th series created (i < series_count()). Entries never move or
+  /// go away, so the engine binds its rules to them.
+  [[nodiscard]] const SeriesEntry& entry(std::size_t i) const {
+    return table_[i];
+  }
 
   void on_tick(TickHook hook) { hooks_.push_back(std::move(hook)); }
 
@@ -157,14 +158,20 @@ class TimeSeriesSampler {
   }
 
  private:
+  using Address = std::pair<std::string_view, std::string_view>;
   struct Remote {
     std::string host;
     snmp::Manager* manager = nullptr;
     net::NodeId agent{};
     std::string community;
-    /// export id -> family name, learned from the walk's .1 directory
-    /// arcs (ids are stable for the remote process's lifetime).
-    std::map<std::uint32_t, std::string> directory;
+    /// Per remote export id (stable for the remote process's lifetime):
+    /// the family name from the walk's .1 arc, then the series that the
+    /// first value under that name creates.
+    struct Slot {
+      std::string name;
+      TimeSeries* series = nullptr;
+    };
+    std::vector<Slot> slots;
   };
 
   void sample_local(sim::TimePoint now);
@@ -173,19 +180,19 @@ class TimeSeriesSampler {
                    const std::vector<snmp::VarBind>& bindings,
                    sim::TimePoint now);
   void run_hooks(sim::TimePoint now);
-  TimeSeries& series_slot(std::string_view host, std::string_view metric,
-                          SeriesKind kind);
+  /// The (host, metric) series, created with `kind` on first use.
+  TimeSeries& resolve(std::string_view host, std::string_view metric,
+                      telemetry::InstrumentKind kind);
 
   sim::Simulator& simulator_;
   telemetry::MetricsRegistry& registry_;
   SamplerOptions options_;
   sim::PeriodicTimer timer_;
-  /// host -> metric -> series; both levels transparent-comparable so the
-  /// per-tick sweep looks up without allocating.
-  std::map<std::string, std::map<std::string, TimeSeries, std::less<>>,
-           std::less<>>
-      series_;
-  std::deque<Remote> remotes_;  ///< stable addresses for walk callbacks
+  std::deque<SeriesEntry> table_;  ///< creation order; stable addresses
+  /// (host, metric) -> series; the keys view the entries' own strings.
+  std::map<Address, TimeSeries*> index_;
+  std::vector<TimeSeries*> local_;  ///< by registry export id
+  std::deque<Remote> remotes_;      ///< stable addresses for walk callbacks
   std::vector<TickHook> hooks_;
 
   COLLABQOS_COUNTER_SET(Counters, SamplerStats, COLLABQOS_SAMPLER_COUNTERS);

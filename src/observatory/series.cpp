@@ -6,11 +6,6 @@
 
 namespace collabqos::observatory {
 
-SeriesKind series_kind(telemetry::InstrumentKind kind) noexcept {
-  return kind == telemetry::InstrumentKind::counter ? SeriesKind::counter
-                                                    : SeriesKind::gauge;
-}
-
 // -------------------------------------------------------------- TimeSeries
 
 void TimeSeries::append(SeriesPoint point) {
@@ -19,7 +14,7 @@ void TimeSeries::append(SeriesPoint point) {
     const double dt = (point.time - previous.time).as_seconds();
     if (dt > 0.0) {
       double delta = point.value - previous.value;
-      if (kind_ == SeriesKind::counter && delta < 0.0) {
+      if (kind_ == telemetry::InstrumentKind::counter && delta < 0.0) {
         // A cumulative count went backwards: the source reset (component
         // churn, registry reset). Rate restarts from the new total.
         delta = point.value;
@@ -63,12 +58,8 @@ TimeSeriesSampler::TimeSeriesSampler(sim::Simulator& simulator,
 
 void TimeSeriesSampler::add_remote(std::string host, snmp::Manager& manager,
                                    net::NodeId agent, std::string community) {
-  Remote remote;
-  remote.host = std::move(host);
-  remote.manager = &manager;
-  remote.agent = agent;
-  remote.community = std::move(community);
-  remotes_.push_back(std::move(remote));
+  remotes_.push_back(
+      Remote{std::move(host), &manager, agent, std::move(community), {}});
 }
 
 void TimeSeriesSampler::start() { timer_.start(); }
@@ -83,8 +74,10 @@ void TimeSeriesSampler::sample_now() {
 
 void TimeSeriesSampler::sample_local(sim::TimePoint now) {
   registry_.visit([this, now](const telemetry::MetricView& view) {
-    series_slot("", view.name, series_kind(view.kind))
-        .append(SeriesPoint{now, view.value});
+    if (view.export_id >= local_.size()) local_.resize(view.export_id + 1);
+    TimeSeries*& slot = local_[view.export_id];
+    if (slot == nullptr) slot = &resolve("", view.name, view.kind);
+    slot->append(SeriesPoint{now, view.value});
     ++stats_.local_points;
   });
 }
@@ -117,76 +110,54 @@ void TimeSeriesSampler::ingest_walk(
     if (binding.oid.size() != base + 3) continue;
     const std::uint32_t table = binding.oid[base];
     const std::uint32_t export_id = binding.oid[base + 1];
+    // A registry numbers its families densely from 1 and the walk holds
+    // two arcs per family, so a larger id is not a family's: dropping it
+    // keeps a hostile id from sizing the slot table.
+    if ((table != 1 && table != 2) || export_id > bindings.size()) continue;
+    if (export_id >= remote.slots.size()) remote.slots.resize(export_id + 1);
+    Remote::Slot& slot = remote.slots[export_id];
     if (table == 1) {
-      if (const auto name = binding.value.as_octets()) {
-        remote.directory[export_id] = name.value();
-      }
+      const auto name = binding.value.as_octets();
+      if (slot.series == nullptr && name) slot.name = name.value();
       continue;
     }
-    if (table != 2) continue;
-    const auto name_it = remote.directory.find(export_id);
-    if (name_it == remote.directory.end()) continue;
+    if (slot.series == nullptr && slot.name.empty()) continue;
     const auto value = binding.value.as_number();
     if (!value) continue;
-    const SeriesKind kind = binding.value.type() == snmp::ValueType::counter
-                                ? SeriesKind::counter
-                                : SeriesKind::gauge;
-    ingest(remote.host, name_it->second, kind, value.value(), now);
+    if (slot.series == nullptr) {
+      slot.series = &resolve(remote.host, slot.name,
+                             binding.value.type() == snmp::ValueType::counter
+                                 ? telemetry::InstrumentKind::counter
+                                 : telemetry::InstrumentKind::gauge);
+    }
+    slot.series->append(SeriesPoint{now, value.value()});
     ++stats_.remote_points;
   }
 }
 
 void TimeSeriesSampler::ingest(std::string_view host, std::string_view metric,
-                               SeriesKind kind, double value,
+                               telemetry::InstrumentKind kind, double value,
                                sim::TimePoint time) {
-  series_slot(host, metric, kind).append(SeriesPoint{time, value});
+  resolve(host, metric, kind).append(SeriesPoint{time, value});
 }
 
-TimeSeries& TimeSeriesSampler::series_slot(std::string_view host,
-                                           std::string_view metric,
-                                           SeriesKind kind) {
-  auto host_it = series_.find(host);
-  if (host_it == series_.end()) {
-    host_it = series_
-                  .emplace(std::string(host),
-                           std::map<std::string, TimeSeries, std::less<>>{})
-                  .first;
+TimeSeries& TimeSeriesSampler::resolve(std::string_view host,
+                                       std::string_view metric,
+                                       telemetry::InstrumentKind kind) {
+  if (const auto it = index_.find(Address(host, metric)); it != index_.end()) {
+    return *it->second;
   }
-  auto metric_it = host_it->second.find(metric);
-  if (metric_it == host_it->second.end()) {
-    metric_it = host_it->second
-                    .emplace(std::string(metric),
-                             TimeSeries(kind, options_.capacity))
-                    .first;
-  }
-  return metric_it->second;
+  SeriesEntry& entry = table_.emplace_back(
+      SeriesEntry{std::string(host), std::string(metric),
+                  TimeSeries(kind, options_.capacity)});
+  index_.emplace(Address(entry.host, entry.metric), &entry.series);
+  return entry.series;
 }
 
 const TimeSeries* TimeSeriesSampler::find(std::string_view host,
                                           std::string_view metric) const {
-  const auto host_it = series_.find(host);
-  if (host_it == series_.end()) return nullptr;
-  const auto metric_it = host_it->second.find(metric);
-  return metric_it == host_it->second.end() ? nullptr : &metric_it->second;
-}
-
-std::size_t TimeSeriesSampler::series_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [host, metrics] : series_) n += metrics.size();
-  return n;
-}
-
-void TimeSeriesSampler::visit(
-    const std::function<void(const SeriesKey&, const TimeSeries&)>& fn)
-    const {
-  SeriesKey key;
-  for (const auto& [host, metrics] : series_) {
-    key.host = host;
-    for (const auto& [metric, series] : metrics) {
-      key.metric = metric;
-      fn(key, series);
-    }
-  }
+  const auto it = index_.find(Address(host, metric));
+  return it == index_.end() ? nullptr : it->second;
 }
 
 void TimeSeriesSampler::run_hooks(sim::TimePoint now) {

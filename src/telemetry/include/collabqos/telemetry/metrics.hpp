@@ -109,6 +109,7 @@ struct MetricView {
   std::string_view name;
   InstrumentKind kind = InstrumentKind::counter;
   double value = 0.0;  ///< as MetricSample::value
+  std::uint32_t export_id = 0;  ///< as MetricsRegistry::export_id(name)
 };
 
 class MetricsRegistry;

@@ -154,7 +154,7 @@ void MetricsRegistry::visit(
     const std::function<void(const MetricView&)>& fn) const {
   std::scoped_lock lock(mutex_);
   for (const auto& [name, family] : families_) {
-    fn(MetricView{name, family.kind, family_value(family)});
+    fn(MetricView{name, family.kind, family_value(family), family.export_id});
   }
 }
 

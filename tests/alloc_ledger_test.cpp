@@ -3,9 +3,10 @@
 // delivers datagrams to a warmed-up receiver peer: RTP decode,
 // reassembly, message decode, selector match and the hand-off to the
 // message handler. The sender's publish runs outside the count. It also
-// pins the allocations of an SNMP GET and GETBULK round trip and of warm
-// codec and sketch calls, and tallies the bytes that hostile counts in a
-// few bytes of input can make a decoder reserve.
+// pins the allocations of an SNMP GET and GETBULK round trip, of warm
+// codec and sketch calls and of an alert evaluation over bound rules, and
+// tallies the bytes that hostile counts in a few bytes of input can make a
+// decoder reserve.
 //
 // The count does not drift with host speed, so it backs performance
 // claims that timing alone cannot. Built with GCC only: the count is a
@@ -22,6 +23,7 @@
 #include "collabqos/media/media_object.hpp"
 #include "collabqos/media/sketch.hpp"
 #include "collabqos/net/network.hpp"
+#include "collabqos/observatory/alerts.hpp"
 #include "collabqos/pubsub/peer.hpp"
 #include "collabqos/pubsub/roster.hpp"
 #include "collabqos/snmp/host_mib.hpp"
@@ -295,6 +297,59 @@ TEST(SnmpAllocations, GetAndBulkRoundTripsArePinned) {
 
 }  // namespace
 }  // namespace collabqos::snmp
+
+namespace collabqos::observatory {
+namespace {
+
+// Once its rules are bound to their series, an evaluation that changes no
+// alert's state allocates nothing. The rule names, metrics and hosts are
+// all longer than the 15 characters a string keeps inline, so a copy of
+// any of them on the way to an instance would show. (Instances used to be
+// keyed by a fresh (rule, host) string pair, and wildcard rules walked the
+// series through a visitor that copied each metric.)
+TEST(AlertAllocations, BoundRulesEvaluateWithoutAllocating) {
+  sim::Simulator simulator;
+  telemetry::MetricsRegistry registry;
+  TimeSeriesSampler sampler(simulator, registry);
+  AlertEngine engine(sampler);
+  SloRule wildcard;
+  wildcard.name = "delivery-incomplete";
+  wildcard.metric = "pubsub.peer.incomplete_dropped";
+  wildcard.signal = Signal::rate;
+  wildcard.warning = 1e6;
+  wildcard.critical = 1e7;
+  engine.add_rule(wildcard);
+  SloRule silent;
+  silent.name = "telemetry-silent-watch";
+  silent.metric = "snmp.agent.responses.total";
+  silent.host = "station-number-one";
+  silent.kind = RuleKind::absence;
+  silent.warning = 1e6;
+  silent.critical = 1e7;
+  engine.add_rule(silent);
+
+  const auto second = [](int s) {
+    return sim::TimePoint{} + sim::Duration::seconds(s);
+  };
+  for (const char* host : {"station-number-one", "station-number-two"}) {
+    sampler.ingest(host, wildcard.metric, telemetry::InstrumentKind::counter,
+                   1.0, second(0));
+    sampler.ingest(host, silent.metric, telemetry::InstrumentKind::counter,
+                   1.0, second(0));
+  }
+  engine.evaluate(second(0));  // binds the rules to the four series
+
+  g_allocations = 0;
+  g_counting = true;
+  for (int s = 1; s <= 10; ++s) engine.evaluate(second(s));
+  g_counting = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(engine.active(), 0u);
+  EXPECT_TRUE(engine.history().empty());
+}
+
+}  // namespace
+}  // namespace collabqos::observatory
 
 namespace collabqos::media {
 namespace {

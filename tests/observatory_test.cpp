@@ -24,13 +24,13 @@ namespace {
 
 using observatory::AlertEngine;
 using observatory::RuleKind;
-using observatory::SeriesKind;
 using observatory::Severity;
 using observatory::Signal;
 using observatory::SloRule;
 using observatory::TimeSeries;
 using observatory::TimeSeriesSampler;
 using observatory::TraceAnalyzer;
+using telemetry::InstrumentKind;
 
 sim::TimePoint at(double seconds) {
   return sim::TimePoint::from_micros(
@@ -40,7 +40,7 @@ sim::TimePoint at(double seconds) {
 // ------------------------------------------------------------ TimeSeries
 
 TEST(TimeSeries, ComputesRatesFromConsecutivePoints) {
-  TimeSeries series(SeriesKind::counter, 8);
+  TimeSeries series(InstrumentKind::counter, 8);
   series.append({at(0.0), 100.0, 0.0});
   series.append({at(1.0), 160.0, 0.0});
   series.append({at(3.0), 200.0, 0.0});
@@ -51,19 +51,19 @@ TEST(TimeSeries, ComputesRatesFromConsecutivePoints) {
 }
 
 TEST(TimeSeries, CounterResetRestartsRateInsteadOfGoingNegative) {
-  TimeSeries series(SeriesKind::counter, 8);
+  TimeSeries series(InstrumentKind::counter, 8);
   series.append({at(0.0), 500.0, 0.0});
   series.append({at(1.0), 30.0, 0.0});  // source restarted
   EXPECT_DOUBLE_EQ(series.back().rate, 30.0);
   // Gauges are levels: a falling level is a real negative slope.
-  TimeSeries gauge(SeriesKind::gauge, 8);
+  TimeSeries gauge(InstrumentKind::gauge, 8);
   gauge.append({at(0.0), 500.0, 0.0});
   gauge.append({at(1.0), 30.0, 0.0});
   EXPECT_DOUBLE_EQ(gauge.back().rate, -470.0);
 }
 
 TEST(TimeSeries, RingEvictsOldestAndCounts) {
-  TimeSeries series(SeriesKind::gauge, 3);
+  TimeSeries series(InstrumentKind::gauge, 3);
   for (int i = 0; i < 5; ++i) {
     series.append({at(i), static_cast<double>(i), 0.0});
   }
@@ -74,7 +74,7 @@ TEST(TimeSeries, RingEvictsOldestAndCounts) {
 }
 
 TEST(TimeSeries, WindowedAggregatesRespectTheHorizon) {
-  TimeSeries series(SeriesKind::counter, 16);
+  TimeSeries series(InstrumentKind::counter, 16);
   for (int i = 0; i <= 9; ++i) {
     series.append({at(i), i * 10.0, 0.0});
   }
@@ -108,7 +108,7 @@ TEST(Sampler, SweepsLocalRegistryIntoSeries) {
 
   const TimeSeries* counter_series = sampler.find("", "app.events");
   ASSERT_NE(counter_series, nullptr);
-  EXPECT_EQ(counter_series->kind(), SeriesKind::counter);
+  EXPECT_EQ(counter_series->kind(), InstrumentKind::counter);
   EXPECT_DOUBLE_EQ(counter_series->back().value, 40.0);
   EXPECT_DOUBLE_EQ(counter_series->back().rate, 30.0);
 
@@ -167,14 +167,38 @@ TEST(Sampler, WalksRemoteTelemetrySubtreeOverSnmp) {
 
   const TimeSeries* events_series = sampler.find("station-1", "app.events");
   ASSERT_NE(events_series, nullptr);
-  EXPECT_EQ(events_series->kind(), SeriesKind::counter);
+  EXPECT_EQ(events_series->kind(), InstrumentKind::counter);
   EXPECT_DOUBLE_EQ(events_series->back().value, 17.0);
   const TimeSeries* level_series = sampler.find("station-1", "app.level");
   ASSERT_NE(level_series, nullptr);
-  EXPECT_EQ(level_series->kind(), SeriesKind::gauge);
+  EXPECT_EQ(level_series->kind(), InstrumentKind::gauge);
   EXPECT_DOUBLE_EQ(level_series->back().value, 42.0);
   EXPECT_GE(sampler.stats().remote_points, 2u);
   EXPECT_EQ(sampler.stats().remote_failures, 0u);
+}
+
+TEST(Sampler, FamilyAttachedAfterTheFirstTickIsSampledFromTheNext) {
+  sim::Simulator sim;
+  telemetry::MetricsRegistry registry;
+  telemetry::Counter early;
+  auto r1 = registry.attach("app.early", early);
+  TimeSeriesSampler sampler(sim, registry);
+  sampler.sample_now();
+  EXPECT_EQ(sampler.find("", "app.late"), nullptr);
+
+  telemetry::Gauge late;
+  auto r2 = registry.attach("app.late", late);
+  late.set(7.0);
+  sim.schedule_at(at(1.0), [] {});
+  (void)sim.step();
+  sampler.sample_now();
+  const TimeSeries* series = sampler.find("", "app.late");
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->kind(), InstrumentKind::gauge);
+  EXPECT_EQ(series->size(), 1u);
+  EXPECT_DOUBLE_EQ(series->back().value, 7.0);
+  EXPECT_EQ(sampler.find("", "app.early")->size(), 2u);
+  EXPECT_EQ(sampler.series_count(), 2u);
 }
 
 // ---------------------------------------------------------- alert engine
@@ -185,7 +209,7 @@ class AlertEngineTest : public ::testing::Test {
 
   /// Script one observation and evaluate the rules at that instant.
   void feed(double seconds, double value) {
-    sampler_.ingest("", "app.qps", SeriesKind::gauge, value, at(seconds));
+    sampler_.ingest("", "app.qps", InstrumentKind::gauge, value, at(seconds));
     engine_.evaluate(at(seconds));
   }
 
@@ -272,7 +296,7 @@ TEST_F(AlertEngineTest, AbsenceRuleFiresWhenSeriesGoesSilent) {
   rule.critical = 5.0;
   engine_.add_rule(rule);
 
-  sampler_.ingest("station-1", "app.qps", SeriesKind::gauge, 1.0, at(0.0));
+  sampler_.ingest("station-1", "app.qps", InstrumentKind::gauge, 1.0, at(0.0));
   engine_.evaluate(at(1.0));
   EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::ok);
   engine_.evaluate(at(3.0));
@@ -280,7 +304,7 @@ TEST_F(AlertEngineTest, AbsenceRuleFiresWhenSeriesGoesSilent) {
   engine_.evaluate(at(10.0));
   EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::critical);
   // The series comes back: silence drops to zero and the alert clears.
-  sampler_.ingest("station-1", "app.qps", SeriesKind::gauge, 1.0, at(11.0));
+  sampler_.ingest("station-1", "app.qps", InstrumentKind::gauge, 1.0, at(11.0));
   engine_.evaluate(at(11.0));
   EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::ok);
 }
@@ -293,12 +317,92 @@ TEST_F(AlertEngineTest, WildcardHostRulesTrackEachHostIndependently) {
   rule.critical = 1e9;
   engine_.add_rule(rule);
 
-  sampler_.ingest("a", "app.qps", SeriesKind::gauge, 15.0, at(0.0));
-  sampler_.ingest("b", "app.qps", SeriesKind::gauge, 5.0, at(0.0));
+  sampler_.ingest("a", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  sampler_.ingest("b", "app.qps", InstrumentKind::gauge, 5.0, at(0.0));
   engine_.evaluate(at(0.0));
   EXPECT_EQ(engine_.severity("qps-high", "a"), Severity::warning);
   EXPECT_EQ(engine_.severity("qps-high", "b"), Severity::ok);
   EXPECT_EQ(engine_.active(), 1u);
+}
+
+TEST_F(AlertEngineTest, SameTickTransitionsComeOutInHostNameOrder) {
+  SloRule rule;
+  rule.name = "qps-high";
+  rule.metric = "app.qps";
+  rule.warning = 10.0;
+  rule.critical = 1e9;
+  engine_.add_rule(rule);
+
+  // Created in reverse name order; both breach in the same evaluation.
+  sampler_.ingest("zulu", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  sampler_.ingest("alpha", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  sampler_.ingest("mike", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  engine_.evaluate(at(0.0));
+  ASSERT_EQ(engine_.history().size(), 3u);
+  EXPECT_EQ(engine_.history()[0].host, "alpha");
+  EXPECT_EQ(engine_.history()[1].host, "mike");
+  EXPECT_EQ(engine_.history()[2].host, "zulu");
+}
+
+TEST_F(AlertEngineTest, RuleAddedAfterItsSeriesExistBindsToThem) {
+  sampler_.ingest("b", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  sampler_.ingest("a", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
+  sampler_.ingest("station-1", "app.load", InstrumentKind::gauge, 0.9,
+                  at(0.0));
+  engine_.evaluate(at(0.0));  // no rules yet: the series are seen, unbound
+
+  SloRule wildcard;
+  wildcard.name = "qps-high";
+  wildcard.metric = "app.qps";
+  wildcard.warning = 10.0;
+  wildcard.critical = 1e9;
+  engine_.add_rule(wildcard);
+  SloRule named;
+  named.name = "load-high";
+  named.metric = "app.load";
+  named.host = "station-1";
+  named.warning = 0.5;
+  named.critical = 0.8;
+  engine_.add_rule(named);
+
+  engine_.evaluate(at(1.0));
+  EXPECT_EQ(engine_.severity("qps-high", "a"), Severity::warning);
+  EXPECT_EQ(engine_.severity("qps-high", "b"), Severity::warning);
+  EXPECT_EQ(engine_.severity("load-high", "station-1"), Severity::critical);
+  ASSERT_EQ(engine_.history().size(), 3u);
+  EXPECT_EQ(engine_.history()[0].host, "a");
+  EXPECT_EQ(engine_.history()[1].host, "b");
+  EXPECT_EQ(engine_.history()[2].rule, "load-high");
+}
+
+TEST_F(AlertEngineTest, AbsenceRuleGoesFromSilentToFedWhenItsSeriesAppears) {
+  SloRule rule;
+  rule.name = "heartbeat";
+  rule.metric = "app.qps";
+  rule.host = "station-1";
+  rule.kind = RuleKind::absence;
+  rule.warning = 2.0;
+  rule.critical = 5.0;
+  engine_.add_rule(rule);
+
+  // No series yet: silence is unbounded.
+  engine_.evaluate(at(0.0));
+  EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::critical);
+  EXPECT_EQ(engine_.active(), 1u);
+  // Another host's series does not feed it.
+  sampler_.ingest("station-2", "app.qps", InstrumentKind::gauge, 1.0,
+                  at(1.0));
+  engine_.evaluate(at(1.0));
+  EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::critical);
+  // Its own series arrives late and the alert clears.
+  sampler_.ingest("station-1", "app.qps", InstrumentKind::gauge, 1.0,
+                  at(4.0));
+  engine_.evaluate(at(4.0));
+  EXPECT_EQ(engine_.severity("heartbeat", "station-1"), Severity::ok);
+  EXPECT_EQ(engine_.active(), 0u);
+  ASSERT_EQ(engine_.history().size(), 2u);
+  EXPECT_EQ(engine_.history()[1].to, Severity::ok);
+  EXPECT_DOUBLE_EQ(engine_.history()[1].value, 0.0);
 }
 
 TEST(AlertPublish, TransitionsTravelTheSubstrateAndFilterBySelector) {
@@ -336,9 +440,9 @@ TEST(AlertPublish, TransitionsTravelTheSubstrateAndFilterBySelector) {
   rule.critical = 20.0;
   engine.add_rule(rule);
 
-  sampler.ingest("", "app.qps", SeriesKind::gauge, 15.0, at(0.0));
+  sampler.ingest("", "app.qps", InstrumentKind::gauge, 15.0, at(0.0));
   engine.evaluate(at(0.0));  // ok -> warning, published but filtered out
-  sampler.ingest("", "app.qps", SeriesKind::gauge, 25.0, at(1.0));
+  sampler.ingest("", "app.qps", InstrumentKind::gauge, 25.0, at(1.0));
   engine.evaluate(at(1.0));  // warning -> critical, delivered
   sim.run_all();
 
