@@ -1,6 +1,7 @@
 #include "collabqos/core/concurrency.hpp"
 
 #include "collabqos/telemetry/pipeline.hpp"
+#include "collabqos/util/hash.hpp"
 
 namespace collabqos::core {
 
@@ -44,18 +45,15 @@ std::vector<const Operation*> ObjectLog::ordered() const {
 }
 
 std::uint64_t ObjectLog::digest() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](const std::uint8_t byte) {
-    hash = (hash ^ byte) * 0x100000001b3ULL;
-  };
+  Fnv1a hash;
   for (const auto& [key, operation] : ordered_) {
     for (int shift = 0; shift < 64; shift += 8) {
-      mix(static_cast<std::uint8_t>(operation.lamport >> shift));
-      mix(static_cast<std::uint8_t>(operation.peer >> shift));
+      hash.update(static_cast<std::uint8_t>(operation.lamport >> shift));
+      hash.update(static_cast<std::uint8_t>(operation.peer >> shift));
     }
-    for (const std::uint8_t byte : operation.payload) mix(byte);
+    hash.update(operation.payload);
   }
-  return hash;
+  return hash.value();
 }
 
 Operation ConcurrencyController::originate(std::string object_id,
@@ -82,15 +80,14 @@ const ObjectLog* ConcurrencyController::log(
 }
 
 std::uint64_t ConcurrencyController::digest() const {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  Fnv1a hash;
   for (const auto& [object_id, log] : logs_) {
     const std::uint64_t sub = log.digest();
     for (int shift = 0; shift < 64; shift += 8) {
-      hash = (hash ^ static_cast<std::uint8_t>(sub >> shift)) *
-             0x100000001b3ULL;
+      hash.update(static_cast<std::uint8_t>(sub >> shift));
     }
   }
-  return hash;
+  return hash.value();
 }
 
 }  // namespace collabqos::core

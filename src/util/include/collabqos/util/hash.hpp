@@ -16,7 +16,7 @@ namespace collabqos {
 /// depends only on the byte sequence.
 class Fnv1a {
  public:
-  static constexpr std::uint64_t kOffset = 1469598103934665603ULL;
+  static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
   static constexpr std::uint64_t kPrime = 1099511628211ULL;
 
   constexpr void update(std::uint8_t byte) noexcept {

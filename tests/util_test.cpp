@@ -255,6 +255,22 @@ std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
   return bytes;
 }
 
+TEST(Fnv1a, StandardVectors) {
+  const auto digest = [](std::string_view text) {
+    Fnv1a hash;
+    hash.update(text);
+    return hash.value();
+  };
+  EXPECT_EQ(digest(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(digest("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(digest("foobar"), 0x85944171f73967e8ULL);
+  const std::string foobar = "foobar";
+  EXPECT_EQ(fnv1a(std::span<const std::uint8_t>(
+                reinterpret_cast<const std::uint8_t*>(foobar.data()),
+                foobar.size())),
+            0x85944171f73967e8ULL);
+}
+
 TEST(Crc32c, Rfc3720KnownAnswers) {
   std::vector<std::uint8_t> ascending(32), descending(32);
   for (std::size_t i = 0; i < 32; ++i) {
