@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <vector>
 
 namespace collabqos::media {
 
@@ -91,42 +90,7 @@ class BitSink {
   int used_ = 0;           ///< always < 8 between calls
 };
 
-/// A BitSink into a buffer of its own that grows as it fills.
-class BitWriter {
- public:
-  void put(bool bit) { put_bits(bit ? 1u : 0u, 1); }
-  void put_bits(std::uint64_t value, int count) {
-    make_room();
-    sink_.put_bits(value, count);
-  }
-  void put_gamma(std::uint64_t n) {
-    make_room();
-    sink_.put_gamma(n);
-  }
-  void put_run(std::uint64_t run) { put_gamma(run + 1); }
-
-  /// Flush partial byte (zero-padded) and return the buffer.
-  [[nodiscard]] std::vector<std::uint8_t> finish() {
-    buffer_.resize(sink_.size());
-    std::vector<std::uint8_t> out = std::move(buffer_);
-    *this = BitWriter();
-    return out;
-  }
-
- private:
-  /// One put stores at most 16 bytes past the whole ones written.
-  void make_room() {
-    if (buffer_.size() - sink_.size() < 16) {
-      buffer_.resize(std::max<std::size_t>(64, 2 * buffer_.size()));
-      sink_.move_to(buffer_.data());
-    }
-  }
-
-  std::vector<std::uint8_t> buffer_;
-  BitSink sink_{nullptr};
-};
-
-/// Reads what BitWriter wrote. A read past the end latches the reader into
+/// Reads what BitSink wrote. A read past the end latches the reader into
 /// a failed state and returns zeros from then on, so decoders check ok()
 /// where a value steers them, not a result per bit. A gamma code longer
 /// than 63 zeros also fails the reader.

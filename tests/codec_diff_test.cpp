@@ -390,8 +390,7 @@ struct WriteOp {
 };
 
 template <class Writer>
-std::vector<std::uint8_t> write_all(const std::vector<WriteOp>& ops) {
-  Writer w;
+void write_all(Writer& w, const std::vector<WriteOp>& ops) {
   for (const WriteOp& op : ops) {
     switch (op.kind) {
       case WriteOp::bit:
@@ -409,7 +408,17 @@ std::vector<std::uint8_t> write_all(const std::vector<WriteOp>& ops) {
         break;
     }
   }
-  return w.finish();
+}
+
+/// `ops` through a BitSink over a buffer sized for their worst case: 16
+/// bytes an op (a 127-bit gamma code and a bit), and the 8 bytes a put
+/// stores at once.
+std::vector<std::uint8_t> sink_all(const std::vector<WriteOp>& ops) {
+  std::vector<std::uint8_t> bytes(16 * ops.size() + 8);
+  BitSink sink(bytes.data());
+  write_all(sink, ops);
+  bytes.resize(sink.size());
+  return bytes;
 }
 
 /// A random value of exactly `width` bits (width 1..64).
@@ -445,8 +454,10 @@ TEST(BitIo, RoundTripMatchesReference) {
         }
       }
     }
-    const auto bytes = write_all<BitWriter>(ops);
-    ASSERT_EQ(bytes, write_all<reference::BitWriter>(ops)) << "round " << round;
+    const auto bytes = sink_all(ops);
+    reference::BitWriter expected;
+    write_all(expected, ops);
+    ASSERT_EQ(bytes, expected.finish()) << "round " << round;
 
     // Read back in the written shapes, then past the end.
     BitReader got(bytes);

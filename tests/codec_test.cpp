@@ -249,17 +249,20 @@ TEST(Codec, WrappingSignificanceRunRejected) {
   // Two newly significant coefficients, then a run of 2^64 - 2: the
   // position would wrap to 0, and the sign and closing run after it
   // would make the pass decode silently.
-  BitWriter bits;
-  bits.put_run(0);
-  bits.put(false);
-  bits.put_run(0);
-  bits.put(false);
-  bits.put_gamma(~std::uint64_t{0});
-  bits.put(false);
-  bits.put_run(100);
+  // 145 bits, and the 8 bytes a put stores at once.
+  std::vector<std::uint8_t> bits(32);
+  BitSink sink(bits.data());
+  sink.put_run(0);
+  sink.put(false);
+  sink.put_run(0);
+  sink.put(false);
+  sink.put_gamma(~std::uint64_t{0});
+  sink.put(false);
+  sink.put_run(100);
+  bits.resize(sink.size());
   serde::Writer packet;
   packet.varint(1);
-  packet.blob(bits.finish());
+  packet.blob(bits);
   const std::vector<serde::Bytes> packets = {std::move(packet).take()};
   auto result = decode_progressive_prefix(header_of(8, 8, 1, 0), packets);
   ASSERT_FALSE(result.ok());

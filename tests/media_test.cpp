@@ -74,12 +74,23 @@ TEST(Scene, ShapesArePainted) {
 
 // ----------------------------------------------------------------- BitIO
 
+/// What `write` puts through a BitSink over `capacity` bytes, which must
+/// hold the bits and the 8 bytes a put stores at once.
+template <typename F>
+std::vector<std::uint8_t> sink_bytes(std::size_t capacity, F&& write) {
+  std::vector<std::uint8_t> bytes(capacity);
+  BitSink sink(bytes.data());
+  write(sink);
+  bytes.resize(sink.size());
+  return bytes;
+}
+
 TEST(BitIO, BitsRoundTrip) {
-  BitWriter w;
-  w.put(true);
-  w.put(false);
-  w.put_bits(0b1011, 4);
-  const auto bytes = w.finish();
+  const auto bytes = sink_bytes(16, [](BitSink& w) {
+    w.put(true);
+    w.put(false);
+    w.put_bits(0b1011, 4);
+  });
   BitReader r(bytes);
   EXPECT_TRUE(r.get());
   EXPECT_TRUE(r.ok());
@@ -90,10 +101,10 @@ TEST(BitIO, BitsRoundTrip) {
 }
 
 TEST(BitIO, GammaRoundTrip) {
-  BitWriter w;
   const std::uint64_t values[] = {1, 2, 3, 7, 8, 100, 65535, 1u << 20};
-  for (const auto v : values) w.put_gamma(v);
-  const auto bytes = w.finish();
+  const auto bytes = sink_bytes(32, [&](BitSink& w) {
+    for (const auto v : values) w.put_gamma(v);  // 104 bits
+  });
   BitReader r(bytes);
   for (const auto v : values) {
     EXPECT_EQ(r.get_gamma(), v);
@@ -102,11 +113,11 @@ TEST(BitIO, GammaRoundTrip) {
 }
 
 TEST(BitIO, RunsIncludeZero) {
-  BitWriter w;
-  w.put_run(0);
-  w.put_run(5);
-  w.put_run(1000000);
-  const auto bytes = w.finish();
+  const auto bytes = sink_bytes(16, [](BitSink& w) {
+    w.put_run(0);
+    w.put_run(5);
+    w.put_run(1000000);
+  });
   BitReader r(bytes);
   EXPECT_EQ(r.get_run(), 0u);
   EXPECT_TRUE(r.ok());
@@ -117,9 +128,7 @@ TEST(BitIO, RunsIncludeZero) {
 }
 
 TEST(BitIO, ExhaustionIsError) {
-  BitWriter w;
-  w.put(true);
-  const auto bytes = w.finish();
+  const auto bytes = sink_bytes(16, [](BitSink& w) { w.put(true); });
   BitReader r(bytes);
   for (int i = 0; i < 8; ++i) {
     (void)r.get();
@@ -130,11 +139,11 @@ TEST(BitIO, ExhaustionIsError) {
 }
 
 TEST(BitIO, GammaExtremesAndOverlongCodes) {
-  BitWriter w;
   const std::uint64_t values[] = {~std::uint64_t{0}, std::uint64_t{1} << 32,
                                   (std::uint64_t{1} << 28) + 3, 1};
-  for (const auto v : values) w.put_gamma(v);
-  const auto bytes = w.finish();
+  const auto bytes = sink_bytes(48, [&](BitSink& w) {
+    for (const auto v : values) w.put_gamma(v);  // 250 bits
+  });
   BitReader r(bytes);
   for (const auto v : values) EXPECT_EQ(r.get_gamma(), v);
   EXPECT_TRUE(r.ok());
@@ -593,9 +602,7 @@ TEST_F(TransformTest, RegistryIsExtensible) {
       Sketch sketch;
       sketch.width = sketch.height = 1;
       sketch.source_width = sketch.source_height = 1;
-      BitWriter bits;
-      bits.put_run(1);
-      sketch.rle = bits.finish();
+      sketch.rle = sink_bytes(16, [](BitSink& bits) { bits.put_run(1); });
       sketch.description = input.get_if<TextMedia>()->text;
       return MediaObject(SketchMedia{std::move(sketch)});
     }
