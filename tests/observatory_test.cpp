@@ -177,6 +177,41 @@ TEST(Sampler, WalksRemoteTelemetrySubtreeOverSnmp) {
   EXPECT_EQ(sampler.stats().remote_failures, 0u);
 }
 
+TEST(Sampler, RemoteExportIdNoRegistryCouldGiveIsDropped) {
+  sim::Simulator sim;
+  net::Network network(sim, 7);
+  const net::NodeId station = network.add_node("station-1");
+  const net::NodeId watcher = network.add_node("watcher");
+  // A hand-built telemetry subtree: one family as a registry exports it
+  // (ids dense from 1), and one under an id that would size a slot table
+  // of 4e9 entries if the sampler took it.
+  constexpr std::uint32_t kHostile = 4000000000u;
+  snmp::Agent agent(network, station, "public", "secret");
+  snmp::Mib& mib = agent.mib();
+  mib.add_scalar(snmp::oids::tassl_telemetry_name(1),
+                 snmp::Value::octets("app.events"));
+  mib.add_scalar(snmp::oids::tassl_telemetry_name(kHostile),
+                 snmp::Value::octets("app.hostile"));
+  mib.add_scalar(snmp::oids::tassl_telemetry_value(1),
+                 snmp::Value::counter(5));
+  mib.add_scalar(snmp::oids::tassl_telemetry_value(kHostile),
+                 snmp::Value::counter(9));
+
+  snmp::Manager manager(network, watcher);
+  telemetry::MetricsRegistry local_registry;
+  TimeSeriesSampler sampler(sim, local_registry);
+  sampler.add_remote("station-1", manager, station, "public");
+  sampler.sample_now();
+  sim.run_until(sim.now() + sim::Duration::seconds(1.0));
+
+  const TimeSeries* events = sampler.find("station-1", "app.events");
+  ASSERT_NE(events, nullptr);
+  EXPECT_DOUBLE_EQ(events->back().value, 5.0);
+  EXPECT_EQ(sampler.find("station-1", "app.hostile"), nullptr);
+  EXPECT_EQ(sampler.series_count(), 1u);
+  EXPECT_EQ(sampler.stats().remote_points, 1u);
+}
+
 TEST(Sampler, FamilyAttachedAfterTheFirstTickIsSampledFromTheNext) {
   sim::Simulator sim;
   telemetry::MetricsRegistry registry;
